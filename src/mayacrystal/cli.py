@@ -43,6 +43,8 @@ class RunConfig:
             raise ValueError("rank must be at least 2")
         if self.depth < 0:
             raise ValueError("depth must be nonnegative")
+        if self.max_boxes is not None and self.max_boxes < 0:
+            raise ValueError("max-boxes must be nonnegative")
         if self.mode not in (oraclemod.SYMBOLIC, oraclemod.RANDOM):
             raise ValueError("mode must be symbolic or random")
         if (self.seed is not None) != (self.mode == oraclemod.RANDOM):
@@ -161,6 +163,9 @@ def cmd_oracle_check(cfg, word):
         }
     else:
         report = oraclemod.compare(datum, diagrams, cfg.mode, cfg.seed)
+    if not report["results"]:
+        print("oracle-check: no diagrams compared", file=sys.stderr)
+        report["pass"] = False
     _write(cfg, oraclemod.report_to_json(report).encode())
     return EXIT_OK if report["pass"] else EXIT_FAIL
 

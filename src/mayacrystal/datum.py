@@ -12,6 +12,15 @@ where L_i / sL_i are the fundamental right-black diagrams, extended to
 right-black arguments by interval-inversion stabilization (theta).  All
 values are n-periodic: evaluation happens on sigma-orbit canonical
 representatives (charge reduced mod n).
+
+Two paths compute values.  Over the window canonical_diagrams(n, max_boxes)
+(charges 0..n-1, at most max_boxes boxes), ``table`` fills a datum's whole
+value table from its parent's in one pass over a removal index built once
+per window: the window is closed under box removal, so every term of the
+recursion is a parent table entry.  Fingerprints, and so graph exploration,
+use tables.  ``value_at`` runs the memoised recursion diagram by diagram; it
+serves ``eval`` and ``theta``, whose interval-inversion diagrams lie far
+outside any window.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from .maya import (
     lambda_diagram,
     partitions_of,
     removable_boxes,
+    removal_options,
     remove_box,
     s_lambda_diagram,
     to_partition,
@@ -72,28 +82,38 @@ def _removal_options(n, parts, charge, i):
     Keyed on the raw parts tuple so huge interval-inversion partitions share
     work across data.
     """
-    from .maya import ChargedPartition
+    return tuple(removal_options(parts, charge, i, n)[1:])
 
-    p = ChargedPartition(parts, charge)
-    boxes = removable_boxes(p, i, n)
-    options = []
-    for mask in range(1, 1 << len(boxes)):
-        q = p
-        count = 0
-        for j, box in enumerate(boxes):
-            if mask >> j & 1:
-                q = remove_box(q, box)
-                count += 1
-        options.append((q.parts, count))
-    return tuple(options)
+
+@lru_cache(maxsize=2)
+def _removal_index(n, max_boxes):
+    """Removal index of the window canonical_diagrams(n, max_boxes).
+
+    Entry i lists, for residue i, ``(count, pairs)`` per removal count: each
+    pair (k, j) says that deleting ``count`` removable i-boxes from window
+    diagram k gives window diagram j.  Diagrams without a removable i-box
+    do not appear.  Removing boxes keeps the charge and lowers the box
+    count, so the window is closed under removal and j always lies inside
+    it.  A run uses one window, so the cache holds only the last two.
+    """
+    window = canonical_diagrams(n, max_boxes)
+    position = {key: k for k, key in enumerate(window)}
+    index = []
+    for i in range(n):
+        by_count = {}
+        for k, (parts, charge) in enumerate(window):
+            for sub, count in removal_options(parts, charge, i, n)[1:]:
+                by_count.setdefault(count, []).append((k, position[sub, charge]))
+        index.append(tuple((count, tuple(pairs)) for count, pairs in sorted(by_count.items())))
+    return tuple(index)
 
 
 class CrystalDatum:
     """A crystal element: the zero datum O or f_i applied to a parent datum.
 
-    Instances memoize their values, their theta values, and their derived
-    statistics; children created through :meth:`apply` are shared, so
-    repeated prefix evaluations hit warm caches.
+    Instances memoize their values, their value tables, their theta values,
+    and their derived statistics; children created through :meth:`apply`
+    are shared, so repeated prefix evaluations hit warm caches.
     """
 
     def __init__(self, cartan, parent=None, letter=None):
@@ -107,6 +127,7 @@ class CrystalDatum:
             self.word = parent.word + (self.letter,)
         self._memo = {}
         self._theta_memo = {}
+        self._tables = {}
         self._c = {}
         self._children = {}
 
@@ -151,6 +172,34 @@ class CrystalDatum:
                 best = v
         self._memo[key] = best
         return best
+
+    def table(self, max_boxes):
+        """Values over canonical_diagrams(n, max_boxes), as a tuple of ints.
+
+        Filled from the parent's table src in one pass over the removal
+        index of the window: entry k is the min of src[k] and, over the
+        removal subsets of this datum's letter, src[j] + count * c at the
+        smaller diagram j, with c the parent's c_coeff.  Equals value_at at
+        every entry, without a memo entry per diagram.
+        """
+        cached = self._tables.get(max_boxes)
+        if cached is not None:
+            return cached
+        if self.parent is None:
+            table = (0,) * len(canonical_diagrams(self.cartan.n, max_boxes))
+        else:
+            src = self.parent.table(max_boxes)
+            coeff = self.parent.c_coeff(self.letter)
+            out = list(src)
+            for count, pairs in _removal_index(self.cartan.n, max_boxes)[self.letter]:
+                shift = count * coeff
+                for k, j in pairs:
+                    v = src[j] + shift
+                    if v < out[k]:
+                        out[k] = v
+            table = tuple(out)
+        self._tables[max_boxes] = table
+        return table
 
     # -- extension to right-black diagrams ---------------------------------
 
@@ -231,20 +280,18 @@ class CrystalDatum:
         """
         n = self.cartan.n
         stats = self.weight() + tuple(self.eps_hat(i) for i in range(n))
-        return stats + tuple(
-            self.value_at(parts, charge)
-            for parts, charge in canonical_diagrams(n, max_boxes)
-        )
+        return stats + self.table(max_boxes)
 
     def value_table(self, max_boxes):
         """JSON-friendly list of {"diagram": ..., "value": k} rows."""
         from .maya import ChargedPartition, from_partition
 
-        rows = []
-        for parts, charge in canonical_diagrams(self.cartan.n, max_boxes):
-            diagram = from_partition(ChargedPartition(parts, charge))
-            rows.append({"diagram": diagram.to_json(), "value": self.value_at(parts, charge)})
-        return rows
+        return [
+            {"diagram": from_partition(ChargedPartition(parts, charge)).to_json(), "value": value}
+            for (parts, charge), value in zip(
+                canonical_diagrams(self.cartan.n, max_boxes), self.table(max_boxes)
+            )
+        ]
 
     def to_json(self):
         return {"n": self.cartan.n, "word": list(self.word)}
@@ -257,9 +304,11 @@ class CrystalDatum:
         return datum
 
     def drop_caches(self):
-        """Release value memos (used when a freshly explored node dedups away)."""
+        """Release value memos and tables (used when a freshly explored node
+        dedups away)."""
         self._memo = {}
         self._theta_memo = {}
+        self._tables = {}
 
     def __repr__(self):
         return "CrystalDatum(n=%d, word=%r)" % (self.cartan.n, list(self.word))

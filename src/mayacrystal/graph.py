@@ -2,11 +2,12 @@
 
 The graph is grown breadth-first from the zero datum; nodes are deduplicated
 by their value-table fingerprint over diagrams with at most ``max_boxes``
-boxes (default n*(depth+1), validated empirically by the census).  Raising
-operators exist only as edge inversions.  The independent oracle counts
-multiset decompositions of a positive root-lattice element into positive
-roots of untwisted affine type A, with imaginary roots m*delta carrying
-multiplicity n - 1.
+boxes (default n*(depth+1), validated empirically by the census).  Each
+child is fingerprinted once, and its table is filled from its parent's
+(``CrystalDatum.table``).  Raising operators exist only as edge
+inversions.  The independent oracle counts multiset decompositions of a
+positive root-lattice element into positive roots of untwisted affine type
+A, with imaginary roots m*delta carrying multiplicity n - 1.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def explore(cartan, depth, max_boxes=None):
     if max_boxes is None:
         max_boxes = default_max_boxes(n, depth)
     root = CrystalDatum.zero(cartan)
-    nodes = [_make_node(0, root, 0, max_boxes)]
+    nodes = [_make_node(0, root, 0, root.fingerprint(max_boxes))]
     by_fingerprint = {nodes[0].fingerprint: 0}
     edges = {}
     frontier = [0]
@@ -92,7 +93,7 @@ def explore(cartan, depth, max_boxes=None):
                 target = by_fingerprint.get(fp)
                 if target is None:
                     target = len(nodes)
-                    nodes.append(_make_node(target, child, level + 1, max_boxes))
+                    nodes.append(_make_node(target, child, level + 1, fp))
                     by_fingerprint[fp] = target
                     next_frontier.append(target)
                 elif nodes[target].datum is not child:
@@ -103,7 +104,7 @@ def explore(cartan, depth, max_boxes=None):
     return CrystalGraph(n, depth, max_boxes, nodes, edges)
 
 
-def _make_node(node_id, datum, depth, max_boxes):
+def _make_node(node_id, datum, depth, fingerprint):
     n = datum.cartan.n
     return Node(
         id=node_id,
@@ -113,7 +114,7 @@ def _make_node(node_id, datum, depth, max_boxes):
         eps=tuple(datum.eps_hat(i) for i in range(n)),
         phi=tuple(datum.c_coeff(i) + 1 for i in range(n)),
         datum=datum,
-        fingerprint=datum.fingerprint(max_boxes),
+        fingerprint=fingerprint,
     )
 
 

@@ -299,21 +299,39 @@ def add_box(p, box):
     return ChargedPartition(tuple(parts), p.charge, p.orientation)
 
 
+def removal_options(parts, charge, i, n):
+    """(sub_parts, count) for every subset of the removable residue-i boxes.
+
+    Works on the raw parts tuple of a partition with the given charge and
+    builds no ChargedPartition.  ``count`` is the subset's size.  The empty
+    subset comes first; the order is by subset bitmask over the removable
+    boxes listed top row first (subset k removes box j iff bit j of k is
+    set), which is the order of :func:`removable_boxes`.
+    """
+    offset = _slot_offset(charge)
+    last = len(parts) - 1
+    options = [(parts, 0)]
+    for r in range(last + 1):
+        if (r == last or parts[r] > parts[r + 1]) and (offset + parts[r] - r - 1) % n == i % n:
+            # only the last row can shrink to zero: every other corner row
+            # is longer than the row below it
+            options += [
+                (sub[:r] + (sub[r] - 1,) + sub[r + 1:] if sub[r] > 1 else sub[:r], count + 1)
+                for sub, count in options
+            ]
+    return options
+
+
 def removal_subsets(p, i, n):
     """All partitions obtained by deleting any subset of removable i-boxes.
 
     Always includes p itself (the empty subset); the order is by subset
     bitmask over the removable boxes listed top row first.
     """
-    boxes = removable_boxes(p, i, n)
-    results = []
-    for mask in range(1 << len(boxes)):
-        q = p
-        for j, box in enumerate(boxes):
-            if mask >> j & 1:
-                q = remove_box(q, box)
-        results.append(q)
-    return results
+    return [
+        ChargedPartition(parts, p.charge, p.orientation)
+        for parts, _ in removal_options(p.parts, p.charge, i, n)
+    ]
 
 
 def lambda_diagram(i):

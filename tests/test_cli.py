@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from mayacrystal.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, RunConfig, main
+from mayacrystal.cli import (
+    EXIT_FAIL,
+    EXIT_OK,
+    EXIT_USAGE,
+    RunConfig,
+    cmd_oracle_check,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -30,6 +37,18 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(n=2, mode="symbolic", seed=3)
         assert RunConfig(n=2, mode="random", seed=3).seed == 3
+
+    def test_negative_max_boxes(self, capsys):
+        with pytest.raises(ValueError):
+            RunConfig(n=2, max_boxes=-1)
+        for argv in (
+            ("verify", "--rank", "2", "--depth", "2", "--max-boxes", "-1"),
+            ("oracle-check", "--rank", "2", "--word", "0,1", "--max-boxes", "-3"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert "max-boxes" in err
 
     def test_bad_mode_and_format(self):
         with pytest.raises(ValueError):
@@ -167,6 +186,16 @@ class TestOracleCheck:
         report = json.loads(out)
         assert report["pass"] is True
         assert report["seed"] == 5
+
+    def test_no_diagrams_fails(self, capsys):
+        # an empty window compares nothing, so it must not pass
+        cfg = RunConfig(n=2)
+        cfg.max_boxes = -3  # past validation, as a library caller could
+        assert cmd_oracle_check(cfg, (0, 1)) == EXIT_FAIL
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["results"] == [] and report["pass"] is False
+        assert "no diagrams" in captured.err
 
     def test_random_without_seed(self, capsys):
         code, _, err = run(

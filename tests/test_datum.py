@@ -170,6 +170,41 @@ class TestFingerprint:
         assert min(values) == -1
 
 
+class TestTable:
+    @given(
+        st.sampled_from((2, 3, 4)).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(0, n - 1), max_size=6),
+                st.integers(0, 5),
+            )
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_recursion(self, case):
+        n, word, max_boxes = case
+        d = datum_from_word(CartanData(n), word)
+        table = d.table(max_boxes)
+        assert table == tuple(
+            d.value_at(parts, charge) for parts, charge in canonical_diagrams(n, max_boxes)
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_fingerprint_canonical_order(self, n):
+        window = canonical_diagrams(n, 6)
+        # charge, then box count, then lexicographic parts
+        assert list(window) == sorted(window, key=lambda e: (e[1], sum(e[0]), e[0]))
+        d = datum_from_word(CartanData(n), (0, 1, 0))
+        assert d.fingerprint(6)[2 * n:] == d.table(6)
+
+    def test_drop_caches_releases_table(self):
+        d = datum_from_word(CartanData(2), (0, 1))
+        table = d.table(4)
+        d.drop_caches()
+        assert d._tables == {}
+        assert d.table(4) == table
+
+
 class TestSingleColorOperators:
     def test_matches_residue_operator_on_fresh_colors(self):
         # a residue operator is the commuting product of the single-color

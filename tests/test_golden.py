@@ -1,0 +1,44 @@
+"""Byte-for-byte comparison of CLI output with the stored golden set.
+
+The files under ``tests/golden/`` are the stdout of the commands below.  A
+change that alters any of them must say why and regenerate the file with
+the same command, e.g.
+
+    PYTHONPATH=src python -m mayacrystal.cli verify --rank 3 --depth 5 \\
+        > tests/golden/verify-n3-d5.txt
+"""
+
+from pathlib import Path
+
+import pytest
+
+from mayacrystal.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "verify-n2-d6.txt": ("verify", "--rank", "2", "--depth", "6"),
+    "verify-n3-d5.txt": ("verify", "--rank", "3", "--depth", "5"),
+    "verify-n4-d4.txt": ("verify", "--rank", "4", "--depth", "4"),
+    "explore-n2-d6.json": ("explore", "--rank", "2", "--depth", "6"),
+    "explore-n2-d6.dot": ("explore", "--rank", "2", "--depth", "6", "--format", "dot"),
+    "explore-n3-d4.json": ("explore", "--rank", "3", "--depth", "4"),
+    "explore-n3-d4.dot": ("explore", "--rank", "3", "--depth", "4", "--format", "dot"),
+    "oracle-n2-w010-b6.json": (
+        "oracle-check", "--rank", "2", "--word", "0,1,0", "--max-boxes", "6",
+    ),
+    "oracle-n3-w0121-b5.json": (
+        "oracle-check", "--rank", "3", "--word", "0,1,2,1", "--max-boxes", "5",
+    ),
+}
+
+
+def test_golden_set_is_complete():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(capsysbinary, name):
+    code = main(list(CASES[name]))
+    assert code == EXIT_OK
+    assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()

@@ -127,6 +127,15 @@ class TestCensus:
         for beta in lattice_points(3, 3):
             assert census.get(beta, 0) == kostant(CartanData(3), beta)
 
+    def test_matches_kostant_n4_depth5(self):
+        cartan = CartanData(4)
+        g = explore(cartan, 5)
+        assert len(g.nodes) == 411
+        assert check_axioms(g) == []
+        census = weight_census(g)
+        for beta in lattice_points(4, 5):
+            assert census.get(beta, 0) == kostant(cartan, beta)
+
 
 class TestExport:
     def test_json_round_trip_bytes(self):

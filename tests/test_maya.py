@@ -19,6 +19,7 @@ from mayacrystal.maya import (
     lambda_diagram,
     partitions_up_to,
     removable_boxes,
+    removal_options,
     removal_subsets,
     remove_box,
     s_lambda_diagram,
@@ -170,6 +171,20 @@ class TestBoxes:
         assert sum(len(b) for b in by_residue) == len(all_corners)
         labels = sorted(b.slot_label for b in all_corners)
         assert labels == sorted(set(labels)), "corner labels are distinct"
+
+    @given(partition_parts, charges, st.integers(0, 3), st.integers(2, 4))
+    def test_removal_options_match_box_removal(self, parts, charge, i, n):
+        # reference: delete each bitmask's boxes one by one with remove_box
+        p = ChargedPartition(parts, charge)
+        boxes = removable_boxes(p, i, n)
+        expected = []
+        for mask in range(1 << len(boxes)):
+            q = p
+            for j, box in enumerate(boxes):
+                if mask >> j & 1:
+                    q = remove_box(q, box)
+            expected.append((q.parts, bin(mask).count("1")))
+        assert removal_options(parts, charge, i, n) == expected
 
     def test_removal_subsets_counts(self):
         p = ChargedPartition((2, 2, 1), 0)
