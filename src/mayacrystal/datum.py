@@ -286,12 +286,12 @@ class CrystalDatum:
         """JSON-friendly list of {"diagram": ..., "value": k} rows."""
         from .maya import ChargedPartition, from_partition
 
-        return [
-            {"diagram": from_partition(ChargedPartition(parts, charge)).to_json(), "value": value}
-            for (parts, charge), value in zip(
-                canonical_diagrams(self.cartan.n, max_boxes), self.table(max_boxes)
-            )
-        ]
+        rows = []
+        window = canonical_diagrams(self.cartan.n, max_boxes)
+        for (parts, charge), value in zip(window, self.table(max_boxes)):
+            diagram = from_partition(ChargedPartition(parts, charge))
+            rows.append({"diagram": diagram.to_json(), "value": value})
+        return rows
 
     def to_json(self):
         return {"n": self.cartan.n, "word": list(self.word)}

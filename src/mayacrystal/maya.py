@@ -308,11 +308,13 @@ def removal_options(parts, charge, i, n):
     boxes listed top row first (subset k removes box j iff bit j of k is
     set), which is the order of :func:`removable_boxes`.
     """
+    i %= n
     offset = _slot_offset(charge)
     last = len(parts) - 1
     options = [(parts, 0)]
     for r in range(last + 1):
-        if (r == last or parts[r] > parts[r + 1]) and (offset + parts[r] - r - 1) % n == i % n:
+        corner = r == last or parts[r] > parts[r + 1]
+        if corner and (offset + parts[r] - (r + 1)) % n == i:
             # only the last row can shrink to zero: every other corner row
             # is longer than the row below it
             options += [
