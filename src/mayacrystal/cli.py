@@ -12,14 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import graph as graphmod
 from . import oracle as oraclemod
 from .datum import CartanData, datum_from_word
-from .fock import vec_val
-from .laurent import INF
 from .maya import ChargedPartition, MayaDiagram, from_partition
 
 EXIT_OK = 0
@@ -36,7 +33,6 @@ class RunConfig:
     seed: int | None = None
     output: str | None = None
     format: str = "json"
-    threads: int = 1
 
     def __post_init__(self):
         if self.n < 2:
@@ -51,8 +47,6 @@ class RunConfig:
             raise ValueError("seed is required exactly when mode is random")
         if self.format not in ("json", "dot"):
             raise ValueError("format must be json or dot")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
 
 
 def _parse_word(text):
@@ -79,10 +73,6 @@ def _write(cfg, blob):
     else:
         sys.stdout.buffer.write(blob)
         sys.stdout.flush()
-
-
-def _fmt(value):
-    return "inf" if value == INF else str(value)
 
 
 def cmd_explore(cfg):
@@ -138,31 +128,7 @@ def cmd_oracle_check(cfg, word):
         from_partition(ChargedPartition(parts, charge))
         for parts, charge in canonical_diagrams(cfg.n, max_boxes)
     ]
-    if cfg.threads > 1:
-        group = oraclemod.generic_element(datum)
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            valuations = list(
-                pool.map(
-                    lambda g: vec_val(oraclemod.d_gamma(group, g, cfg.mode, cfg.seed)),
-                    diagrams,
-                )
-            )
-        results = []
-        ok = True
-        for gamma, valuation in zip(diagrams, valuations):
-            recursive = datum.eval(gamma)
-            match = recursive == valuation
-            ok = ok and match
-            results.append({"recursive": recursive, "oracle": _fmt(valuation), "match": match})
-        report = {
-            "word": list(datum.word),
-            "mode": cfg.mode,
-            "seed": cfg.seed,
-            "results": results,
-            "pass": ok,
-        }
-    else:
-        report = oraclemod.compare(datum, diagrams, cfg.mode, cfg.seed)
+    report = oraclemod.compare(datum, diagrams, cfg.mode, cfg.seed)
     if not report["results"]:
         print("oracle-check: no diagrams compared", file=sys.stderr)
         report["pass"] = False
@@ -195,7 +161,6 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output", default=None)
         p.add_argument("--format", choices=["json", "dot"], default="json")
-        p.add_argument("--threads", type=int, default=1)
 
     common(sub.add_parser("explore", help="explore and export the crystal graph"), depth=True)
 
@@ -231,7 +196,6 @@ def main(argv=None):
             seed=args.seed,
             output=args.output,
             format=args.format,
-            threads=args.threads,
         )
     except ValueError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

@@ -293,6 +293,10 @@ class CrystalDatum:
             rows.append({"diagram": diagram.to_json(), "value": value})
         return rows
 
+    def release_table(self, max_boxes):
+        """Release the value table over one window; table() refills it."""
+        self._tables.pop(max_boxes, None)
+
     def to_json(self):
         return {"n": self.cartan.n, "word": list(self.word)}
 

@@ -3,24 +3,34 @@
 The minus side is spanned by left-black Maya diagrams (row vectors), the
 plus side by right-black ones (column vectors); the pairing matches a
 left-black diagram with its color inversion.  Chevalley operators act by
-removing (minus) or adding (plus) a single residue-colored box, and the
-one-parameter action is the exponential exp(p * E), which is a finite sum
-on every vector because repeated same-residue box moves terminate.
+removing (minus) or adding (plus) a single residue-colored box.
+
+A vector's terms are keyed by the raw ``(parts, charge)`` of the diagram's
+charged partition: downward on the minus side, upward on the plus side, so
+a left-black diagram and its color inversion share a key and the pairing
+matches equal keys.  Maya diagrams appear only at the boundary:
+``FockVector(...)`` and :meth:`FockVector.basis` convert them to keys (see
+:func:`term_key`), and :meth:`FockVector.to_json` converts back.
+
+Boxes of one residue are independent: removing or adding one never creates
+or blocks another.  So the divided power E_i^k / k! sends a basis vector to
+the sum, each with coefficient 1, of the diagrams obtained by moving a
+k-subset of its residue-i boxes, and the one-parameter action
+exp(p * E_i) = sum_k p^k E_i^k / k! is the finite sum over all subsets.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .laurent import INF, LaurentPoly
 from .maya import (
+    DOWNWARD,
     LEFT_BLACK,
     RIGHT_BLACK,
-    add_box,
-    addable_boxes,
+    UPWARD,
+    ChargedPartition,
+    addition_options,
     from_partition,
-    removable_boxes,
-    remove_box,
+    removal_options,
     to_partition,
 )
 
@@ -32,12 +42,20 @@ class PlusActionCapExceeded(RuntimeError):
     """The box-count cap bound the exponential series on the plus side."""
 
 
+def term_key(diagram):
+    """The ``(parts, charge)`` key of a Maya diagram's charged partition."""
+    p = to_partition(diagram)
+    return p.parts, p.charge
+
+
 class FockVector:
-    """Finitely supported map Maya diagram -> nonzero LaurentPoly."""
+    """Finitely supported map (parts, charge) -> nonzero LaurentPoly."""
 
     __slots__ = ("n", "side", "terms")
 
     def __init__(self, n, side, terms=None):
+        """``terms`` maps Maya diagrams of the side's kind (left-black on
+        the minus side, right-black on the plus side) to coefficients."""
         if side not in (MINUS, PLUS):
             raise ValueError("unknown side: %r" % (side,))
         kind = LEFT_BLACK if side == MINUS else RIGHT_BLACK
@@ -49,7 +67,7 @@ class FockVector:
                 continue
             if diagram.kind != kind:
                 raise ValueError("%s-side vector requires %s diagrams" % (side, kind))
-            self.terms[diagram] = coeff
+            self.terms[term_key(diagram)] = coeff
 
     @classmethod
     def basis(cls, n, side, diagram, coeff=None):
@@ -65,38 +83,32 @@ class FockVector:
             self.n == other.n
             and self.side == other.side
             and self.terms.keys() == other.terms.keys()
-            and all(other.terms[d] == c for d, c in self.terms.items())
+            and all(other.terms[k] == c for k, c in self.terms.items())
         )
 
     def __add__(self, other):
         terms = dict(self.terms)
-        for diagram, coeff in other.terms.items():
-            new = terms.get(diagram, LaurentPoly.zero()) + coeff
-            if new:
-                terms[diagram] = new
-            else:
-                terms.pop(diagram, None)
-        return FockVector(self.n, self.side, terms)
+        for k, coeff in other.terms.items():
+            _accumulate(terms, k, coeff)
+        return _keyed(self.n, self.side, terms)
 
     def scale(self, scalar):
         if isinstance(scalar, LaurentPoly):
-            return FockVector(
-                self.n, self.side, {d: c * scalar for d, c in self.terms.items()}
-            )
-        return FockVector(
-            self.n, self.side, {d: c.scale(scalar) for d, c in self.terms.items()}
-        )
+            terms = {k: c * scalar for k, c in self.terms.items()}
+        else:
+            terms = {k: c.scale(scalar) for k, c in self.terms.items()}
+        return _keyed(self.n, self.side, {k: c for k, c in terms.items() if c})
 
     def map_coeffs(self, fn):
-        return FockVector(
-            self.n, self.side, {d: c.map_coeffs(fn) for d, c in self.terms.items()}
-        )
+        terms = {k: c.map_coeffs(fn) for k, c in self.terms.items()}
+        return _keyed(self.n, self.side, {k: c for k, c in terms.items() if c})
 
     def to_json(self):
-        rows = [
-            {"diagram": d.to_json(), "coeff": c.to_json()}
-            for d, c in self.terms.items()
-        ]
+        orientation = DOWNWARD if self.side == MINUS else UPWARD
+        rows = []
+        for (parts, charge), c in self.terms.items():
+            diagram = from_partition(ChargedPartition(parts, charge, orientation))
+            rows.append({"diagram": diagram.to_json(), "coeff": c.to_json()})
         rows.sort(key=lambda r: str(r["diagram"]))
         return {"n": self.n, "side": self.side, "terms": rows}
 
@@ -104,63 +116,82 @@ class FockVector:
         return "FockVector(n=%d, side=%r, %d terms)" % (self.n, self.side, len(self.terms))
 
 
+def _keyed(n, side, terms):
+    """A vector over ``terms``, already keyed and free of zero coefficients."""
+    v = FockVector.__new__(FockVector)
+    v.n = n
+    v.side = side
+    v.terms = terms
+    return v
+
+
 def e_act(v, i):
     """Chevalley raising on the minus side: single residue-i box removals."""
     _expect(v, MINUS)
-    terms = {}
-    for diagram, coeff in v.terms.items():
-        p = to_partition(diagram)
-        for box in removable_boxes(p, i, v.n):
-            _accumulate(terms, from_partition(remove_box(p, box)), coeff)
-    return FockVector(v.n, MINUS, terms)
+    return _single_moves(v, i, removal_options)
 
 
 def f_act(v, i):
     """Chevalley lowering on the minus side: single residue-i box additions."""
     _expect(v, MINUS)
-    terms = {}
-    for diagram, coeff in v.terms.items():
-        p = to_partition(diagram)
-        for box in addable_boxes(p, i, v.n):
-            _accumulate(terms, from_partition(add_box(p, box)), coeff)
-    return FockVector(v.n, MINUS, terms)
+    return _single_moves(v, i, addition_options)
 
 
 def e_plus_act(v, i):
     """Adjoint of e_act under the color-inversion pairing: box additions
     on the plus side."""
     _expect(v, PLUS)
+    return _single_moves(v, i, addition_options)
+
+
+def _single_moves(v, i, options):
     terms = {}
-    for diagram, coeff in v.terms.items():
-        p = to_partition(diagram)  # upward partition via the inversion pairing
-        for box in addable_boxes(p, i, v.n):
-            _accumulate(terms, from_partition(add_box(p, box)), coeff)
-    return FockVector(v.n, PLUS, terms)
+    for (parts, charge), coeff in v.terms.items():
+        for moved, count in options(parts, charge, i, v.n):
+            if count == 1:
+                _accumulate(terms, (moved, charge), coeff)
+    return _keyed(v.n, v.side, terms)
 
 
 def x_act(v, i, p, cap=None):
     """Apply exp(p * E_i): the one-parameter action with parameter p.
 
-    On the minus side the series terminates because box removal is
-    nilpotent.  On the plus side each step adds a box; ``cap`` bounds the
-    total number of added boxes and a PlusActionCapExceeded is raised if a
-    nonzero term survives past it.
+    In divided-power form the action is one pass over the terms of v:
+
+        x_i(p) <lambda| = sum over subsets S of the residue-i boxes of
+                          p^|S| <lambda moved by S|,
+
+    where S runs over the removable boxes on the minus side
+    (:func:`~mayacrystal.maya.removal_options`) and over the addable boxes
+    on the plus side (:func:`~mayacrystal.maya.addition_options`); the
+    powers of p are computed once per call.
+
+    On the plus side ``cap`` bounds the number of added boxes.
+    PlusActionCapExceeded is raised exactly when the series, stepped one
+    power at a time, would still be nonzero after ``cap`` box additions,
+    that is when p^cap E_i^(cap+1) v is nonzero.
     """
-    step = e_act if v.side == MINUS else e_plus_act
-    result = v
-    term = v
-    k = 0
-    while True:
-        k += 1
-        term = step(term, i)
-        if not term:
-            return result
-        if v.side == PLUS and cap is not None and k > cap:
-            raise PlusActionCapExceeded(
-                "plus-side series still nonzero after %d box additions" % cap
-            )
-        term = term.scale(p).scale(Fraction(1, k))
-        result = result + term
+    options = removal_options if v.side == MINUS else addition_options
+    limit = cap + 1 if v.side == PLUS and cap is not None else None
+    powers = [None, p]
+    terms = {}
+    beyond = {}  # E_i^limit v / limit!, for the cap
+    for (parts, charge), coeff in v.terms.items():
+        for moved, count in options(parts, charge, i, v.n):
+            k = (moved, charge)
+            if count == limit:
+                _accumulate(beyond, k, coeff)
+            if count:
+                while len(powers) <= count:
+                    powers.append(powers[-1] * p)
+                _accumulate(terms, k, coeff * powers[count])
+            else:
+                _accumulate(terms, k, coeff)
+    if beyond and (cap == 0 or p):
+        raise PlusActionCapExceeded(
+            "plus-side series still nonzero after %d box additions" % cap
+        )
+    return _keyed(v.n, v.side, terms)
 
 
 def vec_val(v):
@@ -171,12 +202,13 @@ def vec_val(v):
 
 
 def pairing(v_minus, w_plus):
-    """Nondegenerate pairing: sum over diagrams matched by color inversion."""
+    """Nondegenerate pairing: sum over diagrams matched by color inversion,
+    which are the terms with equal keys."""
     _expect(v_minus, MINUS)
     _expect(w_plus, PLUS)
     total = LaurentPoly.zero()
-    for diagram, coeff in v_minus.terms.items():
-        other = w_plus.terms.get(diagram.invert())
+    for k, coeff in v_minus.terms.items():
+        other = w_plus.terms.get(k)
         if other is not None:
             total = total + coeff * other
     return total
@@ -187,9 +219,10 @@ def _expect(v, side):
         raise ValueError("expected a %s-side vector, got %s" % (side, v.side))
 
 
-def _accumulate(terms, diagram, coeff):
-    new = terms.get(diagram, LaurentPoly.zero()) + coeff
+def _accumulate(terms, k, coeff):
+    old = terms.get(k)
+    new = coeff if old is None else old + coeff
     if new:
-        terms[diagram] = new
+        terms[k] = new
     else:
-        terms.pop(diagram, None)
+        terms.pop(k, None)

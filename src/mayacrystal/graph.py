@@ -87,8 +87,9 @@ def explore(cartan, depth, max_boxes=None):
     for level in range(depth):
         next_frontier = []
         for node_id in frontier:
+            parent = nodes[node_id].datum
             for i in range(n):
-                child = nodes[node_id].datum.apply(i)
+                child = parent.apply(i)
                 fp = child.fingerprint(max_boxes)
                 target = by_fingerprint.get(fp)
                 if target is None:
@@ -99,6 +100,8 @@ def explore(cartan, depth, max_boxes=None):
                 elif nodes[target].datum is not child:
                     child.drop_caches()
                 edges[(node_id, i)] = target
+            # every child's table is filled; the fingerprint keeps a copy
+            parent.release_table(max_boxes)
         frontier = next_frontier
     nodes, edges = _sort_nodes(nodes, edges)
     return CrystalGraph(n, depth, max_boxes, nodes, edges)

@@ -66,7 +66,8 @@ class MultiPoly:
             return NotImplemented
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            new = terms.get(mono, 0) + coeff
+            old = terms.get(mono)
+            new = coeff if old is None else old + coeff
             if new:
                 terms[mono] = new
             else:
@@ -94,8 +95,9 @@ class MultiPoly:
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = _merge_monomials(m1, m2)
-                new = terms.get(mono, 0) + c1 * c2
+                mono = _merge_monomials(m1, m2) if m1 and m2 else m1 or m2
+                old = terms.get(mono)
+                new = c1 * c2 if old is None else old + c1 * c2
                 if new:
                     terms[mono] = new
                 else:
@@ -183,7 +185,8 @@ class LaurentPoly:
     def __add__(self, other):
         coeffs = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            new = coeffs.get(e, 0) + c
+            old = coeffs.get(e)
+            new = c if old is None else old + c
             if new:
                 coeffs[e] = new
             else:
@@ -201,7 +204,8 @@ class LaurentPoly:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                new = coeffs.get(e, 0) + c1 * c2
+                old = coeffs.get(e)
+                new = c1 * c2 if old is None else old + c1 * c2
                 if new:
                     coeffs[e] = new
                 else:
@@ -238,18 +242,3 @@ class LaurentPoly:
 
     __hash__ = None
 
-
-def lp_add(a, b):
-    return a + b
-
-
-def lp_mul(a, b):
-    return a * b
-
-
-def lp_scale(a, c):
-    return a.scale(c)
-
-
-def lp_val(a):
-    return a.val()

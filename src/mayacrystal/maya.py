@@ -324,6 +324,30 @@ def removal_options(parts, charge, i, n):
     return options
 
 
+def addition_options(parts, charge, i, n):
+    """(sup_parts, count) for every subset of the addable residue-i boxes.
+
+    The mirror of :func:`removal_options`: the boxes an addition makes
+    addable carry residues i - 1 and i + 1, and it blocks none of the
+    others, so every subset of the residue-i boxes can be added at once.
+    ``count`` is the subset's size.  The empty subset comes first; subset k
+    adds box j iff bit j of k is set, with the boxes in the order of
+    :func:`addable_boxes` (top row first, the new row last).
+    """
+    i %= n
+    offset = _slot_offset(charge)
+    options = [(parts, 0)]
+    for r in range(len(parts)):
+        if (r == 0 or parts[r - 1] > parts[r]) and (offset + parts[r] - r) % n == i:
+            options += [
+                (sup[:r] + (sup[r] + 1,) + sup[r + 1:], count + 1)
+                for sup, count in options
+            ]
+    if (offset - len(parts)) % n == i:
+        options += [(sup + (1,), count + 1) for sup, count in options]
+    return options
+
+
 def removal_subsets(p, i, n):
     """All partitions obtained by deleting any subset of removable i-boxes.
 

@@ -97,7 +97,11 @@ def _assignment(word, mode, seed):
 
 
 def d_gamma(word, gamma, mode=SYMBOLIC, seed=None):
-    """Row vector <gamma| g as a minus-side Fock vector."""
+    """Row vector <gamma| g as a minus-side Fock vector.
+
+    gamma is converted to its ``(parts, charge)`` key once; each factor's
+    x_act then works on raw keys.
+    """
     if gamma.kind != LEFT_BLACK:
         raise ValueError("d_gamma expects a left-black diagram")
     assignment = _assignment(word, mode, seed)

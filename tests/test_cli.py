@@ -204,13 +204,14 @@ class TestOracleCheck:
         assert code == EXIT_USAGE
 
     def test_threads_flag(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "oracle-check", "--rank", "2", "--word", "0,1",
-            "--max-boxes", "3", "--threads", "2",
-        )
-        assert code == EXIT_OK
-        assert json.loads(out)["pass"] is True
+        # oracle-check has one path, through oracle.compare; --threads is gone
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "oracle-check", "--rank", "2", "--word", "0,1",
+                "--max-boxes", "3", "--threads", "2",
+            ])
+        assert exc.value.code == EXIT_USAGE
+        assert "--threads" in capsys.readouterr().err
 
 
 class TestKostant:

@@ -20,6 +20,7 @@ from mayacrystal.maya import (
     s_lambda_diagram,
     sigma_shift,
 )
+from mayacrystal.oracle import compare
 
 
 def diagram(parts, charge=0):
@@ -188,6 +189,24 @@ class TestTable:
         assert table == tuple(
             d.value_at(parts, charge) for parts, charge in canonical_diagrams(n, max_boxes)
         )
+
+    @given(
+        st.sampled_from((2, 3, 4)).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(0, n - 1), max_size=6),
+                st.integers(0, {2: 6, 3: 4, 4: 3}[n]),
+            )
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle(self, case):
+        # the table against the symbolic Fock-space valuations, entry by entry
+        n, word, max_boxes = case
+        d = datum_from_word(CartanData(n), word)
+        window = canonical_diagrams(n, max_boxes)
+        report = compare(d, [diagram(parts, charge) for parts, charge in window])
+        assert [row["oracle"] for row in report["results"]] == list(d.table(max_boxes))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_fingerprint_canonical_order(self, n):

@@ -13,14 +13,18 @@ from mayacrystal.fock import (
     e_plus_act,
     f_act,
     pairing,
+    term_key,
     vec_val,
     x_act,
 )
 from mayacrystal.laurent import INF, LaurentPoly, MultiPoly
 from mayacrystal.maya import (
+    DOWNWARD,
+    UPWARD,
     ChargedPartition,
     from_partition,
     lambda_diagram,
+    partitions_of,
     partitions_up_to,
     removable_boxes,
     to_partition,
@@ -37,6 +41,43 @@ def small_diagrams(max_boxes, charges=(0, 1)):
         for c in charges
         for parts in partitions_up_to(max_boxes)
     ]
+
+
+def series_x_act(v, i, p, cap=None):
+    """Reference for x_act: exp(p * E_i) stepped one power at a time,
+    term_k = term_(k-1) E_i * p / k, with the plus-side cap on the steps."""
+    step = e_act if v.side == MINUS else e_plus_act
+    result = v
+    term = v
+    k = 0
+    while True:
+        k += 1
+        term = step(term, i)
+        if not term:
+            return result
+        if v.side == PLUS and cap is not None and k > cap:
+            raise PlusActionCapExceeded(
+                "plus-side series still nonzero after %d box additions" % cap
+            )
+        term = term.scale(p).scale(Fraction(1, k))
+        result = result + term
+
+
+small_keys = st.tuples(
+    st.integers(0, 6).flatmap(lambda size: st.sampled_from(partitions_of(size))),
+    st.integers(-3, 3),
+)
+parameters = st.lists(
+    st.tuples(
+        st.one_of(
+            st.sampled_from("ab").map(MultiPoly.variable),
+            st.fractions(-3, 3, max_denominator=3),
+        ),
+        st.integers(-2, 2),
+    ),
+    min_size=1,
+    max_size=2,
+).map(lambda terms: sum((LaurentPoly.term(c, e) for c, e in terms), LaurentPoly.zero()))
 
 
 class TestFockVector:
@@ -92,7 +133,7 @@ class TestChevalleyActions:
             if added:
                 hit += 1
                 back = e_act(added, i)
-                assert from_partition(p) in back.terms
+                assert term_key(from_partition(p)) in back.terms
         assert hit >= 1
 
     def test_pairing_adjointness_exhaustive(self):
@@ -132,7 +173,7 @@ class TestOneParameterAction:
         moved = x_act(v, 1, p)
         vac = from_partition(ChargedPartition((), 0))
         assert len(moved.terms) == 2
-        assert moved.terms[vac] == p
+        assert moved.terms[term_key(vac)] == p
         assert vec_val(moved) == -1
 
     def test_two_commuting_removals(self):
@@ -148,7 +189,7 @@ class TestOneParameterAction:
             double = from_partition(
                 ChargedPartition((1,), 2) if p.parts == (2, 1) else p
             )
-            assert moved.terms[double].coeffs == {-2: Fraction(1)}
+            assert moved.terms[term_key(double)].coeffs == {-2: Fraction(1)}
 
     def test_one_parameter_additivity(self):
         # x_i(p) x_i(q) = x_i(p + q) since E_i is a single nilpotent operator
@@ -193,6 +234,53 @@ class TestOneParameterAction:
                 k = len(removable_boxes(cp, i, 2))
                 expected = min(ell * j for j in range(k + 1))
                 assert vec_val(x_act(v, i, p)) == expected
+
+
+class TestDividedPowers:
+    @given(
+        st.sampled_from((2, 3, 4)),
+        st.sampled_from((MINUS, PLUS)),
+        st.lists(st.tuples(small_keys, st.sampled_from((1, -1))), min_size=1, max_size=2),
+        st.integers(0, 3),
+        parameters,
+        st.one_of(st.none(), st.integers(0, 3)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_series(self, n, side, entries, i, p, cap):
+        orientation = DOWNWARD if side == MINUS else UPWARD
+        v = FockVector(n, side)
+        for (parts, charge), sign in entries:
+            diagram = from_partition(ChargedPartition(parts, charge, orientation))
+            v = v + FockVector.basis(n, side, diagram, LaurentPoly.term(Fraction(sign)))
+        try:
+            expected = series_x_act(v, i, p, cap)
+        except PlusActionCapExceeded:
+            with pytest.raises(PlusActionCapExceeded):
+                x_act(v, i, p, cap)
+        else:
+            assert x_act(v, i, p, cap) == expected
+
+    def test_cap_follows_the_series(self):
+        # the cap bounds the series' steps, not the terms' box counts: at
+        # n = 2, (2) and (1, 1) each have one addable residue-0 box and both
+        # additions give (2, 1), so E_0 cancels on their difference; (1) has
+        # two, and a zero parameter stops the series after one step
+        def up(*parts):
+            return from_partition(ChargedPartition(parts, 0, UPWARD))
+
+        a = LaurentPoly.term(MultiPoly.variable("a"), -1)
+        diff = FockVector(
+            2, PLUS, {up(2): LaurentPoly.one(), up(1, 1): LaurentPoly.term(Fraction(-1))}
+        )
+        assert not e_plus_act(diff, 0)
+        assert x_act(diff, 0, a, cap=0) == diff == series_x_act(diff, 0, a, cap=0)
+        with pytest.raises(PlusActionCapExceeded):
+            x_act(FockVector.basis(2, PLUS, up(2)), 0, a, cap=0)
+        double = FockVector.basis(2, PLUS, up(1))
+        zero = LaurentPoly.zero()
+        assert x_act(double, 0, zero, cap=1) == double == series_x_act(double, 0, zero, cap=1)
+        with pytest.raises(PlusActionCapExceeded):
+            x_act(double, 0, zero, cap=0)
 
 
 class TestValuation:

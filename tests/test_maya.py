@@ -12,6 +12,7 @@ from mayacrystal.maya import (
     MayaDiagram,
     add_box,
     addable_boxes,
+    addition_options,
     box_label_multiset,
     box_slot_label,
     from_partition,
@@ -185,6 +186,20 @@ class TestBoxes:
                     q = remove_box(q, box)
             expected.append((q.parts, bin(mask).count("1")))
         assert removal_options(parts, charge, i, n) == expected
+
+    @given(partition_parts, charges, st.integers(0, 3), st.integers(2, 4))
+    def test_addition_options_match_box_addition(self, parts, charge, i, n):
+        # reference: add each bitmask's boxes one by one with add_box
+        p = ChargedPartition(parts, charge)
+        boxes = addable_boxes(p, i, n)
+        expected = []
+        for mask in range(1 << len(boxes)):
+            q = p
+            for j, box in enumerate(boxes):
+                if mask >> j & 1:
+                    q = add_box(q, box)
+            expected.append((q.parts, bin(mask).count("1")))
+        assert addition_options(parts, charge, i, n) == expected
 
     def test_removal_subsets_counts(self):
         p = ChargedPartition((2, 2, 1), 0)
