@@ -50,7 +50,6 @@ from .maya import (
     removal_subsets,
     remove_box,
     s_lambda_diagram,
-    sigma_shift,
     to_partition,
 )
 from .oracle import (

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import graph as graphmod
 from . import oracle as oraclemod
@@ -148,54 +148,50 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+#: Flags that several subcommands take: flag -> add_argument keywords.
+SHARED_FLAGS = {
+    "--depth": dict(type=int, default=0),
+    "--max-boxes": dict(type=int, default=None),
+    "--mode": dict(choices=["symbolic", "random"], default="symbolic"),
+    "--seed": dict(type=int, default=None),
+    "--output": dict(default=None),
+    "--format": dict(choices=["json", "dot"], default="json"),
+    "--word": dict(default="", help="comma-separated residues, e.g. 0,1,0"),
+}
+
+
 def build_parser():
+    """One subparser per command, each taking only the flags it reads."""
     parser = _Parser(prog="mayacrystal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, depth=False):
+    def command(name, help_text, *flags):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--rank", type=int, required=True, help="rank n (at least 2)")
-        if depth:
-            p.add_argument("--depth", type=int, default=0)
-        p.add_argument("--max-boxes", type=int, default=None)
-        p.add_argument("--mode", choices=["symbolic", "random"], default="symbolic")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--output", default=None)
-        p.add_argument("--format", choices=["json", "dot"], default="json")
+        for flag in flags:
+            p.add_argument(flag, **SHARED_FLAGS[flag])
+        return p
 
-    common(sub.add_parser("explore", help="explore and export the crystal graph"), depth=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate a word's datum at a diagram")
-    common(p_eval)
-    p_eval.add_argument("--word", default="", help="comma-separated residues, e.g. 0,1,0")
+    command("explore", "explore and export the crystal graph",
+            "--depth", "--max-boxes", "--output", "--format")
+    p_eval = command("eval", "evaluate a word's datum at a diagram", "--word")
     p_eval.add_argument("--diagram-file", required=True)
-
-    p_verify = sub.add_parser("verify", help="run the axiom and census suites")
-    common(p_verify, depth=True)
+    p_verify = command("verify", "run the axiom and census suites", "--depth", "--max-boxes")
     p_verify.add_argument("--graph-file", default=None, help="check a stored export instead")
-
-    p_oracle = sub.add_parser("oracle-check", help="cross-check a word against the oracle")
-    common(p_oracle)
-    p_oracle.add_argument("--word", default="")
-
-    p_kostant = sub.add_parser("kostant", help="Kostant partition count of beta")
-    common(p_kostant)
+    command("oracle-check", "cross-check a word against the oracle",
+            "--word", "--max-boxes", "--mode", "--seed", "--output")
+    p_kostant = command("kostant", "Kostant partition count of beta")
     p_kostant.add_argument("--beta", required=True, help="comma-separated coordinates")
-
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    given = vars(args)
     try:
         cfg = RunConfig(
-            n=args.rank,
-            depth=getattr(args, "depth", 0),
-            max_boxes=args.max_boxes,
-            mode=args.mode,
-            seed=args.seed,
-            output=args.output,
-            format=args.format,
+            n=args.rank, **{f.name: given[f.name] for f in fields(RunConfig) if f.name in given}
         )
     except ValueError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

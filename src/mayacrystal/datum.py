@@ -18,9 +18,10 @@ Two paths compute values.  Over the window canonical_diagrams(n, max_boxes)
 value table from its parent's in one pass over a removal index built once
 per window: the window is closed under box removal, so every term of the
 recursion is a parent table entry.  Fingerprints, and so graph exploration,
-use tables.  ``value_at`` runs the memoised recursion diagram by diagram; it
-serves ``eval`` and ``theta``, whose interval-inversion diagrams lie far
-outside any window.
+use tables.  ``value_at`` runs the recursion diagram by diagram, listing
+each diagram's subsets with ``maya.removal_options`` and memoising values
+per datum only; it serves ``eval`` and ``theta``, whose interval-inversion
+diagrams lie far outside any window.
 """
 
 from __future__ import annotations
@@ -73,16 +74,6 @@ class CartanData:
 
     def __repr__(self):
         return "CartanData(n=%d)" % self.n
-
-
-@lru_cache(maxsize=None)
-def _removal_options(n, parts, charge, i):
-    """Nonempty removal subsets of residue-i corner boxes: (new_parts, count).
-
-    Keyed on the raw parts tuple so huge interval-inversion partitions share
-    work across data.
-    """
-    return tuple(removal_options(parts, charge, i, n)[1:])
 
 
 @lru_cache(maxsize=2)
@@ -163,10 +154,9 @@ class CrystalDatum:
         if cached is not None:
             return cached
         coeff = self.parent.c_coeff(self.letter)
-        best = self.parent.value_at(parts, charge)
-        for sub_parts, count in _removal_options(
-            self.cartan.n, parts, charge, self.letter
-        ):
+        options = removal_options(parts, charge, self.letter, self.cartan.n)
+        best = self.parent.value_at(parts, charge)  # options[0], the empty subset
+        for sub_parts, count in options[1:]:
             v = self.parent.value_at(sub_parts, charge) + count * coeff
             if v < best:
                 best = v

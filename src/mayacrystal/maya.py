@@ -19,8 +19,10 @@ multiset {2,1,0,0,-1,-1,-1,-2,-2,-3,-4,-5}.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import neg
 
 BLACK = "black"
 WHITE = "white"
@@ -225,9 +227,11 @@ def to_partition(m):
     if m.kind == RIGHT_BLACK:
         down = to_partition(m.invert())
         return ChargedPartition(down.parts, down.charge, UPWARD)
-    hi = max([0] + [d for d in m.diffs])
-    lo = min([1] + [d for d in m.diffs]) - 1  # every label <= lo is white
-    whites = [label for label in range(hi, lo, -1) if m.color(label) == WHITE]
+    diffs = m.diffs
+    hi = max([0, *diffs])
+    lo = min([1, *diffs]) - 1  # every label <= lo is white
+    # white iff the vacuum color (white at labels <= 0) is not flipped
+    whites = [label for label in range(hi, lo, -1) if (label <= 0) != (label in diffs)]
     k = len(whites)
     s = lo + k + 1
     parts = tuple(w - s + j for j, w in enumerate(whites, 1))
@@ -307,20 +311,28 @@ def removal_options(parts, charge, i, n):
     subset comes first; the order is by subset bitmask over the removable
     boxes listed top row first (subset k removes box j iff bit j of k is
     set), which is the order of :func:`removable_boxes`.
+
+    The corners are found run by run: from the first row of each run of
+    equal parts, a bisection jumps to the run's last row, which holds its
+    corner.  A near-rectangular partition with many rows, such as an
+    interval inversion in theta, so costs O(corners * log rows) rather
+    than O(rows) before the subsets are built.
     """
     i %= n
     offset = _slot_offset(charge)
-    last = len(parts) - 1
+    rows = len(parts)
     options = [(parts, 0)]
-    for r in range(last + 1):
-        corner = r == last or parts[r] > parts[r + 1]
-        if corner and (offset + parts[r] - (r + 1)) % n == i:
+    r = 0
+    while r < rows:
+        r = bisect_right(parts, -parts[r], r, rows, key=neg) - 1
+        if (offset + parts[r] - (r + 1)) % n == i:
             # only the last row can shrink to zero: every other corner row
             # is longer than the row below it
             options += [
                 (sub[:r] + (sub[r] - 1,) + sub[r + 1:] if sub[r] > 1 else sub[:r], count + 1)
                 for sub, count in options
             ]
+        r += 1
     return options
 
 
@@ -374,25 +386,19 @@ def s_lambda_diagram(i):
 
 def invert_outside(t, interval):
     """Left-black diagram agreeing with right-black t inside the interval,
-    color-inverted outside it.  The interval must contain t's deviations."""
+    color-inverted outside it.  The interval must contain t's deviations.
+
+    The two vacua are opposite at every label.  Inside the interval the
+    result takes t's colors, so a label deviates from the left-black vacuum
+    iff it does not deviate from the right-black one; outside, the inverted
+    t is the inverted right-black vacuum, which is the left-black vacuum.
+    So the result's deviations are the interval's labels minus t's.
+    """
     if t.kind != RIGHT_BLACK:
         raise ValueError("invert_outside expects a right-black diagram")
     if t.diffs and not (interval.lo <= min(t.diffs) and max(t.diffs) <= interval.hi):
         raise ValueError("interval %r does not contain the support" % (interval,))
-    lo = min(interval.lo, 0) - 1
-    hi = max(interval.hi, 1) + 1
-    overrides = {}
-    for label in range(lo, hi + 1):
-        c = t.color(label)
-        if label not in interval:
-            c = WHITE if c == BLACK else BLACK
-        overrides[label] = c
-    return MayaDiagram.from_colors(LEFT_BLACK, overrides)
-
-
-def sigma_shift(m, n):
-    """Translate slot labels by n; see MayaDiagram.shift."""
-    return m.shift(n)
+    return MayaDiagram(LEFT_BLACK, frozenset(range(interval.lo, interval.hi + 1)) - t.diffs)
 
 
 @lru_cache(maxsize=None)

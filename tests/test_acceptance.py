@@ -26,7 +26,6 @@ from mayacrystal.maya import (
     partitions_up_to,
     removable_boxes,
     s_lambda_diagram,
-    sigma_shift,
     to_partition,
 )
 from mayacrystal.oracle import generic_element, oracle_eval, oracle_theta
@@ -139,7 +138,7 @@ def test_acceptance_6_internal_identities():
                     ok = False
             for parts in partitions_up_to(3):
                 gamma = from_partition(ChargedPartition(parts, 1))
-                if datum.eval(gamma) != datum.eval(sigma_shift(gamma, n)):
+                if datum.eval(gamma) != datum.eval(gamma.shift(n)):
                     ok = False
         for (src, i), dst in graph.edges.items():
             a, b = graph.nodes[src].weight, graph.nodes[dst].weight

@@ -197,6 +197,18 @@ class TestOracleCheck:
         assert report["results"] == [] and report["pass"] is False
         assert "no diagrams" in captured.err
 
+    @pytest.mark.parametrize("n, length", [(3, 12), (4, 14)])
+    def test_long_cyclic_word(self, capsys, n, length):
+        # at window 1 the cost is theta on interval inversions of about 100 rows
+        word = ",".join(str(k % n) for k in range(length))
+        code, out, _ = run(
+            capsys, "oracle-check", "--rank", str(n), "--word", word, "--max-boxes", "1"
+        )
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["pass"] is True
+        assert len(report["results"]) == n * (1 + 1)
+
     def test_random_without_seed(self, capsys):
         code, _, err = run(
             capsys, "oracle-check", "--rank", "2", "--word", "0", "--mode", "random"
@@ -230,6 +242,21 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("kostant", "--rank", "2", "--beta", "1,1", "--format", "dot"), "--format"),
+        (("eval", "--rank", "2", "--diagram-file", "d.json", "--max-boxes", "4"),
+         "--max-boxes"),
+        (("verify", "--rank", "2", "--mode", "random", "--seed", "1"), "--mode"),
+        (("oracle-check", "--rank", "2", "--word", "0", "--format", "dot"), "--format"),
+        (("explore", "--rank", "2", "--depth", "1", "--seed", "1"), "--seed"),
+    ])
+    def test_flag_of_another_subcommand(self, capsys, argv, flag):
+        # each subcommand takes only the flags it reads
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_USAGE
+        assert flag in capsys.readouterr().err
 
     def test_no_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -13,14 +13,15 @@ from mayacrystal.datum import (
     zero_datum,
 )
 from mayacrystal.maya import (
+    RIGHT_BLACK,
     ChargedPartition,
+    MayaDiagram,
     from_partition,
     lambda_diagram,
     partitions_up_to,
     s_lambda_diagram,
-    sigma_shift,
 )
-from mayacrystal.oracle import compare
+from mayacrystal.oracle import compare, oracle_theta
 
 
 def diagram(parts, charge=0):
@@ -96,7 +97,7 @@ class TestPeriodicity:
             d = datum_from_word(cartan, word)
             for parts in partitions_up_to(3):
                 g = diagram(parts, 1)
-                assert d.eval(g) == d.eval(sigma_shift(g, k * n))
+                assert d.eval(g) == d.eval(g.shift(k * n))
 
     def test_theta_sigma_invariance(self):
         d = datum_from_word(CartanData(2), (0, 1))
@@ -142,6 +143,31 @@ class TestStatistics:
             d = datum_from_word(cartan, word)
             for i in range(2):
                 assert d.eps_hat(i) >= 0
+
+
+def theta_cases(n):
+    """A word of length at most 5 and a right-black diagram: a fundamental
+    L_i or sL_i, or a small random one."""
+    fundamental = st.integers(-1, n).flatmap(
+        lambda i: st.sampled_from([lambda_diagram(i), s_lambda_diagram(i)])
+    )
+    small = st.sets(st.integers(-3, 3), max_size=3).map(
+        lambda diffs: MayaDiagram(RIGHT_BLACK, diffs)
+    )
+    return st.tuples(
+        st.just(n), st.lists(st.integers(0, n - 1), max_size=5), st.one_of(fundamental, small)
+    )
+
+
+class TestTheta:
+    @given(st.sampled_from((3, 4)).flatmap(theta_cases))
+    @settings(max_examples=140, deadline=None)
+    def test_matches_plus_side_oracle(self, case):
+        # the stabilized interval-inversion value against the valuation of
+        # g|tau> in the plus-side Fock space, for ranks past acceptance 5's n = 2
+        n, word, tau = case
+        d = datum_from_word(CartanData(n), word)
+        assert d.theta(tau) == oracle_theta(d, tau)
 
 
 class TestFingerprint:

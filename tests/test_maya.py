@@ -24,7 +24,6 @@ from mayacrystal.maya import (
     removal_subsets,
     remove_box,
     s_lambda_diagram,
-    sigma_shift,
     to_partition,
 )
 
@@ -32,6 +31,54 @@ partition_parts = st.lists(st.integers(1, 7), max_size=5).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
 charges = st.integers(-6, 6)
+
+
+@st.composite
+def tall_parts(draw):
+    """Near-rectangular partitions: 1-5 distinct parts, each repeated in a
+    run of up to 100 equal rows, like the interval inversions theta meets."""
+    values = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5, unique=True))
+    parts = []
+    for value in sorted(values, reverse=True):
+        parts += [value] * draw(st.integers(1, 100))
+    return tuple(parts)
+
+
+@st.composite
+def right_black_in_interval(draw):
+    """A right-black diagram and an interval within +-120 that contains its
+    deviations."""
+    lo, hi = sorted(draw(st.tuples(st.integers(-120, 120), st.integers(-120, 120))))
+    diffs = draw(st.sets(st.integers(lo, hi), max_size=12))
+    return MayaDiagram(RIGHT_BLACK, diffs), Interval(lo, hi)
+
+
+def reference_invert_outside(t, interval):
+    """invert_outside label by label, through color() and from_colors()."""
+    lo = min(interval.lo, 0) - 1
+    hi = max(interval.hi, 1) + 1
+    overrides = {}
+    for label in range(lo, hi + 1):
+        c = t.color(label)
+        if label not in interval:
+            c = WHITE if c == BLACK else BLACK
+        overrides[label] = c
+    return MayaDiagram.from_colors(LEFT_BLACK, overrides)
+
+
+def reference_to_partition(m):
+    """to_partition reading every label's color through color()."""
+    if m.kind == RIGHT_BLACK:
+        down = reference_to_partition(m.invert())
+        return ChargedPartition(down.parts, down.charge, "upward")
+    hi = max([0] + [d for d in m.diffs])
+    lo = min([1] + [d for d in m.diffs]) - 1
+    whites = [label for label in range(hi, lo, -1) if m.color(label) == WHITE]
+    k = len(whites)
+    s = lo + k + 1
+    parts = tuple(w - s + j for j, w in enumerate(whites, 1))
+    parts = parts[: next((j for j, x in enumerate(parts) if x == 0), len(parts))]
+    return ChargedPartition(parts, 1 - s)
 
 
 def golden_diagram():
@@ -132,6 +179,17 @@ class TestChargedPartition:
                 p = ChargedPartition(parts, charge)
                 assert to_partition(from_partition(p)) == p
 
+    @given(st.sampled_from([LEFT_BLACK, RIGHT_BLACK]),
+           st.sets(st.integers(-120, 120), max_size=40))
+    def test_to_partition_matches_reference(self, kind, diffs):
+        m = MayaDiagram(kind, diffs)
+        assert to_partition(m) == reference_to_partition(m)
+
+    @given(right_black_in_interval())
+    def test_to_partition_matches_reference_on_inversions(self, case):
+        gamma = invert_outside(*case)
+        assert to_partition(gamma) == reference_to_partition(gamma)
+
     def test_upward_pairs_with_right_black(self):
         p = ChargedPartition((2, 1), 1, "upward")
         m = from_partition(p)
@@ -173,7 +231,8 @@ class TestBoxes:
         labels = sorted(b.slot_label for b in all_corners)
         assert labels == sorted(set(labels)), "corner labels are distinct"
 
-    @given(partition_parts, charges, st.integers(0, 3), st.integers(2, 4))
+    @given(st.one_of(partition_parts, tall_parts()), charges, st.integers(0, 3),
+           st.integers(2, 4))
     def test_removal_options_match_box_removal(self, parts, charge, i, n):
         # reference: delete each bitmask's boxes one by one with remove_box
         p = ChargedPartition(parts, charge)
@@ -239,6 +298,17 @@ class TestInvertOutside:
         with pytest.raises(ValueError):
             invert_outside(MayaDiagram(LEFT_BLACK), Interval(-2, 2))
 
+    def test_requires_support_inside(self):
+        with pytest.raises(ValueError):
+            invert_outside(MayaDiagram(RIGHT_BLACK, {3}), Interval(-2, 2))
+        with pytest.raises(ValueError):
+            invert_outside(MayaDiagram(RIGHT_BLACK, {-3, 0}), Interval(-2, 2))
+
+    @given(right_black_in_interval())
+    def test_matches_reference(self, case):
+        t, interval = case
+        assert invert_outside(t, interval) == reference_invert_outside(t, interval)
+
     def test_agreement_inside(self):
         tau = s_lambda_diagram(1)
         iv = Interval(-5, 5)
@@ -272,7 +342,7 @@ class TestSigma:
     def test_sigma_commutes_with_boxes(self, parts, charge, n):
         p = ChargedPartition(parts, charge)
         m = from_partition(p)
-        shifted = to_partition(sigma_shift(m, n))
+        shifted = to_partition(m.shift(n))
         assert shifted.parts == p.parts
         assert shifted.charge == p.charge - n
         for i in range(n):
