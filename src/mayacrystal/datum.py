@@ -35,9 +35,7 @@ from .maya import (
     invert_outside,
     lambda_diagram,
     partitions_of,
-    removable_boxes,
     removal_options,
-    remove_box,
     s_lambda_diagram,
     to_partition,
 )
@@ -319,55 +317,12 @@ def datum_from_word(cartan, word):
     return datum
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def canonical_diagrams(n, max_boxes):
-    """Fixed enumeration of sigma-canonical (parts, charge) pairs."""
-    out = []
-    for charge in range(n):
-        for total in range(max_boxes + 1):
-            for parts in partitions_of(total):
-                out.append((parts, charge))
-    return tuple(out)
+    """Fixed enumeration of sigma-canonical (parts, charge) pairs.
 
-
-class SingleColorView:
-    """Evaluation of a product of single-integer-color lowering operators.
-
-    The building block behind the residue operators: each letter is an
-    integer slot color (not a residue) and acts through the one-or-two
-    element min over removing the unique corner box of that exact label.
-    Coefficients are taken from the base datum, which is valid as long as
-    no letter repeats (letters in one sigma-orbit commute).
+    A run uses one window, so the cache holds only the last two, as for
+    the removal index.
     """
-
-    def __init__(self, base, letters=()):
-        self.base = base
-        self.letters = tuple(letters)
-
-    def apply(self, color):
-        return SingleColorView(self.base, self.letters + (color,))
-
-    def value(self, gamma):
-        p = to_partition(gamma)
-        return self._value(p.parts, p.charge)
-
-    def _value(self, parts, charge):
-        if not self.letters:
-            return self.base.value_at(parts, charge % self.base.cartan.n)
-        color = self.letters[-1]
-        prefix = SingleColorView(self.base, self.letters[:-1])
-        best = prefix._value(parts, charge)
-        coeff = self.base.c_coeff(color)
-        from .maya import ChargedPartition
-
-        p = ChargedPartition(parts, charge)
-        for box in removable_boxes(p, 0, 1):  # every corner box
-            if box.slot_label == color:
-                q = remove_box(p, box)
-                best = min(best, prefix._value(q.parts, charge) + coeff)
-        return best
-
-
-def ftilde_ainfty(base, color):
-    """Single-color operator applied once to a datum; returns an evaluator."""
-    return SingleColorView(base).apply(color)
+    by_size = [partitions_of(total) for total in range(max_boxes + 1)]
+    return tuple((parts, charge) for charge in range(n) for size in by_size for parts in size)

@@ -1,10 +1,24 @@
 """Exact sparse Laurent polynomials in t over pluggable exact coefficient rings.
 
-Coefficients may be any exact ring value supporting +, *, == and truthiness
-as a zero test.  Two rings are used throughout the package: ``Fraction``
-(arbitrary-precision rationals) and :class:`MultiPoly` (sparse multivariate
-polynomials over the rationals, used for symbolic "generic" coefficients).
-No floating point ever enters these computations.
+Coefficients may be any exact value of a ring without zero divisors that
+supports +, *, == and truthiness as a zero test.  Two rings are used
+throughout the package: the rationals, as ``int`` or ``Fraction``, and
+:class:`MultiPoly` (sparse multivariate polynomials over the rationals, used
+for symbolic "generic" coefficients).  No floating point ever enters these
+computations.
+
+Unit coefficients are the int 1, not ``Fraction(1)``: every coefficient of a
+symbolic computation is then an integer path count, and int arithmetic needs
+no ``Fraction`` object or gcd per operation.  An int and an integral
+``Fraction`` compare equal and print the same, so outputs do not depend on
+which one a coefficient is.  Random mode brings ``Fraction`` values in
+through its parameters, and int x Fraction stays exact.
+
+Both products take a single-term operand in one pass, without accumulating
+or testing for zero: multiplying by a fixed nonzero term is injective on
+exponents and on monomials, and neither ring has zero divisors, so no two
+products collide and none vanishes.  The one-parameter Fock action always
+multiplies by such a term, the power p^k = a^k t^(e k).
 """
 
 from __future__ import annotations
@@ -17,7 +31,8 @@ INF = math.inf
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial over ``Fraction`` in named indeterminates.
+    """Sparse multivariate polynomial over the rationals (``int`` or
+    ``Fraction`` coefficients) in named indeterminates.
 
     Terms are stored as ``{monomial: coefficient}`` where a monomial is a
     tuple of ``(name, exponent)`` pairs sorted by name with exponents > 0;
@@ -32,12 +47,13 @@ class MultiPoly:
 
     @classmethod
     def const(cls, value):
-        value = Fraction(value)
+        if type(value) is not int:
+            value = Fraction(value)
         return cls({(): value} if value else None)
 
     @classmethod
     def variable(cls, name):
-        return cls({((str(name), 1),): Fraction(1)})
+        return cls({((str(name), 1),): 1})
 
     @staticmethod
     def _coerce(other):
@@ -92,6 +108,16 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        many, single = self.terms, other.terms
+        if len(many) == 1:
+            many, single = single, many
+        if len(single) == 1:
+            ((m2, c2),) = single.items()
+            if not m2:
+                return _multipoly({m1: c1 * c2 for m1, c1 in many.items()})
+            return _multipoly(
+                {_merge_monomials(m1, m2) if m1 else m2: c1 * c2 for m1, c1 in many.items()}
+            )
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -102,7 +128,7 @@ class MultiPoly:
                     terms[mono] = new
                 else:
                     terms.pop(mono, None)
-        return MultiPoly(terms)
+        return _multipoly(terms)
 
     __rmul__ = __mul__
 
@@ -145,7 +171,25 @@ class MultiPoly:
     __hash__ = None
 
 
+def _multipoly(terms):
+    """A MultiPoly over ``terms``, which it takes over without copying."""
+    p = MultiPoly.__new__(MultiPoly)
+    p.terms = terms
+    return p
+
+
 def _merge_monomials(m1, m2):
+    if len(m1) == 1:
+        m1, m2 = m2, m1
+    if len(m2) == 1:
+        # insert the one variable into the sorted tuple, or add its exponent
+        ((name, exp),) = m2
+        for k, (other, e) in enumerate(m1):
+            if other == name:
+                return m1[:k] + ((name, e + exp),) + m1[k + 1:]
+            if other > name:
+                return m1[:k] + m2 + m1[k:]
+        return m1 + m2
     exps = dict(m1)
     for name, exp in m2:
         exps[name] = exps.get(name, 0) + exp
@@ -170,7 +214,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls):
-        return cls({0: Fraction(1)})
+        return cls({0: 1})
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -200,6 +244,12 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        many, single = self.coeffs, other.coeffs
+        if len(many) == 1:
+            many, single = single, many
+        if len(single) == 1:
+            ((e2, c2),) = single.items()
+            return _laurent({e1 + e2: c1 * c2 for e1, c1 in many.items()})
         coeffs = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -210,7 +260,7 @@ class LaurentPoly:
                     coeffs[e] = new
                 else:
                     coeffs.pop(e, None)
-        return LaurentPoly(coeffs)
+        return _laurent(coeffs)
 
     def scale(self, scalar):
         if not scalar:
@@ -242,3 +292,10 @@ class LaurentPoly:
 
     __hash__ = None
 
+
+def _laurent(coeffs):
+    """A LaurentPoly over ``coeffs``, which it takes over without copying or
+    filtering: every coefficient must be nonzero."""
+    p = LaurentPoly.__new__(LaurentPoly)
+    p.coeffs = coeffs
+    return p

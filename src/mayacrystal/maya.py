@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import neg
 
 BLACK = "black"
@@ -401,9 +400,12 @@ def invert_outside(t, interval):
     return MayaDiagram(LEFT_BLACK, frozenset(range(interval.lo, interval.hi + 1)) - t.diffs)
 
 
-@lru_cache(maxsize=None)
 def partitions_of(total):
-    """All partitions of ``total`` as weakly decreasing tuples, sorted."""
+    """All partitions of ``total`` as weakly decreasing tuples, sorted.
+
+    Not cached: ``canonical_diagrams``, its one caller on a hot path, calls
+    it once per size and caches its own result.
+    """
     if total == 0:
         return ((),)
     out = []

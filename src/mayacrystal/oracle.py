@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .fock import MINUS, PLUS, FockVector, vec_val, x_act
 from .laurent import INF, LaurentPoly, MultiPoly
-from .maya import LEFT_BLACK, RIGHT_BLACK, to_partition
+from .maya import DOWNWARD, RIGHT_BLACK, ChargedPartition, to_partition
 
 SYMBOLIC = "symbolic"
 RANDOM = "random"
@@ -99,13 +99,17 @@ def _assignment(word, mode, seed):
 def d_gamma(word, gamma, mode=SYMBOLIC, seed=None):
     """Row vector <gamma| g as a minus-side Fock vector.
 
-    gamma is converted to its ``(parts, charge)`` key once; each factor's
+    gamma is a left-black Maya diagram or its charged partition, as
+    ``to_partition`` returns it (so a caller holding the partition converts
+    once).  Its ``(parts, charge)`` is the basis vector's key; each factor's
     x_act then works on raw keys.
     """
-    if gamma.kind != LEFT_BLACK:
+    partition = gamma if isinstance(gamma, ChargedPartition) else to_partition(gamma)
+    if partition.orientation != DOWNWARD:
         raise ValueError("d_gamma expects a left-black diagram")
     assignment = _assignment(word, mode, seed)
-    v = FockVector.basis(word.n, MINUS, gamma)
+    v = FockVector(word.n, MINUS)
+    v.terms[partition.parts, partition.charge] = LaurentPoly.one()
     for factor in reversed(word.factors):
         v = x_act(v, factor.residue, factor.parameter(assignment))
     return v
@@ -145,17 +149,19 @@ def compare(datum, diagrams, mode=SYMBOLIC, seed=None):
     """Cross-check recursive values against oracle valuations.
 
     Returns a JSON-ready report with one row per diagram and an overall
-    pass flag.  INF valuations are serialized as the string "inf".
+    pass flag.  INF valuations are serialized as the string "inf".  Each
+    diagram is converted to its charged partition once, which serves the
+    recursion, the oracle's basis vector and the report row.
     """
     word = generic_element(datum)
     results = []
     ok = True
     for gamma in diagrams:
-        recursive = datum.eval(gamma)
-        valuation = vec_val(d_gamma(word, gamma, mode, seed))
+        p = to_partition(gamma)
+        valuation = vec_val(d_gamma(word, p, mode, seed))
+        recursive = datum.value_at(p.parts, p.charge)
         match = recursive == valuation
         ok = ok and match
-        p = to_partition(gamma)
         results.append(
             {
                 "diagram": {"parts": list(p.parts), "charge": p.charge},

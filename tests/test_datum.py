@@ -1,15 +1,17 @@
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mayacrystal
 from mayacrystal.datum import (
     CartanData,
     CrystalDatum,
     canonical_diagrams,
     datum_from_word,
-    ftilde_ainfty,
     zero_datum,
 )
 from mayacrystal.maya import (
@@ -19,7 +21,10 @@ from mayacrystal.maya import (
     from_partition,
     lambda_diagram,
     partitions_up_to,
+    removable_boxes,
+    remove_box,
     s_lambda_diagram,
+    to_partition,
 )
 from mayacrystal.oracle import compare, oracle_theta
 
@@ -169,6 +174,24 @@ class TestTheta:
         d = datum_from_word(CartanData(n), word)
         assert d.theta(tau) == oracle_theta(d, tau)
 
+    @pytest.mark.parametrize(
+        "n, length, change",
+        [
+            (3, 10, 0), (3, 10, -1), (3, 11, 0), (3, 11, 1), (3, 12, 0), (3, 12, -1),
+            (4, 12, 0), (4, 12, 1), (4, 13, 0), (4, 13, -1), (4, 14, 0), (4, 14, 1),
+        ],
+    )
+    def test_weight_of_long_cyclic_words(self, n, length, change):
+        # the word 0, 1, 2, ... mod n with its last letter changed by
+        # `change`, as in the theta_deep benchmark: its weight is minus the
+        # letter count of each residue.  An oracle-check verdict cannot see
+        # a wrong theta (both sides take the same theta values), so this
+        # pins theta on interval inversions of about 100 rows.
+        word = [k % n for k in range(length)]
+        word[-1] = (word[-1] + change) % n
+        d = datum_from_word(CartanData(n), word)
+        assert d.weight() == tuple(-word.count(i) for i in range(n))
+
 
 class TestFingerprint:
     def test_zero_vs_child(self):
@@ -250,6 +273,49 @@ class TestTable:
         assert d.table(4) == table
 
 
+class SingleColorView:
+    """Reference evaluation of a product of single-integer-color lowering
+    operators, which the commuting-identity tests below compare against the
+    residue operators.
+
+    The building block behind the residue operators: each letter is an
+    integer slot color (not a residue) and acts through the one-or-two
+    element min over removing the unique corner box of that exact label.
+    Coefficients are taken from the base datum, which is valid as long as
+    no letter repeats (letters in one sigma-orbit commute).
+    """
+
+    def __init__(self, base, letters=()):
+        self.base = base
+        self.letters = tuple(letters)
+
+    def apply(self, color):
+        return SingleColorView(self.base, self.letters + (color,))
+
+    def value(self, gamma):
+        p = to_partition(gamma)
+        return self._value(p.parts, p.charge)
+
+    def _value(self, parts, charge):
+        if not self.letters:
+            return self.base.value_at(parts, charge % self.base.cartan.n)
+        color = self.letters[-1]
+        prefix = SingleColorView(self.base, self.letters[:-1])
+        best = prefix._value(parts, charge)
+        coeff = self.base.c_coeff(color)
+        p = ChargedPartition(parts, charge)
+        for box in removable_boxes(p, 0, 1):  # every corner box
+            if box.slot_label == color:
+                q = remove_box(p, box)
+                best = min(best, prefix._value(q.parts, charge) + coeff)
+        return best
+
+
+def ftilde_ainfty(base, color):
+    """Single-color operator applied once to a datum; returns an evaluator."""
+    return SingleColorView(base).apply(color)
+
+
 class TestSingleColorOperators:
     def test_matches_residue_operator_on_fresh_colors(self):
         # a residue operator is the commuting product of the single-color
@@ -293,3 +359,15 @@ class TestCanonicalDiagrams:
         assert diagrams[0] == ((), 0)
         assert len(diagrams) == 2 * 4  # charges 0,1 and partitions of 0,1,2
         assert len(set(diagrams)) == len(diagrams)
+
+    def test_no_cache_is_unbounded(self):
+        # a long-lived process must not grow a cache without bound; the
+        # window caches hold the last two windows
+        caches = {}
+        for info in pkgutil.iter_modules(mayacrystal.__path__):
+            module = importlib.import_module("mayacrystal." + info.name)
+            for name, value in vars(module).items():
+                if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                    caches[info.name + "." + name] = value.cache_parameters()["maxsize"]
+        assert "datum.canonical_diagrams" in caches
+        assert None not in caches.values(), caches

@@ -3,7 +3,10 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mayacrystal.laurent import INF, LaurentPoly, MultiPoly
+from mayacrystal.datum import CartanData, canonical_diagrams, datum_from_word
+from mayacrystal.laurent import INF, LaurentPoly, MultiPoly, _merge_monomials
+from mayacrystal.maya import ChargedPartition, from_partition
+from mayacrystal.oracle import d_gamma, generic_element
 
 coeffs = st.fractions(
     max_denominator=20,
@@ -114,3 +117,145 @@ def test_laurent_over_multipoly():
     assert q.coeffs[-4] == a * a
     specialized = q.map_coeffs(lambda c: c.evaluate({"a": Fraction(3)}))
     assert specialized.coeffs == {-4: Fraction(9)}
+
+
+# -- reference products --------------------------------------------------
+#
+# The general product loops, without the single-term paths: every pair of
+# terms is accumulated and zero-tested, and monomials merge through a dict.
+
+
+def reference_merge(m1, m2):
+    exps = dict(m1)
+    for name, exp in m2:
+        exps[name] = exps.get(name, 0) + exp
+    return tuple(sorted(exps.items()))
+
+
+def reference_multipoly_mul(p, q):
+    q = MultiPoly._coerce(q)
+    terms = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            mono = reference_merge(m1, m2) if m1 and m2 else m1 or m2
+            old = terms.get(mono)
+            new = c1 * c2 if old is None else old + c1 * c2
+            if new:
+                terms[mono] = new
+            else:
+                terms.pop(mono, None)
+    return MultiPoly(terms)
+
+
+def _reference_times(c1, c2):
+    if isinstance(c1, MultiPoly):
+        return reference_multipoly_mul(c1, c2)
+    if isinstance(c2, MultiPoly):
+        return reference_multipoly_mul(c2, c1)
+    return c1 * c2
+
+
+def reference_laurent_mul(p, q):
+    coeffs = {}
+    for e1, c1 in p.coeffs.items():
+        for e2, c2 in q.coeffs.items():
+            e = e1 + e2
+            old = coeffs.get(e)
+            new = _reference_times(c1, c2) if old is None else old + _reference_times(c1, c2)
+            if new:
+                coeffs[e] = new
+            else:
+                coeffs.pop(e, None)
+    return LaurentPoly(coeffs)
+
+
+# "a10" sorts between "a1" and "a2", so insertion order is by string, not
+# by index; few names make shared variables (the exponent-add branch) common.
+names = st.sampled_from(("a1", "a10", "a2", "b"))
+monomials = st.dictionaries(names, st.integers(1, 3), max_size=3).map(
+    lambda exps: tuple(sorted(exps.items()))
+)
+one_variable = st.tuples(names, st.integers(1, 3)).map(lambda pair: (pair,))
+rationals = st.one_of(st.integers(-4, 4), coeffs).filter(bool)
+
+
+def _multipolys(monos, max_size):
+    return st.dictionaries(monos, rationals, max_size=max_size).map(MultiPoly)
+
+
+multipolys = _multipolys(monomials, 4)
+single_multipolys = _multipolys(st.one_of(monomials, one_variable, st.just(())), 1).filter(bool)
+ring_values = st.one_of(rationals, multipolys.filter(bool))
+ring_laurents = st.dictionaries(st.integers(-4, 4), ring_values, max_size=4).map(LaurentPoly)
+single_laurents = st.tuples(
+    st.integers(-4, 4), st.one_of(rationals, single_multipolys, multipolys.filter(bool))
+).map(lambda term: LaurentPoly({term[0]: term[1]}))
+
+
+def _assert_same_product(product, expected):
+    # MultiPoly equality is dict equality, so an unsorted monomial differs
+    assert product == expected
+    assert all(product.coeffs.values())
+
+
+class TestSingleTermProducts:
+    @given(monomials, st.one_of(monomials, one_variable))
+    def test_merge_matches_reference(self, m1, m2):
+        assert _merge_monomials(m1, m2) == reference_merge(m1, m2)
+        assert _merge_monomials(m2, m1) == reference_merge(m1, m2)
+
+    def test_merge_inserts_sorted_and_adds_exponents(self):
+        m = (("a1", 1), ("a2", 2))
+        assert _merge_monomials(m, (("a10", 1),)) == (("a1", 1), ("a10", 1), ("a2", 2))
+        assert _merge_monomials(m, (("a2", 3),)) == (("a1", 1), ("a2", 5))
+        assert _merge_monomials((("b", 1),), m) == (("a1", 1), ("a2", 2), ("b", 1))
+
+    @given(multipolys, st.one_of(multipolys, single_multipolys, rationals))
+    def test_multipoly_mul_matches_reference(self, p, q):
+        expected = reference_multipoly_mul(p, q)
+        assert (p * q).terms == expected.terms
+        assert (q * p).terms == expected.terms
+        assert all((p * q).terms.values())
+
+    @given(ring_laurents, st.one_of(ring_laurents, single_laurents))
+    def test_laurent_mul_matches_reference(self, p, q):
+        expected = reference_laurent_mul(p, q)
+        _assert_same_product(p * q, expected)
+        _assert_same_product(q * p, expected)
+
+
+class TestIntegerUnits:
+    def test_units_are_ints(self):
+        assert type(LaurentPoly.one().coeffs[0]) is int
+        assert [type(c) for c in MultiPoly.variable("a").terms.values()] == [int]
+        assert type(MultiPoly.const(3).terms[()]) is int
+        assert MultiPoly.const(Fraction(3, 2)).terms == {(): Fraction(3, 2)}
+        assert type(MultiPoly.const(Fraction(2)).terms[()]) is Fraction
+
+    def test_symbolic_d_gamma_matches_fraction_units(self, monkeypatch):
+        word = generic_element(datum_from_word(CartanData(2), (0, 1, 0, 1, 1, 0)))
+        gammas = [
+            from_partition(ChargedPartition(parts, charge))
+            for parts, charge in canonical_diagrams(2, 6)
+        ]
+        vectors = [d_gamma(word, gamma) for gamma in gammas]
+        numbers = [
+            number
+            for v in vectors
+            for c in v.terms.values()
+            for value in c.coeffs.values()
+            for number in (value.terms.values() if isinstance(value, MultiPoly) else [value])
+        ]
+        assert {type(number) for number in numbers} == {int}
+        assert max(numbers) > 1
+
+        # the same vectors over Fraction units and the reference products
+        monkeypatch.setattr(
+            MultiPoly, "variable", classmethod(lambda cls, name: cls({((name, 1),): Fraction(1)}))
+        )
+        monkeypatch.setattr(LaurentPoly, "one", classmethod(lambda cls: cls({0: Fraction(1)})))
+        monkeypatch.setattr(LaurentPoly, "__mul__", reference_laurent_mul)
+        monkeypatch.setattr(MultiPoly, "__mul__", reference_multipoly_mul)
+        monkeypatch.setattr(MultiPoly, "__rmul__", reference_multipoly_mul)
+        for gamma, v in zip(gammas, vectors):
+            assert d_gamma(word, gamma).to_json() == v.to_json()

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from mayacrystal import datum, fock, maya, oracle
 from mayacrystal.datum import CartanData, datum_from_word
 from mayacrystal.fock import term_key, vec_val
 from mayacrystal.laurent import INF
@@ -13,6 +14,7 @@ from mayacrystal.maya import (
     lambda_diagram,
     partitions_up_to,
     s_lambda_diagram,
+    to_partition,
 )
 from mayacrystal.oracle import (
     NEWEST_LAST,
@@ -73,6 +75,13 @@ class TestDGamma:
         word = generic_element(datum_from_word(CartanData(2), (0,)))
         with pytest.raises(ValueError):
             d_gamma(word, lambda_diagram(0))
+        with pytest.raises(ValueError):
+            d_gamma(word, to_partition(lambda_diagram(0)))
+
+    def test_accepts_the_charged_partition(self):
+        word = generic_element(datum_from_word(CartanData(2), (0, 1, 1)))
+        for g in small_diagrams(2, 3):
+            assert d_gamma(word, to_partition(g)).to_json() == d_gamma(word, g).to_json()
 
     def test_matches_recursion_single_letter(self):
         d = datum_from_word(CartanData(2), (0,))
@@ -155,6 +164,23 @@ class TestCompare:
         assert report["word"] == [0, 1]
         assert len(report["results"]) == len(diagrams)
         assert all(r["match"] for r in report["results"])
+
+    def test_one_partition_conversion_per_row(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return maya.to_partition(m)
+
+        for module in (datum, fock, oracle):
+            monkeypatch.setattr(module, "to_partition", counting)
+        d = datum_from_word(CartanData(2), (0, 1))
+        generic_element(d)  # memoises the thetas, whose interval inversions convert
+        calls.clear()
+        diagrams = small_diagrams(2, 3)
+        report = compare(d, diagrams)
+        assert report["pass"] is True
+        assert calls == diagrams
 
     def test_inf_serialized_as_string(self):
         d = datum_from_word(CartanData(2), ())
