@@ -9,8 +9,9 @@ A vector's terms are keyed by the raw ``(parts, charge)`` of the diagram's
 charged partition: downward on the minus side, upward on the plus side, so
 a left-black diagram and its color inversion share a key and the pairing
 matches equal keys.  Maya diagrams appear only at the boundary:
-``FockVector(...)`` and :meth:`FockVector.basis` convert them to keys (see
-:func:`term_key`), and :meth:`FockVector.to_json` converts back.
+``FockVector(...)`` and :meth:`FockVector.basis` convert them, or take their
+already converted charged partitions, to keys (see :func:`term_key`), and
+:meth:`FockVector.to_json` converts back.
 
 Boxes of one residue are independent: removing or adding one never creates
 or blocks another.  So the divided power E_i^k / k! sends a basis vector to
@@ -55,19 +56,21 @@ class FockVector:
 
     def __init__(self, n, side, terms=None):
         """``terms`` maps Maya diagrams of the side's kind (left-black on
-        the minus side, right-black on the plus side) to coefficients."""
+        the minus side, right-black on the plus side), or their charged
+        partitions as ``to_partition`` returns them, to coefficients."""
         if side not in (MINUS, PLUS):
             raise ValueError("unknown side: %r" % (side,))
-        kind = LEFT_BLACK if side == MINUS else RIGHT_BLACK
+        kind, orientation = (LEFT_BLACK, DOWNWARD) if side == MINUS else (RIGHT_BLACK, UPWARD)
         self.n = n
         self.side = side
         self.terms = {}
         for diagram, coeff in (terms or {}).items():
             if not coeff:
                 continue
-            if diagram.kind != kind:
+            p = diagram if isinstance(diagram, ChargedPartition) else to_partition(diagram)
+            if p.orientation != orientation:
                 raise ValueError("%s-side vector requires %s diagrams" % (side, kind))
-            self.terms[term_key(diagram)] = coeff
+            self.terms[p.parts, p.charge] = coeff
 
     @classmethod
     def basis(cls, n, side, diagram, coeff=None):

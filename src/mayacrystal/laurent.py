@@ -113,10 +113,11 @@ class MultiPoly:
             many, single = single, many
         if len(single) == 1:
             ((m2, c2),) = single.items()
-            if not m2:
-                return _multipoly({m1: c1 * c2 for m1, c1 in many.items()})
             return _multipoly(
-                {_merge_monomials(m1, m2) if m1 else m2: c1 * c2 for m1, c1 in many.items()}
+                {
+                    _merge_monomials(m1, m2) if m1 and m2 else m1 or m2: c1 * c2
+                    for m1, c1 in many.items()
+                }
             )
         terms = {}
         for m1, c1 in self.terms.items():

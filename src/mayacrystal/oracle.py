@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .fock import MINUS, PLUS, FockVector, vec_val, x_act
 from .laurent import INF, LaurentPoly, MultiPoly
-from .maya import DOWNWARD, RIGHT_BLACK, ChargedPartition, to_partition
+from .maya import RIGHT_BLACK, to_partition
 
 SYMBOLIC = "symbolic"
 RANDOM = "random"
@@ -100,16 +100,11 @@ def d_gamma(word, gamma, mode=SYMBOLIC, seed=None):
     """Row vector <gamma| g as a minus-side Fock vector.
 
     gamma is a left-black Maya diagram or its charged partition, as
-    ``to_partition`` returns it (so a caller holding the partition converts
-    once).  Its ``(parts, charge)`` is the basis vector's key; each factor's
-    x_act then works on raw keys.
+    ``to_partition`` returns it, so a caller holding the partition converts
+    once; each factor's x_act then works on raw keys.
     """
-    partition = gamma if isinstance(gamma, ChargedPartition) else to_partition(gamma)
-    if partition.orientation != DOWNWARD:
-        raise ValueError("d_gamma expects a left-black diagram")
+    v = FockVector.basis(word.n, MINUS, gamma)
     assignment = _assignment(word, mode, seed)
-    v = FockVector(word.n, MINUS)
-    v.terms[partition.parts, partition.charge] = LaurentPoly.one()
     for factor in reversed(word.factors):
         v = x_act(v, factor.residue, factor.parameter(assignment))
     return v

@@ -93,6 +93,14 @@ class TestFockVector:
         with pytest.raises(ValueError):
             FockVector(2, MINUS, {g.invert(): LaurentPoly.one()})
 
+    def test_charged_partition_terms(self):
+        for side, kind_of in ((MINUS, lambda g: g), (PLUS, lambda g: g.invert())):
+            for g in small_diagrams(3):
+                d = kind_of(g)
+                assert FockVector.basis(2, side, to_partition(d)) == FockVector.basis(2, side, d)
+                with pytest.raises(ValueError):
+                    FockVector.basis(2, side, to_partition(d.invert()))
+
     def test_add_cancellation(self):
         v = basis_minus(2, (1,), 0)
         w = v.scale(Fraction(-1))
