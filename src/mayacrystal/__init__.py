@@ -3,7 +3,6 @@
 from .datum import (
     CartanData,
     CrystalDatum,
-    ThetaStabilizationError,
     datum_from_word,
     zero_datum,
 )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 from . import graph as graphmod
 from . import oracle as oraclemod
-from .datum import CartanData, datum_from_word
+from .datum import CartanData, canonical_diagrams, datum_from_word
 from .maya import ChargedPartition, MayaDiagram, from_partition
 
 EXIT_OK = 0
@@ -57,12 +57,22 @@ def _parse_word(text):
 
 
 def _load_diagram(path):
+    """A {"parts", "charge"} or {"kind", "deviations"} object; ValueError otherwise."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError("diagram file must hold a JSON object")
     if "parts" in data:
-        return from_partition(
-            ChargedPartition(tuple(int(p) for p in data["parts"]), int(data.get("charge", 0)))
-        )
+        parts, charge = data["parts"], data.get("charge", 0)
+        if not (isinstance(parts, list) and all(type(x) is int for x in [*parts, charge])):
+            raise ValueError("parts must be a list of integers and charge an integer")
+        return from_partition(ChargedPartition(tuple(parts), charge))
+    deviations = data.get("deviations")
+    if not (
+        isinstance(deviations, list)
+        and all(isinstance(d, list) and len(d) == 2 and type(d[0]) is int for d in deviations)
+    ):
+        raise ValueError("deviations must be a list of [label, color] pairs")
     return MayaDiagram.from_json(data)
 
 
@@ -119,16 +129,10 @@ def cmd_verify(cfg, graph_path=None):
 
 
 def cmd_oracle_check(cfg, word):
-    from .datum import canonical_diagrams
-
     cartan = CartanData(cfg.n)
     datum = datum_from_word(cartan, word)
     max_boxes = cfg.max_boxes if cfg.max_boxes is not None else 6
-    diagrams = [
-        from_partition(ChargedPartition(parts, charge))
-        for parts, charge in canonical_diagrams(cfg.n, max_boxes)
-    ]
-    report = oraclemod.compare(datum, diagrams, cfg.mode, cfg.seed)
+    report = oraclemod.compare(datum, canonical_diagrams(cfg.n, max_boxes), cfg.mode, cfg.seed)
     if not report["results"]:
         print("oracle-check: no diagrams compared", file=sys.stderr)
         report["pass"] = False

@@ -8,10 +8,19 @@ through the min-recursion
     (f_i M)(g) = min over mu in removal_subsets(g, i) of
                  M(mu) + |g \\ mu| * c_i(M),      c_i(M) = M(L_i) - M(sL_i) - 1
 
-where L_i / sL_i are the fundamental right-black diagrams, extended to
-right-black arguments by interval-inversion stabilization (theta).  All
-values are n-periodic: evaluation happens on sigma-orbit canonical
-representatives (charge reduced mod n).
+where L_i / sL_i are the fundamental right-black diagrams.  theta extends a
+datum of word length l to a right-black tau by one evaluation at tau's
+inversion outside [-B, B], B = span + n*ceil(2l/n), span = max |d| + 1 over
+tau's deviations d.  This is exact by a lemma: the finite color runs of a
+left-black diagram are its partition's edges (a part's multiplicity, the
+gap to the next distinct part, the last part), and lengthening a run longer
+than 2l by n, charge kept, leaves the value unchanged.  (Each letter
+moves each end of a run by at most one slot, so over l levels the run's
+middle is never touched, and a shift by n keeps every residue: the two
+recursion trees are isomorphic.)  The inversion's two end runs are at least
+B - span + 1 > 2l long, so every B' >= B with B' = B mod n gives the same
+value.  All values are n-periodic: evaluation happens on sigma-orbit
+canonical representatives (charge reduced mod n).
 
 Two paths compute values.  Over the window canonical_diagrams(n, max_boxes)
 (charges 0..n-1, at most max_boxes boxes), ``table`` fills a datum's whole
@@ -39,10 +48,6 @@ from .maya import (
     s_lambda_diagram,
     to_partition,
 )
-
-
-class ThetaStabilizationError(RuntimeError):
-    """Interval-inverted values failed to stabilize within the hard bound."""
 
 
 class CartanData:
@@ -192,35 +197,23 @@ class CrystalDatum:
     # -- extension to right-black diagrams ---------------------------------
 
     def theta(self, tau):
-        """Stabilized value at a right-black diagram.
-
-        Evaluates on interval inversions over a growing schedule and accepts
-        once two consecutive intervals agree; the hard bound only trips on an
-        implementation bug since stabilization is guaranteed.
-        """
+        """Value at a right-black diagram: one evaluation at its inversion
+        outside [-B, B], B = span + n*ceil(2l/n).  Exact by the module's lemma:
+        both end runs are longer than 2l, and lengthening such a run by n
+        leaves the value unchanged, so every B' >= B, B' = B mod n agrees."""
         if tau.kind != RIGHT_BLACK:
             raise ValueError("theta expects a right-black diagram")
-        tau = tau.shift(tau.charge - tau.charge % self.cartan.n)
-        cached = self._theta_memo.get(tau)
-        if cached is not None:
-            return cached
         if self.parent is None:
-            self._theta_memo[tau] = 0
             return 0
-        span = max((abs(d) for d in tau.diffs), default=0) + 1
-        length = max(len(self.word), 1)
-        step = self.cartan.n * length
-        previous = None
-        for k in range(1, 2 * length + 6):
-            bound = span + k * step
-            value = self.eval(invert_outside(tau, Interval(-bound, bound)))
-            if value == previous:
-                self._theta_memo[tau] = value
-                return value
-            previous = value
-        raise ThetaStabilizationError(
-            "no stabilization for word %r at %r" % (self.word, tau)
-        )
+        n = self.cartan.n
+        tau = tau.shift(tau.charge - tau.charge % n)
+        cached = self._theta_memo.get(tau)
+        if cached is None:
+            span = max((abs(d) for d in tau.diffs), default=0) + 1
+            bound = span + n * -(-2 * len(self.word) // n)
+            cached = self.eval(invert_outside(tau, Interval(-bound, bound)))
+            self._theta_memo[tau] = cached
+        return cached
 
     # -- crystal statistics -------------------------------------------------
 

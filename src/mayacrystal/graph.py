@@ -318,8 +318,27 @@ def export(graph, fmt):
 
 
 def load_json(data):
-    """Rebuild a graph from its JSON export (statistics are trusted as stored)."""
+    """Rebuild a graph from its JSON export (statistics are trusted as stored).
+    ValueError unless n, depth, node ids and words, the n-entry statistics and
+    the edges' from, i and to are all integers."""
     payload = json.loads(data) if isinstance(data, (str, bytes)) else data
+    shaped = isinstance(payload, dict) and all(
+        isinstance(payload.get(key), list) and all(isinstance(row, dict) for row in payload[key])
+        for key in ("nodes", "edges")
+    )
+    if shaped:
+        n, nodes = payload.get("n"), payload["nodes"]
+        words = [row.get("word") for row in nodes]
+        stats = [row.get(key) for row in nodes for key in ("weight", "eps", "phi")]
+        ints = [n, payload.get("depth")] + [row.get("id") for row in nodes]
+        ints += [row.get(key) for row in payload["edges"] for key in ("from", "i", "to")]
+        shaped = (
+            all(isinstance(v, list) for v in words + stats)
+            and all(len(v) == n for v in stats)
+            and all(type(x) is int for x in ints + [x for v in words + stats for x in v])
+        )
+    if not shaped:
+        raise ValueError("graph file does not have the shape of a JSON export")
     nodes = [
         Node(
             id=row["id"],

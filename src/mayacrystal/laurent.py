@@ -88,7 +88,7 @@ class MultiPoly:
                 terms[mono] = new
             else:
                 terms.pop(mono, None)
-        return MultiPoly(terms)
+        return _multipoly(terms)
 
     __radd__ = __add__
 
@@ -236,7 +236,7 @@ class LaurentPoly:
                 coeffs[e] = new
             else:
                 coeffs.pop(e, None)
-        return LaurentPoly(coeffs)
+        return _laurent(coeffs)
 
     def __neg__(self):
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})

@@ -22,18 +22,10 @@ from fractions import Fraction
 
 from .fock import MINUS, PLUS, FockVector, vec_val, x_act
 from .laurent import INF, LaurentPoly, MultiPoly
-from .maya import RIGHT_BLACK, to_partition
+from .maya import RIGHT_BLACK, ChargedPartition
 
 SYMBOLIC = "symbolic"
 RANDOM = "random"
-
-#: Order in which the one-parameter factors hit a plus-side vector.  The
-#: default (newest factor first, oldest last) is the one whose valuations
-#: agree with the recursive theta on every tested word; the alternative is
-#: kept selectable for experiments.
-NEWEST_LAST = "newest-last"
-OLDEST_LAST = "oldest-last"
-DEFAULT_PLUS_ORDER = OLDEST_LAST
 
 
 @dataclass(frozen=True)
@@ -100,8 +92,7 @@ def d_gamma(word, gamma, mode=SYMBOLIC, seed=None):
     """Row vector <gamma| g as a minus-side Fock vector.
 
     gamma is a left-black Maya diagram or its charged partition, as
-    ``to_partition`` returns it, so a caller holding the partition converts
-    once; each factor's x_act then works on raw keys.
+    ``to_partition`` returns it; each factor's x_act works on raw keys.
     """
     v = FockVector.basis(word.n, MINUS, gamma)
     assignment = _assignment(word, mode, seed)
@@ -110,22 +101,15 @@ def d_gamma(word, gamma, mode=SYMBOLIC, seed=None):
     return v
 
 
-def d_tau(word, tau, mode=SYMBOLIC, seed=None, order=DEFAULT_PLUS_ORDER, cap=None):
-    """Column vector g |tau> as a plus-side Fock vector.
-
-    ``order`` selects which end of the word acts last on the column vector;
-    the default applies the newest factor first and the oldest last.
-    """
+def d_tau(word, tau, mode=SYMBOLIC, seed=None):
+    """Column vector g |tau> as a plus-side Fock vector.  The newest factor
+    acts first and the oldest last, the order that agrees with theta."""
     if tau.kind != RIGHT_BLACK:
         raise ValueError("d_tau expects a right-black diagram")
-    if order not in (NEWEST_LAST, OLDEST_LAST):
-        raise ValueError("unknown order: %r" % (order,))
     assignment = _assignment(word, mode, seed)
-    factors = word.factors if order == NEWEST_LAST else tuple(reversed(word.factors))
-    if cap is None:
-        cap = 4 * (len(word.factors) + 1) * max(word.n, 2)
+    cap = 4 * (len(word.factors) + 1) * max(word.n, 2)
     v = FockVector.basis(word.n, PLUS, tau)
-    for factor in factors:
+    for factor in reversed(word.factors):
         v = x_act(v, factor.residue, factor.parameter(assignment), cap=cap)
     return v
 
@@ -135,31 +119,30 @@ def oracle_eval(datum, gamma, mode=SYMBOLIC, seed=None):
     return vec_val(d_gamma(generic_element(datum), gamma, mode, seed))
 
 
-def oracle_theta(datum, tau, mode=SYMBOLIC, seed=None, order=DEFAULT_PLUS_ORDER):
+def oracle_theta(datum, tau, mode=SYMBOLIC, seed=None):
     """Valuation of g |tau> for the datum's generic group element."""
-    return vec_val(d_tau(generic_element(datum), tau, mode, seed, order))
+    return vec_val(d_tau(generic_element(datum), tau, mode, seed))
 
 
 def compare(datum, diagrams, mode=SYMBOLIC, seed=None):
     """Cross-check recursive values against oracle valuations.
 
-    Returns a JSON-ready report with one row per diagram and an overall
-    pass flag.  INF valuations are serialized as the string "inf".  Each
-    diagram is converted to its charged partition once, which serves the
-    recursion, the oracle's basis vector and the report row.
+    ``diagrams`` are left-black diagrams as ``(parts, charge)`` pairs, the
+    form ``canonical_diagrams`` lists a window in.  Returns a JSON-ready
+    report with one row per diagram and an overall pass flag.  INF
+    valuations are serialized as the string "inf".
     """
     word = generic_element(datum)
     results = []
     ok = True
-    for gamma in diagrams:
-        p = to_partition(gamma)
-        valuation = vec_val(d_gamma(word, p, mode, seed))
-        recursive = datum.value_at(p.parts, p.charge)
+    for parts, charge in diagrams:
+        valuation = vec_val(d_gamma(word, ChargedPartition(parts, charge), mode, seed))
+        recursive = datum.value_at(parts, charge)
         match = recursive == valuation
         ok = ok and match
         results.append(
             {
-                "diagram": {"parts": list(p.parts), "charge": p.charge},
+                "diagram": {"parts": list(parts), "charge": charge},
                 "recursive": recursive,
                 "oracle": "inf" if valuation == INF else valuation,
                 "match": match,

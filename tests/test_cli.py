@@ -120,6 +120,24 @@ class TestEval:
         assert code == EXIT_USAGE
         assert err
 
+    @pytest.mark.parametrize("data", [
+        [1, 2],
+        {"kind": "left-black", "deviations": 5},
+        {"kind": "left-black", "deviations": [[0.5, "black"]]},
+        {"parts": 5},
+        {"parts": [2, 1], "charge": "1"},
+        None,
+    ])
+    def test_wrong_shape(self, capsys, tmp_path, data):
+        # well-formed JSON of the wrong shape is bad input, not a failed check
+        path = self.write_diagram(tmp_path, data)
+        code, out, err = run(
+            capsys, "eval", "--rank", "2", "--word", "0", "--diagram-file", path
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "error" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -147,6 +165,26 @@ class TestVerify:
             capsys, "verify", "--rank", "2", "--graph-file", str(path)
         )
         assert code != EXIT_OK
+
+    @pytest.mark.parametrize("edit", [
+        lambda payload: [],
+        lambda payload: dict(payload, n="2"),
+        lambda payload: dict(payload, nodes=[5]),
+        lambda payload: dict(payload, edges={}),
+        lambda payload: dict(payload, nodes=[dict(payload["nodes"][0], weight=[0])]),
+        lambda payload: dict(payload, nodes=[dict(payload["nodes"][0], word="01")]),
+        lambda payload: dict(payload, edges=[dict(payload["edges"][0], i="0")]),
+    ], ids=["list", "string-rank", "node-int", "edges-object", "short-weight",
+            "string-word", "string-residue"])
+    def test_wrong_shape_graph_file(self, capsys, tmp_path, edit):
+        # a graph file of the wrong shape is bad input, not a failed check
+        _, out, _ = run(capsys, "explore", "--rank", "2", "--depth", "1")
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(edit(json.loads(out))))
+        code, out, err = run(capsys, "verify", "--rank", "2", "--graph-file", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "error" in err
 
     def test_tampered_graph_fails(self, capsys, tmp_path):
         code, out, _ = run(capsys, "explore", "--rank", "2", "--depth", "2")

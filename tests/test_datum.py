@@ -17,8 +17,10 @@ from mayacrystal.datum import (
 from mayacrystal.maya import (
     RIGHT_BLACK,
     ChargedPartition,
+    Interval,
     MayaDiagram,
     from_partition,
+    invert_outside,
     lambda_diagram,
     partitions_up_to,
     removable_boxes,
@@ -164,12 +166,82 @@ def theta_cases(n):
     )
 
 
+def reference_theta(datum, tau):
+    """theta by the schedule that the one-shot bound replaced: evaluate at
+    the inversion outside [-B, B] for B = span + k*n*L, L = max(l, 1) and
+    k = 1, 2, ..., and accept the first value equal to the one before."""
+    if datum.parent is None:
+        return 0
+    n = datum.cartan.n
+    tau = tau.shift(tau.charge - tau.charge % n)
+    span = max((abs(d) for d in tau.diffs), default=0) + 1
+    length = max(len(datum.word), 1)
+    previous = None
+    for k in range(1, 2 * length + 6):
+        bound = span + k * n * length
+        value = datum.eval(invert_outside(tau, Interval(-bound, bound)))
+        if value == previous:
+            return value
+        previous = value
+    raise AssertionError("no stabilization for word %r at %r" % (datum.word, tau))
+
+
+@st.composite
+def long_edge_cases(draw):
+    """(n, word, parts, charge, lengthened parts): a partition cut into
+    edges, one of them longer than 2l for the word's length l, and the same
+    partition with that edge n slots longer.
+
+    The partition has distinct parts p_1 > ... > p_k with multiplicities
+    m_j.  Its vertical edges are the m_j; its horizontal edges are the gaps
+    p_j - p_{j+1} and the last part p_k."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    word = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    k = draw(st.integers(1, 3))
+    edges = draw(st.lists(st.integers(1, 3), min_size=2 * k, max_size=2 * k))
+    edge = draw(st.integers(0, 2 * k - 1))
+    edges[edge] = 2 * len(word) + 1 + draw(st.integers(0, n))
+    longer = list(edges)
+    longer[edge] += n
+    charge = draw(st.integers(0, n - 1))
+
+    def parts_of(edges):
+        # edges[:k] are m_1..m_k and edges[k:] the gaps p_j - p_{j+1},
+        # with p_{k+1} = 0, so the parts are built from the last one up
+        parts, value = [], 0
+        for mult, gap in zip(reversed(edges[:k]), reversed(edges[k:])):
+            value += gap
+            parts = [value] * mult + parts
+        return tuple(parts)
+
+    return n, word, parts_of(edges), charge, parts_of(longer)
+
+
 class TestTheta:
+    @given(st.sampled_from((2, 3, 4)).flatmap(theta_cases))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference_schedule(self, case):
+        # one evaluation at B = span + n*ceil(2l/n) against the first of two
+        # equal values over the growing schedule it replaced
+        n, word, tau = case
+        d = datum_from_word(CartanData(n), word)
+        assert d.theta(tau) == reference_theta(d, tau)
+
+    @given(long_edge_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_long_edge_lemma(self, case):
+        # lengthening an edge longer than 2l by n, charge kept, leaves every
+        # value of a length-l datum unchanged: the lemma behind theta's bound
+        n, word, parts, charge, longer = case
+        assert sum(longer) > sum(parts)
+        d = datum_from_word(CartanData(n), word)
+        assert d.value_at(longer, charge) == d.value_at(parts, charge)
+
     @given(st.sampled_from((3, 4)).flatmap(theta_cases))
     @settings(max_examples=140, deadline=None)
     def test_matches_plus_side_oracle(self, case):
-        # the stabilized interval-inversion value against the valuation of
-        # g|tau> in the plus-side Fock space, for ranks past acceptance 5's n = 2
+        # theta against the valuation of g|tau> in the plus-side Fock
+        # space, for ranks past acceptance 5's n = 2
         n, word, tau = case
         d = datum_from_word(CartanData(n), word)
         assert d.theta(tau) == oracle_theta(d, tau)
@@ -179,14 +251,16 @@ class TestTheta:
         [
             (3, 10, 0), (3, 10, -1), (3, 11, 0), (3, 11, 1), (3, 12, 0), (3, 12, -1),
             (4, 12, 0), (4, 12, 1), (4, 13, 0), (4, 13, -1), (4, 14, 0), (4, 14, 1),
+            (2, 8, 0), (2, 8, 1), (2, 10, 0), (2, 10, 1),
         ],
     )
     def test_weight_of_long_cyclic_words(self, n, length, change):
         # the word 0, 1, 2, ... mod n with its last letter changed by
-        # `change`, as in the theta_deep benchmark: its weight is minus the
-        # letter count of each residue.  An oracle-check verdict cannot see
-        # a wrong theta (both sides take the same theta values), so this
-        # pins theta on interval inversions of about 100 rows.
+        # `change`, as in the theta_deep benchmark, and the same shape for
+        # affine sl_2: its weight is minus the letter count of each residue.
+        # An oracle-check verdict cannot see a wrong theta (both sides take
+        # the same theta values), so this pins theta on interval inversions
+        # of about 30 rows.
         word = [k % n for k in range(length)]
         word[-1] = (word[-1] + change) % n
         d = datum_from_word(CartanData(n), word)
@@ -254,7 +328,7 @@ class TestTable:
         n, word, max_boxes = case
         d = datum_from_word(CartanData(n), word)
         window = canonical_diagrams(n, max_boxes)
-        report = compare(d, [diagram(parts, charge) for parts, charge in window])
+        report = compare(d, window)
         assert [row["oracle"] for row in report["results"]] == list(d.table(max_boxes))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
