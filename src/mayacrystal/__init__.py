@@ -10,10 +10,8 @@ from .fock import (
     MINUS,
     PLUS,
     FockVector,
-    PlusActionCapExceeded,
     e_act,
     e_plus_act,
-    f_act,
     pairing,
     vec_val,
     x_act,

@@ -5,13 +5,13 @@ plus side by right-black ones (column vectors); the pairing matches a
 left-black diagram with its color inversion.  Chevalley operators act by
 removing (minus) or adding (plus) a single residue-colored box.
 
-A vector's terms are keyed by the raw ``(parts, charge)`` of the diagram's
-charged partition: downward on the minus side, upward on the plus side, so
-a left-black diagram and its color inversion share a key and the pairing
-matches equal keys.  Maya diagrams appear only at the boundary:
-``FockVector(...)`` and :meth:`FockVector.basis` convert them, or take their
-already converted charged partitions, to keys (see :func:`term_key`), and
-:meth:`FockVector.to_json` converts back.
+A vector's terms are keyed by the raw ``(parts, charge)`` of a charged
+partition: the diagram's own on the minus side, its color inversion's on
+the plus side, so a left-black diagram and its color inversion share a key
+and the pairing matches equal keys.  Maya diagrams appear only at the
+boundary: ``FockVector(...)`` and :meth:`FockVector.basis` convert them
+through :func:`term_key`, or take a charged partition as the key itself,
+and :meth:`FockVector.to_json` converts back.
 
 Boxes of one residue are independent: removing or adding one never creates
 or blocks another.  So the divided power E_i^k / k! sends a basis vector to
@@ -24,10 +24,8 @@ from __future__ import annotations
 
 from .laurent import INF, LaurentPoly
 from .maya import (
-    DOWNWARD,
     LEFT_BLACK,
     RIGHT_BLACK,
-    UPWARD,
     ChargedPartition,
     addition_options,
     from_partition,
@@ -39,13 +37,10 @@ MINUS = "minus"
 PLUS = "plus"
 
 
-class PlusActionCapExceeded(RuntimeError):
-    """The box-count cap bound the exponential series on the plus side."""
-
-
 def term_key(diagram):
-    """The ``(parts, charge)`` key of a Maya diagram's charged partition."""
-    p = to_partition(diagram)
+    """The ``(parts, charge)`` key of a Maya diagram: its charged partition,
+    or its color inversion's if it is right-black."""
+    p = to_partition(diagram if diagram.kind == LEFT_BLACK else diagram.invert())
     return p.parts, p.charge
 
 
@@ -56,21 +51,24 @@ class FockVector:
 
     def __init__(self, n, side, terms=None):
         """``terms`` maps Maya diagrams of the side's kind (left-black on
-        the minus side, right-black on the plus side), or their charged
-        partitions as ``to_partition`` returns them, to coefficients."""
+        the minus side, right-black on the plus side), or charged
+        partitions taken as keys themselves, to coefficients."""
         if side not in (MINUS, PLUS):
             raise ValueError("unknown side: %r" % (side,))
-        kind, orientation = (LEFT_BLACK, DOWNWARD) if side == MINUS else (RIGHT_BLACK, UPWARD)
+        kind = LEFT_BLACK if side == MINUS else RIGHT_BLACK
         self.n = n
         self.side = side
         self.terms = {}
         for diagram, coeff in (terms or {}).items():
             if not coeff:
                 continue
-            p = diagram if isinstance(diagram, ChargedPartition) else to_partition(diagram)
-            if p.orientation != orientation:
+            if isinstance(diagram, ChargedPartition):
+                key = diagram.parts, diagram.charge
+            elif diagram.kind == kind:
+                key = term_key(diagram)
+            else:
                 raise ValueError("%s-side vector requires %s diagrams" % (side, kind))
-            self.terms[p.parts, p.charge] = coeff
+            self.terms[key] = coeff
 
     @classmethod
     def basis(cls, n, side, diagram, coeff=None):
@@ -102,15 +100,12 @@ class FockVector:
             terms = {k: c.scale(scalar) for k, c in self.terms.items()}
         return _keyed(self.n, self.side, {k: c for k, c in terms.items() if c})
 
-    def map_coeffs(self, fn):
-        terms = {k: c.map_coeffs(fn) for k, c in self.terms.items()}
-        return _keyed(self.n, self.side, {k: c for k, c in terms.items() if c})
-
     def to_json(self):
-        orientation = DOWNWARD if self.side == MINUS else UPWARD
         rows = []
         for (parts, charge), c in self.terms.items():
-            diagram = from_partition(ChargedPartition(parts, charge, orientation))
+            diagram = from_partition(ChargedPartition(parts, charge))
+            if self.side == PLUS:
+                diagram = diagram.invert()
             rows.append({"diagram": diagram.to_json(), "coeff": c.to_json()})
         rows.sort(key=lambda r: str(r["diagram"]))
         return {"n": self.n, "side": self.side, "terms": rows}
@@ -134,12 +129,6 @@ def e_act(v, i):
     return _single_moves(v, i, removal_options)
 
 
-def f_act(v, i):
-    """Chevalley lowering on the minus side: single residue-i box additions."""
-    _expect(v, MINUS)
-    return _single_moves(v, i, addition_options)
-
-
 def e_plus_act(v, i):
     """Adjoint of e_act under the color-inversion pairing: box additions
     on the plus side."""
@@ -156,7 +145,7 @@ def _single_moves(v, i, options):
     return _keyed(v.n, v.side, terms)
 
 
-def x_act(v, i, p, cap=None):
+def x_act(v, i, p):
     """Apply exp(p * E_i): the one-parameter action with parameter p.
 
     In divided-power form the action is one pass over the terms of v:
@@ -167,33 +156,22 @@ def x_act(v, i, p, cap=None):
     where S runs over the removable boxes on the minus side
     (:func:`~mayacrystal.maya.removal_options`) and over the addable boxes
     on the plus side (:func:`~mayacrystal.maya.addition_options`); the
-    powers of p are computed once per call.
-
-    On the plus side ``cap`` bounds the number of added boxes.
-    PlusActionCapExceeded is raised exactly when the series, stepped one
-    power at a time, would still be nonzero after ``cap`` box additions,
-    that is when p^cap E_i^(cap+1) v is nonzero.
+    powers of p are computed once per call.  The sum is finite and exact on
+    both sides: moving a residue-i box only makes boxes of residue i - 1
+    and i + 1 movable, so E_i^k v / k! = 0 once k exceeds the number of
+    residue-i boxes a term of v can move.
     """
     options = removal_options if v.side == MINUS else addition_options
-    limit = cap + 1 if v.side == PLUS and cap is not None else None
     powers = [None, p]
     terms = {}
-    beyond = {}  # E_i^limit v / limit!, for the cap
     for (parts, charge), coeff in v.terms.items():
         for moved, count in options(parts, charge, i, v.n):
-            k = (moved, charge)
-            if count == limit:
-                _accumulate(beyond, k, coeff)
             if count:
                 while len(powers) <= count:
                     powers.append(powers[-1] * p)
-                _accumulate(terms, k, coeff * powers[count])
+                _accumulate(terms, (moved, charge), coeff * powers[count])
             else:
-                _accumulate(terms, k, coeff)
-    if beyond and (cap == 0 or p):
-        raise PlusActionCapExceeded(
-            "plus-side series still nonzero after %d box additions" % cap
-        )
+                _accumulate(terms, (moved, charge), coeff)
     return _keyed(v.n, v.side, terms)
 
 

@@ -44,29 +44,6 @@ class CrystalGraph:
         for (src, i), dst in edges.items():
             self.reverse.setdefault((dst, i), []).append(src)
 
-    def f_hat(self, node_id, i):
-        return self.edges.get((node_id, i % self.n))
-
-    def e_hat(self, node_id, i):
-        """Unique lowering predecessor along residue i, or None."""
-        sources = self.reverse.get((node_id, i % self.n), [])
-        if len(sources) > 1:
-            raise ValueError(
-                "node %d has %d distinct f_%d-predecessors" % (node_id, len(sources), i)
-            )
-        return sources[0] if sources else None
-
-    def string_length(self, node_id, i):
-        """Number of times e_hat applies before hitting None."""
-        count = 0
-        current = node_id
-        while True:
-            previous = self.e_hat(current, i)
-            if previous is None:
-                return count
-            count += 1
-            current = previous
-
 
 def default_max_boxes(n, depth):
     return n * (depth + 1)
@@ -134,7 +111,14 @@ def _sort_nodes(nodes, edges):
 
 
 def check_axioms(graph):
-    """Verify the crystal axioms on every explored node; returns violations."""
+    """Verify the crystal axioms on every explored node; returns violations.
+
+    B(infinity) is upper seminormal, so eps_i is the length of the e_i-string
+    above a node: it is 0 at a node without an f_i-predecessor (the string
+    head axiom) and grows by 1 along each i-edge (axiom iii).  The check is
+    exact on a depth-truncated graph, since depth is the height of -weight
+    and an e_i-string climbs toward weight 0 inside the explored ball.
+    """
     cartan = CartanData(graph.n)
     violations = []
     for node in graph.nodes:
@@ -144,6 +128,11 @@ def check_axioms(graph):
                 violations.append(
                     "axiom i: node %d residue %d: phi=%d but eps+<wt,a>=%d"
                     % (node.id, i, node.phi[i], expected)
+                )
+            if node.eps[i] and (node.id, i) not in graph.reverse:
+                violations.append(
+                    "string head: node %d has no f_%d-predecessor but eps=%d"
+                    % (node.id, i, node.eps[i])
                 )
     for (src, i), dst in sorted(graph.edges.items()):
         a, b = graph.nodes[src], graph.nodes[dst]
@@ -320,7 +309,9 @@ def export(graph, fmt):
 def load_json(data):
     """Rebuild a graph from its JSON export (statistics are trusted as stored).
     ValueError unless n, depth, node ids and words, the n-entry statistics and
-    the edges' from, i and to are all integers."""
+    the edges' from, i and to are all integers; the node ids are 0..N-1, each
+    once; every edge joins two nodes, has a residue in 0..n-1 and is the only
+    edge of its (from, i); and depth is at least every word's length."""
     payload = json.loads(data) if isinstance(data, (str, bytes)) else data
     shaped = isinstance(payload, dict) and all(
         isinstance(payload.get(key), list) and all(isinstance(row, dict) for row in payload[key])
@@ -339,6 +330,21 @@ def load_json(data):
         )
     if not shaped:
         raise ValueError("graph file does not have the shape of a JSON export")
+    n, rows, edge_rows = payload["n"], payload["nodes"], payload["edges"]
+    ids = range(len(rows))
+    problems = (
+        (sorted(row["id"] for row in rows) != list(ids), "node ids are not 0..N-1, each once"),
+        (any(row[key] not in ids for row in edge_rows for key in ("from", "to")),
+         "an edge joins a node that is not in the file"),
+        (any(not 0 <= row["i"] < n for row in edge_rows), "an edge residue is not in 0..n-1"),
+        (len({(row["from"], row["i"]) for row in edge_rows}) != len(edge_rows),
+         "two edges share a (from, i) pair"),
+        (max([0] + [len(row["word"]) for row in rows]) > payload["depth"],
+         "depth is below a word's length"),
+    )
+    for bad, message in problems:
+        if bad:
+            raise ValueError("graph file: %s" % message)
     nodes = [
         Node(
             id=row["id"],
@@ -348,7 +354,7 @@ def load_json(data):
             eps=tuple(row["eps"]),
             phi=tuple(row["phi"]),
         )
-        for row in sorted(payload["nodes"], key=lambda r: r["id"])
+        for row in sorted(rows, key=lambda r: r["id"])
     ]
-    edges = {(row["from"], row["i"]): row["to"] for row in payload["edges"]}
-    return CrystalGraph(payload["n"], payload["depth"], payload["max_boxes"], nodes, edges)
+    edges = {(row["from"], row["i"]): row["to"] for row in edge_rows}
+    return CrystalGraph(n, payload["depth"], payload["max_boxes"], nodes, edges)

@@ -72,10 +72,6 @@ class MultiPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:

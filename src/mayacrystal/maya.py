@@ -8,8 +8,9 @@ diagram.
 
 Only the finite deviation from the kind's charge-zero vacuum is stored
 (left-black vacuum: black exactly at labels >= 1), so equality and hashing
-are O(#deviations).  Charged partitions are the equivalent finite picture:
-a partition plus an integer charge, with each box carrying the slot label
+are O(#deviations).  Charged partitions are the finite picture of
+left-black diagrams: a partition plus an integer charge, with each box
+carrying the slot label
 
     label(row, col) = (1 - charge) + col - row
 
@@ -112,12 +113,6 @@ class MayaDiagram:
         diffs.symmetric_difference_update(window)
         return MayaDiagram(self.kind, diffs)
 
-    def support_interval(self):
-        """Smallest interval containing all deviations (degenerate if vacuum)."""
-        if not self.diffs:
-            return Interval(0, 0)
-        return Interval(min(self.diffs), max(self.diffs))
-
     def to_json(self):
         return {
             "kind": self.kind,
@@ -126,32 +121,35 @@ class MayaDiagram:
 
     @classmethod
     def from_json(cls, data):
-        kind = data["kind"]
-        overrides = {int(label): color for label, color in data["deviations"]}
-        for color in overrides.values():
+        """Inverse of :meth:`to_json`.  ValueError on a bad color, a label
+        listed twice, or a deviation that gives the label its vacuum color."""
+        vacuum = cls(data["kind"])
+        diffs = set()
+        for label, color in data["deviations"]:
+            label = int(label)
             if color not in (BLACK, WHITE):
                 raise ValueError("bad bead color: %r" % (color,))
-        return cls.from_colors(kind, overrides)
+            if label in diffs:
+                raise ValueError("label %d is listed twice" % label)
+            if color == vacuum.vacuum_color(label):
+                raise ValueError("label %d is listed with its vacuum color" % label)
+            diffs.add(label)
+        return cls(vacuum.kind, diffs)
 
     def __repr__(self):
         return "MayaDiagram(%r, %r)" % (self.kind, sorted(self.diffs))
 
 
-DOWNWARD = "downward"
-UPWARD = "upward"
-
-
 @dataclass(frozen=True)
 class ChargedPartition:
-    """Weakly decreasing positive parts, an integer charge, and an orientation.
+    """Weakly decreasing positive parts and an integer charge.
 
-    Downward partitions pair with left-black Maya diagrams, upward with
-    right-black; the pairing swaps colors bead-for-bead.
+    A charged partition always pictures a left-black Maya diagram.  A
+    right-black diagram is pictured by the partition of its color inversion.
     """
 
     parts: tuple
     charge: int = 0
-    orientation: str = DOWNWARD
 
     def __post_init__(self):
         parts = tuple(self.parts)
@@ -160,27 +158,10 @@ class ChargedPartition:
             raise ValueError("parts must be positive: %r" % (parts,))
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing: %r" % (parts,))
-        if self.orientation not in (DOWNWARD, UPWARD):
-            raise ValueError("unknown orientation: %r" % (self.orientation,))
 
     @property
     def size(self):
         return sum(self.parts)
-
-    def to_json(self):
-        return {
-            "parts": list(self.parts),
-            "charge": self.charge,
-            "orientation": self.orientation,
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(
-            tuple(int(p) for p in data["parts"]),
-            int(data["charge"]),
-            data.get("orientation", DOWNWARD),
-        )
 
 
 @dataclass(frozen=True)
@@ -205,10 +186,8 @@ def box_slot_label(p, row, col):
 
 
 def from_partition(p):
-    """Charged partition -> canonical Maya diagram (inverse of to_partition)."""
-    if p.orientation == UPWARD:
-        down = ChargedPartition(p.parts, p.charge, DOWNWARD)
-        return from_partition(down).invert()
+    """Charged partition -> its left-black Maya diagram (inverse of
+    to_partition)."""
     s = _slot_offset(p.charge)
     k = len(p.parts)
     whites = {p.parts[j] + s - (j + 1) for j in range(k)}
@@ -222,10 +201,10 @@ def from_partition(p):
 
 
 def to_partition(m):
-    """Canonical Maya diagram -> charged partition."""
-    if m.kind == RIGHT_BLACK:
-        down = to_partition(m.invert())
-        return ChargedPartition(down.parts, down.charge, UPWARD)
+    """Left-black Maya diagram -> its charged partition.  A right-black
+    diagram raises ValueError; picture it by the partition of ``m.invert()``."""
+    if m.kind != LEFT_BLACK:
+        raise ValueError("to_partition expects a left-black diagram")
     diffs = m.diffs
     hi = max([0, *diffs])
     lo = min([1, *diffs]) - 1  # every label <= lo is white
@@ -235,7 +214,7 @@ def to_partition(m):
     s = lo + k + 1
     parts = tuple(w - s + j for j, w in enumerate(whites, 1))
     parts = parts[: next((j for j, x in enumerate(parts) if x == 0), len(parts))]
-    return ChargedPartition(parts, 1 - s, DOWNWARD)
+    return ChargedPartition(parts, 1 - s)
 
 
 def box_label_multiset(p):
@@ -289,7 +268,7 @@ def remove_box(p, box):
     parts[box.row - 1] -= 1
     while parts and parts[-1] == 0:
         parts.pop()
-    return ChargedPartition(tuple(parts), p.charge, p.orientation)
+    return ChargedPartition(tuple(parts), p.charge)
 
 
 def add_box(p, box):
@@ -299,7 +278,7 @@ def add_box(p, box):
     if parts[box.row - 1] + 1 != box.col:
         raise ValueError("box %r is not addable to %r" % (box, p.parts))
     parts[box.row - 1] += 1
-    return ChargedPartition(tuple(parts), p.charge, p.orientation)
+    return ChargedPartition(tuple(parts), p.charge)
 
 
 def removal_options(parts, charge, i, n):
@@ -366,7 +345,7 @@ def removal_subsets(p, i, n):
     bitmask over the removable boxes listed top row first.
     """
     return [
-        ChargedPartition(parts, p.charge, p.orientation)
+        ChargedPartition(parts, p.charge)
         for parts, _ in removal_options(p.parts, p.charge, i, n)
     ]
 
@@ -410,11 +389,11 @@ def partitions_of(total):
         return ((),)
     out = []
 
-    def build(remaining, cap, prefix):
+    def build(remaining, largest, prefix):
         if remaining == 0:
             out.append(tuple(prefix))
             return
-        for first in range(min(remaining, cap), 0, -1):
+        for first in range(min(remaining, largest), 0, -1):
             build(remaining - first, first, prefix + [first])
 
     build(total, total, [])

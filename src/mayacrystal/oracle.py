@@ -107,10 +107,9 @@ def d_tau(word, tau, mode=SYMBOLIC, seed=None):
     if tau.kind != RIGHT_BLACK:
         raise ValueError("d_tau expects a right-black diagram")
     assignment = _assignment(word, mode, seed)
-    cap = 4 * (len(word.factors) + 1) * max(word.n, 2)
     v = FockVector.basis(word.n, PLUS, tau)
     for factor in reversed(word.factors):
-        v = x_act(v, factor.residue, factor.parameter(assignment), cap=cap)
+        v = x_act(v, factor.residue, factor.parameter(assignment))
     return v
 
 

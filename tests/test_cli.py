@@ -127,9 +127,13 @@ class TestEval:
         {"parts": 5},
         {"parts": [2, 1], "charge": "1"},
         None,
+        {"kind": "left-black", "deviations": [[1, "black"], [1, "white"]]},
+        {"kind": "left-black", "deviations": [[1, "black"]]},
+        {"kind": "left-black", "deviations": [[1, "white"], [1, "white"]]},
     ])
     def test_wrong_shape(self, capsys, tmp_path, data):
-        # well-formed JSON of the wrong shape is bad input, not a failed check
+        # well-formed JSON of the wrong shape, or with contradictory
+        # deviations, is bad input, not a failed check
         path = self.write_diagram(tmp_path, data)
         code, out, err = run(
             capsys, "eval", "--rank", "2", "--word", "0", "--diagram-file", path
@@ -174,10 +178,20 @@ class TestVerify:
         lambda payload: dict(payload, nodes=[dict(payload["nodes"][0], weight=[0])]),
         lambda payload: dict(payload, nodes=[dict(payload["nodes"][0], word="01")]),
         lambda payload: dict(payload, edges=[dict(payload["edges"][0], i="0")]),
+        lambda payload: dict(payload, edges=[dict(payload["edges"][0], to=99)]),
+        lambda payload: dict(payload, edges=[dict(payload["edges"][0], **{"from": -1})]),
+        lambda payload: dict(payload, edges=[dict(payload["edges"][0], i=7)]),
+        lambda payload: dict(payload, nodes=payload["nodes"][:-1]
+                             + [dict(payload["nodes"][-1], id=5)]),
+        lambda payload: dict(payload, depth=0),
+        lambda payload: dict(payload, depth=-1),
+        lambda payload: dict(payload, edges=payload["edges"] + payload["edges"][:1]),
     ], ids=["list", "string-rank", "node-int", "edges-object", "short-weight",
-            "string-word", "string-residue"])
+            "string-word", "string-residue", "edge-to-missing", "edge-from-missing",
+            "residue-7", "node-id-5", "depth-0", "depth-negative", "duplicate-edge"])
     def test_wrong_shape_graph_file(self, capsys, tmp_path, edit):
-        # a graph file of the wrong shape is bad input, not a failed check
+        # a graph file of the wrong shape, or whose references or depth do
+        # not hold together, is bad input, not a failed check
         _, out, _ = run(capsys, "explore", "--rank", "2", "--depth", "1")
         path = tmp_path / "graph.json"
         path.write_text(json.dumps(edit(json.loads(out))))
@@ -185,6 +199,21 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert out == ""
         assert "error" in err
+
+    def test_shifted_eps_graph_fails(self, capsys, tmp_path):
+        # every eps and phi raised by 1 keeps the edge rules; the string
+        # heads, which must have eps 0, catch it
+        _, out, _ = run(capsys, "explore", "--rank", "3", "--depth", "3")
+        payload = json.loads(out)
+        for node in payload["nodes"]:
+            node["eps"] = [e + 1 for e in node["eps"]]
+            node["phi"] = [p + 1 for p in node["phi"]]
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify", "--rank", "3", "--graph-file", str(path))
+        assert code == EXIT_FAIL
+        assert "violation: string head" in out
+        assert "FAIL" in out
 
     def test_tampered_graph_fails(self, capsys, tmp_path):
         code, out, _ = run(capsys, "explore", "--rank", "2", "--depth", "2")

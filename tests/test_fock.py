@@ -8,10 +8,8 @@ from mayacrystal.fock import (
     MINUS,
     PLUS,
     FockVector,
-    PlusActionCapExceeded,
     e_act,
     e_plus_act,
-    f_act,
     pairing,
     term_key,
     vec_val,
@@ -19,8 +17,6 @@ from mayacrystal.fock import (
 )
 from mayacrystal.laurent import INF, LaurentPoly, MultiPoly
 from mayacrystal.maya import (
-    DOWNWARD,
-    UPWARD,
     ChargedPartition,
     from_partition,
     lambda_diagram,
@@ -43,9 +39,9 @@ def small_diagrams(max_boxes, charges=(0, 1)):
     ]
 
 
-def series_x_act(v, i, p, cap=None):
+def series_x_act(v, i, p):
     """Reference for x_act: exp(p * E_i) stepped one power at a time,
-    term_k = term_(k-1) E_i * p / k, with the plus-side cap on the steps."""
+    term_k = term_(k-1) E_i * p / k, until a term vanishes."""
     step = e_act if v.side == MINUS else e_plus_act
     result = v
     term = v
@@ -55,10 +51,6 @@ def series_x_act(v, i, p, cap=None):
         term = step(term, i)
         if not term:
             return result
-        if v.side == PLUS and cap is not None and k > cap:
-            raise PlusActionCapExceeded(
-                "plus-side series still nonzero after %d box additions" % cap
-            )
         term = term.scale(p).scale(Fraction(1, k))
         result = result + term
 
@@ -94,12 +86,21 @@ class TestFockVector:
             FockVector(2, MINUS, {g.invert(): LaurentPoly.one()})
 
     def test_charged_partition_terms(self):
-        for side, kind_of in ((MINUS, lambda g: g), (PLUS, lambda g: g.invert())):
-            for g in small_diagrams(3):
-                d = kind_of(g)
-                assert FockVector.basis(2, side, to_partition(d)) == FockVector.basis(2, side, d)
-                with pytest.raises(ValueError):
-                    FockVector.basis(2, side, to_partition(d.invert()))
+        # a charged partition is the key itself on either side: the minus
+        # side's diagram, or the color inversion of the plus side's
+        for g in small_diagrams(3):
+            p = to_partition(g)
+            assert FockVector.basis(2, MINUS, p) == FockVector.basis(2, MINUS, g)
+            assert FockVector.basis(2, PLUS, p) == FockVector.basis(2, PLUS, g.invert())
+            assert set(FockVector.basis(2, PLUS, p).terms) == {(p.parts, p.charge)}
+
+    def test_to_json_shows_the_side_kind(self):
+        # the plus side keys a right-black diagram by its inversion's
+        # partition, and to_json inverts back
+        for g in small_diagrams(2):
+            for side, d in ((MINUS, g), (PLUS, g.invert())):
+                rows = FockVector.basis(2, side, d).to_json()["terms"]
+                assert [row["diagram"] for row in rows] == [d.to_json()]
 
     def test_add_cancellation(self):
         v = basis_minus(2, (1,), 0)
@@ -130,19 +131,6 @@ class TestChevalleyActions:
             v = e_act(v, steps % 2)
             steps += 1
             assert steps < 50
-
-    def test_f_act_then_e_act_recovers(self):
-        # after adding a residue-i box it is a removable residue-i corner
-        p = ChargedPartition((2, 1), 0)
-        v = FockVector.basis(2, MINUS, from_partition(p))
-        hit = 0
-        for i in range(2):
-            added = f_act(v, i)
-            if added:
-                hit += 1
-                back = e_act(added, i)
-                assert term_key(from_partition(p)) in back.terms
-        assert hit >= 1
 
     def test_pairing_adjointness_exhaustive(self):
         # <gamma E_i, tau> == <gamma, E_i^+ tau> over all diagrams <= 5 boxes
@@ -213,21 +201,16 @@ class TestOneParameterAction:
         moved = x_act(v, 0, p)
         assert vec_val(moved) <= 0
 
-    def test_plus_side_cap(self):
-        v = FockVector.basis(2, PLUS, lambda_diagram(0))
-        p = LaurentPoly.term(Fraction(1), -1)
-        with pytest.raises(PlusActionCapExceeded):
-            x_act(v, 0, p, cap=0)
-        capped = x_act(v, 0, p, cap=10)
-        assert len(capped.terms) == 2
-        assert vec_val(capped) == -1
-
     def test_plus_side_terminates_without_cap_when_finite(self):
         # residue-i additions to a fixed diagram run out after finitely many
         v = FockVector.basis(2, PLUS, lambda_diagram(1))
         p = LaurentPoly.term(Fraction(1), 0)
-        out = x_act(v, 0, p, cap=50)
-        assert out
+        out = x_act(v, 0, p)
+        assert out == series_x_act(v, 0, p)
+        w = FockVector.basis(2, PLUS, lambda_diagram(0))
+        moved = x_act(w, 0, LaurentPoly.term(Fraction(1), -1))
+        assert len(moved.terms) == 2
+        assert vec_val(moved) == -1
 
     @given(st.integers(0, 1), st.integers(-2, 1))
     @settings(max_examples=20, deadline=None)
@@ -251,44 +234,37 @@ class TestDividedPowers:
         st.lists(st.tuples(small_keys, st.sampled_from((1, -1))), min_size=1, max_size=2),
         st.integers(0, 3),
         parameters,
-        st.one_of(st.none(), st.integers(0, 3)),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_series(self, n, side, entries, i, p, cap):
-        orientation = DOWNWARD if side == MINUS else UPWARD
+    def test_matches_series(self, n, side, entries, i, p):
         v = FockVector(n, side)
         for (parts, charge), sign in entries:
-            diagram = from_partition(ChargedPartition(parts, charge, orientation))
+            diagram = from_partition(ChargedPartition(parts, charge))
+            if side == PLUS:
+                diagram = diagram.invert()
             v = v + FockVector.basis(n, side, diagram, LaurentPoly.term(Fraction(sign)))
-        try:
-            expected = series_x_act(v, i, p, cap)
-        except PlusActionCapExceeded:
-            with pytest.raises(PlusActionCapExceeded):
-                x_act(v, i, p, cap)
-        else:
-            assert x_act(v, i, p, cap) == expected
+        assert x_act(v, i, p) == series_x_act(v, i, p)
 
     def test_cap_follows_the_series(self):
-        # the cap bounds the series' steps, not the terms' box counts: at
-        # n = 2, (2) and (1, 1) each have one addable residue-0 box and both
-        # additions give (2, 1), so E_0 cancels on their difference; (1) has
-        # two, and a zero parameter stops the series after one step
+        # x_act sums over box subsets and the series steps through powers of
+        # E_0; they agree where a step cancels: at n = 2, (2) and (1, 1) each
+        # have one addable residue-0 box and both additions give (2, 1), so
+        # E_0 cancels on their difference; (1) has two, and a zero parameter
+        # stops the series after one step
         def up(*parts):
-            return from_partition(ChargedPartition(parts, 0, UPWARD))
+            return from_partition(ChargedPartition(parts)).invert()
 
         a = LaurentPoly.term(MultiPoly.variable("a"), -1)
         diff = FockVector(
             2, PLUS, {up(2): LaurentPoly.one(), up(1, 1): LaurentPoly.term(Fraction(-1))}
         )
         assert not e_plus_act(diff, 0)
-        assert x_act(diff, 0, a, cap=0) == diff == series_x_act(diff, 0, a, cap=0)
-        with pytest.raises(PlusActionCapExceeded):
-            x_act(FockVector.basis(2, PLUS, up(2)), 0, a, cap=0)
+        assert x_act(diff, 0, a) == diff == series_x_act(diff, 0, a)
+        single = FockVector.basis(2, PLUS, up(2))
+        assert x_act(single, 0, a) == series_x_act(single, 0, a) != single
         double = FockVector.basis(2, PLUS, up(1))
         zero = LaurentPoly.zero()
-        assert x_act(double, 0, zero, cap=1) == double == series_x_act(double, 0, zero, cap=1)
-        with pytest.raises(PlusActionCapExceeded):
-            x_act(double, 0, zero, cap=0)
+        assert x_act(double, 0, zero) == double == series_x_act(double, 0, zero)
 
 
 class TestValuation:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from mayacrystal.datum import CartanData
@@ -52,13 +54,24 @@ class TestExplore:
                 assert node.datum._tables == {g.max_boxes: node.fingerprint[2 * 3:]}
 
     def test_string_length_matches_eps(self):
+        # eps_i is the length of the e_i-string, which lies inside the ball
         g = explore(CartanData(2), 3)
         for node in g.nodes:
             for i in range(2):
-                # eps counts the raising string inside the explored ball for
-                # nodes whose whole string fits in the ball
-                if node.depth + node.eps[i] <= 3:
-                    assert g.string_length(node.id, i) == node.eps[i]
+                length, current = 0, node.id
+                while (current, i) in g.reverse:
+                    (current,) = g.reverse[current, i]
+                    length += 1
+                assert length == node.eps[i]
+        # raising every eps and phi by 1 keeps axioms i and iii; check_axioms
+        # still flags it, at the string heads
+        shifted = [
+            replace(node, eps=tuple(e + 1 for e in node.eps), phi=tuple(p + 1 for p in node.phi))
+            for node in g.nodes
+        ]
+        violations = check_axioms(CrystalGraph(g.n, g.depth, g.max_boxes, shifted, g.edges))
+        assert violations
+        assert all(line.startswith("string head") for line in violations)
 
 
 class TestAxioms:

@@ -67,10 +67,8 @@ def reference_invert_outside(t, interval):
 
 
 def reference_to_partition(m):
-    """to_partition reading every label's color through color()."""
-    if m.kind == RIGHT_BLACK:
-        down = reference_to_partition(m.invert())
-        return ChargedPartition(down.parts, down.charge, "upward")
+    """to_partition of a left-black diagram, reading every label's color
+    through color()."""
     hi = max([0] + [d for d in m.diffs])
     lo = min([1] + [d for d in m.diffs]) - 1
     whites = [label for label in range(hi, lo, -1) if m.color(label) == WHITE]
@@ -151,6 +149,7 @@ class TestMayaDiagram:
     def test_json_round_trip(self):
         m = golden_diagram()
         assert MayaDiagram.from_json(m.to_json()) == m
+        assert MayaDiagram.from_json(m.invert().to_json()) == m.invert()
 
 
 class TestChargedPartition:
@@ -159,8 +158,6 @@ class TestChargedPartition:
             ChargedPartition((1, 2))
         with pytest.raises(ValueError):
             ChargedPartition((2, 0))
-        with pytest.raises(ValueError):
-            ChargedPartition((1,), 0, "sideways")
 
     @given(partition_parts, charges)
     def test_round_trip(self, parts, charge):
@@ -183,18 +180,24 @@ class TestChargedPartition:
            st.sets(st.integers(-120, 120), max_size=40))
     def test_to_partition_matches_reference(self, kind, diffs):
         m = MayaDiagram(kind, diffs)
-        assert to_partition(m) == reference_to_partition(m)
+        if kind == RIGHT_BLACK:
+            with pytest.raises(ValueError):
+                to_partition(m)
+        else:
+            assert to_partition(m) == reference_to_partition(m)
 
     @given(right_black_in_interval())
     def test_to_partition_matches_reference_on_inversions(self, case):
         gamma = invert_outside(*case)
         assert to_partition(gamma) == reference_to_partition(gamma)
 
-    def test_upward_pairs_with_right_black(self):
-        p = ChargedPartition((2, 1), 1, "upward")
-        m = from_partition(p)
+    def test_right_black_pairs_through_inversion(self):
+        # a right-black diagram is pictured by its color inversion's partition
+        p = ChargedPartition((2, 1), 1)
+        m = from_partition(p).invert()
         assert m.kind == RIGHT_BLACK
-        assert to_partition(m) == p
+        assert to_partition(m.invert()) == p
+        assert from_partition(to_partition(m.invert())).invert() == m
 
 
 class TestBoxes:

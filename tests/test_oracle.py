@@ -79,8 +79,6 @@ class TestDGamma:
         word = generic_element(datum_from_word(CartanData(2), (0,)))
         with pytest.raises(ValueError):
             d_gamma(word, lambda_diagram(0))
-        with pytest.raises(ValueError):
-            d_gamma(word, to_partition(lambda_diagram(0)))
 
     def test_accepts_the_charged_partition(self):
         word = generic_element(datum_from_word(CartanData(2), (0, 1, 1)))
