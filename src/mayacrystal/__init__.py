@@ -4,7 +4,6 @@ from .datum import (
     CartanData,
     CrystalDatum,
     datum_from_word,
-    zero_datum,
 )
 from .fock import (
     MINUS,
@@ -44,7 +43,6 @@ from .maya import (
     invert_outside,
     lambda_diagram,
     removable_boxes,
-    removal_subsets,
     remove_box,
     s_lambda_diagram,
     to_partition,

@@ -103,8 +103,7 @@ def cmd_verify(cfg, graph_path=None):
         with open(graph_path, "rb") as handle:
             graph = graphmod.load_json(handle.read())
         if graph.n != cfg.n:
-            print("graph file has rank %d, expected %d" % (graph.n, cfg.n))
-            return EXIT_FAIL
+            raise ValueError("graph file has rank %d, expected %d" % (graph.n, cfg.n))
     else:
         graph = graphmod.explore(CartanData(cfg.n), cfg.depth, cfg.max_boxes)
     violations = graphmod.check_axioms(graph)
@@ -180,7 +179,10 @@ def build_parser():
             "--depth", "--max-boxes", "--output", "--format")
     p_eval = command("eval", "evaluate a word's datum at a diagram", "--word")
     p_eval.add_argument("--diagram-file", required=True)
-    p_verify = command("verify", "run the axiom and census suites", "--depth", "--max-boxes")
+    p_verify = command("verify", "run the axiom and census suites")
+    for flag in ("--depth", "--max-boxes"):
+        # absent unless given, so that main can refuse them beside --graph-file
+        p_verify.add_argument(flag, **dict(SHARED_FLAGS[flag], default=argparse.SUPPRESS))
     p_verify.add_argument("--graph-file", default=None, help="check a stored export instead")
     command("oracle-check", "cross-check a word against the oracle",
             "--word", "--max-boxes", "--mode", "--seed", "--output")
@@ -194,6 +196,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     given = vars(args)
     try:
+        if given.get("graph_file") is not None and given.keys() & {"depth", "max_boxes"}:
+            raise ValueError("--depth and --max-boxes do not apply to --graph-file")
         cfg = RunConfig(
             n=args.rank, **{f.name: given[f.name] for f in fields(RunConfig) if f.name in given}
         )

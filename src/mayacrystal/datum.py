@@ -5,7 +5,7 @@ represented by the sequence of lowering operators that produced it from the
 zero datum O (which assigns 0 to every diagram).  Values are demand-computed
 through the min-recursion
 
-    (f_i M)(g) = min over mu in removal_subsets(g, i) of
+    (f_i M)(g) = min over mu in removal_options(g, i) of
                  M(mu) + |g \\ mu| * c_i(M),      c_i(M) = M(L_i) - M(sL_i) - 1
 
 where L_i / sL_i are the fundamental right-black diagrams.  theta extends a
@@ -26,8 +26,10 @@ Two paths compute values.  Over the window canonical_diagrams(n, max_boxes)
 (charges 0..n-1, at most max_boxes boxes), ``table`` fills a datum's whole
 value table from its parent's in one pass over a removal index built once
 per window: the window is closed under box removal, so every term of the
-recursion is a parent table entry.  Fingerprints, and so graph exploration,
-use tables.  ``value_at`` runs the recursion diagram by diagram, listing
+recursion is a parent table entry.  A datum caches no table: given its
+parent's fingerprint, ``fingerprint`` fills the table from the table inside
+it, so graph exploration, which keeps each node's fingerprint, holds each
+table once.  ``value_at`` runs the recursion diagram by diagram, listing
 each diagram's subsets with ``maya.removal_options`` and memoising values
 per datum only; it serves ``eval`` and ``theta``, whose interval-inversion
 diagrams lie far outside any window.
@@ -105,9 +107,10 @@ def _removal_index(n, max_boxes):
 class CrystalDatum:
     """A crystal element: the zero datum O or f_i applied to a parent datum.
 
-    Instances memoize their values, their value tables, their theta values,
-    and their derived statistics; children created through :meth:`apply`
-    are shared, so repeated prefix evaluations hit warm caches.
+    Instances memoize their values, their theta values and their recursion
+    coefficients, which the theta recursions of their descendants share.
+    No value table is kept: exploration holds each one inside a node's
+    fingerprint.  :meth:`apply` returns a new datum each time.
     """
 
     def __init__(self, cartan, parent=None, letter=None):
@@ -121,22 +124,11 @@ class CrystalDatum:
             self.word = parent.word + (self.letter,)
         self._memo = {}
         self._theta_memo = {}
-        self._tables = {}
         self._c = {}
-        self._children = {}
-
-    @classmethod
-    def zero(cls, cartan):
-        return cls(cartan)
 
     def apply(self, i):
         """The datum for one more lowering operator f_i (word bookkeeping only)."""
-        i %= self.cartan.n
-        child = self._children.get(i)
-        if child is None:
-            child = CrystalDatum(self.cartan, self, i)
-            self._children[i] = child
-        return child
+        return CrystalDatum(self.cartan, self, i)
 
     # -- evaluation on left-black diagrams ---------------------------------
 
@@ -166,33 +158,33 @@ class CrystalDatum:
         self._memo[key] = best
         return best
 
-    def table(self, max_boxes):
+    def table(self, max_boxes, parent_fingerprint=None):
         """Values over canonical_diagrams(n, max_boxes), as a tuple of ints.
 
         Filled from the parent's table src in one pass over the removal
         index of the window: entry k is the min of src[k] and, over the
         removal subsets of this datum's letter, src[j] + count * c at the
-        smaller diagram j, with c the parent's c_coeff.  Equals value_at at
-        every entry, without a memo entry per diagram.
+        smaller diagram j, with c the parent's c_coeff.  src is read from
+        ``parent_fingerprint``, the parent's fingerprint over the same
+        window, if given; otherwise the whole chain is filled from the root.
+        Equals value_at at every entry, without a memo entry per diagram.
         """
-        cached = self._tables.get(max_boxes)
-        if cached is not None:
-            return cached
+        n = self.cartan.n
         if self.parent is None:
-            table = (0,) * len(canonical_diagrams(self.cartan.n, max_boxes))
-        else:
+            return (0,) * len(canonical_diagrams(n, max_boxes))
+        if parent_fingerprint is None:
             src = self.parent.table(max_boxes)
-            coeff = self.parent.c_coeff(self.letter)
-            out = list(src)
-            for count, pairs in _removal_index(self.cartan.n, max_boxes)[self.letter]:
-                shift = count * coeff
-                for k, j in pairs:
-                    v = src[j] + shift
-                    if v < out[k]:
-                        out[k] = v
-            table = tuple(out)
-        self._tables[max_boxes] = table
-        return table
+        else:
+            src = parent_fingerprint[2 * n:]
+        coeff = self.parent.c_coeff(self.letter)
+        out = list(src)
+        for count, pairs in _removal_index(n, max_boxes)[self.letter]:
+            shift = count * coeff
+            for k, j in pairs:
+                v = src[j] + shift
+                if v < out[k]:
+                    out[k] = v
+        return tuple(out)
 
     # -- extension to right-black diagrams ---------------------------------
 
@@ -249,7 +241,7 @@ class CrystalDatum:
 
     # -- equality surrogate ---------------------------------------------------
 
-    def fingerprint(self, max_boxes):
+    def fingerprint(self, max_boxes, parent_fingerprint=None):
         """Statistics plus the value table over sigma-canonical diagrams with
         at most max_boxes boxes.
 
@@ -257,11 +249,12 @@ class CrystalDatum:
         over a bounded window can coincide for elements that differ only on
         larger diagrams.  The enumeration order is fixed (charge 0..n-1,
         then box count, then lexicographic parts), making fingerprints
-        directly comparable.
+        directly comparable.  Given the parent's fingerprint over the same
+        window, the table is filled from the one inside it (see ``table``).
         """
         n = self.cartan.n
         stats = self.weight() + tuple(self.eps_hat(i) for i in range(n))
-        return stats + self.table(max_boxes)
+        return stats + self.table(max_boxes, parent_fingerprint)
 
     def value_table(self, max_boxes):
         """JSON-friendly list of {"diagram": ..., "value": k} rows."""
@@ -274,37 +267,19 @@ class CrystalDatum:
             rows.append({"diagram": diagram.to_json(), "value": value})
         return rows
 
-    def release_table(self, max_boxes):
-        """Release the value table over one window; table() refills it."""
-        self._tables.pop(max_boxes, None)
-
     def to_json(self):
         return {"n": self.cartan.n, "word": list(self.word)}
 
     @classmethod
     def from_json(cls, data):
-        datum = cls.zero(CartanData(int(data["n"])))
-        for i in data["word"]:
-            datum = datum.apply(int(i))
-        return datum
-
-    def drop_caches(self):
-        """Release value memos and tables (used when a freshly explored node
-        dedups away)."""
-        self._memo = {}
-        self._theta_memo = {}
-        self._tables = {}
+        return datum_from_word(CartanData(int(data["n"])), (int(i) for i in data["word"]))
 
     def __repr__(self):
         return "CrystalDatum(n=%d, word=%r)" % (self.cartan.n, list(self.word))
 
 
-def zero_datum(cartan):
-    return CrystalDatum.zero(cartan)
-
-
 def datum_from_word(cartan, word):
-    datum = CrystalDatum.zero(cartan)
+    datum = CrystalDatum(cartan)
     for i in word:
         datum = datum.apply(i)
     return datum

@@ -3,9 +3,10 @@
 The graph is grown breadth-first from the zero datum; nodes are deduplicated
 by their value-table fingerprint over diagrams with at most ``max_boxes``
 boxes (default n*(depth+1), validated empirically by the census).  Each
-child is fingerprinted once, and its table is filled from its parent's
-(``CrystalDatum.table``).  Raising operators exist only as edge
-inversions.  The independent oracle counts multiset decompositions of a
+child is fingerprinted once, its table filled from the one inside its
+parent's fingerprint, and a node's fingerprint is the only copy of its
+table; a child that dedups away is freed with its memos.  Raising operators
+exist only as edge inversions.  The independent oracle counts multiset decompositions of a
 positive root-lattice element into positive roots of untwisted affine type
 A, with imaginary roots m*delta carrying multiplicity n - 1.
 """
@@ -56,7 +57,7 @@ def explore(cartan, depth, max_boxes=None):
     n = cartan.n
     if max_boxes is None:
         max_boxes = default_max_boxes(n, depth)
-    root = CrystalDatum.zero(cartan)
+    root = CrystalDatum(cartan)
     nodes = [_make_node(0, root, 0, root.fingerprint(max_boxes))]
     by_fingerprint = {nodes[0].fingerprint: 0}
     edges = {}
@@ -64,21 +65,17 @@ def explore(cartan, depth, max_boxes=None):
     for level in range(depth):
         next_frontier = []
         for node_id in frontier:
-            parent = nodes[node_id].datum
+            parent = nodes[node_id]
             for i in range(n):
-                child = parent.apply(i)
-                fp = child.fingerprint(max_boxes)
+                child = parent.datum.apply(i)
+                fp = child.fingerprint(max_boxes, parent.fingerprint)
                 target = by_fingerprint.get(fp)
                 if target is None:
                     target = len(nodes)
                     nodes.append(_make_node(target, child, level + 1, fp))
                     by_fingerprint[fp] = target
                     next_frontier.append(target)
-                elif nodes[target].datum is not child:
-                    child.drop_caches()
                 edges[(node_id, i)] = target
-            # every child's table is filled; the fingerprint keeps a copy
-            parent.release_table(max_boxes)
         frontier = next_frontier
     nodes, edges = _sort_nodes(nodes, edges)
     return CrystalGraph(n, depth, max_boxes, nodes, edges)
@@ -99,7 +96,8 @@ def _make_node(node_id, datum, depth, fingerprint):
 
 
 def _sort_nodes(nodes, edges):
-    order = sorted(range(len(nodes)), key=lambda k: (nodes[k].weight, nodes[k].fingerprint))
+    """Renumber nodes by fingerprint, which begins with the weight."""
+    order = sorted(range(len(nodes)), key=lambda k: nodes[k].fingerprint)
     remap = {old: new for new, old in enumerate(order)}
     sorted_nodes = []
     for old in order:
@@ -118,6 +116,11 @@ def check_axioms(graph):
     head axiom) and grows by 1 along each i-edge (axiom iii).  The check is
     exact on a depth-truncated graph, since depth is the height of -weight
     and an e_i-string climbs toward weight 0 inside the explored ball.
+
+    On an explored graph axiom i, phi = eps + <wt, alpha_i>, is an identity:
+    eps_hat(i) + <wt, alpha_i> = theta(L_i) - theta(sL_i), which is how phi
+    is computed.  So it only bites on graph files, whose statistics are
+    stored.
     """
     cartan = CartanData(graph.n)
     violations = []

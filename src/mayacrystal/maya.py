@@ -338,18 +338,6 @@ def addition_options(parts, charge, i, n):
     return options
 
 
-def removal_subsets(p, i, n):
-    """All partitions obtained by deleting any subset of removable i-boxes.
-
-    Always includes p itself (the empty subset); the order is by subset
-    bitmask over the removable boxes listed top row first.
-    """
-    return [
-        ChargedPartition(parts, p.charge)
-        for parts, _ in removal_options(p.parts, p.charge, i, n)
-    ]
-
-
 def lambda_diagram(i):
     """Right-black diagram black at every label <= i - 1, white above."""
     diffs = range(1, i) if i >= 1 else range(i, 1)

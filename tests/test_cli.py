@@ -215,6 +215,29 @@ class TestVerify:
         assert "violation: string head" in out
         assert "FAIL" in out
 
+    def test_graph_file_refuses_depth_and_max_boxes(self, capsys, tmp_path):
+        # the census runs to the file's own depth, so these flags would be
+        # silently ignored
+        _, out, _ = run(capsys, "explore", "--rank", "2", "--depth", "1")
+        path = tmp_path / "g.json"
+        path.write_text(out)
+        for flags in (("--depth", "9", "--max-boxes", "3"), ("--depth", "0"),
+                      ("--max-boxes", "3")):
+            code, out, err = run(capsys, "verify", "--rank", "2", *flags,
+                                 "--graph-file", str(path))
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert "--graph-file" in err
+
+    def test_graph_file_rank_mismatch_is_bad_input(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "explore", "--rank", "2", "--depth", "1")
+        path = tmp_path / "g.json"
+        path.write_text(out)
+        code, out, err = run(capsys, "verify", "--rank", "3", "--graph-file", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "graph file has rank 2, expected 3" in err
+
     def test_tampered_graph_fails(self, capsys, tmp_path):
         code, out, _ = run(capsys, "explore", "--rank", "2", "--depth", "2")
         payload = json.loads(out)

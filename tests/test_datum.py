@@ -12,7 +12,6 @@ from mayacrystal.datum import (
     CrystalDatum,
     canonical_diagrams,
     datum_from_word,
-    zero_datum,
 )
 from mayacrystal.maya import (
     RIGHT_BLACK,
@@ -60,7 +59,7 @@ class TestCartanData:
 
 class TestEvaluation:
     def test_zero_datum(self):
-        z = zero_datum(CartanData(2))
+        z = CrystalDatum(CartanData(2))
         for parts in partitions_up_to(4):
             assert z.eval(diagram(parts)) == 0
         assert z.theta(lambda_diagram(0)) == 0
@@ -83,10 +82,6 @@ class TestEvaluation:
         assert d.word == (0, 2, 1)
         assert d.parent.word == (0, 2)
         assert d.apply(5).letter == 2  # residues reduce mod n
-
-    def test_children_shared(self):
-        z = zero_datum(CartanData(2))
-        assert z.apply(0) is z.apply(0)
 
     def test_json_round_trip(self):
         d = datum_from_word(CartanData(3), (0, 2, 1))
@@ -269,7 +264,7 @@ class TestTheta:
 
 class TestFingerprint:
     def test_zero_vs_child(self):
-        z = zero_datum(CartanData(2))
+        z = CrystalDatum(CartanData(2))
         assert z.fingerprint(6) != z.apply(0).fingerprint(6)
 
     def test_same_element_same_fingerprint(self):
@@ -339,12 +334,23 @@ class TestTable:
         d = datum_from_word(CartanData(n), (0, 1, 0))
         assert d.fingerprint(6)[2 * n:] == d.table(6)
 
-    def test_drop_caches_releases_table(self):
-        d = datum_from_word(CartanData(2), (0, 1))
-        table = d.table(4)
-        d.drop_caches()
-        assert d._tables == {}
-        assert d.table(4) == table
+    @given(
+        st.sampled_from((2, 3, 4)).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=6),
+                st.integers(0, {2: 6, 3: 5, 4: 4}[n]),
+            )
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fill_from_parent_fingerprint(self, case):
+        # exploration fills a child's table from the one inside its parent's
+        # fingerprint; that must equal the fill from the root
+        n, word, max_boxes = case
+        d = datum_from_word(CartanData(n), word)
+        parent_fp = d.parent.fingerprint(max_boxes)
+        assert d.fingerprint(max_boxes, parent_fp) == d.fingerprint(max_boxes)
 
 
 class SingleColorView:
@@ -396,7 +402,7 @@ class TestSingleColorOperators:
         # operators over one sigma-orbit; on diagrams with one removable box
         # of that residue the single relevant color already agrees
         cartan = CartanData(2)
-        base = zero_datum(cartan)
+        base = CrystalDatum(cartan)
         residue = datum_from_word(cartan, (0,))
         g = diagram((1,), 1)  # its unique corner has slot label 0
         view = ftilde_ainfty(base, 0)
@@ -404,7 +410,7 @@ class TestSingleColorOperators:
 
     def test_distinct_colors_commute(self):
         cartan = CartanData(2)
-        base = zero_datum(cartan)
+        base = CrystalDatum(cartan)
         g = diagram((2, 1), 1)  # corners carry labels 1 and -1
         a = ftilde_ainfty(base, 1).apply(-1)
         b = ftilde_ainfty(base, -1).apply(1)
@@ -417,7 +423,7 @@ class TestSingleColorOperators:
         # applying every color of residue 0 that appears in the window
         # reproduces the residue-0 operator on small diagrams
         cartan = CartanData(2)
-        base = zero_datum(cartan)
+        base = CrystalDatum(cartan)
         residue = datum_from_word(cartan, (0,))
         view = ftilde_ainfty(base, 0)
         for color in (2, -2, 4, -4):

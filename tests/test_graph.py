@@ -43,16 +43,6 @@ class TestExplore:
         expanded = [node for node in g.nodes if node.depth < 2]
         assert len(g.edges) == 2 * len(expanded)
 
-    def test_expanded_nodes_release_their_tables(self):
-        # a table only feeds the children's tables, so once they are filled
-        # the node's fingerprint holds the one copy that is still needed
-        g = explore(CartanData(3), 3)
-        for node in g.nodes:
-            if node.depth < g.depth:
-                assert node.datum._tables == {}
-            else:
-                assert node.datum._tables == {g.max_boxes: node.fingerprint[2 * 3:]}
-
     def test_string_length_matches_eps(self):
         # eps_i is the length of the e_i-string, which lies inside the ball
         g = explore(CartanData(2), 3)

@@ -21,7 +21,6 @@ from mayacrystal.maya import (
     partitions_up_to,
     removable_boxes,
     removal_options,
-    removal_subsets,
     remove_box,
     s_lambda_diagram,
     to_partition,
@@ -262,15 +261,6 @@ class TestBoxes:
                     q = add_box(q, box)
             expected.append((q.parts, bin(mask).count("1")))
         assert addition_options(parts, charge, i, n) == expected
-
-    def test_removal_subsets_counts(self):
-        p = ChargedPartition((2, 2, 1), 0)
-        for i in range(2):
-            k = len(removable_boxes(p, i, 2))
-            subsets = removal_subsets(p, i, 2)
-            assert len(subsets) == 1 << k
-            assert subsets[0] == p
-            assert len(set(subsets)) == len(subsets)
 
 
 class TestFundamentalDiagrams:
