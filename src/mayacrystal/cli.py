@@ -144,13 +144,6 @@ def cmd_kostant(cfg, beta):
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print("%s: error: %s" % (self.prog, message), file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 #: Flags that several subcommands take: flag -> add_argument keywords.
 SHARED_FLAGS = {
     "--depth": dict(type=int, default=0),
@@ -165,7 +158,7 @@ SHARED_FLAGS = {
 
 def build_parser():
     """One subparser per command, each taking only the flags it reads."""
-    parser = _Parser(prog="mayacrystal", description=__doc__)
+    parser = argparse.ArgumentParser(prog="mayacrystal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, help_text, *flags):

@@ -8,18 +8,22 @@ through the min-recursion
     (f_i M)(g) = min over mu in removal_options(g, i) of
                  M(mu) + |g \\ mu| * c_i(M),      c_i(M) = M(L_i) - M(sL_i) - 1
 
-where L_i / sL_i are the fundamental right-black diagrams.  theta extends a
-datum of word length l to a right-black tau by one evaluation at tau's
-inversion outside [-B, B], B = span + n*ceil(2l/n), span = max |d| + 1 over
-tau's deviations d.  This is exact by a lemma: the finite color runs of a
-left-black diagram are its partition's edges (a part's multiplicity, the
-gap to the next distinct part, the last part), and lengthening a run longer
-than 2l by n, charge kept, leaves the value unchanged.  (Each letter
-moves each end of a run by at most one slot, so over l levels the run's
-middle is never touched, and a shift by n keeps every residue: the two
-recursion trees are isomorphic.)  The inversion's two end runs are at least
-B - span + 1 > 2l long, so every B' >= B with B' = B mod n gives the same
-value.  All values are n-periodic: evaluation happens on sigma-orbit
+where L_i / sL_i are the fundamental right-black diagrams.  Every crystal
+statistic is read from the 2n values theta(L_i), theta(sL_i), i mod n: the
+weight is (theta(L_i))_i, eps_i = -theta(L_i) - theta(sL_i) + theta(L_{i-1})
++ theta(L_{i+1}), and phi_i = c_i + 1.
+
+theta extends a datum of word length l to a right-black tau by one
+evaluation at tau's inversion outside [-B, B], B = span + n*ceil(2l/n),
+span = max |d| + 1 over tau's deviations d.  This is exact by a lemma: the
+finite color runs of a left-black diagram are its partition's edges (a
+part's multiplicity, the gap to the next distinct part, the last part), and
+lengthening a run longer than 2l by n, charge kept, leaves the value
+unchanged.  (Each letter moves each end of a run by at most one slot, so
+over l levels the run's middle is never touched, and a shift by n keeps
+every residue: the two recursion trees are isomorphic.)  The inversion's
+two end runs are at least B - span + 1 > 2l long, so every B' >= B with
+B' = B mod n gives the same value.  All values are n-periodic: evaluation happens on sigma-orbit
 canonical representatives (charge reduced mod n).
 
 Two paths compute values.  Over the window canonical_diagrams(n, max_boxes)
@@ -107,10 +111,12 @@ def _removal_index(n, max_boxes):
 class CrystalDatum:
     """A crystal element: the zero datum O or f_i applied to a parent datum.
 
-    Instances memoize their values, their theta values and their recursion
-    coefficients, which the theta recursions of their descendants share.
-    No value table is kept: exploration holds each one inside a node's
-    fingerprint.  :meth:`apply` returns a new datum each time.
+    Instances memoize their values and their 2n fundamental thetas, theta(L_i)
+    and theta(sL_i) for i mod n, which the theta recursions of their
+    descendants share; weight, eps_hat and c_coeff read that one memo, and
+    :meth:`theta` itself memoizes nothing.  No value table is kept:
+    exploration holds each one inside a node's fingerprint.  :meth:`apply`
+    returns a new datum each time.
     """
 
     def __init__(self, cartan, parent=None, letter=None):
@@ -123,8 +129,7 @@ class CrystalDatum:
             self.letter = letter % cartan.n
             self.word = parent.word + (self.letter,)
         self._memo = {}
-        self._theta_memo = {}
-        self._c = {}
+        self._fundamentals = {}  # i -> [theta(L_i), theta(sL_i)], each filled on first use
 
     def apply(self, i):
         """The datum for one more lowering operator f_i (word bookkeeping only)."""
@@ -199,41 +204,36 @@ class CrystalDatum:
             return 0
         n = self.cartan.n
         tau = tau.shift(tau.charge - tau.charge % n)
-        cached = self._theta_memo.get(tau)
-        if cached is None:
-            span = max((abs(d) for d in tau.diffs), default=0) + 1
-            bound = span + n * -(-2 * len(self.word) // n)
-            cached = self.eval(invert_outside(tau, Interval(-bound, bound)))
-            self._theta_memo[tau] = cached
-        return cached
+        span = max((abs(d) for d in tau.diffs), default=0) + 1
+        bound = span + n * -(-2 * len(self.word) // n)
+        return self.eval(invert_outside(tau, Interval(-bound, bound)))
 
     # -- crystal statistics -------------------------------------------------
 
+    def _fundamental(self, i, swapped):
+        """theta(sL_i) if swapped else theta(L_i), for i mod n, memoized."""
+        i %= self.cartan.n
+        pair = self._fundamentals.setdefault(i, [None, None])
+        if pair[swapped] is None:
+            pair[swapped] = self.theta((s_lambda_diagram if swapped else lambda_diagram)(i))
+        return pair[swapped]
+
     def c_coeff(self, i):
         """Coefficient used in the min-recursion: theta(L_i) - theta(sL_i) - 1."""
-        i %= self.cartan.n
-        cached = self._c.get(i)
-        if cached is None:
-            cached = self.theta(lambda_diagram(i)) - self.theta(s_lambda_diagram(i)) - 1
-            self._c[i] = cached
-        return cached
+        theta_l, theta_sl = self._fundamentals.get(i, (None, None))
+        if theta_l is None or theta_sl is None:
+            theta_l, theta_sl = self._fundamental(i, False), self._fundamental(i, True)
+        return theta_l - theta_sl - 1
 
     def weight(self):
         """Coefficients over the simple coroots: (theta(L_i))_{i mod n}."""
-        return tuple(self.theta(lambda_diagram(i)) for i in range(self.cartan.n))
+        return tuple(self._fundamental(i, False) for i in range(self.cartan.n))
 
     def eps_hat(self, i):
-        """String statistic from the four neighboring fundamental diagrams.
-
-        Integer indices are used literally; for n = 2 the i-1 and i+1
-        diagrams are distinct but carry equal values by periodicity.
-        """
-        return (
-            -self.theta(lambda_diagram(i))
-            - self.theta(s_lambda_diagram(i))
-            + self.theta(lambda_diagram(i - 1))
-            + self.theta(lambda_diagram(i + 1))
-        )
+        """String statistic -theta(L_i) - theta(sL_i) + theta(L_{i-1}) +
+        theta(L_{i+1}), indices mod n."""
+        theta = self._fundamental
+        return -theta(i, False) - theta(i, True) + theta(i - 1, False) + theta(i + 1, False)
 
     def phi_hat(self, i):
         """<wt, h_i> + eps_hat(i); equals c_coeff(i) + 1 (tested identity)."""

@@ -1,35 +1,38 @@
 """Crystal graph exploration, axiom checking, and the Kostant census oracle.
 
-The graph is grown breadth-first from the zero datum; nodes are deduplicated
-by their value-table fingerprint over diagrams with at most ``max_boxes``
-boxes (default n*(depth+1), validated empirically by the census).  Each
-child is fingerprinted once, its table filled from the one inside its
-parent's fingerprint, and a node's fingerprint is the only copy of its
-table; a child that dedups away is freed with its memos.  Raising operators
-exist only as edge inversions.  The independent oracle counts multiset decompositions of a
-positive root-lattice element into positive roots of untwisted affine type
-A, with imaginary roots m*delta carrying multiplicity n - 1.
+The graph is grown breadth-first from the zero datum; elements are
+deduplicated by their value-table fingerprint over diagrams with at most
+``max_boxes`` boxes (default n*(depth+1), validated empirically by the
+census).  Each child is fingerprinted once, its table filled from the one
+inside its parent's fingerprint.  A datum and its fingerprint live only in
+the frontier entry that grows the next level (and the fingerprint in the
+dedup dict); a child that dedups away is freed with its memos.  A graph's
+nodes are plain records, the rows of its JSON export, so an explored graph
+equals what ``load_json`` rebuilds from that export.  Raising operators
+exist only as edge inversions.  The independent oracle counts multiset
+decompositions of a positive root-lattice element into positive roots of
+untwisted affine type A, with imaginary roots m*delta carrying
+multiplicity n - 1.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .datum import CartanData, CrystalDatum
 
 
 @dataclass
 class Node:
+    """One element's row of the JSON export."""
+
     id: int
     word: tuple
-    depth: int
     weight: tuple
     eps: tuple
     phi: tuple
-    datum: CrystalDatum | None = None
-    fingerprint: tuple | None = field(default=None, repr=False)
 
 
 class CrystalGraph:
@@ -51,61 +54,39 @@ def default_max_boxes(n, depth):
 
 
 def explore(cartan, depth, max_boxes=None):
-    """All crystal elements reachable by at most ``depth`` lowering steps."""
+    """All crystal elements reachable by at most ``depth`` lowering steps,
+    numbered in the order of their fingerprints, which begin with the weight."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     n = cartan.n
     if max_boxes is None:
         max_boxes = default_max_boxes(n, depth)
-    root = CrystalDatum(cartan)
-    nodes = [_make_node(0, root, 0, root.fingerprint(max_boxes))]
-    by_fingerprint = {nodes[0].fingerprint: 0}
-    edges = {}
-    frontier = [0]
-    for level in range(depth):
-        next_frontier = []
-        for node_id in frontier:
-            parent = nodes[node_id]
-            for i in range(n):
-                child = parent.datum.apply(i)
-                fp = child.fingerprint(max_boxes, parent.fingerprint)
-                target = by_fingerprint.get(fp)
-                if target is None:
-                    target = len(nodes)
-                    nodes.append(_make_node(target, child, level + 1, fp))
-                    by_fingerprint[fp] = target
-                    next_frontier.append(target)
-                edges[(node_id, i)] = target
-        frontier = next_frontier
-    nodes, edges = _sort_nodes(nodes, edges)
+    rows, edges, by_fingerprint = [], {}, {}  # numbered in discovery order
+    # (edge that reaches the datum or None, datum, its parent's fingerprint)
+    candidates = [(None, CrystalDatum(cartan), None)]
+    for _ in range(depth + 1):
+        frontier = []  # (number, datum, fingerprint) of the level's new elements
+        for edge, datum, parent_fingerprint in candidates:
+            fp = datum.fingerprint(max_boxes, parent_fingerprint)
+            target = by_fingerprint.setdefault(fp, len(rows))
+            if target == len(rows):
+                rows.append((
+                    datum.word,
+                    datum.weight(),
+                    tuple(datum.eps_hat(i) for i in range(n)),
+                    tuple(datum.c_coeff(i) + 1 for i in range(n)),
+                ))
+                frontier.append((target, datum, fp))
+            if edge is not None:
+                edges[edge] = target
+        candidates = (
+            ((k, i), datum.apply(i), fp) for k, datum, fp in frontier for i in range(n)
+        )
+    order = sorted(by_fingerprint)
+    nodes = [Node(k, *rows[by_fingerprint[fp]]) for k, fp in enumerate(order)]
+    renumber = {by_fingerprint[fp]: k for k, fp in enumerate(order)}
+    edges = {(renumber[src], i): renumber[dst] for (src, i), dst in edges.items()}
     return CrystalGraph(n, depth, max_boxes, nodes, edges)
-
-
-def _make_node(node_id, datum, depth, fingerprint):
-    n = datum.cartan.n
-    return Node(
-        id=node_id,
-        word=datum.word,
-        depth=depth,
-        weight=datum.weight(),
-        eps=tuple(datum.eps_hat(i) for i in range(n)),
-        phi=tuple(datum.c_coeff(i) + 1 for i in range(n)),
-        datum=datum,
-        fingerprint=fingerprint,
-    )
-
-
-def _sort_nodes(nodes, edges):
-    """Renumber nodes by fingerprint, which begins with the weight."""
-    order = sorted(range(len(nodes)), key=lambda k: nodes[k].fingerprint)
-    remap = {old: new for new, old in enumerate(order)}
-    sorted_nodes = []
-    for old in order:
-        node = nodes[old]
-        node.id = remap[old]
-        sorted_nodes.append(node)
-    sorted_edges = {(remap[s], i): remap[d] for (s, i), d in edges.items()}
-    return sorted_nodes, sorted_edges
 
 
 def check_axioms(graph):
@@ -183,50 +164,33 @@ def weight_census(graph):
 
 
 def positive_roots(n, max_height):
-    """Positive roots of height <= max_height as coefficient vectors over the
-    simple roots; imaginary multiples of delta are repeated n - 1 times."""
-    if max_height < 1:
-        return []
-    delta = (1,) * n
-    finite = []
-    for j in range(1, n):
-        for k in range(j, n):
-            root = [0] * n
-            for idx in range(j, k + 1):
-                root[idx] = 1
-            finite.append(tuple(root))
+    """Positive roots of height <= max_height as sorted coefficient vectors
+    over the simple roots.  A root of height h counts the residues mod n of
+    h consecutive integers: n real roots when n does not divide h, and
+    (h/n)*delta, repeated n - 1 times for its multiplicity, when it does."""
     roots = []
-    m = 0
-    while m * n + 1 <= max_height:
-        shift = tuple(m * d for d in delta)
-        for beta in finite:
-            real = tuple(b + s for b, s in zip(beta, shift))
-            if sum(real) <= max_height:
-                roots.append(real)
-            anti = tuple(d - b + s for b, d, s in zip(beta, delta, shift))
-            if sum(anti) <= max_height:
-                roots.append(anti)
-        m += 1
-    m = 1
-    while m * n <= max_height:
-        roots.extend([tuple(m * d for d in delta)] * (n - 1))
-        m += 1
-    roots.sort()
-    return roots
+    for height in range(1, max_height + 1):
+        q, r = divmod(height, n)
+        if r:
+            roots += [tuple(q + ((j - a) % n < r) for j in range(n)) for a in range(n)]
+        else:
+            roots += [(q,) * n] * (n - 1)
+    return sorted(roots)
 
 
 def kostant(cartan, beta):
-    """Number of decompositions of beta into positive roots (dynamic program)."""
+    """Number of decompositions of beta into positive roots (dynamic program).
+
+    Lexicographic order lists every v' <= v before v, so each root's pass
+    may use that root again."""
     beta = tuple(beta)
     if len(beta) != cartan.n or any(b < 0 for b in beta):
         raise ValueError("beta must be a nonnegative vector of length n")
     height = sum(beta)
     if height == 0:
         return 1
-    vectors = sorted(
-        itertools.product(*(range(b + 1) for b in beta)), key=lambda v: (sum(v), v)
-    )
-    ways = {v: 0 for v in vectors}
+    vectors = list(itertools.product(*(range(b + 1) for b in beta)))
+    ways = dict.fromkeys(vectors, 0)
     ways[(0,) * cartan.n] = 1
     for root in positive_roots(cartan.n, height):
         for v in vectors:
@@ -279,16 +243,7 @@ def export(graph, fmt):
             "n": graph.n,
             "depth": graph.depth,
             "max_boxes": graph.max_boxes,
-            "nodes": [
-                {
-                    "id": node.id,
-                    "word": list(node.word),
-                    "weight": list(node.weight),
-                    "eps": list(node.eps),
-                    "phi": list(node.phi),
-                }
-                for node in graph.nodes
-            ],
+            "nodes": [asdict(node) for node in graph.nodes],
             "edges": [
                 {"from": src, "to": dst, "i": i}
                 for (src, i), dst in sorted(graph.edges.items())
@@ -312,9 +267,10 @@ def export(graph, fmt):
 def load_json(data):
     """Rebuild a graph from its JSON export (statistics are trusted as stored).
     ValueError unless n, depth, node ids and words, the n-entry statistics and
-    the edges' from, i and to are all integers; the node ids are 0..N-1, each
-    once; every edge joins two nodes, has a residue in 0..n-1 and is the only
-    edge of its (from, i); and depth is at least every word's length."""
+    the edges' from, i and to are all integers; max_boxes is a nonnegative
+    integer; the node ids are 0..N-1, each once; every edge joins two nodes,
+    has a residue in 0..n-1 and is the only edge of its (from, i); and depth
+    is at least every word's length."""
     payload = json.loads(data) if isinstance(data, (str, bytes)) else data
     shaped = isinstance(payload, dict) and all(
         isinstance(payload.get(key), list) and all(isinstance(row, dict) for row in payload[key])
@@ -324,12 +280,14 @@ def load_json(data):
         n, nodes = payload.get("n"), payload["nodes"]
         words = [row.get("word") for row in nodes]
         stats = [row.get(key) for row in nodes for key in ("weight", "eps", "phi")]
-        ints = [n, payload.get("depth")] + [row.get("id") for row in nodes]
+        ints = [n, payload.get("depth"), payload.get("max_boxes")]
+        ints += [row.get("id") for row in nodes]
         ints += [row.get(key) for row in payload["edges"] for key in ("from", "i", "to")]
         shaped = (
             all(isinstance(v, list) for v in words + stats)
             and all(len(v) == n for v in stats)
             and all(type(x) is int for x in ints + [x for v in words + stats for x in v])
+            and payload["max_boxes"] >= 0
         )
     if not shaped:
         raise ValueError("graph file does not have the shape of a JSON export")
@@ -352,7 +310,6 @@ def load_json(data):
         Node(
             id=row["id"],
             word=tuple(row["word"]),
-            depth=len(row["word"]),
             weight=tuple(row["weight"]),
             eps=tuple(row["eps"]),
             phi=tuple(row["phi"]),

@@ -132,7 +132,7 @@ def test_acceptance_6_internal_identities():
     for n in (2, 3):
         graph = graph_for(n, 4)
         for node in graph.nodes:
-            datum = node.datum
+            datum = datum_from_word(CartanData(n), node.word)
             for i in range(n):
                 if datum.c_coeff(i) != datum.phi_hat(i) - 1:
                     ok = False

@@ -186,9 +186,13 @@ class TestVerify:
         lambda payload: dict(payload, depth=0),
         lambda payload: dict(payload, depth=-1),
         lambda payload: dict(payload, edges=payload["edges"] + payload["edges"][:1]),
+        lambda payload: {key: v for key, v in payload.items() if key != "max_boxes"},
+        lambda payload: dict(payload, max_boxes="oops"),
+        lambda payload: dict(payload, max_boxes=-4),
     ], ids=["list", "string-rank", "node-int", "edges-object", "short-weight",
             "string-word", "string-residue", "edge-to-missing", "edge-from-missing",
-            "residue-7", "node-id-5", "depth-0", "depth-negative", "duplicate-edge"])
+            "residue-7", "node-id-5", "depth-0", "depth-negative", "duplicate-edge",
+            "no-max-boxes", "string-max-boxes", "negative-max-boxes"])
     def test_wrong_shape_graph_file(self, capsys, tmp_path, edit):
         # a graph file of the wrong shape, or whose references or depth do
         # not hold together, is bad input, not a failed check
@@ -198,7 +202,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--rank", "2", "--graph-file", str(path))
         assert code == EXIT_USAGE
         assert out == ""
-        assert "error" in err
+        assert "error: graph file" in err
 
     def test_shifted_eps_graph_fails(self, capsys, tmp_path):
         # every eps and phi raised by 1 keeps the edge rules; the string

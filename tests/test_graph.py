@@ -40,7 +40,7 @@ class TestExplore:
     def test_edges_total(self):
         g = explore(CartanData(2), 2)
         # every node expanded at depth < 2 has exactly n outgoing edges
-        expanded = [node for node in g.nodes if node.depth < 2]
+        expanded = [node for node in g.nodes if len(node.word) < 2]
         assert len(g.edges) == 2 * len(expanded)
 
     def test_string_length_matches_eps(self):
@@ -126,6 +126,20 @@ class TestKostant:
         assert roots.count((1, 1, 1)) == 2
         assert roots.count((2, 2, 2)) == 2
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_positive_roots_per_height(self, n):
+        # n distinct real roots, whose coordinates differ by exactly 1, at each
+        # height that n does not divide; n - 1 copies of (h/n)*delta otherwise
+        roots = positive_roots(n, 4 * n)
+        assert roots == sorted(roots)
+        for height in range(1, 4 * n + 1):
+            level = [r for r in roots if sum(r) == height]
+            if height % n:
+                assert len(set(level)) == len(level) == n
+                assert all(max(r) - min(r) == 1 for r in level)
+            else:
+                assert level == [(height // n,) * n] * (n - 1)
+
 
 class TestCensus:
     def test_matches_kostant_n2(self):
@@ -156,6 +170,15 @@ class TestExport:
         blob = export(g, "json")
         g2 = load_json(blob)
         assert export(g2, "json") == blob
+
+    @pytest.mark.parametrize("n, depth", [(2, 5), (3, 4), (4, 3)])
+    def test_load_json_rebuilds_explored_graph(self, n, depth):
+        # an explored graph holds exactly the records its export stores
+        g = explore(CartanData(n), depth)
+        g2 = load_json(export(g, "json"))
+        assert g2.nodes == g.nodes
+        assert g2.edges == g.edges
+        assert (g2.n, g2.depth, g2.max_boxes) == (g.n, g.depth, g.max_boxes)
 
     def test_json_deterministic(self):
         a = export(explore(CartanData(2), 2), "json")

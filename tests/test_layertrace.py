@@ -7,6 +7,9 @@ resolves it.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 LAYERTRACE = Path(__file__).resolve().parent.parent / "bench" / "layertrace.py"
@@ -26,3 +29,25 @@ def test_every_traced_name_resolves():
             if attr not in vars(owner):
                 missing.append("%s.%s" % (layer, name))
     assert missing == []
+
+
+def test_tracer_installs_on_every_reference(tmp_path):
+    # install wraps each traced function wherever the package imported it
+    # and raises on a reference it left unwrapped; the bench self-test that
+    # would show this is not part of the tier-1 suite
+    root = LAYERTRACE.parent.parent
+    script = (
+        "from layertrace import Tracer\n"
+        "Tracer().install()\n"
+        "from mayacrystal import cli, maya\n"
+        "assert cli.from_partition is maya.from_partition\n"
+        "assert hasattr(cli.from_partition, '__wrapped__')\n"
+        "print('installed')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "bench")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert "unwrapped references" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "installed\n"
