@@ -13,18 +13,20 @@ statistic is read from the 2n values theta(L_i), theta(sL_i), i mod n: the
 weight is (theta(L_i))_i, eps_i = -theta(L_i) - theta(sL_i) + theta(L_{i-1})
 + theta(L_{i+1}), and phi_i = c_i + 1.
 
-theta extends a datum of word length l to a right-black tau by one
-evaluation at tau's inversion outside [-B, B], B = span + n*ceil(2l/n),
-span = max |d| + 1 over tau's deviations d.  This is exact by a lemma: the
-finite color runs of a left-black diagram are its partition's edges (a
-part's multiplicity, the gap to the next distinct part, the last part), and
-lengthening a run longer than 2l by n, charge kept, leaves the value
-unchanged.  (Each letter moves each end of a run by at most one slot, so
-over l levels the run's middle is never touched, and a shift by n keeps
-every residue: the two recursion trees are isomorphic.)  The inversion's
-two end runs are at least B - span + 1 > 2l long, so every B' >= B with
-B' = B mod n gives the same value.  All values are n-periodic: evaluation happens on sigma-orbit
-canonical representatives (charge reduced mod n).
+theta, the extension to a right-black tau, is the same recursion on the
+plus side: it runs on the partition of tau's color inversion (its Fock key,
+``maya.term_key``) with ``addition_options`` in place of
+``removal_options``.  This equals the value at the left-black diagram that
+takes tau's colors inside [-B, B] and the inverted ones outside, for any
+B >= span + 2l (span = max |d| + 1 over tau's deviations d, l the word
+length).  Inside the interval the two diagrams have opposite colors, and
+outside it both are the left-black vacuum, so a removable residue-i box of
+the wide diagram's partition is an addable residue-i box of the small one
+at the same slot label.  Each letter moves each end of a color run by at
+most one slot, so an l-letter recursion never reaches the interval's ends,
+and the two recursion trees are isomorphic.  All values are n-periodic:
+evaluation happens on sigma-orbit canonical representatives (charge reduced
+mod n).
 
 Two paths compute values.  Over the window canonical_diagrams(n, max_boxes)
 (charges 0..n-1, at most max_boxes boxes), ``table`` fills a datum's whole
@@ -33,10 +35,10 @@ per window: the window is closed under box removal, so every term of the
 recursion is a parent table entry.  A datum caches no table: given its
 parent's fingerprint, ``fingerprint`` fills the table from the table inside
 it, so graph exploration, which keeps each node's fingerprint, holds each
-table once.  ``value_at`` runs the recursion diagram by diagram, listing
-each diagram's subsets with ``maya.removal_options`` and memoising values
-per datum only; it serves ``eval`` and ``theta``, whose interval-inversion
-diagrams lie far outside any window.
+table once.  ``value_at`` and ``theta`` run the recursion diagram by
+diagram, listing each diagram's subsets with ``maya.removal_options`` or
+``maya.addition_options`` and memoising values per datum only; they serve
+``eval`` and the crystal statistics, on diagrams outside any window.
 """
 
 from __future__ import annotations
@@ -46,12 +48,12 @@ from functools import lru_cache
 from .maya import (
     LEFT_BLACK,
     RIGHT_BLACK,
-    Interval,
-    invert_outside,
+    addition_options,
     lambda_diagram,
     partitions_of,
     removal_options,
     s_lambda_diagram,
+    term_key,
     to_partition,
 )
 
@@ -111,12 +113,12 @@ def _removal_index(n, max_boxes):
 class CrystalDatum:
     """A crystal element: the zero datum O or f_i applied to a parent datum.
 
-    Instances memoize their values and their 2n fundamental thetas, theta(L_i)
-    and theta(sL_i) for i mod n, which the theta recursions of their
-    descendants share; weight, eps_hat and c_coeff read that one memo, and
-    :meth:`theta` itself memoizes nothing.  No value table is kept:
-    exploration holds each one inside a node's fingerprint.  :meth:`apply`
-    returns a new datum each time.
+    Instances keep one memo of values, keyed by the subset enumerator (the
+    minus or the plus side) and (parts, charge mod n), which the recursions
+    of their descendants share, and their 2n fundamental thetas, theta(L_i)
+    and theta(sL_i) for i mod n; weight, eps_hat and c_coeff read those.
+    No value table is kept: exploration holds each one inside a node's
+    fingerprint.  :meth:`apply` returns a new datum each time.
     """
 
     def __init__(self, cartan, parent=None, letter=None):
@@ -146,18 +148,23 @@ class CrystalDatum:
 
     def value_at(self, parts, charge):
         """Value at the diagram of (parts, charge); charge is reduced mod n."""
+        return self._recurse(removal_options, parts, charge % self.cartan.n)
+
+    def _recurse(self, options, parts, charge):
+        """The min-recursion over the subsets ``options`` lists: the
+        minus side's removals for ``value_at``, the plus side's additions
+        for ``theta``.  ``charge`` is already reduced mod n."""
         if self.parent is None:
             return 0
-        charge %= self.cartan.n
-        key = (parts, charge)
+        key = (options, parts, charge)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
         coeff = self.parent.c_coeff(self.letter)
-        options = removal_options(parts, charge, self.letter, self.cartan.n)
-        best = self.parent.value_at(parts, charge)  # options[0], the empty subset
-        for sub_parts, count in options[1:]:
-            v = self.parent.value_at(sub_parts, charge) + count * coeff
+        moves = options(parts, charge, self.letter, self.cartan.n)
+        best = self.parent._recurse(options, parts, charge)  # moves[0], the empty subset
+        for moved, count in moves[1:]:
+            v = self.parent._recurse(options, moved, charge) + count * coeff
             if v < best:
                 best = v
         self._memo[key] = best
@@ -194,19 +201,13 @@ class CrystalDatum:
     # -- extension to right-black diagrams ---------------------------------
 
     def theta(self, tau):
-        """Value at a right-black diagram: one evaluation at its inversion
-        outside [-B, B], B = span + n*ceil(2l/n).  Exact by the module's lemma:
-        both end runs are longer than 2l, and lengthening such a run by n
-        leaves the value unchanged, so every B' >= B, B' = B mod n agrees."""
+        """Value at a right-black diagram: the min-recursion on the partition
+        of tau's color inversion, adding boxes where ``value_at`` removes
+        them (see the module docstring)."""
         if tau.kind != RIGHT_BLACK:
             raise ValueError("theta expects a right-black diagram")
-        if self.parent is None:
-            return 0
-        n = self.cartan.n
-        tau = tau.shift(tau.charge - tau.charge % n)
-        span = max((abs(d) for d in tau.diffs), default=0) + 1
-        bound = span + n * -(-2 * len(self.word) // n)
-        return self.eval(invert_outside(tau, Interval(-bound, bound)))
+        parts, charge = term_key(tau)
+        return self._recurse(addition_options, parts, charge % self.cartan.n)
 
     # -- crystal statistics -------------------------------------------------
 

@@ -10,8 +10,8 @@ partition: the diagram's own on the minus side, its color inversion's on
 the plus side, so a left-black diagram and its color inversion share a key
 and the pairing matches equal keys.  Maya diagrams appear only at the
 boundary: ``FockVector(...)`` and :meth:`FockVector.basis` convert them
-through :func:`term_key`, or take a charged partition as the key itself,
-and :meth:`FockVector.to_json` converts back.
+through :func:`~mayacrystal.maya.term_key`, or take a charged partition as
+the key itself, and :meth:`FockVector.to_json` converts back.
 
 Boxes of one residue are independent: removing or adding one never creates
 or blocks another.  So the divided power E_i^k / k! sends a basis vector to
@@ -30,18 +30,11 @@ from .maya import (
     addition_options,
     from_partition,
     removal_options,
-    to_partition,
+    term_key,
 )
 
 MINUS = "minus"
 PLUS = "plus"
-
-
-def term_key(diagram):
-    """The ``(parts, charge)`` key of a Maya diagram: its charged partition,
-    or its color inversion's if it is right-black."""
-    p = to_partition(diagram if diagram.kind == LEFT_BLACK else diagram.invert())
-    return p.parts, p.charge
 
 
 class FockVector:

@@ -129,24 +129,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def evaluate(self, assignment):
-        """Substitute rationals for the indeterminates; returns a Fraction."""
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            value = coeff
-            for name, exp in mono:
-                value *= Fraction(assignment[name]) ** exp
-            total += value
-        return total
-
-    def variables(self):
-        return sorted({name for mono in self.terms for name, _ in mono})
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max((sum(e for _, e in mono) for mono in self.terms), default=0)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -269,10 +251,6 @@ class LaurentPoly:
         if not self.coeffs:
             return INF
         return min(self.coeffs)
-
-    def map_coeffs(self, fn):
-        """Apply ``fn`` to every coefficient (for specializing symbolic ones)."""
-        return LaurentPoly({e: fn(c) for e, c in self.coeffs.items()})
 
     def to_json(self):
         return {str(e): str(self.coeffs[e]) for e in sorted(self.coeffs)}

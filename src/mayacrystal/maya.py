@@ -217,6 +217,13 @@ def to_partition(m):
     return ChargedPartition(parts, 1 - s)
 
 
+def term_key(diagram):
+    """The ``(parts, charge)`` key of a Maya diagram: its charged partition,
+    or its color inversion's if it is right-black."""
+    p = to_partition(diagram if diagram.kind == LEFT_BLACK else diagram.invert())
+    return p.parts, p.charge
+
+
 def box_label_multiset(p):
     """Sorted list of the slot labels of every box of the partition."""
     labels = []

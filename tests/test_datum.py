@@ -149,11 +149,12 @@ class TestStatistics:
 
 def theta_cases(n):
     """A word of length at most 5 and a right-black diagram: a fundamental
-    L_i or sL_i, or a small random one."""
+    L_i or sL_i, or a small random one, whose color inversion's partition
+    often has several addable corners."""
     fundamental = st.integers(-1, n).flatmap(
         lambda i: st.sampled_from([lambda_diagram(i), s_lambda_diagram(i)])
     )
-    small = st.sets(st.integers(-3, 3), max_size=3).map(
+    small = st.sets(st.integers(-5, 5), max_size=5).map(
         lambda diffs: MayaDiagram(RIGHT_BLACK, diffs)
     )
     return st.tuples(
@@ -162,9 +163,10 @@ def theta_cases(n):
 
 
 def reference_theta(datum, tau):
-    """theta by the schedule that the one-shot bound replaced: evaluate at
-    the inversion outside [-B, B] for B = span + k*n*L, L = max(l, 1) and
-    k = 1, 2, ..., and accept the first value equal to the one before."""
+    """theta by the minus-side recursion on growing interval inversions:
+    evaluate at the inversion outside [-B, B] for B = span + k*n*L,
+    L = max(l, 1) and k = 1, 2, ..., and accept the first value equal to
+    the one before."""
     if datum.parent is None:
         return 0
     n = datum.cartan.n
@@ -216,8 +218,8 @@ class TestTheta:
     @given(st.sampled_from((2, 3, 4)).flatmap(theta_cases))
     @settings(max_examples=120, deadline=None)
     def test_matches_reference_schedule(self, case):
-        # one evaluation at B = span + n*ceil(2l/n) against the first of two
-        # equal values over the growing schedule it replaced
+        # the plus-side recursion on tau's small partition against the
+        # minus-side one on ever wider interval inversions
         n, word, tau = case
         d = datum_from_word(CartanData(n), word)
         assert d.theta(tau) == reference_theta(d, tau)
@@ -226,7 +228,9 @@ class TestTheta:
     @settings(max_examples=120, deadline=None)
     def test_long_edge_lemma(self, case):
         # lengthening an edge longer than 2l by n, charge kept, leaves every
-        # value of a length-l datum unchanged: the lemma behind theta's bound
+        # value of a length-l datum unchanged: an l-letter recursion never
+        # reaches the far end of such an edge, which is why theta's
+        # plus-side recursion equals the value at a wide interval inversion
         n, word, parts, charge, longer = case
         assert sum(longer) > sum(parts)
         d = datum_from_word(CartanData(n), word)
@@ -247,6 +251,7 @@ class TestTheta:
             (3, 10, 0), (3, 10, -1), (3, 11, 0), (3, 11, 1), (3, 12, 0), (3, 12, -1),
             (4, 12, 0), (4, 12, 1), (4, 13, 0), (4, 13, -1), (4, 14, 0), (4, 14, 1),
             (2, 8, 0), (2, 8, 1), (2, 10, 0), (2, 10, 1),
+            (3, 15, 0), (4, 18, 0), (2, 11, 0),
         ],
     )
     def test_weight_of_long_cyclic_words(self, n, length, change):
@@ -254,8 +259,8 @@ class TestTheta:
         # `change`, as in the theta_deep benchmark, and the same shape for
         # affine sl_2: its weight is minus the letter count of each residue.
         # An oracle-check verdict cannot see a wrong theta (both sides take
-        # the same theta values), so this pins theta on interval inversions
-        # of about 30 rows.
+        # the same theta values), so this pins theta's plus-side recursion
+        # on words of up to 18 letters.
         word = [k % n for k in range(length)]
         word[-1] = (word[-1] + change) % n
         d = datum_from_word(CartanData(n), word)

@@ -69,12 +69,10 @@ def test_val_of_sum_lower_bound(p, q):
     assert s.val() >= min(p.val(), q.val())
 
 
-def test_scale_and_map_coeffs():
+def test_scale():
     p = LaurentPoly({0: Fraction(1), 2: Fraction(-3)})
     assert p.scale(Fraction(2)).coeffs == {0: Fraction(2), 2: Fraction(-6)}
     assert not p.scale(Fraction(0))
-    doubled = p.map_coeffs(lambda c: c * 2)
-    assert doubled == p.scale(Fraction(2))
 
 
 def test_to_json_sorted():
@@ -87,17 +85,7 @@ def test_multipoly_basics():
     b = MultiPoly.variable("b")
     expr = (a + b) * (a - b)
     assert expr == a * a - b * b
-    assert expr.variables() == ["a", "b"]
-    assert expr.total_degree() == 2
     assert not MultiPoly.const(0)
-    assert MultiPoly.const(5).evaluate({}) == 5
-
-
-def test_multipoly_evaluate():
-    a = MultiPoly.variable("a")
-    b = MultiPoly.variable("b")
-    expr = 3 * a * a * b - 2 * b + 1
-    assert expr.evaluate({"a": 2, "b": Fraction(1, 2)}) == 6 - 1 + 1
 
 
 def test_multipoly_generic_nonzero():
@@ -115,8 +103,6 @@ def test_laurent_over_multipoly():
     q = p * p
     assert q.val() == -4
     assert q.coeffs[-4] == a * a
-    specialized = q.map_coeffs(lambda c: c.evaluate({"a": Fraction(3)}))
-    assert specialized.coeffs == {-4: Fraction(9)}
 
 
 # -- reference products --------------------------------------------------

@@ -319,6 +319,24 @@ class TestInvertOutside:
         p = to_partition(gamma)
         assert p.parts == ((B + i),) * (B - i + 1)
 
+    @given(
+        st.sets(st.integers(-8, 8), max_size=6),
+        st.integers(1, 20),
+        st.integers(2, 4),
+        st.integers(0, 3),
+    )
+    def test_removable_boxes_are_addable_boxes_of_inversion(self, diffs, extra, n, i):
+        # what theta's plus-side recursion rests on: past tau's span, the
+        # interval inversion's removable residue-i boxes sit at the slot
+        # labels of the addable residue-i boxes of tau's color inversion
+        tau = MayaDiagram(RIGHT_BLACK, diffs)
+        B = max((abs(d) for d in diffs), default=0) + 1 + extra
+        wide = to_partition(invert_outside(tau, Interval(-B, B)))
+        small = to_partition(tau.invert())
+        removable = sorted(box.slot_label for box in removable_boxes(wide, i, n))
+        addable = sorted(box.slot_label for box in addable_boxes(small, i, n))
+        assert removable == addable
+
     def test_injective_on_window(self):
         iv = Interval(-3, 3)
         seen = {}
