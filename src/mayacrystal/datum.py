@@ -30,19 +30,25 @@ mod n).
 
 Two paths compute values.  Over the window canonical_diagrams(n, max_boxes)
 (charges 0..n-1, at most max_boxes boxes), ``table`` fills a datum's whole
-value table from its parent's in one pass over a removal index built once
-per window: the window is closed under box removal, so every term of the
-recursion is a parent table entry.  A datum caches no table: given its
-parent's fingerprint, ``fingerprint`` fills the table from the table inside
-it, so graph exploration, which keeps each node's fingerprint, holds each
-table once.  ``value_at`` and ``theta`` run the recursion diagram by
-diagram, listing each diagram's subsets with ``maya.removal_options`` or
-``maya.addition_options`` and memoising values per datum only; they serve
-``eval`` and the crystal statistics, on diagrams outside any window.
+value table from its parent's in one pass over a single-box removal index
+built once per window.  Removing a residue-i box never creates or blocks
+another residue-i box, so the min over subsets is a chain of single
+removals, each read from an entry already filled; the window is closed
+under box removal, so every term is a window entry.  A datum caches no
+table: given its parent's fingerprint, ``fingerprint`` fills the table from
+the bytes inside it, which keep each value as an order-preserving 16-bit
+number, so graph exploration, which keeps each node's fingerprint, holds
+each table once at two bytes an entry.  ``value_at`` and ``theta`` run the
+recursion diagram by diagram, listing each diagram's subsets with
+``maya.removal_options`` or ``maya.addition_options`` and memoising values
+per datum only; they serve ``eval`` and the crystal statistics, on diagrams
+outside any window.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 
 from .maya import (
@@ -89,25 +95,54 @@ class CartanData:
 
 @lru_cache(maxsize=2)
 def _removal_index(n, max_boxes):
-    """Removal index of the window canonical_diagrams(n, max_boxes).
+    """Single-box removal index of the window canonical_diagrams(n, max_boxes).
 
-    Entry i lists, for residue i, ``(count, pairs)`` per removal count: each
-    pair (k, j) says that deleting ``count`` removable i-boxes from window
-    diagram k gives window diagram j.  Diagrams without a removable i-box
-    do not appear.  Removing boxes keeps the charge and lowers the box
-    count, so the window is closed under removal and j always lies inside
-    it.  A run uses one window, so the cache holds only the last two.
+    Entry i lists, for residue i, one pair (k, j) per removable i-box of
+    window diagram k, where j is the window diagram left by deleting that
+    box.  It is built in one pass over each diagram's corners, for all
+    residues at once: the corner of row r (counted from 0) carries the slot
+    label parts[r] - r - charge.  Removing a box keeps the charge and lowers
+    the box count, so the window is closed under removal, j < k always, and
+    the pairs are listed in increasing k; ``_fill`` relies on that order.
+    A run uses one window, so the cache holds only the last two.
     """
     window = canonical_diagrams(n, max_boxes)
     position = {key: k for k, key in enumerate(window)}
-    index = []
-    for i in range(n):
-        by_count = {}
-        for k, (parts, charge) in enumerate(window):
-            for sub, count in removal_options(parts, charge, i, n)[1:]:
-                by_count.setdefault(count, []).append((k, position[sub, charge]))
-        index.append(tuple((count, tuple(pairs)) for count, pairs in sorted(by_count.items())))
-    return tuple(index)
+    index = tuple([] for _ in range(n))
+    for k, (parts, charge) in enumerate(window):
+        last = len(parts) - 1
+        for r, length in enumerate(parts):
+            if r == last or length > parts[r + 1]:
+                # only the last row can shrink to zero
+                sub = parts[:r] + (length - 1,) + parts[r + 1:] if length > 1 else parts[:r]
+                index[(length - r - charge) % n].append((k, position[sub, charge]))
+    return tuple(tuple(pairs) for pairs in index)
+
+
+_BIAS = 32768  # fingerprints store value + _BIAS as an unsigned 16-bit number
+
+
+def _encode(values):
+    """Biased values as big-endian unsigned 16-bit bytes, which compare as
+    the unbiased values do.  A value outside [-32768, 32767] raises."""
+    try:
+        packed = array("H", values)
+    except OverflowError:
+        raise OverflowError(
+            "value table entry outside the 16-bit fingerprint range [-32768, 32767]"
+        ) from None
+    if sys.byteorder == "little":
+        packed.byteswap()
+    return packed.tobytes()
+
+
+def _decode(data):
+    """The biased values that ``_encode`` packed into ``data``, as a list."""
+    packed = array("H")
+    packed.frombytes(data)
+    if sys.byteorder == "little":
+        packed.byteswap()
+    return packed.tolist()
 
 
 class CrystalDatum:
@@ -170,33 +205,35 @@ class CrystalDatum:
         self._memo[key] = best
         return best
 
-    def table(self, max_boxes, parent_fingerprint=None):
-        """Values over canonical_diagrams(n, max_boxes), as a tuple of ints.
-
-        Filled from the parent's table src in one pass over the removal
-        index of the window: entry k is the min of src[k] and, over the
-        removal subsets of this datum's letter, src[j] + count * c at the
-        smaller diagram j, with c the parent's c_coeff.  src is read from
-        ``parent_fingerprint``, the parent's fingerprint over the same
-        window, if given; otherwise the whole chain is filled from the root.
-        Equals value_at at every entry, without a memo entry per diagram.
-        """
-        n = self.cartan.n
+    def table(self, max_boxes):
+        """Values over canonical_diagrams(n, max_boxes), as a tuple of ints,
+        filled along the word from the root's all-zero table (see ``_fill``).
+        Equals value_at at every entry, without a memo entry per diagram."""
         if self.parent is None:
-            return (0,) * len(canonical_diagrams(n, max_boxes))
-        if parent_fingerprint is None:
-            src = self.parent.table(max_boxes)
-        else:
-            src = parent_fingerprint[2 * n:]
+            return (0,) * len(canonical_diagrams(self.cartan.n, max_boxes))
+        return tuple(self._fill(max_boxes, list(self.parent.table(max_boxes))))
+
+    def _fill(self, max_boxes, values):
+        """Turn the parent's table ``values`` (a list) into this datum's, in
+        place, and return it.
+
+        Removing a residue-i box never creates or blocks another one, so
+        the removable i-boxes of k minus a box b are those of k but b, and
+        the min over subsets S of src[k - S] + |S| * c, with src the
+        parent's table, is the chain
+        recurrence H(k) = min(src[k], c + min over b of H(k - b)), with c
+        the parent's c_coeff and b running over k's removable boxes of this
+        datum's letter.  The single-box removal index lists j = k - b
+        before k, so one pass in index order reads each H(j) final.  The
+        recursion is unchanged when every value is shifted by a constant,
+        which ``fingerprint`` uses for its bias.
+        """
         coeff = self.parent.c_coeff(self.letter)
-        out = list(src)
-        for count, pairs in _removal_index(n, max_boxes)[self.letter]:
-            shift = count * coeff
-            for k, j in pairs:
-                v = src[j] + shift
-                if v < out[k]:
-                    out[k] = v
-        return tuple(out)
+        for k, j in _removal_index(self.cartan.n, max_boxes)[self.letter]:
+            v = values[j] + coeff
+            if v < values[k]:
+                values[k] = v
+        return values
 
     # -- extension to right-black diagrams ---------------------------------
 
@@ -243,19 +280,27 @@ class CrystalDatum:
     # -- equality surrogate ---------------------------------------------------
 
     def fingerprint(self, max_boxes, parent_fingerprint=None):
-        """Statistics plus the value table over sigma-canonical diagrams with
-        at most max_boxes boxes.
+        """The pair (statistics, table bytes) over sigma-canonical diagrams
+        with at most max_boxes boxes.
 
-        The weight and string statistics are prepended because value tables
+        The weight and string statistics come first because value tables
         over a bounded window can coincide for elements that differ only on
         larger diagrams.  The enumeration order is fixed (charge 0..n-1,
-        then box count, then lexicographic parts), making fingerprints
-        directly comparable.  Given the parent's fingerprint over the same
-        window, the table is filled from the one inside it (see ``table``).
+        then box count, then lexicographic parts).  The table bytes hold
+        each value plus 32768 as a big-endian unsigned 16-bit number, so
+        fingerprints compare exactly as statistics + table tuples would; a
+        value outside [-32768, 32767] raises OverflowError and is never
+        clipped.  Given the parent's fingerprint over the same window, the
+        table is filled from the one inside it (see ``_fill``), on biased
+        values; otherwise it is ``table``'s.
         """
         n = self.cartan.n
         stats = self.weight() + tuple(self.eps_hat(i) for i in range(n))
-        return stats + self.table(max_boxes, parent_fingerprint)
+        if self.parent is None or parent_fingerprint is None:
+            values = [v + _BIAS for v in self.table(max_boxes)]
+        else:
+            values = self._fill(max_boxes, _decode(parent_fingerprint[1]))
+        return stats, _encode(values)
 
     def value_table(self, max_boxes):
         """JSON-friendly list of {"diagram": ..., "value": k} rows."""

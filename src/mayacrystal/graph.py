@@ -4,7 +4,9 @@ The graph is grown breadth-first from the zero datum; elements are
 deduplicated by their value-table fingerprint over diagrams with at most
 ``max_boxes`` boxes (default n*(depth+1), validated empirically by the
 census).  Each child is fingerprinted once, its table filled from the one
-inside its parent's fingerprint.  A datum and its fingerprint live only in
+inside its parent's fingerprint, where it is kept as order-preserving 16-bit
+bytes, so sorting fingerprints orders nodes by weight, string statistics
+and then table values.  A datum and its fingerprint live only in
 the frontier entry that grows the next level (and the fingerprint in the
 dedup dict); a child that dedups away is freed with its memos.  A graph's
 nodes are plain records, the rows of its JSON export, so an explored graph

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import pkgutil
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ import mayacrystal
 from mayacrystal.datum import (
     CartanData,
     CrystalDatum,
+    _removal_index,
     canonical_diagrams,
     datum_from_word,
 )
@@ -23,6 +25,7 @@ from mayacrystal.maya import (
     lambda_diagram,
     partitions_up_to,
     removable_boxes,
+    removal_options,
     remove_box,
     s_lambda_diagram,
     to_partition,
@@ -32,6 +35,13 @@ from mayacrystal.oracle import compare, oracle_theta
 
 def diagram(parts, charge=0):
     return from_partition(ChargedPartition(parts, charge))
+
+
+def table_values(table_bytes):
+    """A fingerprint's table bytes decoded: big-endian unsigned 16-bit
+    numbers, each a value plus 32768."""
+    count = len(table_bytes) // 2
+    return [v - 32768 for v in struct.unpack(">%dH" % count, table_bytes)]
 
 
 def all_words(n, max_len):
@@ -282,9 +292,56 @@ class TestFingerprint:
             (parts, charge): d.value_at(parts, charge)
             for parts, charge in canonical_diagrams(2, 6)
         }
-        fp = d.fingerprint(6)
-        assert len(fp) == len(table) + 4  # weight and eps statistics prepended
-        assert list(fp[4:]) == [table[key] for key in canonical_diagrams(2, 6)]
+        stats, table_bytes = d.fingerprint(6)
+        assert len(stats) == 4  # weight and eps statistics come first
+        assert table_values(table_bytes) == [table[key] for key in canonical_diagrams(2, 6)]
+
+    @given(
+        st.sampled_from((2, 3, 4)).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(0, 6),
+                st.lists(st.integers(0, n - 1), max_size=5),
+                st.lists(st.integers(0, n - 1), max_size=5),
+            )
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_order_as_value_tuples(self, case, permute):
+        # the byte fingerprints order and equate datums exactly as the
+        # statistics followed by the table's ints do; a reversed word often
+        # gives the same element, which exercises equality.  Equal
+        # statistics with different tables are rare, so the table bytes
+        # are also compared on their own against the table's ints.
+        n, max_boxes, word_a, word_b = case
+        if permute:
+            word_b = list(reversed(word_a))
+        cartan = CartanData(n)
+        a, b = datum_from_word(cartan, word_a), datum_from_word(cartan, word_b)
+
+        def order(x, y):
+            return (x < y, x == y, x > y)
+
+        def stats(d):
+            return d.weight() + tuple(d.eps_hat(i) for i in range(n))
+
+        fp_a, fp_b = a.fingerprint(max_boxes), b.fingerprint(max_boxes)
+        table_a, table_b = a.table(max_boxes), b.table(max_boxes)
+        assert order(fp_a, fp_b) == order(stats(a) + table_a, stats(b) + table_b)
+        assert order(fp_a[1], fp_b[1]) == order(table_a, table_b)
+
+    def test_out_of_range_value_raises(self):
+        # a parent table at the bottom of the 16-bit range (all 0x0000,
+        # -32768) and c = -1 for f_0 on the vacuum: the fill reaches -32769,
+        # which must raise rather than wrap or clip
+        cartan = CartanData(2)
+        d = CrystalDatum(cartan).apply(0)
+        assert d.parent.c_coeff(0) == -1
+        size = len(canonical_diagrams(2, 4))
+        forged = (d.parent.fingerprint(4)[0], bytes(2 * size))
+        with pytest.raises(OverflowError, match="16-bit"):
+            d.fingerprint(4, forged)
 
     def test_value_table_rows(self):
         d = datum_from_word(CartanData(2), (0,))
@@ -337,7 +394,7 @@ class TestTable:
         # charge, then box count, then lexicographic parts
         assert list(window) == sorted(window, key=lambda e: (e[1], sum(e[0]), e[0]))
         d = datum_from_word(CartanData(n), (0, 1, 0))
-        assert d.fingerprint(6)[2 * n:] == d.table(6)
+        assert table_values(d.fingerprint(6)[1]) == list(d.table(6))
 
     @given(
         st.sampled_from((2, 3, 4)).flatmap(
@@ -356,6 +413,36 @@ class TestTable:
         d = datum_from_word(CartanData(n), word)
         parent_fp = d.parent.fingerprint(max_boxes)
         assert d.fingerprint(max_boxes, parent_fp) == d.fingerprint(max_boxes)
+
+
+class TestRemovalIndex:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_single_box_closure_is_removal_options(self, n):
+        # each pair removes one box and points back in the window (j < k,
+        # the order the chain fill needs); chains of pairs reach exactly the
+        # subsets removal_options lists, with the chain length as the count
+        for max_boxes in range(9):
+            window = canonical_diagrams(n, max_boxes)
+            position = {key: k for k, key in enumerate(window)}
+            index = _removal_index(n, max_boxes)
+            assert len(index) == n
+            for i, pairs in enumerate(index):
+                assert all(j < k for k, j in pairs)
+                assert [k for k, _ in pairs] == sorted(k for k, _ in pairs)
+                steps = {}
+                for k, j in pairs:
+                    steps.setdefault(k, []).append(j)
+                for k, (parts, charge) in enumerate(window):
+                    reached, layer = {(k, 0)}, {k}
+                    for count in itertools.count(1):
+                        layer = {j for m in layer for j in steps.get(m, ())}
+                        if not layer:
+                            break
+                        reached |= {(j, count) for j in layer}
+                    options = removal_options(parts, charge, i, n)
+                    expected = {(position[sub, charge], count) for sub, count in options}
+                    assert len(expected) == len(options)
+                    assert reached == expected
 
 
 class SingleColorView:
