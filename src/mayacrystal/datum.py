@@ -8,10 +8,14 @@ through the min-recursion
     (f_i M)(g) = min over mu in removal_options(g, i) of
                  M(mu) + |g \\ mu| * c_i(M),      c_i(M) = M(L_i) - M(sL_i) - 1
 
-where L_i / sL_i are the fundamental right-black diagrams.  Every crystal
+where L_i / sL_i are the fundamental right-black diagrams.  A datum fixes
+its coefficient c_i(parent) once, when it is built.  Every crystal
 statistic is read from the 2n values theta(L_i), theta(sL_i), i mod n: the
 weight is (theta(L_i))_i, eps_i = -theta(L_i) - theta(sL_i) + theta(L_{i-1})
-+ theta(L_{i+1}), and phi_i = c_i + 1.
++ theta(L_{i+1}), and phi_i = c_i + 1.  The color inversion of L_i is the
+empty partition at charge 1 - i and that of sL_i is one box at the same
+charge, so these values are theta's memo entries at those closed-form keys
+and no statistic builds a Maya diagram.
 
 theta, the extension to a right-black tau, is the same recursion on the
 plus side: it runs on the partition of tau's color inversion (its Fock key,
@@ -55,33 +59,26 @@ from .maya import (
     LEFT_BLACK,
     RIGHT_BLACK,
     addition_options,
-    lambda_diagram,
     partitions_of,
     removal_options,
-    s_lambda_diagram,
     term_key,
     to_partition,
 )
 
 
 class CartanData:
-    """Rank and affine type-A Cartan matrix over residues mod n."""
+    """Rank of the affine type-A Cartan matrix over residues mod n."""
 
     def __init__(self, n):
         if n < 2:
             raise ValueError("rank must be at least 2, got %d" % n)
         self.n = n
-        matrix = [[0] * n for _ in range(n)]
-        for i in range(n):
-            matrix[i][i] = 2
-            for step in (1, -1):
-                matrix[i][(i + step) % n] -= 1
-        self.matrix = tuple(tuple(row) for row in matrix)
 
     def pairing(self, weight, i):
-        """<sum_j weight_j h_j, alpha_i> via the Cartan matrix."""
-        i %= self.n
-        return sum(weight[j] * self.matrix[j][i] for j in range(self.n))
+        """<sum_j weight_j h_j, alpha_i> = 2 weight_i - weight_{i-1} -
+        weight_{i+1}, indices mod n (at n = 2 both neighbours are one)."""
+        n = self.n
+        return 2 * weight[i % n] - weight[(i - 1) % n] - weight[(i + 1) % n]
 
     def __eq__(self, other):
         return isinstance(other, CartanData) and self.n == other.n
@@ -150,26 +147,29 @@ class CrystalDatum:
 
     Instances keep one memo of values, keyed by the subset enumerator (the
     minus or the plus side) and (parts, charge mod n), which the recursions
-    of their descendants share, and their 2n fundamental thetas, theta(L_i)
-    and theta(sL_i) for i mod n; weight, eps_hat and c_coeff read those.
-    No value table is kept: exploration holds each one inside a node's
-    fingerprint.  :meth:`apply` returns a new datum each time.
+    of their descendants share; the 2n fundamental thetas that weight,
+    eps_hat and c_coeff read are entries of it.  ``coeff``, the parent's
+    c_coeff at this datum's letter, is fixed at construction.  No value
+    table is kept: exploration holds each one inside a node's fingerprint.
+    :meth:`apply` returns a new datum each time.
     """
 
     def __init__(self, cartan, parent=None, letter=None):
         self.cartan = cartan
         self.parent = parent
+        self._memo = {}
         if parent is None:
             self.letter = None
             self.word = ()
+            self.coeff = None
         else:
             self.letter = letter % cartan.n
             self.word = parent.word + (self.letter,)
-        self._memo = {}
-        self._fundamentals = {}  # i -> [theta(L_i), theta(sL_i)], each filled on first use
+            self.coeff = parent.c_coeff(self.letter)
 
     def apply(self, i):
-        """The datum for one more lowering operator f_i (word bookkeeping only)."""
+        """The datum for one more lowering operator f_i: its word gains i,
+        and its ``coeff`` is this datum's c_coeff(i), computed once here."""
         return CrystalDatum(self.cartan, self, i)
 
     # -- evaluation on left-black diagrams ---------------------------------
@@ -195,7 +195,7 @@ class CrystalDatum:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        coeff = self.parent.c_coeff(self.letter)
+        coeff = self.coeff
         moves = options(parts, charge, self.letter, self.cartan.n)
         best = self.parent._recurse(options, parts, charge)  # moves[0], the empty subset
         for moved, count in moves[1:]:
@@ -222,13 +222,13 @@ class CrystalDatum:
         the min over subsets S of src[k - S] + |S| * c, with src the
         parent's table, is the chain
         recurrence H(k) = min(src[k], c + min over b of H(k - b)), with c
-        the parent's c_coeff and b running over k's removable boxes of this
-        datum's letter.  The single-box removal index lists j = k - b
-        before k, so one pass in index order reads each H(j) final.  The
-        recursion is unchanged when every value is shifted by a constant,
-        which ``fingerprint`` uses for its bias.
+        this datum's ``coeff`` and b running over k's removable boxes of its
+        letter.  The single-box removal index lists j = k - b before k, so
+        one pass in index order reads each H(j) final.  The recursion is
+        unchanged when every value is shifted by a constant, which
+        ``fingerprint`` uses for its bias.
         """
-        coeff = self.parent.c_coeff(self.letter)
+        coeff = self.coeff
         for k, j in _removal_index(self.cartan.n, max_boxes)[self.letter]:
             v = values[j] + coeff
             if v < values[k]:
@@ -248,30 +248,28 @@ class CrystalDatum:
 
     # -- crystal statistics -------------------------------------------------
 
-    def _fundamental(self, i, swapped):
-        """theta(sL_i) if swapped else theta(L_i), for i mod n, memoized."""
-        i %= self.cartan.n
-        pair = self._fundamentals.setdefault(i, [None, None])
-        if pair[swapped] is None:
-            pair[swapped] = self.theta((s_lambda_diagram if swapped else lambda_diagram)(i))
-        return pair[swapped]
+    def _fundamental(self, parts, i):
+        """theta(L_i) for parts (), theta(sL_i) for parts (1,), i mod n.
+
+        The color inversion of L_i is the empty partition at charge 1 - i
+        and that of sL_i is one box at the same charge, so these are
+        ``theta``'s memo entries at those ``term_key``s; no diagram is built.
+        """
+        return self._recurse(addition_options, parts, (1 - i) % self.cartan.n)
 
     def c_coeff(self, i):
         """Coefficient used in the min-recursion: theta(L_i) - theta(sL_i) - 1."""
-        theta_l, theta_sl = self._fundamentals.get(i, (None, None))
-        if theta_l is None or theta_sl is None:
-            theta_l, theta_sl = self._fundamental(i, False), self._fundamental(i, True)
-        return theta_l - theta_sl - 1
+        return self._fundamental((), i) - self._fundamental((1,), i) - 1
 
     def weight(self):
         """Coefficients over the simple coroots: (theta(L_i))_{i mod n}."""
-        return tuple(self._fundamental(i, False) for i in range(self.cartan.n))
+        return tuple(self._fundamental((), i) for i in range(self.cartan.n))
 
     def eps_hat(self, i):
         """String statistic -theta(L_i) - theta(sL_i) + theta(L_{i-1}) +
         theta(L_{i+1}), indices mod n."""
         theta = self._fundamental
-        return -theta(i, False) - theta(i, True) + theta(i - 1, False) + theta(i + 1, False)
+        return -theta((), i) - theta((1,), i) + theta((), i - 1) + theta((), i + 1)
 
     def phi_hat(self, i):
         """<wt, h_i> + eps_hat(i); equals c_coeff(i) + 1 (tested identity)."""

@@ -20,9 +20,7 @@ multiset {2,1,0,0,-1,-1,-1,-2,-2,-3,-4,-5}.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from operator import neg
 
 BLACK = "black"
 WHITE = "white"
@@ -295,29 +293,21 @@ def removal_options(parts, charge, i, n):
     builds no ChargedPartition.  ``count`` is the subset's size.  The empty
     subset comes first; the order is by subset bitmask over the removable
     boxes listed top row first (subset k removes box j iff bit j of k is
-    set), which is the order of :func:`removable_boxes`.
-
-    The corners are found run by run: from the first row of each run of
-    equal parts, a bisection jumps to the run's last row, which holds its
-    corner.  A near-rectangular partition with many rows, such as an
-    interval inversion in theta, so costs O(corners * log rows) rather
-    than O(rows) before the subsets are built.
+    set), which is the order of :func:`removable_boxes`.  The mirror of
+    :func:`addition_options`: one pass over the rows finds the corners.
     """
     i %= n
     offset = _slot_offset(charge)
-    rows = len(parts)
+    last = len(parts) - 1
     options = [(parts, 0)]
-    r = 0
-    while r < rows:
-        r = bisect_right(parts, -parts[r], r, rows, key=neg) - 1
-        if (offset + parts[r] - (r + 1)) % n == i:
+    for r in range(len(parts)):
+        if (r == last or parts[r] > parts[r + 1]) and (offset + parts[r] - r - 1) % n == i:
             # only the last row can shrink to zero: every other corner row
             # is longer than the row below it
             options += [
                 (sub[:r] + (sub[r] - 1,) + sub[r + 1:] if sub[r] > 1 else sub[:r], count + 1)
                 for sub, count in options
             ]
-        r += 1
     return options
 
 

@@ -88,17 +88,21 @@ def _assignment(word, mode, seed):
     return out
 
 
+def _act(word, v, mode, seed):
+    """The word's factors applied to the basis vector v, newest first."""
+    assignment = _assignment(word, mode, seed)
+    for factor in reversed(word.factors):
+        v = x_act(v, factor.residue, factor.parameter(assignment))
+    return v
+
+
 def d_gamma(word, gamma, mode=SYMBOLIC, seed=None):
     """Row vector <gamma| g as a minus-side Fock vector.
 
     gamma is a left-black Maya diagram or its charged partition, as
     ``to_partition`` returns it; each factor's x_act works on raw keys.
     """
-    v = FockVector.basis(word.n, MINUS, gamma)
-    assignment = _assignment(word, mode, seed)
-    for factor in reversed(word.factors):
-        v = x_act(v, factor.residue, factor.parameter(assignment))
-    return v
+    return _act(word, FockVector.basis(word.n, MINUS, gamma), mode, seed)
 
 
 def d_tau(word, tau, mode=SYMBOLIC, seed=None):
@@ -106,11 +110,7 @@ def d_tau(word, tau, mode=SYMBOLIC, seed=None):
     acts first and the oldest last, the order that agrees with theta."""
     if tau.kind != RIGHT_BLACK:
         raise ValueError("d_tau expects a right-black diagram")
-    assignment = _assignment(word, mode, seed)
-    v = FockVector.basis(word.n, PLUS, tau)
-    for factor in reversed(word.factors):
-        v = x_act(v, factor.residue, factor.parameter(assignment))
-    return v
+    return _act(word, FockVector.basis(word.n, PLUS, tau), mode, seed)
 
 
 def oracle_eval(datum, gamma, mode=SYMBOLIC, seed=None):

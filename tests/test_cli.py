@@ -293,7 +293,8 @@ class TestOracleCheck:
 
     @pytest.mark.parametrize("n, length", [(3, 12), (4, 14)])
     def test_long_cyclic_word(self, capsys, n, length):
-        # at window 1 the cost is theta on interval inversions of about 100 rows
+        # at window 1 the cost is the plus-side theta recursion on partitions of
+        # at most length + 1 boxes
         word = ",".join(str(k % n) for k in range(length))
         code, out, _ = run(
             capsys, "oracle-check", "--rank", str(n), "--word", word, "--max-boxes", "1"

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import pkgutil
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from mayacrystal.maya import (
     removal_options,
     remove_box,
     s_lambda_diagram,
+    term_key,
     to_partition,
 )
 from mayacrystal.oracle import compare, oracle_theta
@@ -54,11 +56,46 @@ class TestCartanData:
         with pytest.raises(ValueError):
             CartanData(1)
 
+    @staticmethod
+    def pairing_matrix(cartan):
+        """Row j holds pairing(e_j, i) for i = 0..n-1, e_j the j-th unit weight."""
+        n = cartan.n
+        units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+        return tuple(tuple(cartan.pairing(e, i) for i in range(n)) for e in units)
+
     def test_matrix_n2(self):
-        assert CartanData(2).matrix == ((2, -2), (-2, 2))
+        assert self.pairing_matrix(CartanData(2)) == ((2, -2), (-2, 2))
 
     def test_matrix_n3(self):
-        assert CartanData(3).matrix == ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+        assert self.pairing_matrix(CartanData(3)) == ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_pairing_is_cartan_matrix(self, n):
+        # the affine type-A Cartan matrix, built densely here, against the
+        # closed form on unit weights, on arbitrary weights and at any i
+        matrix = [[0] * n for _ in range(n)]
+        for i in range(n):
+            matrix[i][i] += 2
+            matrix[i][(i + 1) % n] -= 1
+            matrix[i][(i - 1) % n] -= 1
+        cartan = CartanData(n)
+        assert self.pairing_matrix(cartan) == tuple(map(tuple, matrix))
+        for weight in itertools.product(range(-1, 2), repeat=n):
+            for i in range(-n, 2 * n):
+                expected = sum(weight[j] * matrix[j][i % n] for j in range(n))
+                assert cartan.pairing(weight, i) == expected
+
+    def test_large_rank_allocates_no_matrix(self):
+        # the pairing is a closed form, so building a rank-2000 Cartan datum
+        # and pairing once stays far below a dense 2000 x 2000 matrix
+        weight = tuple(range(2000))
+        tracemalloc.start()
+        try:
+            assert CartanData(2000).pairing(weight, 0) == 2 * 0 - 1999 - 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_pairing(self):
         c = CartanData(3)
@@ -98,6 +135,47 @@ class TestEvaluation:
         d2 = CrystalDatum.from_json(d.to_json())
         assert d2.word == d.word
         assert d2.cartan == d.cartan
+
+
+def words(max_size):
+    """(n, word) pairs for n = 2..4 and words of at most max_size letters."""
+    return st.sampled_from((2, 3, 4)).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=max_size))
+    )
+
+
+class TestClosedFormKeys:
+    """The statistics read theta at closed-form keys instead of building the
+    fundamental diagrams; these tests tie the two routes together."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_fundamental_term_keys(self, n):
+        for i in range(-2 * n, 2 * n + 1):
+            assert term_key(lambda_diagram(i)) == ((), 1 - i)
+            assert term_key(s_lambda_diagram(i)) == ((1,), 1 - i)
+
+    @given(words(6))
+    @settings(max_examples=40, deadline=None)
+    def test_statistics_match_diagram_route(self, case):
+        n, word = case
+        d = datum_from_word(CartanData(n), word)
+        theta_l = [d.theta(lambda_diagram(i)) for i in range(n)]
+        theta_sl = [d.theta(s_lambda_diagram(i)) for i in range(n)]
+        assert d.weight() == tuple(theta_l)
+        for i in range(n):
+            assert d.c_coeff(i) == theta_l[i] - theta_sl[i] - 1
+            left, right = theta_l[(i - 1) % n], theta_l[(i + 1) % n]
+            assert d.eps_hat(i) == -theta_l[i] - theta_sl[i] + left + right
+
+    @given(words(6))
+    @settings(max_examples=40, deadline=None)
+    def test_coeff_fixed_at_construction(self, case):
+        n, word = case
+        d = CrystalDatum(CartanData(n))
+        for letter in word:
+            child = d.apply(letter)
+            assert child.coeff == d.c_coeff(letter) == d.phi_hat(letter) - 1
+            d = child
 
 
 class TestPeriodicity:

@@ -165,20 +165,21 @@ class TestCompare:
         assert all(r["match"] for r in report["results"])
 
     def test_rows_need_no_conversion(self, monkeypatch):
-        # compare takes the window's (parts, charge) pairs as they are: no
-        # row is converted from a Maya diagram
+        # compare takes the window's (parts, charge) pairs as they are, and
+        # the statistics behind the generic element read theta at its
+        # closed-form keys: no Maya diagram is converted anywhere
         calls = []
+        original = maya.to_partition
 
         def counting(m):
             calls.append(m)
-            return maya.to_partition(m)
+            return original(m)
 
-        for module in (datum, fock, oracle):
+        for module in (maya, datum, fock, oracle):
             monkeypatch.setattr(module, "to_partition", counting, raising=False)
         d = datum_from_word(CartanData(2), (0, 1))
-        generic_element(d)  # memoises the thetas, whose interval inversions convert
+        generic_element(d)
         pairs = as_pairs(small_diagrams(2, 3))
-        calls.clear()
         report = compare(d, pairs)
         assert report["pass"] is True
         assert len(report["results"]) == len(pairs)
