@@ -104,9 +104,11 @@ def cmd_verify(cfg, graph_path=None):
             graph = graphmod.load_json(handle.read())
         if graph.n != cfg.n:
             raise ValueError("graph file has rank %d, expected %d" % (graph.n, cfg.n))
+        violations = graphmod.check_words(graph)
     else:
         graph = graphmod.explore(CartanData(cfg.n), cfg.depth, cfg.max_boxes)
-    violations = graphmod.check_axioms(graph)
+        violations = []
+    violations += graphmod.check_axioms(graph)
     census = graphmod.weight_census(graph)
     cartan = CartanData(cfg.n)
     print("weight census (beta: nodes expected):")

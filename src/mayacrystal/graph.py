@@ -72,12 +72,7 @@ def explore(cartan, depth, max_boxes=None):
             fp = datum.fingerprint(max_boxes, parent_fingerprint)
             target = by_fingerprint.setdefault(fp, len(rows))
             if target == len(rows):
-                rows.append((
-                    datum.word,
-                    datum.weight(),
-                    tuple(datum.eps_hat(i) for i in range(n)),
-                    tuple(datum.c_coeff(i) + 1 for i in range(n)),
-                ))
+                rows.append((datum.word, *statistics(datum)))
                 frontier.append((target, datum, fp))
             if edge is not None:
                 edges[edge] = target
@@ -89,6 +84,33 @@ def explore(cartan, depth, max_boxes=None):
     renumber = {by_fingerprint[fp]: k for k, fp in enumerate(order)}
     edges = {(renumber[src], i): renumber[dst] for (src, i), dst in edges.items()}
     return CrystalGraph(n, depth, max_boxes, nodes, edges)
+
+
+def statistics(datum):
+    """A datum's (weight, eps, phi), as its node stores them."""
+    n = datum.cartan.n
+    eps = tuple(datum.eps_hat(i) for i in range(n))
+    return datum.weight(), eps, tuple(datum.c_coeff(i) + 1 for i in range(n))
+
+
+def check_words(graph):
+    """One violation per node whose stored weight, eps and phi are not its
+    word's.  Each word's datum extends its longest prefix's.  An explored
+    graph takes them from its words, so this only bites on graph files."""
+    datums = {(): CrystalDatum(CartanData(graph.n))}
+    violations = []
+    for node in graph.nodes:
+        word = node.word
+        k = len(word)
+        while word[:k] not in datums:
+            k -= 1
+        for j in range(k, len(word)):
+            datums[word[:j + 1]] = datums[word[:j]].apply(word[j])
+        stored, derived = (node.weight, node.eps, node.phi), statistics(datums[word])
+        if derived != stored:
+            violations.append("word: node %d: stored (weight, eps, phi) %r, its word gives %r"
+                              % (node.id, stored, derived))
+    return violations
 
 
 def check_axioms(graph):
@@ -267,11 +289,11 @@ def export(graph, fmt):
 
 
 def load_json(data):
-    """Rebuild a graph from its JSON export (statistics are trusted as stored).
+    """Rebuild a graph from its JSON export (statistics as stored; see ``check_words``).
     ValueError unless n, depth, node ids and words, the n-entry statistics and
     the edges' from, i and to are all integers; max_boxes is a nonnegative
-    integer; the node ids are 0..N-1, each once; every edge joins two nodes,
-    has a residue in 0..n-1 and is the only edge of its (from, i); and depth
+    integer; the node ids are 0..N-1, each once; every word letter is in
+    0..n-1; every edge joins two nodes, has a residue in 0..n-1 and is the only edge of its (from, i); and depth
     is at least every word's length."""
     payload = json.loads(data) if isinstance(data, (str, bytes)) else data
     shaped = isinstance(payload, dict) and all(
@@ -300,6 +322,7 @@ def load_json(data):
         (any(row[key] not in ids for row in edge_rows for key in ("from", "to")),
          "an edge joins a node that is not in the file"),
         (any(not 0 <= row["i"] < n for row in edge_rows), "an edge residue is not in 0..n-1"),
+        (any(not 0 <= i < n for row in rows for i in row["word"]), "a word letter is not in 0..n-1"),
         (len({(row["from"], row["i"]) for row in edge_rows}) != len(edge_rows),
          "two edges share a (from, i) pair"),
         (max([0] + [len(row["word"]) for row in rows]) > payload["depth"],

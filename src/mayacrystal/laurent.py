@@ -1,22 +1,21 @@
 """Exact sparse Laurent polynomials in t over pluggable exact coefficient rings.
 
 Coefficients may be any exact value of a ring without zero divisors that
-supports +, *, == and truthiness as a zero test.  Two rings are used
-throughout the package: the rationals, as ``int`` or ``Fraction``, and
-:class:`MultiPoly` (sparse multivariate polynomials over the rationals, used
-for symbolic "generic" coefficients).  No floating point ever enters these
+supports +, *, == and truthiness as a zero test.  The oracle computes over
+the integers and the rationals, as ``int`` or ``Fraction``;
+:class:`MultiPoly`, sparse multivariate polynomials over them, is the
+tests' generic-point reference.  No floating point ever enters these
 computations.
 
 Unit coefficients are the int 1, not ``Fraction(1)``: every coefficient of a
 symbolic computation is then an integer path count, and int arithmetic needs
 no ``Fraction`` object or gcd per operation.  An int and an integral
 ``Fraction`` compare equal and print the same, so outputs do not depend on
-which one a coefficient is.  Random mode brings ``Fraction`` values in
-through its parameters, and int x Fraction stays exact.
+which one a coefficient is, and int x Fraction stays exact.
 
-Both products take a single-term operand in one pass, without accumulating
-or testing for zero: multiplying by a fixed nonzero term is injective on
-exponents and on monomials, and neither ring has zero divisors, so no two
+A Laurent product by a single term is one pass, without accumulating or
+testing for zero: multiplying by a fixed nonzero term is injective on
+exponents, and the coefficient rings have no zero divisors, so no two
 products collide and none vanishes.  The one-parameter Fock action always
 multiplies by such a term, the power p^k = a^k t^(e k).
 """
@@ -84,7 +83,7 @@ class MultiPoly:
                 terms[mono] = new
             else:
                 terms.pop(mono, None)
-        return _multipoly(terms)
+        return MultiPoly(terms)
 
     __radd__ = __add__
 
@@ -104,17 +103,6 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        many, single = self.terms, other.terms
-        if len(many) == 1:
-            many, single = single, many
-        if len(single) == 1:
-            ((m2, c2),) = single.items()
-            return _multipoly(
-                {
-                    _merge_monomials(m1, m2) if m1 and m2 else m1 or m2: c1 * c2
-                    for m1, c1 in many.items()
-                }
-            )
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -125,7 +113,7 @@ class MultiPoly:
                     terms[mono] = new
                 else:
                     terms.pop(mono, None)
-        return _multipoly(terms)
+        return MultiPoly(terms)
 
     __rmul__ = __mul__
 
@@ -150,25 +138,7 @@ class MultiPoly:
     __hash__ = None
 
 
-def _multipoly(terms):
-    """A MultiPoly over ``terms``, which it takes over without copying."""
-    p = MultiPoly.__new__(MultiPoly)
-    p.terms = terms
-    return p
-
-
 def _merge_monomials(m1, m2):
-    if len(m1) == 1:
-        m1, m2 = m2, m1
-    if len(m2) == 1:
-        # insert the one variable into the sorted tuple, or add its exponent
-        ((name, exp),) = m2
-        for k, (other, e) in enumerate(m1):
-            if other == name:
-                return m1[:k] + ((name, e + exp),) + m1[k + 1:]
-            if other > name:
-                return m1[:k] + m2 + m1[k:]
-        return m1 + m2
     exps = dict(m1)
     for name, exp in m2:
         exps[name] = exps.get(name, 0) + exp

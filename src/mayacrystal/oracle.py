@@ -5,12 +5,18 @@ A crystal element with word (i_1, ..., i_m) determines a group element
     g = x_{i_m}(p_m) * ... * x_{i_1}(p_1),    p_j = a_j * t^(phi_j - 1),
 
 where phi_j is the phi statistic of residue i_j on the length j-1 prefix
-and the a_j are generic scalars (independent indeterminates in symbolic
-mode, random nonzero rationals in random mode).  The element's value at a
-left-black diagram gamma is then the t-valuation of the row vector
-<gamma| g, and its theta value at a right-black diagram tau is the
-valuation of the column vector g |tau>.  Both are computed exactly and
-compared against the recursive evaluation as an independent cross-check.
+and the a_j are generic scalars.  The element's value at a left-black
+diagram gamma is then the t-valuation of the row vector <gamma| g, and its
+theta value at a right-black diagram tau is the valuation of the column
+vector g |tau>.  Both are computed exactly and compared against the
+recursive evaluation as an independent cross-check.
+
+Symbolic mode is exact by positivity at a_j = 1: ``x_act`` only multiplies
+by p^|S|, whose coefficient is 1, and adds, so over indeterminates a_j
+every coefficient lies in N[a][t, t^-1].  Such a polynomial, and each of
+its t-coefficients, is nonzero exactly when its value at a = 1 is, so the
+valuations are those at a = 1.  Random mode draws each a_j as a seeded
+nonzero rational instead, through the same parameter path.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fock import MINUS, PLUS, FockVector, vec_val, x_act
-from .laurent import INF, LaurentPoly, MultiPoly
+from .laurent import INF, LaurentPoly
 from .maya import RIGHT_BLACK, ChargedPartition
 
 SYMBOLIC = "symbolic"
@@ -36,12 +42,8 @@ class Factor:
     name: str
     exponent: int
 
-    def parameter(self, assignment=None):
-        if assignment is None:
-            coeff = MultiPoly.variable(self.name)
-        else:
-            coeff = Fraction(assignment[self.name])
-        return LaurentPoly.term(coeff, self.exponent)
+    def parameter(self, assignment):
+        return LaurentPoly.term(assignment[self.name], self.exponent)
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ def generic_element(datum):
 
 def _assignment(word, mode, seed):
     if mode == SYMBOLIC:
-        return None
+        return dict.fromkeys(word.names, 1)
     if mode != RANDOM:
         raise ValueError("unknown mode: %r" % (mode,))
     if seed is None:
@@ -88,9 +90,9 @@ def _assignment(word, mode, seed):
     return out
 
 
-def _act(word, v, mode, seed):
-    """The word's factors applied to the basis vector v, newest first."""
-    assignment = _assignment(word, mode, seed)
+def _act(word, v, assignment):
+    """The word's factors, scalars from ``assignment``, applied to the
+    basis vector v, newest first."""
     for factor in reversed(word.factors):
         v = x_act(v, factor.residue, factor.parameter(assignment))
     return v
@@ -102,7 +104,7 @@ def d_gamma(word, gamma, mode=SYMBOLIC, seed=None):
     gamma is a left-black Maya diagram or its charged partition, as
     ``to_partition`` returns it; each factor's x_act works on raw keys.
     """
-    return _act(word, FockVector.basis(word.n, MINUS, gamma), mode, seed)
+    return _act(word, FockVector.basis(word.n, MINUS, gamma), _assignment(word, mode, seed))
 
 
 def d_tau(word, tau, mode=SYMBOLIC, seed=None):
@@ -110,7 +112,7 @@ def d_tau(word, tau, mode=SYMBOLIC, seed=None):
     acts first and the oldest last, the order that agrees with theta."""
     if tau.kind != RIGHT_BLACK:
         raise ValueError("d_tau expects a right-black diagram")
-    return _act(word, FockVector.basis(word.n, PLUS, tau), mode, seed)
+    return _act(word, FockVector.basis(word.n, PLUS, tau), _assignment(word, mode, seed))
 
 
 def oracle_eval(datum, gamma, mode=SYMBOLIC, seed=None):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mayacrystal import oracle
 from mayacrystal.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -10,6 +11,7 @@ from mayacrystal.cli import (
     cmd_oracle_check,
     main,
 )
+from mayacrystal.laurent import MultiPoly
 
 
 def run(capsys, *argv):
@@ -189,10 +191,12 @@ class TestVerify:
         lambda payload: {key: v for key, v in payload.items() if key != "max_boxes"},
         lambda payload: dict(payload, max_boxes="oops"),
         lambda payload: dict(payload, max_boxes=-4),
+        lambda payload: dict(payload, nodes=payload["nodes"][:-1]
+                             + [dict(payload["nodes"][-1], word=[2])]),
     ], ids=["list", "string-rank", "node-int", "edges-object", "short-weight",
             "string-word", "string-residue", "edge-to-missing", "edge-from-missing",
             "residue-7", "node-id-5", "depth-0", "depth-negative", "duplicate-edge",
-            "no-max-boxes", "string-max-boxes", "negative-max-boxes"])
+            "no-max-boxes", "string-max-boxes", "negative-max-boxes", "word-letter-2"])
     def test_wrong_shape_graph_file(self, capsys, tmp_path, edit):
         # a graph file of the wrong shape, or whose references or depth do
         # not hold together, is bad input, not a failed check
@@ -241,6 +245,27 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert out == ""
         assert "graph file has rank 2, expected 3" in err
+
+    def test_graph_file_words_give_the_statistics(self, capsys, tmp_path):
+        # the statistics are re-derived from each stored word: an export
+        # passes, and the same file with every length-3 word replaced by
+        # 1,1,1 (which keeps every stored weight, eps, phi and edge) fails
+        _, out, _ = run(capsys, "explore", "--rank", "2", "--depth", "3")
+        path = tmp_path / "graph.json"
+        path.write_text(out)
+        code, out, _ = run(capsys, "verify", "--rank", "2", "--graph-file", str(path))
+        assert code == EXIT_OK
+        assert "verify: PASS (15 nodes)" in out
+        payload = json.loads(path.read_text())
+        tampered = [node for node in payload["nodes"] if len(node["word"]) == 3]
+        for node in tampered:
+            node["word"] = [1, 1, 1]
+        path.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify", "--rank", "2", "--graph-file", str(path))
+        assert code == EXIT_FAIL
+        # one node really is f_1^3, so its row still matches
+        assert out.count("violation: word: node") == len(tampered) - 1 > 0
+        assert "FAIL" in out
 
     def test_tampered_graph_fails(self, capsys, tmp_path):
         code, out, _ = run(capsys, "explore", "--rank", "2", "--depth", "2")
@@ -303,6 +328,35 @@ class TestOracleCheck:
         report = json.loads(out)
         assert report["pass"] is True
         assert len(report["results"]) == n * (1 + 1)
+
+    def test_symbolic_path_builds_no_multipoly(self, capsys, monkeypatch):
+        # symbolic mode runs at a = 1 over the integers (exact by
+        # positivity): no MultiPoly is made or multiplied, and every row
+        # coefficient is an int
+        calls = []
+        variable, mul = MultiPoly.variable, MultiPoly.__mul__
+        monkeypatch.setattr(
+            MultiPoly, "variable",
+            classmethod(lambda cls, name: calls.append("variable") or variable(name)),
+        )
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(
+                MultiPoly, name, lambda self, other: calls.append("mul") or mul(self, other)
+            )
+        rows = []
+        d_gamma = oracle.d_gamma
+        monkeypatch.setattr(
+            oracle, "d_gamma", lambda *args: rows.append(d_gamma(*args)) or rows[-1]
+        )
+        code, out, _ = run(
+            capsys, "oracle-check", "--rank", "2", "--word", "0,1,0,1,1,0", "--max-boxes", "6"
+        )
+        assert code == EXIT_OK
+        assert len(rows) == len(json.loads(out)["results"]) > 0
+        assert calls == []
+        assert {
+            type(c) for v in rows for poly in v.terms.values() for c in poly.coeffs.values()
+        } == {int}
 
     def test_random_without_seed(self, capsys):
         code, _, err = run(

@@ -6,6 +6,7 @@ from mayacrystal.datum import CartanData
 from mayacrystal.graph import (
     CrystalGraph,
     check_axioms,
+    check_words,
     default_max_boxes,
     explore,
     export,
@@ -179,6 +180,18 @@ class TestExport:
         assert g2.nodes == g.nodes
         assert g2.edges == g.edges
         assert (g2.n, g2.depth, g2.max_boxes) == (g.n, g.depth, g.max_boxes)
+
+    @pytest.mark.parametrize("n, depth", [(2, 5), (3, 4), (4, 3)])
+    def test_stored_words_give_stored_statistics(self, n, depth):
+        g = load_json(export(explore(CartanData(n), depth), "json"))
+        assert check_words(g) == []
+        # a node given another node's word keeps its own statistics
+        # while the word gives the other node's
+        a, b = g.nodes[1], g.nodes[-1]
+        g.nodes[1] = replace(a, word=b.word)
+        violations = check_words(g)
+        assert len(violations) == 1
+        assert violations[0].startswith("word: node 1: ")
 
     def test_json_deterministic(self):
         a = export(explore(CartanData(2), 2), "json")

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mayacrystal import oracle
 from mayacrystal.datum import CartanData, canonical_diagrams, datum_from_word
+from mayacrystal.fock import MINUS, PLUS, FockVector, vec_val
 from mayacrystal.laurent import INF, LaurentPoly, MultiPoly, _merge_monomials
 from mayacrystal.maya import ChargedPartition, from_partition
-from mayacrystal.oracle import d_gamma, generic_element
+from mayacrystal.oracle import d_gamma, d_tau, generic_element
 
 coeffs = st.fractions(
     max_denominator=20,
@@ -155,8 +157,8 @@ def reference_laurent_mul(p, q):
     return LaurentPoly(coeffs)
 
 
-# "a10" sorts between "a1" and "a2", so insertion order is by string, not
-# by index; few names make shared variables (the exponent-add branch) common.
+# "a10" sorts between "a1" and "a2", so merged monomials sort by string, not
+# by index; few names make shared variables, whose exponents add, common.
 names = st.sampled_from(("a1", "a10", "a2", "b"))
 monomials = st.dictionaries(names, st.integers(1, 3), max_size=3).map(
     lambda exps: tuple(sorted(exps.items()))
@@ -210,6 +212,42 @@ class TestSingleTermProducts:
         _assert_same_product(q * p, expected)
 
 
+# -- the generic-point reference -------------------------------------------
+#
+# The oracle's own factor loop over independent indeterminates a_j, one
+# MultiPoly variable per scalar name.  The oracle runs it at a_j = 1, which
+# is exact because every coefficient lies in N[a][t, t^-1].
+
+
+def generic_point(word, v):
+    """The word's factors applied to v with MultiPoly parameters."""
+    return oracle._act(word, v, {name: MultiPoly.variable(name) for name in word.names})
+
+
+def numbers(value):
+    """A MultiPoly's coefficients, or a number as itself (the basis
+    vector's own unit, which no factor multiplies)."""
+    return list(value.terms.values()) if isinstance(value, MultiPoly) else [value]
+
+
+def at_one(v):
+    """v's coefficients as {key: {exponent: value}}, each MultiPoly value
+    taken at every a_j = 1, that is, its coefficient sum."""
+    return {
+        key: {e: sum(numbers(c)) for e, c in poly.coeffs.items()}
+        for key, poly in v.terms.items()
+    }
+
+
+def coefficients(v):
+    return {key: poly.coeffs for key, poly in v.terms.items()}
+
+
+words = st.integers(2, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=5).map(tuple))
+)
+
+
 class TestIntegerUnits:
     def test_units_are_ints(self):
         assert type(LaurentPoly.one().coeffs[0]) is int
@@ -225,17 +263,12 @@ class TestIntegerUnits:
             for parts, charge in canonical_diagrams(2, 6)
         ]
         vectors = [d_gamma(word, gamma) for gamma in gammas]
-        numbers = [
-            number
-            for v in vectors
-            for c in v.terms.values()
-            for value in c.coeffs.values()
-            for number in (value.terms.values() if isinstance(value, MultiPoly) else [value])
-        ]
+        numbers = [c for v in vectors for poly in v.terms.values() for c in poly.coeffs.values()]
         assert {type(number) for number in numbers} == {int}
         assert max(numbers) > 1
 
-        # the same vectors over Fraction units and the reference products
+        # the generic-point reference over Fraction units and the reference
+        # products, taken at a = 1, gives the same vectors
         monkeypatch.setattr(
             MultiPoly, "variable", classmethod(lambda cls, name: cls({((name, 1),): Fraction(1)}))
         )
@@ -244,4 +277,30 @@ class TestIntegerUnits:
         monkeypatch.setattr(MultiPoly, "__mul__", reference_multipoly_mul)
         monkeypatch.setattr(MultiPoly, "__rmul__", reference_multipoly_mul)
         for gamma, v in zip(gammas, vectors):
-            assert d_gamma(word, gamma).to_json() == v.to_json()
+            generic = generic_point(word, FockVector.basis(2, MINUS, gamma))
+            assert at_one(generic) == coefficients(v)
+
+
+class TestGenericPoint:
+    @settings(max_examples=30, deadline=None)
+    @given(words)
+    def test_integer_run_is_the_generic_point_at_one(self, case):
+        # rows <gamma| g and columns g |tau> alike: the generic-point vector
+        # has the integer vector's keys and only positive coefficients, its
+        # coefficient sums are the integer coefficients, and the valuations agree
+        n, letters = case
+        word = generic_element(datum_from_word(CartanData(n), letters))
+        for parts, charge in canonical_diagrams(n, 5):
+            key = ChargedPartition(parts, charge)
+            tau = from_partition(key).invert()
+            for side, integer in ((MINUS, d_gamma(word, key)), (PLUS, d_tau(word, tau))):
+                generic = generic_point(word, FockVector.basis(n, side, key))
+                assert generic.terms.keys() == integer.terms.keys()
+                assert all(
+                    number > 0
+                    for poly in generic.terms.values()
+                    for c in poly.coeffs.values()
+                    for number in numbers(c)
+                )
+                assert at_one(generic) == coefficients(integer)
+                assert vec_val(generic) == vec_val(integer)
