@@ -48,8 +48,6 @@ from .maya import (
     to_partition,
 )
 from .oracle import (
-    RANDOM,
-    SYMBOLIC,
     GroupWord,
     compare,
     d_gamma,

@@ -3,7 +3,7 @@
 Subcommands: explore, eval, verify, oracle-check, kostant.  Exit codes:
 0 success / verification passed, 1 verification failure, 2 usage or I/O
 error.  Output is UTF-8, integers are decimal, and an infinite valuation
-prints as "inf".  Symbolic runs are deterministic: identical flags give
+prints as "inf".  Runs are deterministic: identical flags give
 byte-identical output.
 """
 
@@ -29,8 +29,6 @@ class RunConfig:
     n: int
     depth: int = 0
     max_boxes: int | None = None
-    mode: str = oraclemod.SYMBOLIC
-    seed: int | None = None
     output: str | None = None
     format: str = "json"
 
@@ -41,10 +39,6 @@ class RunConfig:
             raise ValueError("depth must be nonnegative")
         if self.max_boxes is not None and self.max_boxes < 0:
             raise ValueError("max-boxes must be nonnegative")
-        if self.mode not in (oraclemod.SYMBOLIC, oraclemod.RANDOM):
-            raise ValueError("mode must be symbolic or random")
-        if (self.seed is not None) != (self.mode == oraclemod.RANDOM):
-            raise ValueError("seed is required exactly when mode is random")
         if self.format not in ("json", "dot"):
             raise ValueError("format must be json or dot")
 
@@ -54,6 +48,15 @@ def _parse_word(text):
     if not text:
         return ()
     return tuple(int(piece) for piece in text.split(","))
+
+
+def _parse_letters(cfg, text):
+    """A --word's residues, each in 0..n-1; ValueError otherwise, where
+    ``datum_from_word`` would silently reduce it mod n."""
+    word = _parse_word(text)
+    if any(not 0 <= i < cfg.n for i in word):
+        raise ValueError("--word letters must be in 0..%d" % (cfg.n - 1))
+    return word
 
 
 def _load_diagram(path):
@@ -133,7 +136,7 @@ def cmd_oracle_check(cfg, word):
     cartan = CartanData(cfg.n)
     datum = datum_from_word(cartan, word)
     max_boxes = cfg.max_boxes if cfg.max_boxes is not None else 6
-    report = oraclemod.compare(datum, canonical_diagrams(cfg.n, max_boxes), cfg.mode, cfg.seed)
+    report = oraclemod.compare(datum, canonical_diagrams(cfg.n, max_boxes))
     if not report["results"]:
         print("oracle-check: no diagrams compared", file=sys.stderr)
         report["pass"] = False
@@ -150,8 +153,6 @@ def cmd_kostant(cfg, beta):
 SHARED_FLAGS = {
     "--depth": dict(type=int, default=0),
     "--max-boxes": dict(type=int, default=None),
-    "--mode": dict(choices=["symbolic", "random"], default="symbolic"),
-    "--seed": dict(type=int, default=None),
     "--output": dict(default=None),
     "--format": dict(choices=["json", "dot"], default="json"),
     "--word": dict(default="", help="comma-separated residues, e.g. 0,1,0"),
@@ -180,7 +181,7 @@ def build_parser():
         p_verify.add_argument(flag, **dict(SHARED_FLAGS[flag], default=argparse.SUPPRESS))
     p_verify.add_argument("--graph-file", default=None, help="check a stored export instead")
     command("oracle-check", "cross-check a word against the oracle",
-            "--word", "--max-boxes", "--mode", "--seed", "--output")
+            "--word", "--max-boxes", "--output")
     p_kostant = command("kostant", "Kostant partition count of beta")
     p_kostant.add_argument("--beta", required=True, help="comma-separated coordinates")
     return parser
@@ -203,11 +204,11 @@ def main(argv=None):
         if args.command == "explore":
             return cmd_explore(cfg)
         if args.command == "eval":
-            return cmd_eval(cfg, _parse_word(args.word), args.diagram_file)
+            return cmd_eval(cfg, _parse_letters(cfg, args.word), args.diagram_file)
         if args.command == "verify":
             return cmd_verify(cfg, args.graph_file)
         if args.command == "oracle-check":
-            return cmd_oracle_check(cfg, _parse_word(args.word))
+            return cmd_oracle_check(cfg, _parse_letters(cfg, args.word))
         if args.command == "kostant":
             return cmd_kostant(cfg, _parse_word(args.beta))
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:

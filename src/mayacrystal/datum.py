@@ -45,8 +45,9 @@ number, so graph exploration, which keeps each node's fingerprint, holds
 each table once at two bytes an entry.  ``value_at`` and ``theta`` run the
 recursion diagram by diagram, listing each diagram's subsets with
 ``maya.removal_options`` or ``maya.addition_options`` and memoising values
-per datum only; they serve ``eval`` and the crystal statistics, on diagrams
-outside any window.
+per datum only.  ``value_at`` serves ``eval`` and the recursive column of
+``oracle.compare``, which ``oracle-check`` prints; ``theta`` serves the
+crystal statistics.
 """
 
 from __future__ import annotations
@@ -275,30 +276,36 @@ class CrystalDatum:
         """<wt, h_i> + eps_hat(i); equals c_coeff(i) + 1 (tested identity)."""
         return self.cartan.pairing(self.weight(), i) + self.eps_hat(i)
 
+    def statistics(self):
+        """(weight, eps, phi) as a graph node stores them, phi_i = c_coeff(i) + 1."""
+        n = self.cartan.n
+        eps = tuple(self.eps_hat(i) for i in range(n))
+        return self.weight(), eps, tuple(self.c_coeff(i) + 1 for i in range(n))
+
     # -- equality surrogate ---------------------------------------------------
 
     def fingerprint(self, max_boxes, parent_fingerprint=None):
-        """The pair (statistics, table bytes) over sigma-canonical diagrams
-        with at most max_boxes boxes.
+        """The pair (``statistics()``, table bytes) over sigma-canonical
+        diagrams with at most max_boxes boxes.
 
-        The weight and string statistics come first because value tables
+        The statistics (weight, eps, phi) come first because value tables
         over a bounded window can coincide for elements that differ only on
-        larger diagrams.  The enumeration order is fixed (charge 0..n-1,
-        then box count, then lexicographic parts).  The table bytes hold
-        each value plus 32768 as a big-endian unsigned 16-bit number, so
-        fingerprints compare exactly as statistics + table tuples would; a
-        value outside [-32768, 32767] raises OverflowError and is never
-        clipped.  Given the parent's fingerprint over the same window, the
-        table is filled from the one inside it (see ``_fill``), on biased
-        values; otherwise it is ``table``'s.
+        larger diagrams; phi is fixed by weight and eps (``phi_hat``), so
+        they order and equate fingerprints as weight and eps alone would.
+        The enumeration order is fixed (charge 0..n-1, then box count, then
+        lexicographic parts).  The table bytes hold each value plus 32768
+        as a big-endian unsigned 16-bit number, so fingerprints compare
+        exactly as statistics + table tuples would; a value outside
+        [-32768, 32767] raises OverflowError and is never clipped.  Given
+        the parent's fingerprint over the same window, the table is filled
+        from the one inside it (see ``_fill``), on biased values; otherwise
+        it is ``table``'s.
         """
-        n = self.cartan.n
-        stats = self.weight() + tuple(self.eps_hat(i) for i in range(n))
         if self.parent is None or parent_fingerprint is None:
             values = [v + _BIAS for v in self.table(max_boxes)]
         else:
             values = self._fill(max_boxes, _decode(parent_fingerprint[1]))
-        return stats, _encode(values)
+        return self.statistics(), _encode(values)
 
     def value_table(self, max_boxes):
         """JSON-friendly list of {"diagram": ..., "value": k} rows."""

@@ -5,8 +5,9 @@ deduplicated by their value-table fingerprint over diagrams with at most
 ``max_boxes`` boxes (default n*(depth+1), validated empirically by the
 census).  Each child is fingerprinted once, its table filled from the one
 inside its parent's fingerprint, where it is kept as order-preserving 16-bit
-bytes, so sorting fingerprints orders nodes by weight, string statistics
-and then table values.  A datum and its fingerprint live only in
+bytes.  A fingerprint begins with the (weight, eps, phi) that the node's
+row stores, so sorting fingerprints orders nodes by weight, string
+statistics and then table values.  A datum and its fingerprint live only in
 the frontier entry that grows the next level (and the fingerprint in the
 dedup dict); a child that dedups away is freed with its memos.  A graph's
 nodes are plain records, the rows of its JSON export, so an explored graph
@@ -72,7 +73,7 @@ def explore(cartan, depth, max_boxes=None):
             fp = datum.fingerprint(max_boxes, parent_fingerprint)
             target = by_fingerprint.setdefault(fp, len(rows))
             if target == len(rows):
-                rows.append((datum.word, *statistics(datum)))
+                rows.append((datum.word, *fp[0]))  # fp[0] is (weight, eps, phi)
                 frontier.append((target, datum, fp))
             if edge is not None:
                 edges[edge] = target
@@ -84,13 +85,6 @@ def explore(cartan, depth, max_boxes=None):
     renumber = {by_fingerprint[fp]: k for k, fp in enumerate(order)}
     edges = {(renumber[src], i): renumber[dst] for (src, i), dst in edges.items()}
     return CrystalGraph(n, depth, max_boxes, nodes, edges)
-
-
-def statistics(datum):
-    """A datum's (weight, eps, phi), as its node stores them."""
-    n = datum.cartan.n
-    eps = tuple(datum.eps_hat(i) for i in range(n))
-    return datum.weight(), eps, tuple(datum.c_coeff(i) + 1 for i in range(n))
 
 
 def check_words(graph):
@@ -106,7 +100,7 @@ def check_words(graph):
             k -= 1
         for j in range(k, len(word)):
             datums[word[:j + 1]] = datums[word[:j]].apply(word[j])
-        stored, derived = (node.weight, node.eps, node.phi), statistics(datums[word])
+        stored, derived = (node.weight, node.eps, node.phi), datums[word].statistics()
         if derived != stored:
             violations.append("word: node %d: stored (weight, eps, phi) %r, its word gives %r"
                               % (node.id, stored, derived))

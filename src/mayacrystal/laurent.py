@@ -1,17 +1,12 @@
 """Exact sparse Laurent polynomials in t over pluggable exact coefficient rings.
 
 Coefficients may be any exact value of a ring without zero divisors that
-supports +, *, == and truthiness as a zero test.  The oracle computes over
-the integers and the rationals, as ``int`` or ``Fraction``;
-:class:`MultiPoly`, sparse multivariate polynomials over them, is the
-tests' generic-point reference.  No floating point ever enters these
-computations.
-
-Unit coefficients are the int 1, not ``Fraction(1)``: every coefficient of a
-symbolic computation is then an integer path count, and int arithmetic needs
-no ``Fraction`` object or gcd per operation.  An int and an integral
-``Fraction`` compare equal and print the same, so outputs do not depend on
-which one a coefficient is, and int x Fraction stays exact.
+supports +, *, == and truthiness as a zero test: ``int``, ``Fraction`` or
+:class:`MultiPoly`.  The oracle computes over the integers, at a = 1, so
+every coefficient it makes is an ``int`` path count and needs no
+``Fraction`` object or gcd per operation; :class:`MultiPoly`, sparse
+multivariate polynomials over the rationals, is the tests' generic-point
+reference.  No floating point ever enters these computations.
 
 A Laurent product by a single term is one pass, without accumulating or
 testing for zero: multiplying by a fixed nonzero term is injective on

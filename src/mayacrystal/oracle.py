@@ -11,27 +11,21 @@ theta value at a right-black diagram tau is the valuation of the column
 vector g |tau>.  Both are computed exactly and compared against the
 recursive evaluation as an independent cross-check.
 
-Symbolic mode is exact by positivity at a_j = 1: ``x_act`` only multiplies
-by p^|S|, whose coefficient is 1, and adds, so over indeterminates a_j
-every coefficient lies in N[a][t, t^-1].  Such a polynomial, and each of
-its t-coefficients, is nonzero exactly when its value at a = 1 is, so the
-valuations are those at a = 1.  Random mode draws each a_j as a seeded
-nonzero rational instead, through the same parameter path.
+The computation runs at a_j = 1, over the integers, and is exact by
+positivity: ``x_act`` only multiplies by p^|S|, whose coefficient is 1, and
+adds, so over indeterminates a_j every coefficient lies in N[a][t, t^-1].
+Such a polynomial, and each of its t-coefficients, is nonzero exactly when
+its value at a = 1 is, so the valuations are those at a = 1.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fock import MINUS, PLUS, FockVector, vec_val, x_act
 from .laurent import INF, LaurentPoly
 from .maya import RIGHT_BLACK, ChargedPartition
-
-SYMBOLIC = "symbolic"
-RANDOM = "random"
 
 
 @dataclass(frozen=True)
@@ -59,35 +53,15 @@ class GroupWord:
 
 
 def generic_element(datum):
-    """The generic group element attached to a datum's word."""
-    chain = []
+    """The generic group element attached to a datum's word.  Factor j's
+    t-exponent phi_j - 1 is the recursion's own coefficient ``coeff`` of
+    the length-j prefix, its parent's c_coeff at letter j."""
+    factors = []
     node = datum
     while node.parent is not None:
-        chain.append(node)
+        factors.append(Factor(node.letter, "a%d" % len(node.word), node.coeff))
         node = node.parent
-    chain.reverse()
-    factors = []
-    for j, node in enumerate(chain, 1):
-        phi = node.parent.phi_hat(node.letter)
-        factors.append(Factor(node.letter, "a%d" % j, phi - 1))
-    return GroupWord(datum.cartan.n, tuple(factors))
-
-
-def _assignment(word, mode, seed):
-    if mode == SYMBOLIC:
-        return dict.fromkeys(word.names, 1)
-    if mode != RANDOM:
-        raise ValueError("unknown mode: %r" % (mode,))
-    if seed is None:
-        raise ValueError("random mode requires a seed")
-    rng = random.Random(seed)
-    out = {}
-    for name in word.names:
-        value = 0
-        while value == 0:
-            value = Fraction(rng.randint(-999, 999), rng.randint(1, 99))
-        out[name] = value
-    return out
+    return GroupWord(datum.cartan.n, tuple(reversed(factors)))
 
 
 def _act(word, v, assignment):
@@ -98,34 +72,34 @@ def _act(word, v, assignment):
     return v
 
 
-def d_gamma(word, gamma, mode=SYMBOLIC, seed=None):
+def d_gamma(word, gamma):
     """Row vector <gamma| g as a minus-side Fock vector.
 
     gamma is a left-black Maya diagram or its charged partition, as
     ``to_partition`` returns it; each factor's x_act works on raw keys.
     """
-    return _act(word, FockVector.basis(word.n, MINUS, gamma), _assignment(word, mode, seed))
+    return _act(word, FockVector.basis(word.n, MINUS, gamma), dict.fromkeys(word.names, 1))
 
 
-def d_tau(word, tau, mode=SYMBOLIC, seed=None):
+def d_tau(word, tau):
     """Column vector g |tau> as a plus-side Fock vector.  The newest factor
     acts first and the oldest last, the order that agrees with theta."""
     if tau.kind != RIGHT_BLACK:
         raise ValueError("d_tau expects a right-black diagram")
-    return _act(word, FockVector.basis(word.n, PLUS, tau), _assignment(word, mode, seed))
+    return _act(word, FockVector.basis(word.n, PLUS, tau), dict.fromkeys(word.names, 1))
 
 
-def oracle_eval(datum, gamma, mode=SYMBOLIC, seed=None):
+def oracle_eval(datum, gamma):
     """Valuation of <gamma| g for the datum's generic group element."""
-    return vec_val(d_gamma(generic_element(datum), gamma, mode, seed))
+    return vec_val(d_gamma(generic_element(datum), gamma))
 
 
-def oracle_theta(datum, tau, mode=SYMBOLIC, seed=None):
+def oracle_theta(datum, tau):
     """Valuation of g |tau> for the datum's generic group element."""
-    return vec_val(d_tau(generic_element(datum), tau, mode, seed))
+    return vec_val(d_tau(generic_element(datum), tau))
 
 
-def compare(datum, diagrams, mode=SYMBOLIC, seed=None):
+def compare(datum, diagrams):
     """Cross-check recursive values against oracle valuations.
 
     ``diagrams`` are left-black diagrams as ``(parts, charge)`` pairs, the
@@ -137,7 +111,7 @@ def compare(datum, diagrams, mode=SYMBOLIC, seed=None):
     results = []
     ok = True
     for parts, charge in diagrams:
-        valuation = vec_val(d_gamma(word, ChargedPartition(parts, charge), mode, seed))
+        valuation = vec_val(d_gamma(word, ChargedPartition(parts, charge)))
         recursive = datum.value_at(parts, charge)
         match = recursive == valuation
         ok = ok and match
@@ -149,13 +123,7 @@ def compare(datum, diagrams, mode=SYMBOLIC, seed=None):
                 "match": match,
             }
         )
-    return {
-        "word": list(datum.word),
-        "mode": mode,
-        "seed": seed,
-        "results": results,
-        "pass": ok,
-    }
+    return {"word": list(datum.word), "results": results, "pass": ok}
 
 
 def report_to_json(report):

@@ -23,7 +23,7 @@ def run(capsys, *argv):
 class TestRunConfig:
     def test_valid(self):
         cfg = RunConfig(n=2, depth=3)
-        assert cfg.mode == "symbolic"
+        assert (cfg.depth, cfg.max_boxes, cfg.format) == (3, None, "json")
 
     def test_rank_too_small(self):
         with pytest.raises(ValueError):
@@ -32,13 +32,6 @@ class TestRunConfig:
     def test_negative_depth(self):
         with pytest.raises(ValueError):
             RunConfig(n=2, depth=-1)
-
-    def test_seed_iff_random(self):
-        with pytest.raises(ValueError):
-            RunConfig(n=2, mode="random")
-        with pytest.raises(ValueError):
-            RunConfig(n=2, mode="symbolic", seed=3)
-        assert RunConfig(n=2, mode="random", seed=3).seed == 3
 
     def test_negative_max_boxes(self, capsys):
         with pytest.raises(ValueError):
@@ -53,8 +46,9 @@ class TestRunConfig:
             assert "max-boxes" in err
 
     def test_bad_mode_and_format(self):
-        with pytest.raises(ValueError):
-            RunConfig(n=2, mode="approximate")
+        # the oracle has one exact mode, so no mode is a config field
+        with pytest.raises(TypeError):
+            RunConfig(n=2, mode="symbolic")
         with pytest.raises(ValueError):
             RunConfig(n=2, format="svg")
 
@@ -151,6 +145,16 @@ class TestEval:
             "--diagram-file", str(tmp_path / "nope.json"),
         )
         assert code == EXIT_USAGE
+
+    def test_letter_out_of_range(self, capsys, tmp_path):
+        # a letter outside 0..n-1 is bad input, not reduced mod n
+        path = self.write_diagram(tmp_path, {"parts": [1], "charge": 1})
+        code, out, err = run(
+            capsys, "eval", "--rank", "2", "--word", "0,-1", "--diagram-file", path
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "0..1" in err
 
 
 class TestVerify:
@@ -295,16 +299,14 @@ class TestOracleCheck:
         assert code == EXIT_OK
         assert json.loads(out)["pass"] is True
 
-    def test_random_mode(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "oracle-check", "--rank", "2", "--word", "0,1",
-            "--max-boxes", "3", "--mode", "random", "--seed", "5",
+    def test_letter_out_of_range(self, capsys):
+        # 5 would reduce to 1 mod 2 and pass; it is bad input instead
+        code, out, err = run(
+            capsys, "oracle-check", "--rank", "2", "--word", "0,5", "--max-boxes", "1"
         )
-        assert code == EXIT_OK
-        report = json.loads(out)
-        assert report["pass"] is True
-        assert report["seed"] == 5
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "0..1" in err
 
     def test_no_diagrams_fails(self, capsys):
         # an empty window compares nothing, so it must not pass
@@ -330,7 +332,7 @@ class TestOracleCheck:
         assert len(report["results"]) == n * (1 + 1)
 
     def test_symbolic_path_builds_no_multipoly(self, capsys, monkeypatch):
-        # symbolic mode runs at a = 1 over the integers (exact by
+        # the oracle runs at a = 1 over the integers (exact by
         # positivity): no MultiPoly is made or multiplied, and every row
         # coefficient is an int
         calls = []
@@ -357,12 +359,6 @@ class TestOracleCheck:
         assert {
             type(c) for v in rows for poly in v.terms.values() for c in poly.coeffs.values()
         } == {int}
-
-    def test_random_without_seed(self, capsys):
-        code, _, err = run(
-            capsys, "oracle-check", "--rank", "2", "--word", "0", "--mode", "random"
-        )
-        assert code == EXIT_USAGE
 
     def test_threads_flag(self, capsys):
         # oracle-check has one path, through oracle.compare; --threads is gone
@@ -399,9 +395,13 @@ class TestUsage:
         (("verify", "--rank", "2", "--mode", "random", "--seed", "1"), "--mode"),
         (("oracle-check", "--rank", "2", "--word", "0", "--format", "dot"), "--format"),
         (("explore", "--rank", "2", "--depth", "1", "--seed", "1"), "--seed"),
+        (("oracle-check", "--rank", "2", "--word", "0", "--mode", "random", "--seed", "1"),
+         "--mode"),
+        (("oracle-check", "--rank", "2", "--word", "0", "--seed", "1"), "--seed"),
     ])
     def test_flag_of_another_subcommand(self, capsys, argv, flag):
-        # each subcommand takes only the flags it reads
+        # each subcommand takes only the flags it reads; --mode and --seed
+        # belong to none
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == EXIT_USAGE

@@ -371,7 +371,9 @@ class TestFingerprint:
             for parts, charge in canonical_diagrams(2, 6)
         }
         stats, table_bytes = d.fingerprint(6)
-        assert len(stats) == 4  # weight and eps statistics come first
+        # the node's (weight, eps, phi) come first
+        eps = tuple(d.eps_hat(i) for i in range(2))
+        assert stats == (d.weight(), eps, tuple(d.phi_hat(i) for i in range(2)))
         assert table_values(table_bytes) == [table[key] for key in canonical_diagrams(2, 6)]
 
     @given(

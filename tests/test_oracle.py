@@ -17,8 +17,6 @@ from mayacrystal.maya import (
     to_partition,
 )
 from mayacrystal.oracle import (
-    RANDOM,
-    SYMBOLIC,
     GroupWord,
     compare,
     d_gamma,
@@ -99,23 +97,6 @@ class TestDGamma:
             for g in diagrams:
                 assert d.eval(g) == oracle_eval(d, g)
 
-    def test_random_mode_matches_symbolic(self):
-        d = datum_from_word(CartanData(2), (0, 1, 0))
-        for g in small_diagrams(2, 3):
-            sym = oracle_eval(d, g)
-            for seed in (1, 7, 42):
-                assert oracle_eval(d, g, mode=RANDOM, seed=seed) == sym
-
-    def test_random_mode_requires_seed(self):
-        d = datum_from_word(CartanData(2), (0,))
-        with pytest.raises(ValueError):
-            oracle_eval(d, diagram((1,), 1), mode=RANDOM)
-
-    def test_unknown_mode(self):
-        d = datum_from_word(CartanData(2), (0,))
-        with pytest.raises(ValueError):
-            oracle_eval(d, diagram((1,), 1), mode="float")
-
 
 class TestDTau:
     def taus(self):
@@ -194,17 +175,10 @@ class TestCompare:
         assert text.endswith("\n")
         assert "Infinity" not in text
 
-    def test_random_seed_recorded(self):
-        d = datum_from_word(CartanData(2), (0,))
-        report = compare(d, [((1,), 1)], mode=RANDOM, seed=9)
-        assert report["mode"] == RANDOM
-        assert report["seed"] == 9
-        assert report["pass"] is True
-
     def test_n3_words(self):
         cartan = CartanData(3)
         diagrams = as_pairs(small_diagrams(3, 3))
         for word in [(0,), (1, 2), (2, 0, 1)]:
             d = datum_from_word(cartan, word)
-            report = compare(d, diagrams, mode=SYMBOLIC)
+            report = compare(d, diagrams)
             assert report["pass"] is True
