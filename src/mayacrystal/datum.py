@@ -60,6 +60,7 @@ from .maya import (
     LEFT_BLACK,
     RIGHT_BLACK,
     addition_options,
+    corner_removals,
     partitions_of,
     removal_options,
     term_key,
@@ -108,12 +109,8 @@ def _removal_index(n, max_boxes):
     position = {key: k for k, key in enumerate(window)}
     index = tuple([] for _ in range(n))
     for k, (parts, charge) in enumerate(window):
-        last = len(parts) - 1
-        for r, length in enumerate(parts):
-            if r == last or length > parts[r + 1]:
-                # only the last row can shrink to zero
-                sub = parts[:r] + (length - 1,) + parts[r + 1:] if length > 1 else parts[:r]
-                index[(length - r - charge) % n].append((k, position[sub, charge]))
+        for r, sub in corner_removals(parts):
+            index[(parts[r] - r - charge) % n].append((k, position[sub, charge]))
     return tuple(tuple(pairs) for pairs in index)
 
 

@@ -16,6 +16,13 @@ positivity: ``x_act`` only multiplies by p^|S|, whose coefficient is 1, and
 adds, so over indeterminates a_j every coefficient lies in N[a][t, t^-1].
 Such a polynomial, and each of its t-coefficients, is nonzero exactly when
 its value at a = 1 is, so the valuations are those at a = 1.
+
+``compare`` reads its oracle column from ``fock.minus_rows``, which fills
+the rows of every diagram it needs in one pass per letter, each prefix's
+rows from the previous prefix's.  ``d_gamma`` computes one row on its own,
+one ``x_act`` per letter, and is the tests' reference for those rows;
+``d_tau`` does the same on the plus side, whose column vectors share no
+prefix.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .fock import MINUS, PLUS, FockVector, vec_val, x_act
+from .fock import MINUS, PLUS, FockVector, minus_rows, vec_val, x_act
 from .laurent import INF, LaurentPoly
 from .maya import RIGHT_BLACK, ChargedPartition
 
@@ -103,15 +110,22 @@ def compare(datum, diagrams):
     """Cross-check recursive values against oracle valuations.
 
     ``diagrams`` are left-black diagrams as ``(parts, charge)`` pairs, the
-    form ``canonical_diagrams`` lists a window in.  Returns a JSON-ready
-    report with one row per diagram and an overall pass flag.  INF
-    valuations are serialized as the string "inf".
+    form ``canonical_diagrams`` lists a window in, but any list will do.
+    The Fock rows <gamma| g are filled together over the removal closure
+    of ``diagrams`` (``fock.minus_rows``); a window is its own closure.
+    Each report row's oracle value is ``vec_val`` of its Fock row and its
+    recursive value is ``value_at``.  Returns a JSON-ready report with one
+    row per given diagram, in the given order, and an overall pass flag.
+    INF valuations are serialized as the string "inf".
     """
     word = generic_element(datum)
+    # ChargedPartition checks each diagram and makes its parts a tuple
+    diagrams = [(p.parts, p.charge) for p in (ChargedPartition(*d) for d in diagrams)]
+    rows = minus_rows(word.n, [(f.residue, f.exponent) for f in word.factors], diagrams)
     results = []
     ok = True
     for parts, charge in diagrams:
-        valuation = vec_val(d_gamma(word, ChargedPartition(parts, charge)))
+        valuation = vec_val(rows[parts, charge])
         recursive = datum.value_at(parts, charge)
         match = recursive == valuation
         ok = ok and match

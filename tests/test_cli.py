@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mayacrystal import oracle
+from mayacrystal import datum, fock, maya, oracle
 from mayacrystal.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -333,8 +333,8 @@ class TestOracleCheck:
 
     def test_symbolic_path_builds_no_multipoly(self, capsys, monkeypatch):
         # the oracle runs at a = 1 over the integers (exact by
-        # positivity): no MultiPoly is made or multiplied, and every row
-        # coefficient is an int
+        # positivity): no MultiPoly is made or multiplied, and every
+        # coefficient of the shared rows is an int
         calls = []
         variable, mul = MultiPoly.variable, MultiPoly.__mul__
         monkeypatch.setattr(
@@ -345,20 +345,45 @@ class TestOracleCheck:
             monkeypatch.setattr(
                 MultiPoly, name, lambda self, other: calls.append("mul") or mul(self, other)
             )
-        rows = []
-        d_gamma = oracle.d_gamma
+        fills = []
+        minus_rows = oracle.minus_rows
         monkeypatch.setattr(
-            oracle, "d_gamma", lambda *args: rows.append(d_gamma(*args)) or rows[-1]
+            oracle, "minus_rows", lambda *args: fills.append(minus_rows(*args)) or fills[-1]
         )
         code, out, _ = run(
             capsys, "oracle-check", "--rank", "2", "--word", "0,1,0,1,1,0", "--max-boxes", "6"
         )
         assert code == EXIT_OK
-        assert len(rows) == len(json.loads(out)["results"]) > 0
+        (rows,) = fills
+        results = json.loads(out)["results"]
+        assert len(rows) == len(results) > 0
         assert calls == []
-        assert {
-            type(c) for v in rows for poly in v.terms.values() for c in poly.coeffs.values()
-        } == {int}
+        coefficients = {
+            type(c)
+            for v in rows.values()
+            for poly in v.terms.values()
+            for c in poly.coeffs.values()
+        }
+        assert coefficients == {int}
+
+    def test_rows_fill_once_per_prefix(self, capsys, monkeypatch):
+        # one removal_options call per (word prefix, window diagram) for the
+        # shared row fill, and as many for value_at's memo
+        calls = []
+        removal_options = maya.removal_options
+
+        def counting(*args):
+            calls.append(args)
+            return removal_options(*args)
+
+        for module in (maya, datum, fock):
+            monkeypatch.setattr(module, "removal_options", counting)
+        code, out, _ = run(
+            capsys, "oracle-check", "--rank", "2", "--word", "0,1,0,1,1,0", "--max-boxes", "10"
+        )
+        assert code == EXIT_OK
+        assert len(json.loads(out)["results"]) == 278
+        assert 0 < len(calls) <= 2 * 6 * 278
 
     def test_threads_flag(self, capsys):
         # oracle-check has one path, through oracle.compare; --threads is gone

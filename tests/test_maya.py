@@ -20,6 +20,7 @@ from mayacrystal.maya import (
     lambda_diagram,
     partitions_up_to,
     removable_boxes,
+    removal_closure,
     removal_options,
     remove_box,
     s_lambda_diagram,
@@ -247,6 +248,20 @@ class TestBoxes:
                     q = remove_box(q, box)
             expected.append((q.parts, bin(mask).count("1")))
         assert removal_options(parts, charge, i, n) == expected
+
+    def test_removal_closure_is_every_subdiagram(self):
+        # reference: the partitions inside each given one, row by row
+        def inside(q, p):
+            return len(q) <= len(p) and all(a <= b for a, b in zip(q, p))
+
+        small = list(partitions_up_to(6))
+        for parts in small:
+            expected = {(q, 3) for q in small if inside(q, parts)}
+            assert removal_closure([(parts, 3)]) == expected
+        pair = [((2, 1), 0), ((3,), 1)]
+        assert removal_closure(pair) == removal_closure(pair[:1]) | removal_closure(pair[1:])
+        window = {(q, c) for c in range(2) for q in small}
+        assert removal_closure(window) == window
 
     @given(partition_parts, charges, st.integers(0, 3), st.integers(2, 4))
     def test_addition_options_match_box_addition(self, parts, charge, i, n):

@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mayacrystal import datum, fock, maya, oracle
-from mayacrystal.datum import CartanData, datum_from_word
-from mayacrystal.fock import term_key, vec_val
+from mayacrystal.datum import CartanData, canonical_diagrams, datum_from_word
+from mayacrystal.fock import minus_rows, term_key, vec_val
 from mayacrystal.laurent import INF
 from mayacrystal.maya import (
     ChargedPartition,
@@ -17,6 +20,7 @@ from mayacrystal.maya import (
     to_partition,
 )
 from mayacrystal.oracle import (
+    Factor,
     GroupWord,
     compare,
     d_gamma,
@@ -135,6 +139,45 @@ class TestDTau:
         assert disagreements > 0
 
 
+@st.composite
+def group_words(draw):
+    """A group word for n = 2..4: at most 5 factors, any t-exponents."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    letters = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-3, 3)), max_size=5))
+    factors = tuple(Factor(i, "a%d" % j, e) for j, (i, e) in enumerate(letters, 1))
+    return GroupWord(n, factors)
+
+
+class TestSharedRows:
+    """fock.minus_rows fills every window row once per word prefix; the
+    per-row d_gamma, one x_act per letter, is its reference."""
+
+    @given(group_words(), st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_d_gamma(self, word, max_boxes):
+        window = canonical_diagrams(word.n, max_boxes)
+        factors = [(f.residue, f.exponent) for f in word.factors]
+        rows = minus_rows(word.n, factors, window)
+        assert rows.keys() == set(window)
+        for parts, charge in window:
+            expected = d_gamma(word, ChargedPartition(parts, charge))
+            row = rows[parts, charge]
+            # FockVector equality: the same keys, and equal LaurentPoly
+            # coefficients at each
+            assert row == expected
+
+    def test_rows_reach_beyond_the_valuation(self):
+        # rows carry whole Laurent polynomials, with several exponents and
+        # path counts above 1, so the equality above tests more than a
+        # valuation
+        word = generic_element(datum_from_word(CartanData(2), (0, 1, 0, 1, 1, 0)))
+        rows = minus_rows(2, [(f.residue, f.exponent) for f in word.factors],
+                          canonical_diagrams(2, 5))
+        polys = [poly for row in rows.values() for poly in row.terms.values()]
+        assert max(len(poly.coeffs) for poly in polys) > 1
+        assert max(c for poly in polys for c in poly.coeffs.values()) > 1
+
+
 class TestCompare:
     def test_report_shape_and_pass(self):
         d = datum_from_word(CartanData(2), (0, 1))
@@ -165,6 +208,23 @@ class TestCompare:
         assert report["pass"] is True
         assert len(report["results"]) == len(pairs)
         assert calls == []
+
+    def test_any_diagram_list(self):
+        # compare fills rows over the removal closure of the diagrams it is
+        # given and keeps one report row per diagram, in the given order
+        d = datum_from_word(CartanData(2), (0, 1, 1, 0, 1))
+        window = list(canonical_diagrams(2, 6))
+        full = compare(d, window)["results"]
+        by_key = {(tuple(r["diagram"]["parts"]), r["diagram"]["charge"]): r for r in full}
+        single = compare(d, [((3, 1), 1)])
+        assert single["pass"] is True
+        assert single["results"] == [by_key[(3, 1), 1]]
+        shuffled = window[:]
+        random.Random(5).shuffle(shuffled)
+        report = compare(d, shuffled)
+        assert report["pass"] is True
+        assert report["results"] == [by_key[key] for key in shuffled]
+        assert report["results"] != full
 
     def test_inf_serialized_as_string(self):
         d = datum_from_word(CartanData(2), ())
