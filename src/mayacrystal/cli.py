@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 from . import graph as graphmod
 from . import oracle as oraclemod
-from .datum import CartanData, canonical_diagrams, datum_from_word
+from .datum import CartanData, datum_from_word
 from .maya import ChargedPartition, MayaDiagram, from_partition
 
 EXIT_OK = 0
@@ -136,7 +136,7 @@ def cmd_oracle_check(cfg, word):
     cartan = CartanData(cfg.n)
     datum = datum_from_word(cartan, word)
     max_boxes = cfg.max_boxes if cfg.max_boxes is not None else 6
-    report = oraclemod.compare(datum, canonical_diagrams(cfg.n, max_boxes))
+    report = oraclemod.compare(datum, max_boxes)
     if not report["results"]:
         print("oracle-check: no diagrams compared", file=sys.stderr)
         report["pass"] = False
@@ -213,6 +213,10 @@ def main(argv=None):
             return cmd_kostant(cfg, _parse_word(args.beta))
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:  # value_at and theta recurse once per word letter
+        word = "a %d-letter word" % len(_parse_word(args.word)) if "word" in given else "a word"
+        print("error: %s is too long for the recursive evaluation" % word, file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE
 

@@ -34,20 +34,22 @@ mod n).
 
 Two paths compute values.  Over the window canonical_diagrams(n, max_boxes)
 (charges 0..n-1, at most max_boxes boxes), ``table`` fills a datum's whole
-value table from its parent's in one pass over a single-box removal index
-built once per window.  Removing a residue-i box never creates or blocks
-another residue-i box, so the min over subsets is a chain of single
-removals, each read from an entry already filled; the window is closed
-under box removal, so every term is a window entry.  A datum caches no
+value table letter by letter along its word from the root's all-zero
+table, each letter in one pass over a single-box removal index built once
+per window.  Removing a residue-i box never creates or blocks another
+residue-i box, so the min over subsets is a chain of single removals, each
+read from an entry already filled; the window is closed under box removal,
+so every term is a window entry.  A datum caches no
 table: given its parent's fingerprint, ``fingerprint`` fills the table from
 the bytes inside it, which keep each value as an order-preserving 16-bit
 number, so graph exploration, which keeps each node's fingerprint, holds
-each table once at two bytes an entry.  ``value_at`` and ``theta`` run the
-recursion diagram by diagram, listing each diagram's subsets with
-``maya.removal_options`` or ``maya.addition_options`` and memoising values
-per datum only.  ``value_at`` serves ``eval`` and the recursive column of
-``oracle.compare``, which ``oracle-check`` prints; ``theta`` serves the
-crystal statistics.
+each table once at two bytes an entry.  ``oracle.compare`` checks the
+table against the Fock rows over the same window, so ``oracle-check``
+tests the values ``verify`` dedups on.  ``value_at`` and ``theta`` run the
+recursion diagram by diagram, one Python frame per letter, listing each
+diagram's subsets with ``maya.removal_options`` or
+``maya.addition_options`` and memoising values per datum only.
+``value_at`` serves ``eval``; ``theta`` serves the crystal statistics.
 """
 
 from __future__ import annotations
@@ -204,12 +206,24 @@ class CrystalDatum:
         return best
 
     def table(self, max_boxes):
-        """Values over canonical_diagrams(n, max_boxes), as a tuple of ints,
-        filled along the word from the root's all-zero table (see ``_fill``).
-        Equals value_at at every entry, without a memo entry per diagram."""
+        """Values over canonical_diagrams(n, max_boxes), as a tuple of ints:
+        the root's all-zero table, filled in place by each datum along the
+        word in turn (see ``_fill``).  Equals value_at at every entry,
+        without a memo entry per diagram, and loops rather than recurses,
+        so no word is too long for it."""
         if self.parent is None:
+            # verify fingerprints the root from this table; building it
+            # through a list as well raises that run's peak RSS by 0.2 MB
             return (0,) * len(canonical_diagrams(self.cartan.n, max_boxes))
-        return tuple(self._fill(max_boxes, list(self.parent.table(max_boxes))))
+        chain = []
+        node = self
+        while node.parent is not None:
+            chain.append(node)
+            node = node.parent
+        values = [0] * len(canonical_diagrams(self.cartan.n, max_boxes))
+        for node in reversed(chain):
+            node._fill(max_boxes, values)
+        return tuple(values)
 
     def _fill(self, max_boxes, values):
         """Turn the parent's table ``values`` (a list) into this datum's, in

@@ -19,8 +19,8 @@ the sum, each with coefficient 1, of the diagrams obtained by moving a
 k-subset of its residue-i boxes, and the one-parameter action
 exp(p * E_i) = sum_k p^k E_i^k / k! is the finite sum over all subsets.
 ``x_act`` applies it to one vector; ``minus_rows`` applies a whole word to
-the row vectors of a removal-closed set of diagrams at once, one pass per
-letter, each row built from rows of the previous prefix.
+the row vectors of a window of diagrams at once, one pass per letter, each
+row built from rows of the previous prefix.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .maya import (
     ChargedPartition,
     addition_options,
     from_partition,
-    removal_closure,
     removal_options,
     term_key,
 )
@@ -172,40 +171,40 @@ def x_act(v, i, p):
     return _keyed(v.n, v.side, terms)
 
 
-def minus_rows(n, factors, diagrams):
+def minus_rows(n, factors, window):
     """Row vectors <gamma| x_{i_m}(p_m) ... x_{i_1}(p_1) at every a_j = 1,
-    for every gamma of the removal closure of ``diagrams``.
+    for every gamma of ``window``.
 
     ``factors`` lists the pairs (i_j, e_j) with p_j = t^e_j, oldest first;
-    ``diagrams`` are ``(parts, charge)`` pairs, which key the returned dict
-    of minus-side vectors.  The rows fill one factor at a time from the
-    basis rows.  The newest factor acts first on a row vector, so with g_j
-    the product of the first j factors,
+    ``window`` lists ``(parts, charge)`` pairs closed under box removal, as
+    ``canonical_diagrams(n, max_boxes)`` does, and they key the returned
+    dict of minus-side vectors in window order.  The rows fill one factor
+    at a time from the basis rows.  The newest factor acts first on a row
+    vector, so with g_j the product of the first j factors,
 
         <gamma| g_j = sum over S in removal_options(gamma, i_j) of
                       p_j^|S| <gamma minus S| g_{j-1},
 
-    and every gamma minus S lies in the closure, whose rows at g_{j-1} are
+    and every gamma minus S lies in the window, whose rows at g_{j-1} are
     already filled.  p_j^|S| shifts exponents by |S| e_j.  Every
     coefficient is a positive path count, so sums never cancel.  While
     filling, a row is a plain {key: {exponent: count}} dict.  A gamma with
     no removable i_j-box keeps its row object, and each prefix's rows are
     dropped once the next prefix's are filled.
     """
-    closure = removal_closure(diagrams)
-    rows = {key: {key: {0: 1}} for key in closure}
+    rows = {key: {key: {0: 1}} for key in window}
     for residue, exponent in factors:
-        rows = _next_rows(n, closure, rows, residue, exponent)
+        rows = _next_rows(n, window, rows, residue, exponent)
     for key, row in rows.items():
         rows[key] = _keyed(n, MINUS, {k: _laurent(coeffs) for k, coeffs in row.items()})
     return rows
 
 
-def _next_rows(n, closure, previous, residue, exponent):
+def _next_rows(n, window, previous, residue, exponent):
     """The rows at g_j from those at g_{j-1} (``previous``), as
     {key: {exponent: count}} dicts; see :func:`minus_rows`."""
     rows = {}
-    for key in closure:
+    for key in window:
         parts, charge = key
         options = removal_options(parts, charge, residue, n)
         row = previous[key]

@@ -322,21 +322,6 @@ def corner_removals(parts):
             yield r, parts[:r] + (length - 1,) + parts[r + 1:] if length > 1 else parts[:r]
 
 
-def removal_closure(diagrams):
-    """The (parts, charge) pairs left by removing any boxes, of any residue,
-    from one of ``diagrams``, the diagrams themselves included, as a set.
-    A window ``canonical_diagrams(n, max_boxes)`` is its own closure."""
-    closure = set()
-    stack = list(diagrams)
-    while stack:
-        key = stack.pop()
-        if key not in closure:
-            closure.add(key)
-            parts, charge = key
-            stack.extend((sub, charge) for _, sub in corner_removals(parts))
-    return closure
-
-
 def addition_options(parts, charge, i, n):
     """(sup_parts, count) for every subset of the addable residue-i boxes.
 

@@ -8,8 +8,7 @@ where phi_j is the phi statistic of residue i_j on the length j-1 prefix
 and the a_j are generic scalars.  The element's value at a left-black
 diagram gamma is then the t-valuation of the row vector <gamma| g, and its
 theta value at a right-black diagram tau is the valuation of the column
-vector g |tau>.  Both are computed exactly and compared against the
-recursive evaluation as an independent cross-check.
+vector g |tau>.
 
 The computation runs at a_j = 1, over the integers, and is exact by
 positivity: ``x_act`` only multiplies by p^|S|, whose coefficient is 1, and
@@ -17,46 +16,43 @@ adds, so over indeterminates a_j every coefficient lies in N[a][t, t^-1].
 Such a polynomial, and each of its t-coefficients, is nonzero exactly when
 its value at a = 1 is, so the valuations are those at a = 1.
 
-``compare`` reads its oracle column from ``fock.minus_rows``, which fills
-the rows of every diagram it needs in one pass per letter, each prefix's
-rows from the previous prefix's.  ``d_gamma`` computes one row on its own,
-one ``x_act`` per letter, and is the tests' reference for those rows;
-``d_tau`` does the same on the plus side, whose column vectors share no
-prefix.
+``compare``, behind ``oracle-check``, sets the value table that ``verify``
+fingerprints (``CrystalDatum.table``) against ``vec_val`` of the rows that
+``fock.minus_rows`` fills over the same window.  The t-exponents are the
+datum's own coefficients, and by positivity val(<gamma| g_j) is the min
+over S of |S| e_j + val(<gamma minus S| g_{j-1}): the min-recursion again.
+So this cross-checks the recursion's implementation, not the theorem that
+the crystal is B(infinity); ``verify``'s axioms and census bear on that.
+
+``d_gamma`` computes one row on its own, one ``x_act`` per letter, and is
+the tests' reference for ``minus_rows``; ``d_tau`` does the same on the
+plus side, whose column vectors share no prefix.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from .datum import canonical_diagrams
 from .fock import MINUS, PLUS, FockVector, minus_rows, vec_val, x_act
 from .laurent import INF, LaurentPoly
-from .maya import RIGHT_BLACK, ChargedPartition
+from .maya import RIGHT_BLACK
 
 
-@dataclass(frozen=True)
-class Factor:
-    """One x_i(p) factor: residue, scalar name, and the power of t."""
+class Factor(NamedTuple):
+    """One x_i(p) factor, p = t^exponent at a = 1: the pair (residue,
+    exponent) that ``minus_rows`` takes."""
 
     residue: int
-    name: str
     exponent: int
 
-    def parameter(self, assignment):
-        return LaurentPoly.term(assignment[self.name], self.exponent)
 
-
-@dataclass(frozen=True)
-class GroupWord:
+class GroupWord(NamedTuple):
     """Factors of a generic group element, oldest (first letter) first."""
 
     n: int
     factors: tuple
-
-    @property
-    def names(self):
-        return [f.name for f in self.factors]
 
 
 def generic_element(datum):
@@ -66,16 +62,16 @@ def generic_element(datum):
     factors = []
     node = datum
     while node.parent is not None:
-        factors.append(Factor(node.letter, "a%d" % len(node.word), node.coeff))
+        factors.append(Factor(node.letter, node.coeff))
         node = node.parent
     return GroupWord(datum.cartan.n, tuple(reversed(factors)))
 
 
-def _act(word, v, assignment):
-    """The word's factors, scalars from ``assignment``, applied to the
-    basis vector v, newest first."""
-    for factor in reversed(word.factors):
-        v = x_act(v, factor.residue, factor.parameter(assignment))
+def _act(word, v):
+    """The word's factors, at a = 1, applied to the basis vector v, newest
+    first."""
+    for residue, exponent in reversed(word.factors):
+        v = x_act(v, residue, LaurentPoly.term(1, exponent))
     return v
 
 
@@ -85,7 +81,7 @@ def d_gamma(word, gamma):
     gamma is a left-black Maya diagram or its charged partition, as
     ``to_partition`` returns it; each factor's x_act works on raw keys.
     """
-    return _act(word, FockVector.basis(word.n, MINUS, gamma), dict.fromkeys(word.names, 1))
+    return _act(word, FockVector.basis(word.n, MINUS, gamma))
 
 
 def d_tau(word, tau):
@@ -93,7 +89,7 @@ def d_tau(word, tau):
     acts first and the oldest last, the order that agrees with theta."""
     if tau.kind != RIGHT_BLACK:
         raise ValueError("d_tau expects a right-black diagram")
-    return _act(word, FockVector.basis(word.n, PLUS, tau), dict.fromkeys(word.names, 1))
+    return _act(word, FockVector.basis(word.n, PLUS, tau))
 
 
 def oracle_eval(datum, gamma):
@@ -106,27 +102,24 @@ def oracle_theta(datum, tau):
     return vec_val(d_tau(generic_element(datum), tau))
 
 
-def compare(datum, diagrams):
-    """Cross-check recursive values against oracle valuations.
+def compare(datum, max_boxes):
+    """Cross-check the datum's value table against the Fock rows.
 
-    ``diagrams`` are left-black diagrams as ``(parts, charge)`` pairs, the
-    form ``canonical_diagrams`` lists a window in, but any list will do.
-    The Fock rows <gamma| g are filled together over the removal closure
-    of ``diagrams`` (``fock.minus_rows``); a window is its own closure.
-    Each report row's oracle value is ``vec_val`` of its Fock row and its
-    recursive value is ``value_at``.  Returns a JSON-ready report with one
-    row per given diagram, in the given order, and an overall pass flag.
-    INF valuations are serialized as the string "inf".
+    Over the window ``canonical_diagrams(n, max_boxes)``, each report row's
+    recursive value is the entry of ``datum.table(max_boxes)`` and its
+    oracle value is ``vec_val`` of the row <gamma| g that ``minus_rows``
+    fills.  A pass shows that two implementations of the min-recursion
+    agree (see the module docstring).  Returns a JSON-ready report with one
+    row per window diagram, in window order, and an overall pass flag.  INF
+    valuations are serialized as the string "inf".
     """
-    word = generic_element(datum)
-    # ChargedPartition checks each diagram and makes its parts a tuple
-    diagrams = [(p.parts, p.charge) for p in (ChargedPartition(*d) for d in diagrams)]
-    rows = minus_rows(word.n, [(f.residue, f.exponent) for f in word.factors], diagrams)
+    n = datum.cartan.n
+    window = canonical_diagrams(n, max_boxes)
+    rows = minus_rows(n, generic_element(datum).factors, window)
     results = []
     ok = True
-    for parts, charge in diagrams:
+    for (parts, charge), recursive in zip(window, datum.table(max_boxes)):
         valuation = vec_val(rows[parts, charge])
-        recursive = datum.value_at(parts, charge)
         match = recursive == valuation
         ok = ok and match
         results.append(

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,10 @@ from mayacrystal.cli import (
     main,
 )
 from mayacrystal.laurent import MultiPoly
+
+GOLDEN = Path(__file__).parent / "golden"
+#: 1,500 letters: deeper than the interpreter's default recursion limit
+LONG_WORD = ",".join(["0"] * 1500)
 
 
 def run(capsys, *argv):
@@ -155,6 +160,17 @@ class TestEval:
         assert code == EXIT_USAGE
         assert out == ""
         assert "0..1" in err
+
+    def test_long_word_is_bad_input(self, capsys, tmp_path):
+        # value_at recurses once per letter; a word past the recursion limit
+        # exits 2 with one line naming its length, not 1 with a traceback
+        path = self.write_diagram(tmp_path, {"parts": [2, 1], "charge": 0})
+        code, out, err = run(
+            capsys, "eval", "--rank", "2", "--word", LONG_WORD, "--diagram-file", path
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and "1500-letter word" in err
 
 
 class TestVerify:
@@ -308,6 +324,28 @@ class TestOracleCheck:
         assert out == ""
         assert "0..1" in err
 
+    def test_compares_the_table(self, capsysbinary, monkeypatch):
+        # the recursive column is the value table verify fingerprints, not
+        # value_at's per-diagram recursion
+        def refuse(*args):
+            raise AssertionError("oracle-check called value_at")
+
+        monkeypatch.setattr(datum.CrystalDatum, "value_at", refuse)
+        code = main(["oracle-check", "--rank", "2", "--word", "0,1,0", "--max-boxes", "6"])
+        assert code == EXIT_OK
+        assert capsysbinary.readouterr().out == (GOLDEN / "oracle-n2-w010-b6.json").read_bytes()
+
+    def test_word_longer_than_the_recursion_limit(self, capsys):
+        # the table fills along the word in a loop, so no word is too long
+        code, out, _ = run(
+            capsys, "oracle-check", "--rank", "2", "--word", LONG_WORD, "--max-boxes", "2"
+        )
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["pass"] is True
+        assert len(report["word"]) == 1500
+        assert len(report["results"]) == 2 * 4  # (), (1), (2), (1, 1) at each charge
+
     def test_no_diagrams_fails(self, capsys):
         # an empty window compares nothing, so it must not pass
         cfg = RunConfig(n=2)
@@ -367,8 +405,8 @@ class TestOracleCheck:
         assert coefficients == {int}
 
     def test_rows_fill_once_per_prefix(self, capsys, monkeypatch):
-        # one removal_options call per (word prefix, window diagram) for the
-        # shared row fill, and as many for value_at's memo
+        # one removal_options call per (word prefix, window diagram), all
+        # from the shared row fill: the table's fill reads the removal index
         calls = []
         removal_options = maya.removal_options
 
@@ -383,7 +421,7 @@ class TestOracleCheck:
         )
         assert code == EXIT_OK
         assert len(json.loads(out)["results"]) == 278
-        assert 0 < len(calls) <= 2 * 6 * 278
+        assert 0 < len(calls) <= 6 * 278
 
     def test_threads_flag(self, capsys):
         # oracle-check has one path, through oracle.compare; --threads is gone

@@ -464,8 +464,7 @@ class TestTable:
         # the table against the symbolic Fock-space valuations, entry by entry
         n, word, max_boxes = case
         d = datum_from_word(CartanData(n), word)
-        window = canonical_diagrams(n, max_boxes)
-        report = compare(d, window)
+        report = compare(d, max_boxes)
         assert [row["oracle"] for row in report["results"]] == list(d.table(max_boxes))
 
     @pytest.mark.parametrize("n", [2, 3, 4])

@@ -3,9 +3,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mayacrystal import oracle
 from mayacrystal.datum import CartanData, canonical_diagrams, datum_from_word
-from mayacrystal.fock import MINUS, PLUS, FockVector, vec_val
+from mayacrystal.fock import MINUS, PLUS, FockVector, vec_val, x_act
 from mayacrystal.laurent import INF, LaurentPoly, MultiPoly, _merge_monomials
 from mayacrystal.maya import ChargedPartition, from_partition
 from mayacrystal.oracle import d_gamma, d_tau, generic_element
@@ -214,14 +213,17 @@ class TestSingleTermProducts:
 
 # -- the generic-point reference -------------------------------------------
 #
-# The oracle's own factor loop over independent indeterminates a_j, one
-# MultiPoly variable per scalar name.  The oracle runs it at a_j = 1, which
-# is exact because every coefficient lies in N[a][t, t^-1].
+# The oracle's factor loop over independent indeterminates a_j, one MultiPoly
+# variable per factor.  The oracle runs it at a_j = 1, which is exact
+# because every coefficient lies in N[a][t, t^-1].
 
 
 def generic_point(word, v):
-    """The word's factors applied to v with MultiPoly parameters."""
-    return oracle._act(word, v, {name: MultiPoly.variable(name) for name in word.names})
+    """The word's factors applied to v, newest first, factor j with the
+    parameter a_j t^e_j."""
+    for j, (residue, exponent) in reversed(list(enumerate(word.factors, 1))):
+        v = x_act(v, residue, LaurentPoly.term(MultiPoly.variable("a%d" % j), exponent))
+    return v
 
 
 def numbers(value):

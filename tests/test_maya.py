@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mayacrystal.datum import canonical_diagrams
 from mayacrystal.maya import (
     BLACK,
     LEFT_BLACK,
@@ -15,12 +16,12 @@ from mayacrystal.maya import (
     addition_options,
     box_label_multiset,
     box_slot_label,
+    corner_removals,
     from_partition,
     invert_outside,
     lambda_diagram,
     partitions_up_to,
     removable_boxes,
-    removal_closure,
     removal_options,
     remove_box,
     s_lambda_diagram,
@@ -249,19 +250,16 @@ class TestBoxes:
             expected.append((q.parts, bin(mask).count("1")))
         assert removal_options(parts, charge, i, n) == expected
 
-    def test_removal_closure_is_every_subdiagram(self):
-        # reference: the partitions inside each given one, row by row
-        def inside(q, p):
-            return len(q) <= len(p) and all(a <= b for a, b in zip(q, p))
-
-        small = list(partitions_up_to(6))
-        for parts in small:
-            expected = {(q, 3) for q in small if inside(q, parts)}
-            assert removal_closure([(parts, 3)]) == expected
-        pair = [((2, 1), 0), ((3,), 1)]
-        assert removal_closure(pair) == removal_closure(pair[:1]) | removal_closure(pair[1:])
-        window = {(q, c) for c in range(2) for q in small}
-        assert removal_closure(window) == window
+    def test_window_is_closed_under_box_removal(self):
+        # fock.minus_rows and datum._removal_index read the diagram left by
+        # removing any one box of a window diagram from the same window
+        for n in (2, 3, 4):
+            for max_boxes in range(7):
+                window = canonical_diagrams(n, max_boxes)
+                keys = set(window)
+                for parts, charge in window:
+                    for _, sub in corner_removals(parts):
+                        assert (sub, charge) in keys
 
     @given(partition_parts, charges, st.integers(0, 3), st.integers(2, 4))
     def test_addition_options_match_box_addition(self, parts, charge, i, n):
