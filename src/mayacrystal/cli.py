@@ -2,9 +2,12 @@
 
 Subcommands: explore, eval, verify, oracle-check, kostant.  Exit codes:
 0 success / verification passed, 1 verification failure, 2 usage or I/O
-error.  Output is UTF-8, integers are decimal, and an infinite valuation
-prints as "inf".  Runs are deterministic: identical flags give
-byte-identical output.
+error.  argparse checks every flag (rank at least 2, depth and max-boxes at
+least 0, the format's choices) and dispatches to the subcommand's ``cmd_*``
+function, so a bad flag exits 2 with argparse's usage message naming it;
+bad input content exits 2 with a one-line ``error:``.  Output is UTF-8,
+integers are decimal, and an infinite valuation prints as "inf".  Runs are
+deterministic: identical flags give byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,35 +15,28 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
 
 from . import graph as graphmod
 from . import oracle as oraclemod
 from .datum import CartanData, datum_from_word
-from .maya import ChargedPartition, MayaDiagram, from_partition
+from .maya import ChargedPartition, MayaDiagram, to_partition
+from .maya import from_partition  # noqa: F401  bench/test_bench.py's by-name import witness
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    n: int
-    depth: int = 0
-    max_boxes: int | None = None
-    output: str | None = None
-    format: str = "json"
+def _at_least(low):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("rank must be at least 2")
-        if self.depth < 0:
-            raise ValueError("depth must be nonnegative")
-        if self.max_boxes is not None and self.max_boxes < 0:
-            raise ValueError("max-boxes must be nonnegative")
-        if self.format not in ("json", "dot"):
-            raise ValueError("format must be json or dot")
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _parse_word(text):
@@ -50,17 +46,19 @@ def _parse_word(text):
     return tuple(int(piece) for piece in text.split(","))
 
 
-def _parse_letters(cfg, text):
+def _parse_letters(n, text):
     """A --word's residues, each in 0..n-1; ValueError otherwise, where
     ``datum_from_word`` would silently reduce it mod n."""
     word = _parse_word(text)
-    if any(not 0 <= i < cfg.n for i in word):
-        raise ValueError("--word letters must be in 0..%d" % (cfg.n - 1))
+    if any(not 0 <= i < n for i in word):
+        raise ValueError("--word letters must be in 0..%d" % (n - 1))
     return word
 
 
 def _load_diagram(path):
-    """A {"parts", "charge"} or {"kind", "deviations"} object; ValueError otherwise."""
+    """The (parts, charge) key of a {"parts", "charge"} object or of a
+    left-black {"kind", "deviations"} one; ValueError otherwise.  The parts
+    form builds no Maya diagram, so its cost does not grow with the charge."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
@@ -69,54 +67,58 @@ def _load_diagram(path):
         parts, charge = data["parts"], data.get("charge", 0)
         if not (isinstance(parts, list) and all(type(x) is int for x in [*parts, charge])):
             raise ValueError("parts must be a list of integers and charge an integer")
-        return from_partition(ChargedPartition(tuple(parts), charge))
+        key = ChargedPartition(tuple(parts), charge)
+        return key.parts, key.charge
+    if "kind" not in data:
+        raise ValueError('diagram file has neither a "parts" nor a "kind" key')
     deviations = data.get("deviations")
     if not (
         isinstance(deviations, list)
         and all(isinstance(d, list) and len(d) == 2 and type(d[0]) is int for d in deviations)
     ):
         raise ValueError("deviations must be a list of [label, color] pairs")
-    return MayaDiagram.from_json(data)
+    key = to_partition(MayaDiagram.from_json(data))  # ValueError unless left-black
+    return key.parts, key.charge
 
 
-def _write(cfg, blob):
-    if cfg.output:
-        with open(cfg.output, "wb") as handle:
+def _write(args, blob):
+    if args.output:
+        with open(args.output, "wb") as handle:
             handle.write(blob)
     else:
         sys.stdout.buffer.write(blob)
         sys.stdout.flush()
 
 
-def cmd_explore(cfg):
-    graph = graphmod.explore(CartanData(cfg.n), cfg.depth, cfg.max_boxes)
-    _write(cfg, graphmod.export(graph, cfg.format))
+def cmd_explore(args):
+    graph = graphmod.explore(CartanData(args.rank), args.depth, args.max_boxes)
+    _write(args, graphmod.export(graph, args.format))
     return EXIT_OK
 
 
-def cmd_eval(cfg, word, diagram_path):
-    datum = datum_from_word(CartanData(cfg.n), word)
-    gamma = _load_diagram(diagram_path)
-    print(datum.eval(gamma))
+def cmd_eval(args):
+    datum = datum_from_word(CartanData(args.rank), _parse_letters(args.rank, args.word))
+    print(datum.value_at(*_load_diagram(args.diagram_file)))
     return EXIT_OK
 
 
-def cmd_verify(cfg, graph_path=None):
-    if graph_path is not None:
-        with open(graph_path, "rb") as handle:
+def cmd_verify(args):
+    n = args.rank
+    if args.graph_file is not None:
+        with open(args.graph_file, "rb") as handle:
             graph = graphmod.load_json(handle.read())
-        if graph.n != cfg.n:
-            raise ValueError("graph file has rank %d, expected %d" % (graph.n, cfg.n))
+        if graph.n != n:
+            raise ValueError("graph file has rank %d, expected %d" % (graph.n, n))
         violations = graphmod.check_words(graph)
     else:
-        graph = graphmod.explore(CartanData(cfg.n), cfg.depth, cfg.max_boxes)
+        graph = graphmod.explore(CartanData(n), args.depth or 0, args.max_boxes)
         violations = []
     violations += graphmod.check_axioms(graph)
     census = graphmod.weight_census(graph)
-    cartan = CartanData(cfg.n)
+    cartan = CartanData(n)
     print("weight census (beta: nodes expected):")
     failures = list(violations)
-    for beta in graphmod.lattice_points(cfg.n, graph.depth):
+    for beta in graphmod.lattice_points(n, graph.depth):
         expected = graphmod.kostant(cartan, beta)
         got = census.get(beta, 0)
         mark = "ok" if got == expected else "MISMATCH"
@@ -132,93 +134,70 @@ def cmd_verify(cfg, graph_path=None):
     return EXIT_OK
 
 
-def cmd_oracle_check(cfg, word):
-    cartan = CartanData(cfg.n)
-    datum = datum_from_word(cartan, word)
-    max_boxes = cfg.max_boxes if cfg.max_boxes is not None else 6
-    report = oraclemod.compare(datum, max_boxes)
-    if not report["results"]:
-        print("oracle-check: no diagrams compared", file=sys.stderr)
-        report["pass"] = False
-    _write(cfg, oraclemod.report_to_json(report).encode())
+def cmd_oracle_check(args):
+    datum = datum_from_word(CartanData(args.rank), _parse_letters(args.rank, args.word))
+    report = oraclemod.compare(datum, args.max_boxes)
+    _write(args, oraclemod.report_to_json(report).encode())
     return EXIT_OK if report["pass"] else EXIT_FAIL
 
 
-def cmd_kostant(cfg, beta):
-    print(graphmod.kostant(CartanData(cfg.n), beta))
+def cmd_kostant(args):
+    print(graphmod.kostant(CartanData(args.rank), _parse_word(args.beta)))
     return EXIT_OK
 
 
-#: Flags that several subcommands take: flag -> add_argument keywords.
-SHARED_FLAGS = {
-    "--depth": dict(type=int, default=0),
-    "--max-boxes": dict(type=int, default=None),
-    "--output": dict(default=None),
-    "--format": dict(choices=["json", "dot"], default="json"),
-    "--word": dict(default="", help="comma-separated residues, e.g. 0,1,0"),
-}
-
-
 def build_parser():
-    """One subparser per command, each taking only the flags it reads."""
+    """One subparser per command, each taking only the flags it reads and
+    naming its ``cmd_*`` function as ``run``."""
     parser = argparse.ArgumentParser(prog="mayacrystal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text, *flags):
+    def command(name, run, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--rank", type=int, required=True, help="rank n (at least 2)")
-        for flag in flags:
-            p.add_argument(flag, **SHARED_FLAGS[flag])
+        p.set_defaults(run=run)
+        p.add_argument("--rank", type=_at_least(2), required=True, help="rank n (at least 2)")
         return p
 
-    command("explore", "explore and export the crystal graph",
-            "--depth", "--max-boxes", "--output", "--format")
-    p_eval = command("eval", "evaluate a word's datum at a diagram", "--word")
-    p_eval.add_argument("--diagram-file", required=True)
-    p_verify = command("verify", "run the axiom and census suites")
-    for flag in ("--depth", "--max-boxes"):
-        # absent unless given, so that main can refuse them beside --graph-file
-        p_verify.add_argument(flag, **dict(SHARED_FLAGS[flag], default=argparse.SUPPRESS))
-    p_verify.add_argument("--graph-file", default=None, help="check a stored export instead")
-    command("oracle-check", "cross-check a word against the oracle",
-            "--word", "--max-boxes", "--output")
-    p_kostant = command("kostant", "Kostant partition count of beta")
-    p_kostant.add_argument("--beta", required=True, help="comma-separated coordinates")
+    count = _at_least(0)
+    word = dict(default="", help="comma-separated residues, e.g. 0,1,0")
+    p = command("explore", cmd_explore, "explore and export the crystal graph")
+    p.add_argument("--depth", type=count, default=0)
+    p.add_argument("--max-boxes", type=count)
+    p.add_argument("--output")
+    p.add_argument("--format", choices=["json", "dot"], default="json")
+    p = command("eval", cmd_eval, "evaluate a word's datum at a diagram")
+    p.add_argument("--word", **word)
+    p.add_argument("--diagram-file", required=True)
+    p = command("verify", cmd_verify, "run the axiom and census suites")
+    # no defaults, so that main can refuse them beside --graph-file
+    p.add_argument("--depth", type=count, help="default 0")
+    p.add_argument("--max-boxes", type=count)
+    p.add_argument("--graph-file", help="check a stored export instead")
+    p = command("oracle-check", cmd_oracle_check, "cross-check a word against the oracle")
+    p.add_argument("--word", **word)
+    p.add_argument("--max-boxes", type=count, default=6)
+    p.add_argument("--output")
+    p = command("kostant", cmd_kostant, "Kostant partition count of beta")
+    p.add_argument("--beta", required=True, help="comma-separated coordinates")
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    given = vars(args)
+    if getattr(args, "graph_file", None) is not None and {args.depth, args.max_boxes} != {None}:
+        # the census runs to the file's own depth, so these would be ignored
+        parser.error("--depth and --max-boxes do not apply to --graph-file")
     try:
-        if given.get("graph_file") is not None and given.keys() & {"depth", "max_boxes"}:
-            raise ValueError("--depth and --max-boxes do not apply to --graph-file")
-        cfg = RunConfig(
-            n=args.rank, **{f.name: given[f.name] for f in fields(RunConfig) if f.name in given}
-        )
-    except ValueError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.command == "explore":
-            return cmd_explore(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, _parse_letters(cfg, args.word), args.diagram_file)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.graph_file)
-        if args.command == "oracle-check":
-            return cmd_oracle_check(cfg, _parse_letters(cfg, args.word))
-        if args.command == "kostant":
-            return cmd_kostant(cfg, _parse_word(args.beta))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        return args.run(args)
+    except (OSError, ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:  # value_at and theta recurse once per word letter
-        word = "a %d-letter word" % len(_parse_word(args.word)) if "word" in given else "a word"
+        word = getattr(args, "word", None)
+        word = "a %d-letter word" % len(_parse_word(word)) if word is not None else "a word"
         print("error: %s is too long for the recursive evaluation" % word, file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -88,10 +88,13 @@ def explore(cartan, depth, max_boxes=None):
 
 
 def check_words(graph):
-    """One violation per node whose stored weight, eps and phi are not its
-    word's.  Each word's datum extends its longest prefix's.  An explored
-    graph takes them from its words, so this only bites on graph files."""
+    """At most one violation per node: its stored weight, eps and phi are
+    not its word's, or else its word, read as f_i steps along the stored
+    edges from the unique weight-zero node, does not end at it.  Each word's
+    datum extends its longest prefix's.  An explored graph takes both from
+    its words, so this only bites on graph files."""
     datums = {(): CrystalDatum(CartanData(graph.n))}
+    sources = [node.id for node in graph.nodes if not any(node.weight)]
     violations = []
     for node in graph.nodes:
         word = node.word
@@ -104,6 +107,13 @@ def check_words(graph):
         if derived != stored:
             violations.append("word: node %d: stored (weight, eps, phi) %r, its word gives %r"
                               % (node.id, stored, derived))
+            continue
+        at = sources[0] if len(sources) == 1 else None
+        for i in word:
+            at = graph.edges.get((at, i))
+        if at != node.id:
+            violations.append("word: node %d: its word %r is not an edge path from the "
+                              "weight-zero node to it" % (node.id, list(word)))
     return violations
 
 

@@ -110,8 +110,9 @@ def compare(datum, max_boxes):
     oracle value is ``vec_val`` of the row <gamma| g that ``minus_rows``
     fills.  A pass shows that two implementations of the min-recursion
     agree (see the module docstring).  Returns a JSON-ready report with one
-    row per window diagram, in window order, and an overall pass flag.  INF
-    valuations are serialized as the string "inf".
+    row per window diagram, in window order, and an overall pass flag, which
+    an empty window (``max_boxes < 0``) never sets.  INF valuations are
+    serialized as the string "inf".
     """
     n = datum.cartan.n
     window = canonical_diagrams(n, max_boxes)
@@ -130,7 +131,7 @@ def compare(datum, max_boxes):
                 "match": match,
             }
         )
-    return {"word": list(datum.word), "results": results, "pass": ok}
+    return {"word": list(datum.word), "results": results, "pass": ok and bool(results)}
 
 
 def report_to_json(report):

@@ -4,14 +4,7 @@ from pathlib import Path
 import pytest
 
 from mayacrystal import datum, fock, maya, oracle
-from mayacrystal.cli import (
-    EXIT_FAIL,
-    EXIT_OK,
-    EXIT_USAGE,
-    RunConfig,
-    cmd_oracle_check,
-    main,
-)
+from mayacrystal.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from mayacrystal.laurent import MultiPoly
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -23,39 +16,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-class TestRunConfig:
-    def test_valid(self):
-        cfg = RunConfig(n=2, depth=3)
-        assert (cfg.depth, cfg.max_boxes, cfg.format) == (3, None, "json")
-
-    def test_rank_too_small(self):
-        with pytest.raises(ValueError):
-            RunConfig(n=1)
-
-    def test_negative_depth(self):
-        with pytest.raises(ValueError):
-            RunConfig(n=2, depth=-1)
-
-    def test_negative_max_boxes(self, capsys):
-        with pytest.raises(ValueError):
-            RunConfig(n=2, max_boxes=-1)
-        for argv in (
-            ("verify", "--rank", "2", "--depth", "2", "--max-boxes", "-1"),
-            ("oracle-check", "--rank", "2", "--word", "0,1", "--max-boxes", "-3"),
-        ):
-            code, out, err = run(capsys, *argv)
-            assert code == EXIT_USAGE
-            assert out == ""
-            assert "max-boxes" in err
-
-    def test_bad_mode_and_format(self):
-        # the oracle has one exact mode, so no mode is a config field
-        with pytest.raises(TypeError):
-            RunConfig(n=2, mode="symbolic")
-        with pytest.raises(ValueError):
-            RunConfig(n=2, format="svg")
 
 
 class TestExplore:
@@ -87,9 +47,10 @@ class TestExplore:
         assert json.loads(target.read_text())["n"] == 2
 
     def test_rank_one_usage_error(self, capsys):
-        code, _, err = run(capsys, "explore", "--rank", "1", "--depth", "1")
-        assert code == EXIT_USAGE
-        assert "rank" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", "--rank", "1", "--depth", "1"])
+        assert exc.value.code == EXIT_USAGE
+        assert "rank" in capsys.readouterr().err
 
 
 class TestEval:
@@ -131,10 +92,11 @@ class TestEval:
         {"kind": "left-black", "deviations": [[1, "black"], [1, "white"]]},
         {"kind": "left-black", "deviations": [[1, "black"]]},
         {"kind": "left-black", "deviations": [[1, "white"], [1, "white"]]},
+        {"kind": "right-black", "deviations": []},
     ])
     def test_wrong_shape(self, capsys, tmp_path, data):
-        # well-formed JSON of the wrong shape, or with contradictory
-        # deviations, is bad input, not a failed check
+        # well-formed JSON of the wrong shape, with contradictory
+        # deviations, or right-black, is bad input, not a failed check
         path = self.write_diagram(tmp_path, data)
         code, out, err = run(
             capsys, "eval", "--rank", "2", "--word", "0", "--diagram-file", path
@@ -171,6 +133,39 @@ class TestEval:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.count("\n") == 1 and "1500-letter word" in err
+
+    def test_parts_form_builds_no_maya_diagram(self, capsys, tmp_path, monkeypatch):
+        # the parts form goes to value_at as a (parts, charge) key, so a
+        # charge of 10^8 + 1 costs what charge 1 costs: values are n-periodic
+        path = self.write_diagram(tmp_path, {"parts": [2, 1], "charge": 1})
+        _, expected, _ = run(
+            capsys, "eval", "--rank", "2", "--word", "0,1", "--diagram-file", path
+        )
+
+        def refuse(*args):
+            raise AssertionError("eval built a MayaDiagram")
+
+        monkeypatch.setattr(maya.MayaDiagram, "__init__", refuse)
+        # from_partition lays out one slot per unit of charge before it
+        # builds the diagram, 10^8 here; swapping its code, which every
+        # by-name import shares, makes a regression fail before that
+        monkeypatch.setattr(maya.from_partition, "__code__", refuse.__code__)
+        path = self.write_diagram(tmp_path, {"parts": [2, 1], "charge": 100000001})
+        code, out, err = run(
+            capsys, "eval", "--rank", "2", "--word", "0,1", "--diagram-file", path
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert out == expected == "0\n"
+
+    @pytest.mark.parametrize("data", [{"deviations": []}, {}])
+    def test_missing_kind_is_named(self, capsys, tmp_path, data):
+        path = self.write_diagram(tmp_path, data)
+        code, out, err = run(
+            capsys, "eval", "--rank", "2", "--word", "0", "--diagram-file", path
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert '"kind"' in err and err.startswith("error: ")
 
 
 class TestVerify:
@@ -251,11 +246,12 @@ class TestVerify:
         path.write_text(out)
         for flags in (("--depth", "9", "--max-boxes", "3"), ("--depth", "0"),
                       ("--max-boxes", "3")):
-            code, out, err = run(capsys, "verify", "--rank", "2", *flags,
-                                 "--graph-file", str(path))
-            assert code == EXIT_USAGE
-            assert out == ""
-            assert "--graph-file" in err
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--rank", "2", *flags, "--graph-file", str(path)])
+            assert exc.value.code == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--graph-file" in captured.err
 
     def test_graph_file_rank_mismatch_is_bad_input(self, capsys, tmp_path):
         _, out, _ = run(capsys, "explore", "--rank", "2", "--depth", "1")
@@ -286,6 +282,27 @@ class TestVerify:
         # one node really is f_1^3, so its row still matches
         assert out.count("violation: word: node") == len(tampered) - 1 > 0
         assert "FAIL" in out
+
+    def test_forged_word_path_fails(self, capsys, tmp_path):
+        # two nodes with equal weight, eps and phi: giving the second the
+        # first's word keeps every statistic, but lists one element twice
+        # and drops the other, and the word no longer leads to it
+        _, out, _ = run(capsys, "explore", "--rank", "2", "--depth", "4")
+        payload = json.loads(out)
+        nodes = payload["nodes"]
+
+        def stats(node):
+            return node["weight"], node["eps"], node["phi"]
+
+        a, b = next((a, b) for a in nodes for b in nodes
+                    if a["id"] < b["id"] and stats(a) == stats(b))
+        b["word"] = a["word"]
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify", "--rank", "2", "--graph-file", str(path))
+        assert code == EXIT_FAIL
+        assert out.count("violation: ") == 1
+        assert "violation: word: node %d: its word" % b["id"] in out
 
     def test_tampered_graph_fails(self, capsys, tmp_path):
         code, out, _ = run(capsys, "explore", "--rank", "2", "--depth", "2")
@@ -346,15 +363,11 @@ class TestOracleCheck:
         assert len(report["word"]) == 1500
         assert len(report["results"]) == 2 * 4  # (), (1), (2), (1, 1) at each charge
 
-    def test_no_diagrams_fails(self, capsys):
-        # an empty window compares nothing, so it must not pass
-        cfg = RunConfig(n=2)
-        cfg.max_boxes = -3  # past validation, as a library caller could
-        assert cmd_oracle_check(cfg, (0, 1)) == EXIT_FAIL
-        captured = capsys.readouterr()
-        report = json.loads(captured.out)
+    def test_no_diagrams_fails(self):
+        # an empty window compares nothing, so it must not pass; the CLI's
+        # --max-boxes is at least 0, so only a library caller reaches it
+        report = oracle.compare(datum.datum_from_word(datum.CartanData(2), (0, 1)), -1)
         assert report["results"] == [] and report["pass"] is False
-        assert "no diagrams" in captured.err
 
     @pytest.mark.parametrize("n, length", [(3, 12), (4, 14)])
     def test_long_cyclic_word(self, capsys, n, length):
@@ -445,7 +458,43 @@ class TestKostant:
         assert code == EXIT_USAGE
 
 
+#: the flags each command requires besides --rank
+REQUIRED = {"explore": (), "eval": ("--diagram-file", "d.json"), "verify": (),
+            "oracle-check": ("--word", "0,1"), "kostant": ("--beta", "1,1")}
+BAD_FLAGS = (
+    [(command, "--rank", "1") for command in REQUIRED]
+    + [(command, "--depth", "-1") for command in ("explore", "verify")]
+    + [(command, "--max-boxes", "-1") for command in ("explore", "verify", "oracle-check")]
+    + [("explore", "--format", "svg")]
+)
+
+
 class TestUsage:
+    @pytest.mark.parametrize("command, flag, value", BAD_FLAGS, ids=[
+        "%s-%s-%s" % (command, flag.lstrip("-"), value) for command, flag, value in BAD_FLAGS])
+    def test_bad_flag_value(self, capsys, command, flag, value):
+        # argparse checks every flag's value and names the flag, the way it
+        # refuses an unknown one; nothing runs and nothing is printed
+        rank = () if flag == "--rank" else ("--rank", "2")
+        with pytest.raises(SystemExit) as exc:
+            main([command, *rank, *REQUIRED[command], flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE
+        assert captured.out == ""
+        assert flag in captured.err
+
+    def test_negative_max_boxes(self, capsys):
+        for argv in (
+            ("verify", "--rank", "2", "--depth", "2", "--max-boxes", "-1"),
+            ("oracle-check", "--rank", "2", "--word", "0,1", "--max-boxes", "-3"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "max-boxes" in captured.err
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -40,8 +40,8 @@ def test_tracer_installs_on_every_reference(tmp_path):
         "from layertrace import Tracer\n"
         "Tracer().install()\n"
         "from mayacrystal import cli, maya\n"
-        "assert cli.from_partition is maya.from_partition\n"
-        "assert hasattr(cli.from_partition, '__wrapped__')\n"
+        "assert cli.to_partition is maya.to_partition\n"
+        "assert hasattr(cli.to_partition, '__wrapped__')\n"
         "print('installed')\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
