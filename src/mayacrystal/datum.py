@@ -41,7 +41,7 @@ residue-i box, so the min over subsets is a chain of single removals, each
 read from an entry already filled; the window is closed under box removal,
 so every term is a window entry.  A datum caches no
 table: given its parent's fingerprint, ``fingerprint`` fills the table from
-the bytes inside it, which keep each value as an order-preserving 16-bit
+the bytes inside it, which keep each value as a native signed 16-bit
 number, so graph exploration, which keeps each node's fingerprint, holds
 each table once at two bytes an entry.  ``oracle.compare`` checks the
 table against the Fock rows over the same window, so ``oracle-check``
@@ -54,7 +54,6 @@ diagram's subsets with ``maya.removal_options`` or
 
 from __future__ import annotations
 
-import sys
 from array import array
 from functools import lru_cache
 
@@ -101,45 +100,35 @@ def _removal_index(n, max_boxes):
     Entry i lists, for residue i, one pair (k, j) per removable i-box of
     window diagram k, where j is the window diagram left by deleting that
     box.  It is built in one pass over each diagram's corners, for all
-    residues at once: the corner of row r (counted from 0) carries the slot
-    label parts[r] - r - charge.  Removing a box keeps the charge and lowers
-    the box count, so the window is closed under removal, j < k always, and
-    the pairs are listed in increasing k; ``_fill`` relies on that order.
+    residues at once, each filed under its slot label mod n.  Removing a box
+    keeps the charge and lowers the box count, so the window is closed under
+    removal, j < k always, and the pairs are listed in increasing k;
+    ``_fill`` relies on that order.
     A run uses one window, so the cache holds only the last two.
     """
     window = canonical_diagrams(n, max_boxes)
     position = {key: k for k, key in enumerate(window)}
     index = tuple([] for _ in range(n))
     for k, (parts, charge) in enumerate(window):
-        for r, sub in corner_removals(parts):
-            index[(parts[r] - r - charge) % n].append((k, position[sub, charge]))
+        for label, sub in corner_removals(parts, charge):
+            index[label % n].append((k, position[sub, charge]))
     return tuple(tuple(pairs) for pairs in index)
 
 
-_BIAS = 32768  # fingerprints store value + _BIAS as an unsigned 16-bit number
-
-
 def _encode(values):
-    """Biased values as big-endian unsigned 16-bit bytes, which compare as
-    the unbiased values do.  A value outside [-32768, 32767] raises."""
+    """Values as native signed 16-bit bytes.  A value outside [-32768,
+    32767] raises."""
     try:
-        packed = array("H", values)
+        return array("h", values).tobytes()
     except OverflowError:
         raise OverflowError(
             "value table entry outside the 16-bit fingerprint range [-32768, 32767]"
         ) from None
-    if sys.byteorder == "little":
-        packed.byteswap()
-    return packed.tobytes()
 
 
 def _decode(data):
-    """The biased values that ``_encode`` packed into ``data``, as a list."""
-    packed = array("H")
-    packed.frombytes(data)
-    if sys.byteorder == "little":
-        packed.byteswap()
-    return packed.tolist()
+    """The values that ``_encode`` packed into ``data``, as a list."""
+    return array("h", data).tolist()
 
 
 class CrystalDatum:
@@ -236,9 +225,7 @@ class CrystalDatum:
         recurrence H(k) = min(src[k], c + min over b of H(k - b)), with c
         this datum's ``coeff`` and b running over k's removable boxes of its
         letter.  The single-box removal index lists j = k - b before k, so
-        one pass in index order reads each H(j) final.  The recursion is
-        unchanged when every value is shifted by a constant, which
-        ``fingerprint`` uses for its bias.
+        one pass in index order reads each H(j) final.
         """
         coeff = self.coeff
         for k, j in _removal_index(self.cartan.n, max_boxes)[self.letter]:
@@ -299,21 +286,19 @@ class CrystalDatum:
         """The pair (``statistics()``, table bytes) over sigma-canonical
         diagrams with at most max_boxes boxes.
 
-        The statistics (weight, eps, phi) come first because value tables
-        over a bounded window can coincide for elements that differ only on
-        larger diagrams; phi is fixed by weight and eps (``phi_hat``), so
-        they order and equate fingerprints as weight and eps alone would.
-        The enumeration order is fixed (charge 0..n-1, then box count, then
-        lexicographic parts).  The table bytes hold each value plus 32768
-        as a big-endian unsigned 16-bit number, so fingerprints compare
-        exactly as statistics + table tuples would; a value outside
-        [-32768, 32767] raises OverflowError and is never clipped.  Given
-        the parent's fingerprint over the same window, the table is filled
-        from the one inside it (see ``_fill``), on biased values; otherwise
-        it is ``table``'s.
+        Fingerprints serve only to detect duplicates: two are equal exactly
+        when the statistics and table values are.  The statistics (weight,
+        eps, phi) are included because value tables over a bounded window
+        can coincide for elements that differ only on larger diagrams.  The
+        enumeration order is fixed (charge 0..n-1, then box count, then
+        lexicographic parts).  The table bytes hold each value as a native
+        signed 16-bit number; a value outside [-32768, 32767] raises
+        OverflowError and is never clipped.  Given the parent's fingerprint
+        over the same window, the table is filled from the one inside it
+        (see ``_fill``); otherwise it is ``table``'s.
         """
         if self.parent is None or parent_fingerprint is None:
-            values = [v + _BIAS for v in self.table(max_boxes)]
+            values = self.table(max_boxes)
         else:
             values = self._fill(max_boxes, _decode(parent_fingerprint[1]))
         return self.statistics(), _encode(values)

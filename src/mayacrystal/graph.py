@@ -4,18 +4,19 @@ The graph is grown breadth-first from the zero datum; elements are
 deduplicated by their value-table fingerprint over diagrams with at most
 ``max_boxes`` boxes (default n*(depth+1), validated empirically by the
 census).  Each child is fingerprinted once, its table filled from the one
-inside its parent's fingerprint, where it is kept as order-preserving 16-bit
-bytes.  A fingerprint begins with the (weight, eps, phi) that the node's
-row stores, so sorting fingerprints orders nodes by weight, string
-statistics and then table values.  A datum and its fingerprint live only in
-the frontier entry that grows the next level (and the fingerprint in the
-dedup dict); a child that dedups away is freed with its memos.  A graph's
-nodes are plain records, the rows of its JSON export, so an explored graph
-equals what ``load_json`` rebuilds from that export.  Raising operators
-exist only as edge inversions.  The independent oracle counts multiset
-decompositions of a positive root-lattice element into positive roots of
-untwisted affine type A, with imaginary roots m*delta carrying
-multiplicity n - 1.
+inside its parent's fingerprint, where it is kept as signed 16-bit bytes.
+A fingerprint begins with the (weight, eps, phi) that the node's row
+stores.  Fingerprints only detect duplicates; nodes are numbered in
+discovery order (see ``explore``), so the root is node 0 and a window that
+merges the same elements numbers them the same.  A datum and its
+fingerprint live only in the frontier entry that grows the next level (and
+the fingerprint in the dedup dict); a child that dedups away is freed with
+its memos.  A graph's nodes are plain records, the rows of its JSON
+export, so an explored graph equals what ``load_json`` rebuilds from that
+export.  Raising operators exist only as edge inversions.  The independent
+oracle counts multiset decompositions of a positive root-lattice element
+into positive roots of untwisted affine type A, with imaginary roots
+m*delta carrying multiplicity n - 1.
 """
 
 from __future__ import annotations
@@ -58,32 +59,31 @@ def default_max_boxes(n, depth):
 
 def explore(cartan, depth, max_boxes=None):
     """All crystal elements reachable by at most ``depth`` lowering steps,
-    numbered in the order of their fingerprints, which begin with the weight."""
+    numbered in discovery order: level by level, each level's parents in
+    order and their children by residue, so the root is node 0 and the
+    stored words, each the first to reach its node, ascend in shortlex
+    order."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     n = cartan.n
     if max_boxes is None:
         max_boxes = default_max_boxes(n, depth)
-    rows, edges, by_fingerprint = [], {}, {}  # numbered in discovery order
+    nodes, edges, by_fingerprint = [], {}, {}
     # (edge that reaches the datum or None, datum, its parent's fingerprint)
     candidates = [(None, CrystalDatum(cartan), None)]
     for _ in range(depth + 1):
         frontier = []  # (number, datum, fingerprint) of the level's new elements
         for edge, datum, parent_fingerprint in candidates:
             fp = datum.fingerprint(max_boxes, parent_fingerprint)
-            target = by_fingerprint.setdefault(fp, len(rows))
-            if target == len(rows):
-                rows.append((datum.word, *fp[0]))  # fp[0] is (weight, eps, phi)
+            target = by_fingerprint.setdefault(fp, len(nodes))
+            if target == len(nodes):
+                nodes.append(Node(target, datum.word, *fp[0]))  # fp[0] is (weight, eps, phi)
                 frontier.append((target, datum, fp))
             if edge is not None:
                 edges[edge] = target
         candidates = (
             ((k, i), datum.apply(i), fp) for k, datum, fp in frontier for i in range(n)
         )
-    order = sorted(by_fingerprint)
-    nodes = [Node(k, *rows[by_fingerprint[fp]]) for k, fp in enumerate(order)]
-    renumber = {by_fingerprint[fp]: k for k, fp in enumerate(order)}
-    edges = {(renumber[src], i): renumber[dst] for (src, i), dst in edges.items()}
     return CrystalGraph(n, depth, max_boxes, nodes, edges)
 
 

@@ -200,14 +200,17 @@ def from_partition(p):
 
 def to_partition(m):
     """Left-black Maya diagram -> its charged partition.  A right-black
-    diagram raises ValueError; picture it by the partition of ``m.invert()``."""
+    diagram raises ValueError; picture it by the partition of ``m.invert()``.
+    Costs time linear in the deviations plus the slots between the lowest
+    black and 0, never in the highest white's label."""
     if m.kind != LEFT_BLACK:
         raise ValueError("to_partition expects a left-black diagram")
     diffs = m.diffs
-    hi = max([0, *diffs])
     lo = min([1, *diffs]) - 1  # every label <= lo is white
-    # white iff the vacuum color (white at labels <= 0) is not flipped
-    whites = [label for label in range(hi, lo, -1) if (label <= 0) != (label in diffs)]
+    # the whites above 0 are deviations; at or below 0, those not flipped
+    # to black, walked only down to the lowest black
+    whites = sorted((d for d in diffs if d > 0), reverse=True)
+    whites += [label for label in range(0, lo, -1) if label not in diffs]
     k = len(whites)
     s = lo + k + 1
     parts = tuple(w - s + j for j, w in enumerate(whites, 1))
@@ -311,15 +314,17 @@ def removal_options(parts, charge, i, n):
     return options
 
 
-def corner_removals(parts):
-    """(r, sub_parts) for each removable box of a partition, any residue,
-    top row first: r is the box's row (counted from 0), a corner row, and
-    sub_parts the raw parts without that box."""
+def corner_removals(parts, charge):
+    """(label, sub_parts) for each removable box of a partition with the
+    given charge, any residue, top row first: label is the box's slot label
+    and sub_parts the raw parts without that box."""
+    offset = _slot_offset(charge)
     last = len(parts) - 1
     for r, length in enumerate(parts):
         if r == last or length > parts[r + 1]:
             # only the last row can shrink to zero
-            yield r, parts[:r] + (length - 1,) + parts[r + 1:] if length > 1 else parts[:r]
+            sub = parts[:r] + (length - 1,) + parts[r + 1:] if length > 1 else parts[:r]
+            yield offset + length - r - 1, sub
 
 
 def addition_options(parts, charge, i, n):

@@ -34,6 +34,21 @@ class TestExplore:
         g = explore(CartanData(3), 1)
         assert len(g.nodes) == 4
 
+    @pytest.mark.parametrize("n, depth", [(2, 6), (3, 4), (4, 3)])
+    def test_ids_are_discovery_order(self, n, depth):
+        # the root is node 0 and ids follow the stored words in shortlex
+        # order; fingerprints only detect duplicates, so windows that merge
+        # the same elements give the same nodes and edges
+        cartan = CartanData(n)
+        g = explore(cartan, depth)
+        assert g.nodes[0].word == ()
+        keys = [(len(node.word), node.word) for node in g.nodes]
+        assert keys == sorted(keys)
+        for window in (default_max_boxes(n, depth) + 2, 2 * n):
+            other = explore(cartan, depth, window)
+            assert other.nodes == g.nodes
+            assert other.edges == g.edges
+
     def test_negative_depth(self):
         with pytest.raises(ValueError):
             explore(CartanData(2), -1)

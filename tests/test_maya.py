@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -187,6 +192,23 @@ class TestChargedPartition:
         else:
             assert to_partition(m) == reference_to_partition(m)
 
+    def test_to_partition_cost_ignores_high_white_labels(self):
+        # one white at label 10^12 is the one-row partition (10^12 - 1,) at
+        # charge -1; a scan over every label up to it would never finish,
+        # so the child runs under a timeout
+        script = (
+            "from mayacrystal.maya import MayaDiagram, to_partition\n"
+            "m = MayaDiagram.from_json({'kind': 'left-black',"
+            " 'deviations': [[10**12, 'white']]})\n"
+            "print(repr(to_partition(m)))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == repr(ChargedPartition((10**12 - 1,), -1)) + "\n"
+
     @given(right_black_in_interval())
     def test_to_partition_matches_reference_on_inversions(self, case):
         gamma = invert_outside(*case)
@@ -258,8 +280,17 @@ class TestBoxes:
                 window = canonical_diagrams(n, max_boxes)
                 keys = set(window)
                 for parts, charge in window:
-                    for _, sub in corner_removals(parts):
+                    for _, sub in corner_removals(parts, charge):
                         assert (sub, charge) in keys
+
+    @given(partition_parts, charges)
+    def test_corner_removals_match_removable_boxes(self, parts, charge):
+        # each corner's slot label and the parts left without it, against
+        # remove_box on every corner box, top row first
+        p = ChargedPartition(parts, charge)
+        expected = [(box.slot_label, remove_box(p, box).parts)
+                    for box in removable_boxes(p, 0, 1)]
+        assert list(corner_removals(parts, charge)) == expected
 
     @given(partition_parts, charges, st.integers(0, 3), st.integers(2, 4))
     def test_addition_options_match_box_addition(self, parts, charge, i, n):
