@@ -55,12 +55,22 @@ def _parse_letters(n, text):
     return word
 
 
+def _read_json(path):
+    """A file's parsed JSON.  ``json`` recurses once per nesting level, so a
+    file nested too deeply is a ValueError naming it, and main's
+    RecursionError branch only ever means the evaluation's recursion."""
+    with open(path, "rb") as handle:
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError("%s: JSON nested too deeply to read" % path) from None
+
+
 def _load_diagram(path):
     """The (parts, charge) key of a {"parts", "charge"} object or of a
     left-black {"kind", "deviations"} one; ValueError otherwise.  The parts
     form builds no Maya diagram, so its cost does not grow with the charge."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ValueError("diagram file must hold a JSON object")
     if "parts" in data:
@@ -105,8 +115,7 @@ def cmd_eval(args):
 def cmd_verify(args):
     n = args.rank
     if args.graph_file is not None:
-        with open(args.graph_file, "rb") as handle:
-            graph = graphmod.load_json(handle.read())
+        graph = graphmod.load_json(_read_json(args.graph_file))
         if graph.n != n:
             raise ValueError("graph file has rank %d, expected %d" % (graph.n, n))
         violations = graphmod.check_words(graph)

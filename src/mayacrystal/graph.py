@@ -8,15 +8,17 @@ inside its parent's fingerprint, where it is kept as signed 16-bit bytes.
 A fingerprint begins with the (weight, eps, phi) that the node's row
 stores.  Fingerprints only detect duplicates; nodes are numbered in
 discovery order (see ``explore``), so the root is node 0 and a window that
-merges the same elements numbers them the same.  A datum and its
-fingerprint live only in the frontier entry that grows the next level (and
-the fingerprint in the dedup dict); a child that dedups away is freed with
-its memos.  A graph's nodes are plain records, the rows of its JSON
-export, so an explored graph equals what ``load_json`` rebuilds from that
-export.  Raising operators exist only as edge inversions.  The independent
-oracle counts multiset decompositions of a positive root-lattice element
-into positive roots of untwisted affine type A, with imaginary roots
-m*delta carrying multiplicity n - 1.
+merges the same elements numbers them the same.  Duplicates are looked up
+only within a BFS level: a node k steps from the root has height k, so equal
+fingerprints, which lead with equal weights, lie on the same level.  A datum
+and its fingerprint live only in their level's dedup dict, which grows the
+next level and is freed once that level is fingerprinted; a child that
+dedups away is freed with its memos.  A graph's nodes are plain records,
+the rows of its JSON export, so an explored graph equals what
+``load_json`` rebuilds from that export.  Raising operators exist only as
+edge inversions.  The independent oracle counts multiset decompositions of
+a positive root-lattice element into positive roots of untwisted affine
+type A, with imaginary roots m*delta carrying multiplicity n - 1.
 """
 
 from __future__ import annotations
@@ -62,27 +64,27 @@ def explore(cartan, depth, max_boxes=None):
     numbered in discovery order: level by level, each level's parents in
     order and their children by residue, so the root is node 0 and the
     stored words, each the first to reach its node, ascend in shortlex
-    order."""
+    order.  Each f_i lowers the weight by a simple root, so a fingerprint is
+    looked up only among its own level's."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     n = cartan.n
     if max_boxes is None:
         max_boxes = default_max_boxes(n, depth)
-    nodes, edges, by_fingerprint = [], {}, {}
+    nodes, edges = [], {}
     # (edge that reaches the datum or None, datum, its parent's fingerprint)
     candidates = [(None, CrystalDatum(cartan), None)]
     for _ in range(depth + 1):
-        frontier = []  # (number, datum, fingerprint) of the level's new elements
+        level = {}  # fingerprint -> (number, datum) of the level's elements
         for edge, datum, parent_fingerprint in candidates:
             fp = datum.fingerprint(max_boxes, parent_fingerprint)
-            target = by_fingerprint.setdefault(fp, len(nodes))
+            target, _ = level.setdefault(fp, (len(nodes), datum))
             if target == len(nodes):
                 nodes.append(Node(target, datum.word, *fp[0]))  # fp[0] is (weight, eps, phi)
-                frontier.append((target, datum, fp))
             if edge is not None:
                 edges[edge] = target
         candidates = (
-            ((k, i), datum.apply(i), fp) for k, datum, fp in frontier for i in range(n)
+            ((k, i), datum.apply(i), fp) for fp, (k, datum) in level.items() for i in range(n)
         )
     return CrystalGraph(n, depth, max_boxes, nodes, edges)
 
@@ -293,13 +295,15 @@ def export(graph, fmt):
 
 
 def load_json(data):
-    """Rebuild a graph from its JSON export (statistics as stored; see ``check_words``).
+    """Rebuild a graph from its JSON export, as bytes or parsed (statistics as
+    stored; see ``check_words``).
     ValueError unless n, depth, node ids and words, the n-entry statistics and
     the edges' from, i and to are all integers; max_boxes is a nonnegative
     integer; the node ids are 0..N-1, each once; every word letter is in
     0..n-1; every edge joins two nodes, has a residue in 0..n-1 and is the only edge of its (from, i); and depth
-    is at least every word's length."""
-    payload = json.loads(data) if isinstance(data, (str, bytes)) else data
+    is the longest word's length, as in every export, since f_0^k of the
+    source lies on level k."""
+    payload = json.loads(data) if isinstance(data, bytes) else data
     shaped = isinstance(payload, dict) and all(
         isinstance(payload.get(key), list) and all(isinstance(row, dict) for row in payload[key])
         for key in ("nodes", "edges")
@@ -329,8 +333,8 @@ def load_json(data):
         (any(not 0 <= i < n for row in rows for i in row["word"]), "a word letter is not in 0..n-1"),
         (len({(row["from"], row["i"]) for row in edge_rows}) != len(edge_rows),
          "two edges share a (from, i) pair"),
-        (max([0] + [len(row["word"]) for row in rows]) > payload["depth"],
-         "depth is below a word's length"),
+        (max([0] + [len(row["word"]) for row in rows]) != payload["depth"],
+         "depth is not the longest word's length"),
     )
     for bad, message in problems:
         if bad:

@@ -202,6 +202,7 @@ class TestVerify:
                              + [dict(payload["nodes"][-1], id=5)]),
         lambda payload: dict(payload, depth=0),
         lambda payload: dict(payload, depth=-1),
+        lambda payload: dict(payload, depth=2),
         lambda payload: dict(payload, edges=payload["edges"] + payload["edges"][:1]),
         lambda payload: {key: v for key, v in payload.items() if key != "max_boxes"},
         lambda payload: dict(payload, max_boxes="oops"),
@@ -210,7 +211,7 @@ class TestVerify:
                              + [dict(payload["nodes"][-1], word=[2])]),
     ], ids=["list", "string-rank", "node-int", "edges-object", "short-weight",
             "string-word", "string-residue", "edge-to-missing", "edge-from-missing",
-            "residue-7", "node-id-5", "depth-0", "depth-negative", "duplicate-edge",
+            "residue-7", "node-id-5", "depth-0", "depth-negative", "depth-2", "duplicate-edge",
             "no-max-boxes", "string-max-boxes", "negative-max-boxes", "word-letter-2"])
     def test_wrong_shape_graph_file(self, capsys, tmp_path, edit):
         # a graph file of the wrong shape, or whose references or depth do
@@ -523,3 +524,17 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--rank", "2", "--word", "0,1", "--diagram-file"),
+        ("verify", "--rank", "2", "--graph-file"),
+    ], ids=["eval-diagram-file", "verify-graph-file"])
+    def test_deeply_nested_json_names_the_file(self, capsys, tmp_path, argv):
+        # json recurses once per nesting level; a file too deep for it is
+        # bad input named by its path, not a word too long to evaluate
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and str(path) in err and "word" not in err
