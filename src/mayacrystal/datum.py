@@ -83,12 +83,6 @@ class CartanData:
         n = self.n
         return 2 * weight[i % n] - weight[(i - 1) % n] - weight[(i + 1) % n]
 
-    def __eq__(self, other):
-        return isinstance(other, CartanData) and self.n == other.n
-
-    def __hash__(self):
-        return hash(("CartanData", self.n))
-
     def __repr__(self):
         return "CartanData(n=%d)" % self.n
 
@@ -316,10 +310,6 @@ class CrystalDatum:
 
     def to_json(self):
         return {"n": self.cartan.n, "word": list(self.word)}
-
-    @classmethod
-    def from_json(cls, data):
-        return datum_from_word(CartanData(int(data["n"])), (int(i) for i in data["word"]))
 
     def __repr__(self):
         return "CrystalDatum(n=%d, word=%r)" % (self.cartan.n, list(self.word))

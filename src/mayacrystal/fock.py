@@ -3,15 +3,15 @@
 The minus side is spanned by left-black Maya diagrams (row vectors), the
 plus side by right-black ones (column vectors); the pairing matches a
 left-black diagram with its color inversion.  Chevalley operators act by
-removing (minus) or adding (plus) a single residue-colored box.
+removing (minus) or adding (plus) a single residue-colored box.  They and
+the pairing are the tests' reference (``tests/reference.py``); this module
+holds the one-parameter action and the window row fill.
 
 A vector's terms are keyed by the raw ``(parts, charge)`` of a charged
 partition: the diagram's own on the minus side, its color inversion's on
 the plus side, so a left-black diagram and its color inversion share a key
-and the pairing matches equal keys.  Maya diagrams appear only at the
-boundary: ``FockVector(...)`` and :meth:`FockVector.basis` convert them
-through :func:`~mayacrystal.maya.term_key`, or take a charged partition as
-the key itself, and :meth:`FockVector.to_json` converts back.
+and the pairing matches equal keys.  This layer sees only keys: Maya
+diagrams are converted at the CLI and in the tests, never here.
 
 Boxes of one residue are independent: removing or adding one never creates
 or blocks another.  So the divided power E_i^k / k! sends a basis vector to
@@ -26,15 +26,7 @@ row built from rows of the previous prefix.
 from __future__ import annotations
 
 from .laurent import INF, LaurentPoly, _laurent
-from .maya import (
-    LEFT_BLACK,
-    RIGHT_BLACK,
-    ChargedPartition,
-    addition_options,
-    from_partition,
-    removal_options,
-    term_key,
-)
+from .maya import addition_options, removal_options
 
 MINUS = "minus"
 PLUS = "plus"
@@ -46,29 +38,16 @@ class FockVector:
     __slots__ = ("n", "side", "terms")
 
     def __init__(self, n, side, terms=None):
-        """``terms`` maps Maya diagrams of the side's kind (left-black on
-        the minus side, right-black on the plus side), or charged
-        partitions taken as keys themselves, to coefficients."""
+        """``terms`` maps ``(parts, charge)`` keys to coefficients."""
         if side not in (MINUS, PLUS):
             raise ValueError("unknown side: %r" % (side,))
-        kind = LEFT_BLACK if side == MINUS else RIGHT_BLACK
         self.n = n
         self.side = side
-        self.terms = {}
-        for diagram, coeff in (terms or {}).items():
-            if not coeff:
-                continue
-            if isinstance(diagram, ChargedPartition):
-                key = diagram.parts, diagram.charge
-            elif diagram.kind == kind:
-                key = term_key(diagram)
-            else:
-                raise ValueError("%s-side vector requires %s diagrams" % (side, kind))
-            self.terms[key] = coeff
+        self.terms = {key: coeff for key, coeff in (terms or {}).items() if coeff}
 
     @classmethod
-    def basis(cls, n, side, diagram, coeff=None):
-        return cls(n, side, {diagram: coeff if coeff is not None else LaurentPoly.one()})
+    def basis(cls, n, side, key, coeff=None):
+        return cls(n, side, {key: coeff if coeff is not None else LaurentPoly.one()})
 
     def __bool__(self):
         return bool(self.terms)
@@ -83,29 +62,6 @@ class FockVector:
             and all(other.terms[k] == c for k, c in self.terms.items())
         )
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, coeff in other.terms.items():
-            _accumulate(terms, k, coeff)
-        return _keyed(self.n, self.side, terms)
-
-    def scale(self, scalar):
-        if isinstance(scalar, LaurentPoly):
-            terms = {k: c * scalar for k, c in self.terms.items()}
-        else:
-            terms = {k: c.scale(scalar) for k, c in self.terms.items()}
-        return _keyed(self.n, self.side, {k: c for k, c in terms.items() if c})
-
-    def to_json(self):
-        rows = []
-        for (parts, charge), c in self.terms.items():
-            diagram = from_partition(ChargedPartition(parts, charge))
-            if self.side == PLUS:
-                diagram = diagram.invert()
-            rows.append({"diagram": diagram.to_json(), "coeff": c.to_json()})
-        rows.sort(key=lambda r: str(r["diagram"]))
-        return {"n": self.n, "side": self.side, "terms": rows}
-
     def __repr__(self):
         return "FockVector(n=%d, side=%r, %d terms)" % (self.n, self.side, len(self.terms))
 
@@ -117,28 +73,6 @@ def _keyed(n, side, terms):
     v.side = side
     v.terms = terms
     return v
-
-
-def e_act(v, i):
-    """Chevalley raising on the minus side: single residue-i box removals."""
-    _expect(v, MINUS)
-    return _single_moves(v, i, removal_options)
-
-
-def e_plus_act(v, i):
-    """Adjoint of e_act under the color-inversion pairing: box additions
-    on the plus side."""
-    _expect(v, PLUS)
-    return _single_moves(v, i, addition_options)
-
-
-def _single_moves(v, i, options):
-    terms = {}
-    for (parts, charge), coeff in v.terms.items():
-        for moved, count in options(parts, charge, i, v.n):
-            if count == 1:
-                _accumulate(terms, (moved, charge), coeff)
-    return _keyed(v.n, v.side, terms)
 
 
 def x_act(v, i, p):
@@ -234,24 +168,6 @@ def vec_val(v):
     if not v.terms:
         return INF
     return min(c.val() for c in v.terms.values())
-
-
-def pairing(v_minus, w_plus):
-    """Nondegenerate pairing: sum over diagrams matched by color inversion,
-    which are the terms with equal keys."""
-    _expect(v_minus, MINUS)
-    _expect(w_plus, PLUS)
-    total = LaurentPoly.zero()
-    for k, coeff in v_minus.terms.items():
-        other = w_plus.terms.get(k)
-        if other is not None:
-            total = total + coeff * other
-    return total
-
-
-def _expect(v, side):
-    if v.side != side:
-        raise ValueError("expected a %s-side vector, got %s" % (side, v.side))
 
 
 def _accumulate(terms, k, coeff):

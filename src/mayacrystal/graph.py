@@ -90,32 +90,49 @@ def explore(cartan, depth, max_boxes=None):
 
 
 def check_words(graph):
-    """At most one violation per node: its stored weight, eps and phi are
-    not its word's, or else its word, read as f_i steps along the stored
-    edges from the unique weight-zero node, does not end at it.  Each word's
-    datum extends its longest prefix's.  An explored graph takes both from
-    its words, so this only bites on graph files."""
+    """Violations of the stored words.  At most one per node: its stored
+    weight, eps and phi are not its word's, or else its word, read as f_i
+    steps along the stored edges from the unique weight-zero node, does not
+    end at it.  And one per edge (a, i) -> b whose target b stores other
+    statistics than f_i of a's word, when a's word gives a's own.  Each
+    word's datum extends its longest prefix's.  An explored graph takes all
+    of these from its words, so this only bites on graph files."""
     datums = {(): CrystalDatum(CartanData(graph.n))}
-    sources = [node.id for node in graph.nodes if not any(node.weight)]
-    violations = []
-    for node in graph.nodes:
-        word = node.word
+
+    def datum(word):
         k = len(word)
         while word[:k] not in datums:
             k -= 1
         for j in range(k, len(word)):
             datums[word[:j + 1]] = datums[word[:j]].apply(word[j])
-        stored, derived = (node.weight, node.eps, node.phi), datums[word].statistics()
+        return datums[word]
+
+    sources = [node.id for node in graph.nodes if not any(node.weight)]
+    violations = []
+    wrong = set()  # nodes whose words give other statistics
+    for node in graph.nodes:
+        stored, derived = (node.weight, node.eps, node.phi), datum(node.word).statistics()
         if derived != stored:
             violations.append("word: node %d: stored (weight, eps, phi) %r, its word gives %r"
                               % (node.id, stored, derived))
+            wrong.add(node.id)
             continue
         at = sources[0] if len(sources) == 1 else None
-        for i in word:
+        for i in node.word:
             at = graph.edges.get((at, i))
         if at != node.id:
             violations.append("word: node %d: its word %r is not an edge path from the "
-                              "weight-zero node to it" % (node.id, list(word)))
+                              "weight-zero node to it" % (node.id, list(node.word)))
+    for (src, i), dst in sorted(graph.edges.items()):
+        if src in wrong:
+            continue
+        b = graph.nodes[dst]
+        stored = b.weight, b.eps, b.phi
+        derived = datum(graph.nodes[src].word + (i,)).statistics()
+        if derived != stored:
+            violations.append("edge target: %d -%d-> %d: node %d stores (weight, eps, phi) %r, "
+                              "f_%d of node %d's word gives %r"
+                              % (src, i, dst, dst, stored, i, src, derived))
     return violations
 
 
@@ -228,32 +245,6 @@ def kostant(cartan, beta):
             if all(x >= 0 for x in prev):
                 ways[v] += ways[prev]
     return ways[beta]
-
-
-def kostant_brute(cartan, beta):
-    """Independent check: direct enumeration of root multisets summing to beta."""
-    beta = tuple(beta)
-    height = sum(beta)
-    if height == 0:
-        return 1
-    roots = positive_roots(cartan.n, height)
-
-    def count(idx, remaining):
-        if not any(remaining):
-            return 1
-        if idx == len(roots):
-            return 0
-        total = 0
-        current = remaining
-        while True:
-            total += count(idx + 1, current)
-            nxt = tuple(a - b for a, b in zip(current, roots[idx]))
-            if any(x < 0 for x in nxt):
-                break
-            current = nxt
-        return total
-
-    return count(0, beta)
 
 
 def lattice_points(n, max_height):

@@ -157,10 +157,6 @@ class ChargedPartition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing: %r" % (parts,))
 
-    @property
-    def size(self):
-        return sum(self.parts)
-
 
 @dataclass(frozen=True)
 class BoxRef:
@@ -174,13 +170,6 @@ class BoxRef:
 
 def _slot_offset(charge):
     return 1 - charge
-
-
-def box_slot_label(p, row, col):
-    """Slot label of box (row, col); the box must lie inside the partition."""
-    if not (1 <= row <= len(p.parts) and 1 <= col <= p.parts[row - 1]):
-        raise ValueError("box (%d, %d) outside partition %r" % (row, col, p.parts))
-    return _slot_offset(p.charge) + col - row
 
 
 def from_partition(p):
@@ -223,15 +212,6 @@ def term_key(diagram):
     or its color inversion's if it is right-black."""
     p = to_partition(diagram if diagram.kind == LEFT_BLACK else diagram.invert())
     return p.parts, p.charge
-
-
-def box_label_multiset(p):
-    """Sorted list of the slot labels of every box of the partition."""
-    labels = []
-    for row, length in enumerate(p.parts, 1):
-        for col in range(1, length + 1):
-            labels.append(box_slot_label(p, row, col))
-    return sorted(labels)
 
 
 def removable_boxes(p, i, n):
@@ -399,9 +379,3 @@ def partitions_of(total):
 
     build(total, total, [])
     return tuple(sorted(out))
-
-
-def partitions_up_to(max_boxes):
-    """All partitions with at most max_boxes boxes, smaller sizes first."""
-    for total in range(max_boxes + 1):
-        yield from partitions_of(total)

@@ -25,8 +25,9 @@ So this cross-checks the recursion's implementation, not the theorem that
 the crystal is B(infinity); ``verify``'s axioms and census bear on that.
 
 ``d_gamma`` computes one row on its own, one ``x_act`` per letter, and is
-the tests' reference for ``minus_rows``; ``d_tau`` does the same on the
-plus side, whose column vectors share no prefix.
+the tests' reference for ``minus_rows``.  The plus side's columns, which
+share no prefix, and the valuations of single rows and columns live with
+the tests (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ import json
 from typing import NamedTuple
 
 from .datum import canonical_diagrams
-from .fock import MINUS, PLUS, FockVector, minus_rows, vec_val, x_act
+from .fock import MINUS, FockVector, minus_rows, vec_val, x_act
 from .laurent import INF, LaurentPoly
-from .maya import RIGHT_BLACK
 
 
 class Factor(NamedTuple):
@@ -75,31 +75,10 @@ def _act(word, v):
     return v
 
 
-def d_gamma(word, gamma):
-    """Row vector <gamma| g as a minus-side Fock vector.
-
-    gamma is a left-black Maya diagram or its charged partition, as
-    ``to_partition`` returns it; each factor's x_act works on raw keys.
-    """
-    return _act(word, FockVector.basis(word.n, MINUS, gamma))
-
-
-def d_tau(word, tau):
-    """Column vector g |tau> as a plus-side Fock vector.  The newest factor
-    acts first and the oldest last, the order that agrees with theta."""
-    if tau.kind != RIGHT_BLACK:
-        raise ValueError("d_tau expects a right-black diagram")
-    return _act(word, FockVector.basis(word.n, PLUS, tau))
-
-
-def oracle_eval(datum, gamma):
-    """Valuation of <gamma| g for the datum's generic group element."""
-    return vec_val(d_gamma(generic_element(datum), gamma))
-
-
-def oracle_theta(datum, tau):
-    """Valuation of g |tau> for the datum's generic group element."""
-    return vec_val(d_tau(generic_element(datum), tau))
+def d_gamma(word, key):
+    """Row vector <gamma| g as a minus-side Fock vector, for the
+    ``(parts, charge)`` key of gamma."""
+    return _act(word, FockVector.basis(word.n, MINUS, key))
 
 
 def compare(datum, max_boxes):

@@ -1,0 +1,177 @@
+"""The tests' independent implementations, and helpers the test modules share.
+
+No command runs any of this.  It holds the per-box side of the Fock space
+(the Chevalley operators, the pairing, vector sums and scalings), the
+plus-side columns g |tau>, the brute-force Kostant count and the box-label
+readings of a charged partition, each checked against the ``src/`` code it
+shadows.  Fock vectors are keyed by ``(parts, charge)`` only, so Maya
+diagrams are converted here with ``term_key``.
+"""
+
+from mayacrystal.datum import canonical_diagrams
+from mayacrystal.fock import MINUS, PLUS, FockVector, _accumulate, _keyed, vec_val
+from mayacrystal.graph import positive_roots
+from mayacrystal.laurent import LaurentPoly
+from mayacrystal.maya import (
+    ChargedPartition,
+    addition_options,
+    from_partition,
+    partitions_of,
+    removal_options,
+    term_key,
+)
+from mayacrystal.oracle import _act, d_gamma, generic_element
+
+# -- diagrams ----------------------------------------------------------------
+
+
+def diagram(parts, charge=0):
+    """The left-black Maya diagram of a charged partition."""
+    return from_partition(ChargedPartition(parts, charge))
+
+
+def partitions_up_to(max_boxes):
+    """All partitions with at most max_boxes boxes, smaller sizes first."""
+    for total in range(max_boxes + 1):
+        yield from partitions_of(total)
+
+
+def small_diagrams(n, max_boxes):
+    """Left-black diagrams of at most max_boxes boxes at charges 0..n-1."""
+    return [diagram(parts, charge) for charge in range(n) for parts in partitions_up_to(max_boxes)]
+
+
+def sigma_canonical_diagrams(n, max_boxes):
+    """The diagrams of ``canonical_diagrams(n, max_boxes)``, in its order."""
+    return [diagram(parts, charge) for parts, charge in canonical_diagrams(n, max_boxes)]
+
+
+def box_slot_label(p, row, col):
+    """Slot label of box (row, col); the box must lie inside the partition."""
+    if not (1 <= row <= len(p.parts) and 1 <= col <= p.parts[row - 1]):
+        raise ValueError("box (%d, %d) outside partition %r" % (row, col, p.parts))
+    return (1 - p.charge) + col - row
+
+
+def box_label_multiset(p):
+    """Sorted list of the slot labels of every box of the partition."""
+    return sorted(
+        box_slot_label(p, row, col)
+        for row, length in enumerate(p.parts, 1)
+        for col in range(1, length + 1)
+    )
+
+
+# -- Fock space ----------------------------------------------------------------
+
+
+def basis_minus(n, parts, charge):
+    return FockVector.basis(n, MINUS, (parts, charge))
+
+
+def add(v, w):
+    """The sum of two vectors of one side."""
+    terms = dict(v.terms)
+    for k, coeff in w.terms.items():
+        _accumulate(terms, k, coeff)
+    return _keyed(v.n, v.side, terms)
+
+
+def scale(v, scalar):
+    """v times a LaurentPoly or a number."""
+    if isinstance(scalar, LaurentPoly):
+        terms = {k: c * scalar for k, c in v.terms.items()}
+    else:
+        terms = {k: c.scale(scalar) for k, c in v.terms.items()}
+    return _keyed(v.n, v.side, {k: c for k, c in terms.items() if c})
+
+
+def e_act(v, i):
+    """Chevalley raising on the minus side: single residue-i box removals."""
+    _expect(v, MINUS)
+    return _single_moves(v, i, removal_options)
+
+
+def e_plus_act(v, i):
+    """Adjoint of e_act under the color-inversion pairing: box additions
+    on the plus side."""
+    _expect(v, PLUS)
+    return _single_moves(v, i, addition_options)
+
+
+def _single_moves(v, i, options):
+    terms = {}
+    for (parts, charge), coeff in v.terms.items():
+        for moved, count in options(parts, charge, i, v.n):
+            if count == 1:
+                _accumulate(terms, (moved, charge), coeff)
+    return _keyed(v.n, v.side, terms)
+
+
+def pairing(v_minus, w_plus):
+    """Nondegenerate pairing: sum over diagrams matched by color inversion,
+    which are the terms with equal keys."""
+    _expect(v_minus, MINUS)
+    _expect(w_plus, PLUS)
+    total = LaurentPoly.zero()
+    for k, coeff in v_minus.terms.items():
+        other = w_plus.terms.get(k)
+        if other is not None:
+            total = total + coeff * other
+    return total
+
+
+def _expect(v, side):
+    if v.side != side:
+        raise ValueError("expected a %s-side vector, got %s" % (side, v.side))
+
+
+# -- oracle --------------------------------------------------------------------
+
+
+def d_tau(word, key):
+    """Column vector g |tau> as a plus-side Fock vector, for tau's key: the
+    partition of its color inversion.  The newest factor acts first and the
+    oldest last, the order that agrees with theta."""
+    return _act(word, FockVector.basis(word.n, PLUS, key))
+
+
+def oracle_eval(datum, gamma):
+    """Valuation of <gamma| g for the datum's generic group element, at a
+    left-black diagram gamma."""
+    return vec_val(d_gamma(generic_element(datum), term_key(gamma)))
+
+
+def oracle_theta(datum, tau):
+    """Valuation of g |tau> for the datum's generic group element, at a
+    right-black diagram tau."""
+    return vec_val(d_tau(generic_element(datum), term_key(tau)))
+
+
+# -- Kostant partition function ------------------------------------------------
+
+
+def kostant_brute(cartan, beta):
+    """Direct enumeration of root multisets summing to beta."""
+    beta = tuple(beta)
+    height = sum(beta)
+    if height == 0:
+        return 1
+    roots = positive_roots(cartan.n, height)
+
+    def count(idx, remaining):
+        if not any(remaining):
+            return 1
+        if idx == len(roots):
+            return 0
+        total = 0
+        current = remaining
+        while True:
+            total += count(idx + 1, current)
+            nxt = tuple(a - b for a, b in zip(current, roots[idx]))
+            if any(x < 0 for x in nxt):
+                break
+            current = nxt
+        return total
+
+    return count(0, beta)

@@ -305,6 +305,26 @@ class TestVerify:
         assert out.count("violation: ") == 1
         assert "violation: word: node %d: its word" % b["id"] in out
 
+    def test_swapped_edge_targets_fail(self, capsys, tmp_path):
+        # f_0 of the words 1,0,2 and 2,0,1 has equal weight but other eps
+        # and phi; swapping the targets of their 0-edges keeps every axiom,
+        # word path and census count, so only the edges' statistics show it
+        _, out, _ = run(capsys, "explore", "--rank", "3", "--depth", "4")
+        payload = json.loads(out)
+        ids = {tuple(node["word"]): node["id"] for node in payload["nodes"]}
+        a, b = ids[1, 0, 2], ids[2, 0, 1]
+        edges = {(edge["from"], edge["i"]): edge for edge in payload["edges"]}
+        to_a, to_b = edges[a, 0]["to"], edges[b, 0]["to"]
+        edges[a, 0]["to"], edges[b, 0]["to"] = to_b, to_a
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify", "--rank", "3", "--graph-file", str(path))
+        assert code == EXIT_FAIL
+        assert out.count("violation: ") == 2
+        assert "violation: edge target: %d -0-> %d: " % (a, to_b) in out
+        assert "violation: edge target: %d -0-> %d: " % (b, to_a) in out
+        assert "verify: FAIL (2 problems)" in out
+
     def test_tampered_graph_fails(self, capsys, tmp_path):
         code, out, _ = run(capsys, "explore", "--rank", "2", "--depth", "2")
         payload = json.loads(out)

@@ -11,12 +11,12 @@ from mayacrystal.graph import (
     explore,
     export,
     kostant,
-    kostant_brute,
     lattice_points,
     load_json,
     positive_roots,
     weight_census,
 )
+from reference import kostant_brute
 
 
 class TestExplore:

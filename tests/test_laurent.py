@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from mayacrystal.datum import CartanData, canonical_diagrams, datum_from_word
 from mayacrystal.fock import MINUS, PLUS, FockVector, vec_val, x_act
 from mayacrystal.laurent import INF, LaurentPoly, MultiPoly, _merge_monomials
-from mayacrystal.maya import ChargedPartition, from_partition
-from mayacrystal.oracle import d_gamma, d_tau, generic_element
+from mayacrystal.oracle import d_gamma, generic_element
+from reference import d_tau
 
 coeffs = st.fractions(
     max_denominator=20,
@@ -260,11 +260,8 @@ class TestIntegerUnits:
 
     def test_symbolic_d_gamma_matches_fraction_units(self, monkeypatch):
         word = generic_element(datum_from_word(CartanData(2), (0, 1, 0, 1, 1, 0)))
-        gammas = [
-            from_partition(ChargedPartition(parts, charge))
-            for parts, charge in canonical_diagrams(2, 6)
-        ]
-        vectors = [d_gamma(word, gamma) for gamma in gammas]
+        keys = canonical_diagrams(2, 6)
+        vectors = [d_gamma(word, key) for key in keys]
         numbers = [c for v in vectors for poly in v.terms.values() for c in poly.coeffs.values()]
         assert {type(number) for number in numbers} == {int}
         assert max(numbers) > 1
@@ -278,8 +275,8 @@ class TestIntegerUnits:
         monkeypatch.setattr(LaurentPoly, "__mul__", reference_laurent_mul)
         monkeypatch.setattr(MultiPoly, "__mul__", reference_multipoly_mul)
         monkeypatch.setattr(MultiPoly, "__rmul__", reference_multipoly_mul)
-        for gamma, v in zip(gammas, vectors):
-            generic = generic_point(word, FockVector.basis(2, MINUS, gamma))
+        for key, v in zip(keys, vectors):
+            generic = generic_point(word, FockVector.basis(2, MINUS, key))
             assert at_one(generic) == coefficients(v)
 
 
@@ -292,10 +289,9 @@ class TestGenericPoint:
         # coefficient sums are the integer coefficients, and the valuations agree
         n, letters = case
         word = generic_element(datum_from_word(CartanData(n), letters))
-        for parts, charge in canonical_diagrams(n, 5):
-            key = ChargedPartition(parts, charge)
-            tau = from_partition(key).invert()
-            for side, integer in ((MINUS, d_gamma(word, key)), (PLUS, d_tau(word, tau))):
+        for key in canonical_diagrams(n, 5):
+            # the key of gamma, and of tau, gamma's color inversion
+            for side, integer in ((MINUS, d_gamma(word, key)), (PLUS, d_tau(word, key))):
                 generic = generic_point(word, FockVector.basis(n, side, key))
                 assert generic.terms.keys() == integer.terms.keys()
                 assert all(
