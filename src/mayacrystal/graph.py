@@ -2,9 +2,10 @@
 
 The graph is grown breadth-first from the zero datum; elements are
 deduplicated by their value-table fingerprint over diagrams with at most
-``max_boxes`` boxes (default n*(depth+1), validated empirically by the
-census).  Each child is fingerprinted once, its table filled from the one
-inside its parent's fingerprint, where it is kept as signed 16-bit bytes.
+``max_boxes`` boxes (default n*(depth+1), a heuristic that only the
+census and axiom iv check: too small a window merges distinct elements).
+Each child is fingerprinted once, its table filled from the one inside its
+parent's fingerprint, where it is kept as signed 16-bit bytes.
 A fingerprint begins with the (weight, eps, phi) that the node's row
 stores.  Fingerprints only detect duplicates; nodes are numbered in
 discovery order (see ``explore``), so the root is node 0 and a window that
@@ -13,12 +14,13 @@ only within a BFS level: a node k steps from the root has height k, so equal
 fingerprints, which lead with equal weights, lie on the same level.  A datum
 and its fingerprint live only in their level's dedup dict, which grows the
 next level and is freed once that level is fingerprinted; a child that
-dedups away is freed with its memos.  A graph's nodes are plain records,
-the rows of its JSON export, so an explored graph equals what
-``load_json`` rebuilds from that export.  Raising operators exist only as
-edge inversions.  The independent oracle counts multiset decompositions of
-a positive root-lattice element into positive roots of untwisted affine
-type A, with imaginary roots m*delta carrying multiplicity n - 1.
+dedups away is freed with its memos.  A graph and its nodes are plain
+records, the fields and rows of its JSON export, so an explored graph
+equals what ``load_json`` rebuilds from that export.  Raising operators
+exist only as edge inversions, which ``check_axioms`` reads off the edges.
+The independent oracle counts multiset decompositions of a positive
+root-lattice element into positive roots of untwisted affine type A, with
+imaginary roots m*delta carrying multiplicity n - 1.
 """
 
 from __future__ import annotations
@@ -41,18 +43,16 @@ class Node:
     phi: tuple
 
 
+@dataclass
 class CrystalGraph:
-    """Explored, deduplicated crystal with lowering edges."""
+    """Explored, deduplicated crystal with lowering edges: the export's
+    five fields."""
 
-    def __init__(self, n, depth, max_boxes, nodes, edges):
-        self.n = n
-        self.depth = depth
-        self.max_boxes = max_boxes
-        self.nodes = nodes
-        self.edges = edges  # (node_id, residue) -> node_id
-        self.reverse = {}
-        for (src, i), dst in edges.items():
-            self.reverse.setdefault((dst, i), []).append(src)
+    n: int
+    depth: int
+    max_boxes: int
+    nodes: list
+    edges: dict  # (node_id, residue) -> node_id
 
 
 def default_max_boxes(n, depth):
@@ -144,6 +144,8 @@ def check_axioms(graph):
     head axiom) and grows by 1 along each i-edge (axiom iii).  The check is
     exact on a depth-truncated graph, since depth is the height of -weight
     and an e_i-string climbs toward weight 0 inside the explored ball.
+    Axiom iv, that f_i is injective, asks each (node, i) to have at most one
+    f_i-predecessor among the edges.
 
     On an explored graph axiom i, phi = eps + <wt, alpha_i>, is an identity:
     eps_hat(i) + <wt, alpha_i> = theta(L_i) - theta(sL_i), which is how phi
@@ -151,6 +153,9 @@ def check_axioms(graph):
     stored.
     """
     cartan = CartanData(graph.n)
+    predecessors = {}  # (node_id, residue) -> its f_i-predecessors
+    for (src, i), dst in graph.edges.items():
+        predecessors.setdefault((dst, i), []).append(src)
     violations = []
     for node in graph.nodes:
         for i in range(graph.n):
@@ -160,7 +165,7 @@ def check_axioms(graph):
                     "axiom i: node %d residue %d: phi=%d but eps+<wt,a>=%d"
                     % (node.id, i, node.phi[i], expected)
                 )
-            if node.eps[i] and (node.id, i) not in graph.reverse:
+            if node.eps[i] and (node.id, i) not in predecessors:
                 violations.append(
                     "string head: node %d has no f_%d-predecessor but eps=%d"
                     % (node.id, i, node.eps[i])
@@ -185,16 +190,11 @@ def check_axioms(graph):
                 "axiom iii (phi): edge %d -%d-> %d: %d != %d - 1"
                 % (src, i, dst, b.phi[i], a.phi[i])
             )
-    for (dst, i), sources in sorted(graph.reverse.items()):
+    for (dst, i), sources in sorted(predecessors.items()):
         if len(sources) > 1:
             violations.append(
                 "axiom iv: node %d has multiple f_%d-predecessors %r" % (dst, i, sources)
             )
-        for src in sources:
-            if graph.edges.get((src, i)) != dst:
-                violations.append(
-                    "axiom iv: reverse edge (%d, %d) -> %d not mirrored" % (dst, i, src)
-                )
     zero_weight = [node for node in graph.nodes if not any(node.weight)]
     if len(zero_weight) != 1:
         violations.append("source: expected exactly one weight-0 node, found %d" % len(zero_weight))

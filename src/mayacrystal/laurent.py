@@ -12,7 +12,8 @@ A Laurent product by a single term is one pass, without accumulating or
 testing for zero: multiplying by a fixed nonzero term is injective on
 exponents, and the coefficient rings have no zero divisors, so no two
 products collide and none vanishes.  The one-parameter Fock action always
-multiplies by such a term, the power p^k = a^k t^(e k).
+multiplies by such a term, the power p^k = a^k t^(e k).  No command prints
+a polynomial, so a repr shows only the coefficient dict.
 """
 
 from __future__ import annotations
@@ -112,23 +113,8 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono in sorted(self.terms):
-            coeff = self.terms[mono]
-            factors = ["%s^%d" % (n, e) if e > 1 else n for n, e in mono]
-            if not factors:
-                pieces.append(str(coeff))
-            elif coeff == 1:
-                pieces.append("*".join(factors))
-            else:
-                pieces.append("%s*%s" % (coeff, "*".join(factors)))
-        return " + ".join(pieces)
-
     def __repr__(self):
-        return "MultiPoly(%s)" % self
+        return "MultiPoly(%r)" % self.terms
 
     __hash__ = None
 
@@ -217,18 +203,8 @@ class LaurentPoly:
             return INF
         return min(self.coeffs)
 
-    def to_json(self):
-        return {str(e): str(self.coeffs[e]) for e in sorted(self.coeffs)}
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            "(%s)*t^%d" % (self.coeffs[e], e) for e in sorted(self.coeffs)
-        )
-
     def __repr__(self):
-        return "LaurentPoly(%s)" % self
+        return "LaurentPoly(%r)" % self.coeffs
 
     __hash__ = None
 

@@ -5,7 +5,8 @@ A crystal element with word (i_1, ..., i_m) determines a group element
     g = x_{i_m}(p_m) * ... * x_{i_1}(p_1),    p_j = a_j * t^(phi_j - 1),
 
 where phi_j is the phi statistic of residue i_j on the length j-1 prefix
-and the a_j are generic scalars.  The element's value at a left-black
+and the a_j are generic scalars; ``generic_element`` gives g as its factors'
+(i_j, phi_j - 1) pairs, oldest first.  The element's value at a left-black
 diagram gamma is then the t-valuation of the row vector <gamma| g, and its
 theta value at a right-black diagram tau is the valuation of the column
 vector g |tau>.
@@ -33,52 +34,37 @@ the tests (``tests/reference.py``).
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
 
 from .datum import canonical_diagrams
 from .fock import MINUS, FockVector, minus_rows, vec_val, x_act
 from .laurent import INF, LaurentPoly
 
 
-class Factor(NamedTuple):
-    """One x_i(p) factor, p = t^exponent at a = 1: the pair (residue,
-    exponent) that ``minus_rows`` takes."""
-
-    residue: int
-    exponent: int
-
-
-class GroupWord(NamedTuple):
-    """Factors of a generic group element, oldest (first letter) first."""
-
-    n: int
-    factors: tuple
-
-
 def generic_element(datum):
-    """The generic group element attached to a datum's word.  Factor j's
+    """The generic group element attached to a datum's word: its factors
+    x_i(p), p = t^exponent at a = 1, as the (residue, exponent) pairs that
+    ``minus_rows`` takes, oldest (first letter) first.  The j-th factor's
     t-exponent phi_j - 1 is the recursion's own coefficient ``coeff`` of
     the length-j prefix, its parent's c_coeff at letter j."""
     factors = []
     node = datum
     while node.parent is not None:
-        factors.append(Factor(node.letter, node.coeff))
+        factors.append((node.letter, node.coeff))
         node = node.parent
-    return GroupWord(datum.cartan.n, tuple(reversed(factors)))
+    return tuple(reversed(factors))
 
 
-def _act(word, v):
-    """The word's factors, at a = 1, applied to the basis vector v, newest
-    first."""
-    for residue, exponent in reversed(word.factors):
+def _act(factors, v):
+    """The factors, at a = 1, applied to the vector v, newest first."""
+    for residue, exponent in reversed(factors):
         v = x_act(v, residue, LaurentPoly.term(1, exponent))
     return v
 
 
-def d_gamma(word, key):
+def d_gamma(n, factors, key):
     """Row vector <gamma| g as a minus-side Fock vector, for the
     ``(parts, charge)`` key of gamma."""
-    return _act(word, FockVector.basis(word.n, MINUS, key))
+    return _act(factors, FockVector.basis(n, MINUS, key))
 
 
 def compare(datum, max_boxes):
@@ -95,7 +81,7 @@ def compare(datum, max_boxes):
     """
     n = datum.cartan.n
     window = canonical_diagrams(n, max_boxes)
-    rows = minus_rows(n, generic_element(datum).factors, window)
+    rows = minus_rows(n, generic_element(datum), window)
     results = []
     ok = True
     for (parts, charge), recursive in zip(window, datum.table(max_boxes)):

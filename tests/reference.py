@@ -129,23 +129,23 @@ def _expect(v, side):
 # -- oracle --------------------------------------------------------------------
 
 
-def d_tau(word, key):
+def d_tau(n, factors, key):
     """Column vector g |tau> as a plus-side Fock vector, for tau's key: the
     partition of its color inversion.  The newest factor acts first and the
     oldest last, the order that agrees with theta."""
-    return _act(word, FockVector.basis(word.n, PLUS, key))
+    return _act(factors, FockVector.basis(n, PLUS, key))
 
 
 def oracle_eval(datum, gamma):
     """Valuation of <gamma| g for the datum's generic group element, at a
     left-black diagram gamma."""
-    return vec_val(d_gamma(generic_element(datum), term_key(gamma)))
+    return vec_val(d_gamma(datum.cartan.n, generic_element(datum), term_key(gamma)))
 
 
 def oracle_theta(datum, tau):
     """Valuation of g |tau> for the datum's generic group element, at a
     right-black diagram tau."""
-    return vec_val(d_tau(generic_element(datum), term_key(tau)))
+    return vec_val(d_tau(datum.cartan.n, generic_element(datum), term_key(tau)))
 
 
 # -- Kostant partition function ------------------------------------------------

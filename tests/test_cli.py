@@ -179,6 +179,42 @@ class TestVerify:
         assert code == EXIT_OK
         assert "PASS" in out
 
+    @pytest.mark.parametrize(
+        "n, depth, max_boxes, failing",
+        [
+            (2, 8, 8, [
+                "  (4, 4): 30 32 MISMATCH",
+                "violation: axiom iv: node 169 has multiple f_1-predecessors [101, 111]",
+                "violation: axiom iv: node 227 has multiple f_0-predecessors [138, 148]",
+                "verify: FAIL (3 problems)",
+            ]),
+            (3, 7, 5, [
+                "  (1, 3, 3): 21 22 MISMATCH",
+                "  (3, 1, 3): 21 22 MISMATCH",
+                "  (3, 3, 1): 21 22 MISMATCH",
+                "violation: axiom iv: node 452 has multiple f_0-predecessors [224, 258]",
+                "violation: axiom iv: node 452 has multiple f_1-predecessors [219, 274]",
+                "violation: axiom iv: node 492 has multiple f_0-predecessors [239, 326]",
+                "violation: axiom iv: node 492 has multiple f_2-predecessors [241, 334]",
+                "violation: axiom iv: node 617 has multiple f_1-predecessors [306, 360]",
+                "violation: axiom iv: node 617 has multiple f_2-predecessors [310, 362]",
+                "verify: FAIL (9 problems)",
+            ]),
+        ],
+    )
+    def test_too_small_window_fails(self, capsys, n, depth, max_boxes, failing):
+        # A window too small to separate elements merges some of them: the
+        # census comes up short and the merged node has two f_i-predecessors.
+        # One box more separates them all.
+        argv = ["verify", "--rank", str(n), "--depth", str(depth)]
+        code, out, _ = run(capsys, *argv, "--max-boxes", str(max_boxes))
+        assert code == EXIT_FAIL
+        lines = out.splitlines()
+        assert [line for line in lines[1:] if not line.endswith(" ok")] == failing
+        code, out, _ = run(capsys, *argv, "--max-boxes", str(max_boxes + 1))
+        assert code == EXIT_OK
+        assert out.endswith("verify: PASS (%d nodes)\n" % {2: 257, 3: 754}[n])
+
     def test_corrupted_graph_file(self, capsys, tmp_path):
         path = tmp_path / "graph.json"
         path.write_text('{"nodes": "oops"')

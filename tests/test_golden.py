@@ -33,6 +33,15 @@ CASES = {
 }
 
 
+#: verify at the default window n*(depth+1) plus 2 boxes, which separates the
+#: same elements, so it prints the same bytes; the bench's census runs both.
+WIDER = {
+    "verify-n2-d6.txt": "16",
+    "verify-n3-d5.txt": "20",
+    "verify-n4-d4.txt": "22",
+}
+
+
 def test_golden_set_is_complete():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
 
@@ -40,5 +49,12 @@ def test_golden_set_is_complete():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(capsysbinary, name):
     code = main(list(CASES[name]))
+    assert code == EXIT_OK
+    assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(WIDER))
+def test_wider_window_matches_golden(capsysbinary, name):
+    code = main([*CASES[name], "--max-boxes", WIDER[name]])
     assert code == EXIT_OK
     assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()

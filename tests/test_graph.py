@@ -62,11 +62,14 @@ class TestExplore:
     def test_string_length_matches_eps(self):
         # eps_i is the length of the e_i-string, which lies inside the ball
         g = explore(CartanData(2), 3)
+        predecessors = {}
+        for (src, i), dst in g.edges.items():
+            predecessors.setdefault((dst, i), []).append(src)
         for node in g.nodes:
             for i in range(2):
                 length, current = 0, node.id
-                while (current, i) in g.reverse:
-                    (current,) = g.reverse[current, i]
+                while (current, i) in predecessors:
+                    (current,) = predecessors[current, i]
                     length += 1
                 assert length == node.eps[i]
         # raising every eps and phi by 1 keeps axioms i and iii; check_axioms

@@ -15,41 +15,33 @@ from mayacrystal.maya import (
     term_key,
     to_partition,
 )
-from mayacrystal.oracle import (
-    Factor,
-    GroupWord,
-    compare,
-    d_gamma,
-    generic_element,
-    report_to_json,
-)
+from mayacrystal.oracle import compare, d_gamma, generic_element, report_to_json
 from reference import d_tau, diagram, oracle_eval, oracle_theta, small_diagrams
 
 
 class TestGenericElement:
     def test_empty_word(self):
-        word = generic_element(datum_from_word(CartanData(2), ()))
-        assert word.factors == ()
+        assert generic_element(datum_from_word(CartanData(2), ())) == ()
 
     def test_factor_structure(self):
         d = datum_from_word(CartanData(2), (0, 1))
-        word = generic_element(d)
-        assert [f.residue for f in word.factors] == [0, 1]
+        factors = generic_element(d)
+        assert [residue for residue, _ in factors] == [0, 1]
         # first factor parameter valuation is phi_hat_0(O) - 1 = -1
-        assert word.factors[0].exponent == -1
+        assert factors[0][1] == -1
 
     def test_exponents_track_phi(self):
         d = datum_from_word(CartanData(2), (0, 0))
-        word = generic_element(d)
+        factors = generic_element(d)
         prefix = datum_from_word(CartanData(2), (0,))
-        assert word.factors[1].exponent == prefix.phi_hat(0) - 1
+        assert factors[1][1] == prefix.phi_hat(0) - 1
 
 
 class TestDGamma:
     def test_identity_on_empty_word(self):
-        word = generic_element(datum_from_word(CartanData(2), ()))
+        factors = generic_element(datum_from_word(CartanData(2), ()))
         g = diagram((2, 1), 1)
-        v = d_gamma(word, term_key(g))
+        v = d_gamma(2, factors, term_key(g))
         assert list(v.terms) == [term_key(g)]
         assert vec_val(v) == 0
 
@@ -57,10 +49,10 @@ class TestDGamma:
         # the row of gamma's (parts, charge) holds gamma itself, every
         # coefficient being positive, and otherwise only diagrams with boxes
         # removed from it, at its charge
-        word = generic_element(datum_from_word(CartanData(2), (0, 1, 1)))
+        factors = generic_element(datum_from_word(CartanData(2), (0, 1, 1)))
         for g in small_diagrams(2, 3):
             p = to_partition(g)
-            row = d_gamma(word, (p.parts, p.charge))
+            row = d_gamma(2, factors, (p.parts, p.charge))
             assert (p.parts, p.charge) in row.terms
             for parts, charge in row.terms:
                 assert charge == p.charge
@@ -104,22 +96,22 @@ class TestDTau:
         disagreements = 0
         for word in itertools.product(range(2), repeat=3):
             d = datum_from_word(cartan, word)
-            group_word = generic_element(d)
-            reversed_word = GroupWord(group_word.n, tuple(reversed(group_word.factors)))
+            factors = generic_element(d)
             for tau in self.taus():
                 th = d.theta(tau)
-                assert vec_val(d_tau(group_word, term_key(tau))) == th
-                if vec_val(d_tau(reversed_word, term_key(tau))) != th:
+                assert vec_val(d_tau(2, factors, term_key(tau))) == th
+                if vec_val(d_tau(2, factors[::-1], term_key(tau))) != th:
                     disagreements += 1
         assert disagreements > 0
 
 
 @st.composite
 def group_words(draw):
-    """A group word for n = 2..4: at most 5 factors, any t-exponents."""
+    """n = 2..4 and a group word's (residue, exponent) factors: at most 5,
+    any t-exponents."""
     n = draw(st.sampled_from((2, 3, 4)))
-    letters = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-3, 3)), max_size=5))
-    return GroupWord(n, tuple(Factor(i, e) for i, e in letters))
+    factors = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-3, 3)), max_size=5))
+    return n, tuple(factors)
 
 
 class TestSharedRows:
@@ -129,11 +121,12 @@ class TestSharedRows:
     @given(group_words(), st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
     def test_rows_equal_d_gamma(self, word, max_boxes):
-        window = canonical_diagrams(word.n, max_boxes)
-        rows = minus_rows(word.n, word.factors, window)
+        n, factors = word
+        window = canonical_diagrams(n, max_boxes)
+        rows = minus_rows(n, factors, window)
         assert rows.keys() == set(window)
         for parts, charge in window:
-            expected = d_gamma(word, (parts, charge))
+            expected = d_gamma(n, factors, (parts, charge))
             row = rows[parts, charge]
             # FockVector equality: the same keys, and equal LaurentPoly
             # coefficients at each
@@ -143,8 +136,8 @@ class TestSharedRows:
         # rows carry whole Laurent polynomials, with several exponents and
         # path counts above 1, so the equality above tests more than a
         # valuation
-        word = generic_element(datum_from_word(CartanData(2), (0, 1, 0, 1, 1, 0)))
-        rows = minus_rows(2, word.factors, canonical_diagrams(2, 5))
+        factors = generic_element(datum_from_word(CartanData(2), (0, 1, 0, 1, 1, 0)))
+        rows = minus_rows(2, factors, canonical_diagrams(2, 5))
         polys = [poly for row in rows.values() for poly in row.terms.values()]
         assert max(len(poly.coeffs) for poly in polys) > 1
         assert max(c for poly in polys for c in poly.coeffs.values()) > 1
