@@ -16,7 +16,9 @@ and its fingerprint live only in their level's dedup dict, which grows the
 next level and is freed once that level is fingerprinted; a child that
 dedups away is freed with its memos.  A graph and its nodes are plain
 records, the fields and rows of its JSON export, so an explored graph
-equals what ``load_json`` rebuilds from that export.  Raising operators
+equals what ``load_json`` rebuilds from that export.  They are
+``__slots__`` classes, not dataclasses: importing ``dataclasses`` would add
+``inspect`` and ``ast`` to every command's start-up.  Raising operators
 exist only as edge inversions, which ``check_axioms`` reads off the edges.
 The independent oracle counts multiset decompositions of a positive
 root-lattice element into positive roots of untwisted affine type A, with
@@ -27,32 +29,63 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass
 
 from .datum import CartanData, CrystalDatum
 
 
-@dataclass
 class Node:
-    """One element's row of the JSON export."""
+    """One element's row of the JSON export.  Equal only to a Node with
+    equal fields; mutable, so unhashable."""
 
-    id: int
-    word: tuple
-    weight: tuple
-    eps: tuple
-    phi: tuple
+    __slots__ = ("id", "word", "weight", "eps", "phi")
+
+    def __init__(self, id, word, weight, eps, phi):
+        self.id = id
+        self.word = word
+        self.weight = weight
+        self.eps = eps
+        self.phi = phi
+
+    def _fields(self):
+        return self.id, self.word, self.weight, self.eps, self.phi
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "Node(id=%r, word=%r, weight=%r, eps=%r, phi=%r)" % self._fields()
 
 
-@dataclass
 class CrystalGraph:
     """Explored, deduplicated crystal with lowering edges: the export's
-    five fields."""
+    five fields.  Equal only to a CrystalGraph with equal fields; mutable,
+    so unhashable."""
 
-    n: int
-    depth: int
-    max_boxes: int
-    nodes: list
-    edges: dict  # (node_id, residue) -> node_id
+    __slots__ = ("n", "depth", "max_boxes", "nodes", "edges")
+
+    def __init__(self, n, depth, max_boxes, nodes, edges):
+        self.n = n
+        self.depth = depth
+        self.max_boxes = max_boxes
+        self.nodes = nodes
+        self.edges = edges  # (node_id, residue) -> node_id
+
+    def _fields(self):
+        return self.n, self.depth, self.max_boxes, self.nodes, self.edges
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "CrystalGraph(n=%r, depth=%r, max_boxes=%r, nodes=%r, edges=%r)" % self._fields()
 
 
 def default_max_boxes(n, depth):
@@ -264,7 +297,7 @@ def export(graph, fmt):
             "n": graph.n,
             "depth": graph.depth,
             "max_boxes": graph.max_boxes,
-            "nodes": [asdict(node) for node in graph.nodes],
+            "nodes": [{key: getattr(node, key) for key in Node.__slots__} for node in graph.nodes],
             "edges": [
                 {"from": src, "to": dst, "i": i}
                 for (src, i), dst in sorted(graph.edges.items())

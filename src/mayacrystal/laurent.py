@@ -14,12 +14,15 @@ exponents, and the coefficient rings have no zero divisors, so no two
 products collide and none vanishes.  The one-parameter Fock action always
 multiplies by such a term, the power p^k = a^k t^(e k).  No command prints
 a polynomial, so a repr shows only the coefficient dict.
+
+Nothing here imports ``fractions`` (with ``decimal`` and ``numbers``) at
+module level: no command makes a ``Fraction``, and :class:`MultiPoly`
+loads it only when it first meets a coefficient that is not an ``int``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 #: Valuation of the zero polynomial.
 INF = math.inf
@@ -32,7 +35,9 @@ class MultiPoly:
     Terms are stored as ``{monomial: coefficient}`` where a monomial is a
     tuple of ``(name, exponent)`` pairs sorted by name with exponents > 0;
     the empty tuple is the constant monomial.  Zero coefficients are never
-    stored, so equality is plain dict equality.
+    stored, so equality is plain dict equality.  ``fractions`` is imported
+    on the first coefficient that is not an ``int``, so that importing this
+    module, which every command does, does not load it.
     """
 
     __slots__ = ("terms",)
@@ -43,6 +48,8 @@ class MultiPoly:
     @classmethod
     def const(cls, value):
         if type(value) is not int:
+            from fractions import Fraction
+
             value = Fraction(value)
         return cls({(): value} if value else None)
 
@@ -54,7 +61,11 @@ class MultiPoly:
     def _coerce(other):
         if isinstance(other, MultiPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return MultiPoly.const(other)
+        from fractions import Fraction
+
+        if isinstance(other, Fraction):
             return MultiPoly.const(other)
         return NotImplemented
 

@@ -16,11 +16,16 @@ carrying the slot label
 
 pinned so that the standard 12-box example diagram produces the label
 multiset {2,1,0,0,-1,-1,-1,-2,-2,-3,-4,-5}.
+
+``Interval``, ``ChargedPartition`` and ``BoxRef`` are plain ``__slots__``
+classes, not dataclasses: importing ``dataclasses`` loads ``inspect`` and
+``ast``, and each decorator compiles its methods, a start-up cost that
+every command would pay.  Each is immutable, hashable over its fields,
+equal only to a record of its own class, and shows its fields in its repr
+as a dataclass would.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 BLACK = "black"
 WHITE = "white"
@@ -28,22 +33,46 @@ LEFT_BLACK = "left-black"
 RIGHT_BLACK = "right-black"
 
 
-@dataclass(frozen=True)
-class Interval:
+class _Frozen:
+    """Base of the immutable records: each sets its fields once, through
+    ``object.__setattr__``, while it is constructed."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class Interval(_Frozen):
     """Inclusive integer interval of slot labels."""
 
-    lo: int
-    hi: int
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("empty interval: lo=%d > hi=%d" % (self.lo, self.hi))
+    def __init__(self, lo, hi):
+        if lo > hi:
+            raise ValueError("empty interval: lo=%d > hi=%d" % (lo, hi))
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return "Interval(lo=%r, hi=%r)" % (self.lo, self.hi)
 
     def __contains__(self, label):
         return self.lo <= label <= self.hi
 
 
-class MayaDiagram:
+class MayaDiagram(_Frozen):
     """Canonical Maya diagram: kind plus the labels deviating from the vacuum.
 
     ``diffs`` is the frozenset of slot labels whose color differs from the
@@ -58,9 +87,6 @@ class MayaDiagram:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "diffs", frozenset(diffs))
         object.__setattr__(self, "_hash", hash((kind, self.diffs)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MayaDiagram is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, MayaDiagram):
@@ -138,34 +164,66 @@ class MayaDiagram:
         return "MayaDiagram(%r, %r)" % (self.kind, sorted(self.diffs))
 
 
-@dataclass(frozen=True)
-class ChargedPartition:
+class ChargedPartition(_Frozen):
     """Weakly decreasing positive parts and an integer charge.
 
     A charged partition always pictures a left-black Maya diagram.  A
     right-black diagram is pictured by the partition of its color inversion.
     """
 
-    parts: tuple
-    charge: int = 0
+    __slots__ = ("parts", "charge")
+
+    def __init__(self, parts, charge=0):
+        object.__setattr__(self, "parts", tuple(parts))
+        object.__setattr__(self, "charge", charge)
+        self.__post_init__()
 
     def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+        """Reject parts that are not positive or not weakly decreasing.
+        Every construction calls it, and ``bench/layertrace.py`` counts
+        constructions by wrapping it."""
+        parts = self.parts
         if any(p <= 0 for p in parts):
             raise ValueError("parts must be positive: %r" % (parts,))
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing: %r" % (parts,))
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parts, self.charge) == (other.parts, other.charge)
 
-@dataclass(frozen=True)
-class BoxRef:
+    def __hash__(self):
+        return hash((self.parts, self.charge))
+
+    def __repr__(self):
+        return "ChargedPartition(parts=%r, charge=%r)" % (self.parts, self.charge)
+
+
+class BoxRef(_Frozen):
     """A box position inside (or just outside) a partition, with its slot data."""
 
-    row: int
-    col: int
-    slot_label: int
-    residue: int
+    __slots__ = ("row", "col", "slot_label", "residue")
+
+    def __init__(self, row, col, slot_label, residue):
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "col", col)
+        object.__setattr__(self, "slot_label", slot_label)
+        object.__setattr__(self, "residue", residue)
+
+    def _fields(self):
+        return self.row, self.col, self.slot_label, self.residue
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "BoxRef(row=%r, col=%r, slot_label=%r, residue=%r)" % self._fields()
 
 
 def _slot_offset(charge):

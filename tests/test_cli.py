@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestStartup:
+    def test_import_loads_no_dataclasses_or_fractions(self):
+        # every command pays for what importing the CLI loads; dataclasses
+        # pulls in inspect, ast, dis and tokenize, fractions pulls in decimal
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        script = "import sys\n%s\nprint('\\n'.join(sys.modules))"
+        plain, loaded = (
+            set(subprocess.run([sys.executable, "-c", script % head], env=env, check=True,
+                               capture_output=True, text=True, timeout=30).stdout.split())
+            for head in ("", "import mayacrystal.cli")
+        )
+        added = loaded - plain
+        assert "mayacrystal.cli" in added
+        heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal"}
+        assert not added & heavy, sorted(added & heavy)
 
 
 class TestExplore:

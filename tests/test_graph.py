@@ -1,10 +1,9 @@
-from dataclasses import replace
-
 import pytest
 
 from mayacrystal.datum import CartanData
 from mayacrystal.graph import (
     CrystalGraph,
+    Node,
     check_axioms,
     check_words,
     default_max_boxes,
@@ -75,12 +74,51 @@ class TestExplore:
         # raising every eps and phi by 1 keeps axioms i and iii; check_axioms
         # still flags it, at the string heads
         shifted = [
-            replace(node, eps=tuple(e + 1 for e in node.eps), phi=tuple(p + 1 for p in node.phi))
+            Node(node.id, node.word, node.weight,
+                 tuple(e + 1 for e in node.eps), tuple(p + 1 for p in node.phi))
             for node in g.nodes
         ]
         violations = check_axioms(CrystalGraph(g.n, g.depth, g.max_boxes, shifted, g.edges))
         assert violations
         assert all(line.startswith("string head") for line in violations)
+
+
+class TestRecords:
+    def test_node(self):
+        node = Node(3, (0, 1), (-1, -1), (0, 1), (2, 1))
+        assert node == Node(id=3, word=(0, 1), weight=(-1, -1), eps=(0, 1), phi=(2, 1))
+        assert node != Node(3, (0, 1), (-1, -1), (0, 1), (2, 2))
+        assert node != (3, (0, 1), (-1, -1), (0, 1), (2, 1))
+        assert repr(node) == "Node(id=3, word=(0, 1), weight=(-1, -1), eps=(0, 1), phi=(2, 1))"
+        with pytest.raises(TypeError):
+            hash(node)
+        node.word = (1, 0)
+        assert node.word == (1, 0)
+
+    def test_crystal_graph(self):
+        g = explore(CartanData(2), 1)
+        same = CrystalGraph(n=2, depth=1, max_boxes=g.max_boxes, nodes=list(g.nodes),
+                            edges=dict(g.edges))
+        assert g == same
+        assert g != CrystalGraph(2, 1, g.max_boxes, g.nodes[:1], {})
+        assert repr(g) == (
+            "CrystalGraph(n=2, depth=1, max_boxes=%r, nodes=%r, edges=%r)"
+            % (g.max_boxes, g.nodes, g.edges)
+        )
+        with pytest.raises(TypeError):
+            hash(g)
+
+    def test_a_subclass_is_never_equal(self):
+        class Row(Node):
+            __slots__ = ()
+
+        class Graph(CrystalGraph):
+            __slots__ = ()
+
+        node = Node(0, (), (0, 0), (0, 0), (0, 0))
+        assert node != Row(0, (), (0, 0), (0, 0), (0, 0))
+        g = CrystalGraph(2, 0, 2, [node], {})
+        assert g != Graph(2, 0, 2, [node], {})
 
 
 class TestAxioms:
@@ -206,7 +244,7 @@ class TestExport:
         # a node given another node's word keeps its own statistics
         # while the word gives the other node's
         a, b = g.nodes[1], g.nodes[-1]
-        g.nodes[1] = replace(a, word=b.word)
+        g.nodes[1] = Node(a.id, b.word, a.weight, a.eps, a.phi)
         violations = check_words(g)
         assert len(violations) == 1
         assert violations[0].startswith("word: node 1: ")

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from mayacrystal.maya import (
     LEFT_BLACK,
     RIGHT_BLACK,
     WHITE,
+    BoxRef,
     ChargedPartition,
     Interval,
     MayaDiagram,
@@ -156,12 +158,56 @@ class TestMayaDiagram:
         assert MayaDiagram.from_json(m.invert().to_json()) == m.invert()
 
 
+class TestRecords:
+    @pytest.mark.parametrize("record, same, other, text", [
+        (Interval(-1, 2), Interval(lo=-1, hi=2), Interval(-1, 3), "Interval(lo=-1, hi=2)"),
+        (ChargedPartition((2, 1)), ChargedPartition(parts=(2, 1), charge=0),
+         ChargedPartition((2, 1), 1), "ChargedPartition(parts=(2, 1), charge=0)"),
+        (BoxRef(1, 2, 3, 1), BoxRef(row=1, col=2, slot_label=3, residue=1),
+         BoxRef(1, 2, 3, 0), "BoxRef(row=1, col=2, slot_label=3, residue=1)"),
+    ])
+    def test_frozen_record(self, record, same, other, text):
+        assert record == same and hash(record) == hash(same)
+        assert record != other
+        assert len({record, same, other}) == 2
+        assert repr(record) == text
+        fields = re.findall(r"(\w+)=", text)
+        values = [getattr(record, name) for name in fields]
+        assert record != tuple(values)
+
+        class Sub(type(record)):
+            __slots__ = ()
+
+        assert record != Sub(*values)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert record == same
+
+    def test_interval_rejects_an_empty_range(self):
+        assert 2 in Interval(2, 2)
+        with pytest.raises(ValueError):
+            Interval(2, 1)
+
+    def test_charged_partition_stores_a_tuple(self):
+        p = ChargedPartition([2, 1])
+        assert p.parts == (2, 1) and type(p.parts) is tuple
+        assert p.charge == 0
+        assert p == ChargedPartition((2, 1), 0)
+
+
 class TestChargedPartition:
     def test_validation(self):
         with pytest.raises(ValueError):
             ChargedPartition((1, 2))
         with pytest.raises(ValueError):
             ChargedPartition((2, 0))
+        with pytest.raises(ValueError):
+            ChargedPartition((-1,), charge=3)
+        with pytest.raises(ValueError):
+            ChargedPartition([3, 1, 2])
 
     @given(partition_parts, charges)
     def test_round_trip(self, parts, charge):
