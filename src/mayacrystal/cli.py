@@ -81,12 +81,6 @@ def _load_diagram(path):
         return key.parts, key.charge
     if "kind" not in data:
         raise ValueError('diagram file has neither a "parts" nor a "kind" key')
-    deviations = data.get("deviations")
-    if not (
-        isinstance(deviations, list)
-        and all(isinstance(d, list) and len(d) == 2 and type(d[0]) is int for d in deviations)
-    ):
-        raise ValueError("deviations must be a list of [label, color] pairs")
     key = to_partition(MayaDiagram.from_json(data))  # ValueError unless left-black
     return key.parts, key.charge
 

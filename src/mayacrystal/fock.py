@@ -25,7 +25,7 @@ row built from rows of the previous prefix.
 
 from __future__ import annotations
 
-from .laurent import INF, LaurentPoly, _laurent
+from .laurent import INF, LaurentPoly, _accumulate, _laurent
 from .maya import addition_options, removal_options
 
 MINUS = "minus"
@@ -55,12 +55,7 @@ class FockVector:
     def __eq__(self, other):
         if not isinstance(other, FockVector):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.side == other.side
-            and self.terms.keys() == other.terms.keys()
-            and all(other.terms[k] == c for k, c in self.terms.items())
-        )
+        return self.n == other.n and self.side == other.side and self.terms == other.terms
 
     def __repr__(self):
         return "FockVector(n=%d, side=%r, %d terms)" % (self.n, self.side, len(self.terms))
@@ -96,12 +91,9 @@ def x_act(v, i, p):
     terms = {}
     for (parts, charge), coeff in v.terms.items():
         for moved, count in options(parts, charge, i, v.n):
-            if count:
-                while len(powers) <= count:
-                    powers.append(powers[-1] * p)
-                _accumulate(terms, (moved, charge), coeff * powers[count])
-            else:
-                _accumulate(terms, (moved, charge), coeff)
+            while len(powers) <= count:
+                powers.append(powers[-1] * p)
+            _accumulate(terms, (moved, charge), coeff * powers[count] if count else coeff)
     return _keyed(v.n, v.side, terms)
 
 
@@ -168,12 +160,3 @@ def vec_val(v):
     if not v.terms:
         return INF
     return min(c.val() for c in v.terms.values())
-
-
-def _accumulate(terms, k, coeff):
-    old = terms.get(k)
-    new = coeff if old is None else old + coeff
-    if new:
-        terms[k] = new
-    else:
-        terms.pop(k, None)

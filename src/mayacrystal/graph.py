@@ -18,8 +18,10 @@ dedups away is freed with its memos.  A graph and its nodes are plain
 records, the fields and rows of its JSON export, so an explored graph
 equals what ``load_json`` rebuilds from that export.  They are
 ``__slots__`` classes, not dataclasses: importing ``dataclasses`` would add
-``inspect`` and ``ast`` to every command's start-up.  Raising operators
-exist only as edge inversions, which ``check_axioms`` reads off the edges.
+``inspect`` and ``ast`` to every command's start-up.  ``maya._Record``,
+the one base of every record, gives them equality, repr and no hash from
+the fields each declares.  Raising operators exist only as edge
+inversions, which ``check_axioms`` reads off the edges.
 The independent oracle counts multiset decompositions of a positive
 root-lattice element into positive roots of untwisted affine type A, with
 imaginary roots m*delta carrying multiplicity n - 1.
@@ -31,13 +33,14 @@ import itertools
 import json
 
 from .datum import CartanData, CrystalDatum
+from .maya import _Record
 
 
-class Node:
+class Node(_Record):
     """One element's row of the JSON export.  Equal only to a Node with
     equal fields; mutable, so unhashable."""
 
-    __slots__ = ("id", "word", "weight", "eps", "phi")
+    __slots__ = _names = ("id", "word", "weight", "eps", "phi")
 
     def __init__(self, id, word, weight, eps, phi):
         self.id = id
@@ -46,26 +49,13 @@ class Node:
         self.eps = eps
         self.phi = phi
 
-    def _fields(self):
-        return self.id, self.word, self.weight, self.eps, self.phi
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "Node(id=%r, word=%r, weight=%r, eps=%r, phi=%r)" % self._fields()
-
-
-class CrystalGraph:
+class CrystalGraph(_Record):
     """Explored, deduplicated crystal with lowering edges: the export's
     five fields.  Equal only to a CrystalGraph with equal fields; mutable,
     so unhashable."""
 
-    __slots__ = ("n", "depth", "max_boxes", "nodes", "edges")
+    __slots__ = _names = ("n", "depth", "max_boxes", "nodes", "edges")
 
     def __init__(self, n, depth, max_boxes, nodes, edges):
         self.n = n
@@ -73,19 +63,6 @@ class CrystalGraph:
         self.max_boxes = max_boxes
         self.nodes = nodes
         self.edges = edges  # (node_id, residue) -> node_id
-
-    def _fields(self):
-        return self.n, self.depth, self.max_boxes, self.nodes, self.edges
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "CrystalGraph(n=%r, depth=%r, max_boxes=%r, nodes=%r, edges=%r)" % self._fields()
 
 
 def default_max_boxes(n, depth):

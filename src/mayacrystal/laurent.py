@@ -12,8 +12,10 @@ A Laurent product by a single term is one pass, without accumulating or
 testing for zero: multiplying by a fixed nonzero term is injective on
 exponents, and the coefficient rings have no zero divisors, so no two
 products collide and none vanishes.  The one-parameter Fock action always
-multiplies by such a term, the power p^k = a^k t^(e k).  No command prints
-a polynomial, so a repr shows only the coefficient dict.
+multiplies by such a term, the power p^k = a^k t^(e k).  Every other sum
+of terms, here and in ``fock.x_act``, goes through :func:`_accumulate`, so
+no stored coefficient is zero and equality is plain dict equality.  No
+command prints a polynomial, so a repr shows only the coefficient dict.
 
 Nothing here imports ``fractions`` (with ``decimal`` and ``numbers``) at
 module level: no command makes a ``Fraction``, and :class:`MultiPoly`
@@ -26,6 +28,16 @@ import math
 
 #: Valuation of the zero polynomial.
 INF = math.inf
+
+
+def _accumulate(terms, key, coeff):
+    """Add ``coeff`` to ``terms[key]``, dropping the key if the sum is zero."""
+    old = terms.get(key)
+    new = coeff if old is None else old + coeff
+    if new:
+        terms[key] = new
+    else:
+        terms.pop(key, None)
 
 
 class MultiPoly:
@@ -84,12 +96,7 @@ class MultiPoly:
             return NotImplemented
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            old = terms.get(mono)
-            new = coeff if old is None else old + coeff
-            if new:
-                terms[mono] = new
-            else:
-                terms.pop(mono, None)
+            _accumulate(terms, mono, coeff)
         return MultiPoly(terms)
 
     __radd__ = __add__
@@ -114,12 +121,7 @@ class MultiPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = _merge_monomials(m1, m2) if m1 and m2 else m1 or m2
-                old = terms.get(mono)
-                new = c1 * c2 if old is None else old + c1 * c2
-                if new:
-                    terms[mono] = new
-                else:
-                    terms.pop(mono, None)
+                _accumulate(terms, mono, c1 * c2)
         return MultiPoly(terms)
 
     __rmul__ = __mul__
@@ -163,19 +165,12 @@ class LaurentPoly:
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.coeffs.keys() != other.coeffs.keys():
-            return False
-        return all(other.coeffs[e] == c for e, c in self.coeffs.items())
+        return self.coeffs == other.coeffs
 
     def __add__(self, other):
         coeffs = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            old = coeffs.get(e)
-            new = c if old is None else old + c
-            if new:
-                coeffs[e] = new
-            else:
-                coeffs.pop(e, None)
+            _accumulate(coeffs, e, c)
         return _laurent(coeffs)
 
     def __neg__(self):
@@ -194,13 +189,7 @@ class LaurentPoly:
         coeffs = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                old = coeffs.get(e)
-                new = c1 * c2 if old is None else old + c1 * c2
-                if new:
-                    coeffs[e] = new
-                else:
-                    coeffs.pop(e, None)
+                _accumulate(coeffs, e1 + e2, c1 * c2)
         return _laurent(coeffs)
 
     def scale(self, scalar):

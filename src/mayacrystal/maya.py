@@ -20,9 +20,11 @@ multiset {2,1,0,0,-1,-1,-1,-2,-2,-3,-4,-5}.
 ``Interval``, ``ChargedPartition`` and ``BoxRef`` are plain ``__slots__``
 classes, not dataclasses: importing ``dataclasses`` loads ``inspect`` and
 ``ast``, and each decorator compiles its methods, a start-up cost that
-every command would pay.  Each is immutable, hashable over its fields,
-equal only to a record of its own class, and shows its fields in its repr
-as a dataclass would.
+every command would pay.  One base, ``_Record``, defines equality, hashing
+and repr for these and for ``graph``'s records from the field names each
+class declares: a record equals only a record of its own class with equal
+fields, and shows its fields in its repr as a dataclass would.  Its
+subclass ``_Frozen`` makes a record immutable and hashable over its fields.
 """
 
 from __future__ import annotations
@@ -33,11 +35,39 @@ LEFT_BLACK = "left-black"
 RIGHT_BLACK = "right-black"
 
 
-class _Frozen:
-    """Base of the immutable records: each sets its fields once, through
-    ``object.__setattr__``, while it is constructed."""
+class _Record:
+    """Base of the plain records.  Each declares its fields once, as
+    ``__slots__ = _names = (...)``; a subclass that adds no field inherits
+    ``_names``.  Equal only to a record of its own class with equal fields;
+    unhashable unless frozen."""
 
     __slots__ = ()
+    _names = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self._names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % pair for pair in zip(self._names, self._fields()))
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+
+class _Frozen(_Record):
+    """Base of the immutable records, hashable over their fields: each sets
+    its fields once, through ``object.__setattr__``, while it is
+    constructed."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -49,24 +79,13 @@ class _Frozen:
 class Interval(_Frozen):
     """Inclusive integer interval of slot labels."""
 
-    __slots__ = ("lo", "hi")
+    __slots__ = _names = ("lo", "hi")
 
     def __init__(self, lo, hi):
         if lo > hi:
             raise ValueError("empty interval: lo=%d > hi=%d" % (lo, hi))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lo, self.hi) == (other.lo, other.hi)
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
-    def __repr__(self):
-        return "Interval(lo=%r, hi=%r)" % (self.lo, self.hi)
 
     def __contains__(self, label):
         return self.lo <= label <= self.hi
@@ -145,12 +164,19 @@ class MayaDiagram(_Frozen):
 
     @classmethod
     def from_json(cls, data):
-        """Inverse of :meth:`to_json`.  ValueError on a bad color, a label
-        listed twice, or a deviation that gives the label its vacuum color."""
+        """Inverse of :meth:`to_json`.  ValueError unless ``deviations`` is
+        a list of ``[label, color]`` lists with an ``int`` (not ``bool``)
+        label, and on a bad color, a label listed twice, or a deviation that
+        gives the label its vacuum color."""
         vacuum = cls(data["kind"])
+        deviations = data.get("deviations")
+        if not (
+            isinstance(deviations, list)
+            and all(isinstance(d, list) and len(d) == 2 and type(d[0]) is int for d in deviations)
+        ):
+            raise ValueError("deviations must be a list of [label, color] pairs")
         diffs = set()
-        for label, color in data["deviations"]:
-            label = int(label)
+        for label, color in deviations:
             if color not in (BLACK, WHITE):
                 raise ValueError("bad bead color: %r" % (color,))
             if label in diffs:
@@ -171,7 +197,7 @@ class ChargedPartition(_Frozen):
     right-black diagram is pictured by the partition of its color inversion.
     """
 
-    __slots__ = ("parts", "charge")
+    __slots__ = _names = ("parts", "charge")
 
     def __init__(self, parts, charge=0):
         object.__setattr__(self, "parts", tuple(parts))
@@ -188,42 +214,17 @@ class ChargedPartition(_Frozen):
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing: %r" % (parts,))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.parts, self.charge) == (other.parts, other.charge)
-
-    def __hash__(self):
-        return hash((self.parts, self.charge))
-
-    def __repr__(self):
-        return "ChargedPartition(parts=%r, charge=%r)" % (self.parts, self.charge)
-
 
 class BoxRef(_Frozen):
     """A box position inside (or just outside) a partition, with its slot data."""
 
-    __slots__ = ("row", "col", "slot_label", "residue")
+    __slots__ = _names = ("row", "col", "slot_label", "residue")
 
     def __init__(self, row, col, slot_label, residue):
         object.__setattr__(self, "row", row)
         object.__setattr__(self, "col", col)
         object.__setattr__(self, "slot_label", slot_label)
         object.__setattr__(self, "residue", residue)
-
-    def _fields(self):
-        return self.row, self.col, self.slot_label, self.residue
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return "BoxRef(row=%r, col=%r, slot_label=%r, residue=%r)" % self._fields()
 
 
 def _slot_offset(charge):

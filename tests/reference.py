@@ -5,13 +5,17 @@ No command runs any of this.  It holds the per-box side of the Fock space
 plus-side columns g |tau>, the brute-force Kostant count and the box-label
 readings of a charged partition, each checked against the ``src/`` code it
 shadows.  Fock vectors are keyed by ``(parts, charge)`` only, so Maya
-diagrams are converted here with ``term_key``.
+diagrams are converted here with ``term_key``.  It also loads the bench's
+per-layer tracer, ``bench/layertrace.py``, which is not a package module.
 """
 
+import importlib.util
+from pathlib import Path
+
 from mayacrystal.datum import canonical_diagrams
-from mayacrystal.fock import MINUS, PLUS, FockVector, _accumulate, _keyed, vec_val
+from mayacrystal.fock import MINUS, PLUS, FockVector, _keyed, vec_val
 from mayacrystal.graph import positive_roots
-from mayacrystal.laurent import LaurentPoly
+from mayacrystal.laurent import LaurentPoly, _accumulate
 from mayacrystal.maya import (
     ChargedPartition,
     addition_options,
@@ -175,3 +179,16 @@ def kostant_brute(cartan, beta):
         return total
 
     return count(0, beta)
+
+
+# -- the bench tracer ----------------------------------------------------------
+
+LAYERTRACE = Path(__file__).resolve().parent.parent / "bench" / "layertrace.py"
+
+
+def load_layertrace():
+    """``bench/layertrace.py`` as a module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    return layertrace

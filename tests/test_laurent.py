@@ -206,6 +206,27 @@ class TestSingleTermProducts:
         _assert_same_product(q * p, expected)
 
 
+# -- sums ------------------------------------------------------------------
+#
+# Every sum goes through laurent._accumulate, which drops a key whose sum is
+# zero, so p - p stores nothing and equality can be plain dict equality.
+
+multipoly_laurents = st.dictionaries(
+    st.integers(-4, 4), multipolys.filter(bool), max_size=4).map(LaurentPoly)
+
+
+@given(st.one_of(laurents, multipoly_laurents, multipolys))
+def test_difference_with_itself_stores_nothing(p):
+    zero = p - p
+    assert not zero
+    assert (zero.terms if isinstance(p, MultiPoly) else zero.coeffs) == {}
+
+
+def test_equality_across_coefficient_rings():
+    assert LaurentPoly({0: 1}) == LaurentPoly({0: Fraction(1)}) == LaurentPoly({0: MultiPoly.const(1)})
+    assert LaurentPoly({0: 1}) != LaurentPoly({0: MultiPoly.variable("a")})
+
+
 # -- the generic-point reference -------------------------------------------
 #
 # The oracle's factor loop over independent indeterminates a_j, one MultiPoly

@@ -6,21 +6,16 @@ resolves it.
 """
 
 import importlib
-import importlib.util
 import os
 import subprocess
 import sys
-from pathlib import Path
 
-LAYERTRACE = Path(__file__).resolve().parent.parent / "bench" / "layertrace.py"
+from reference import LAYERTRACE, load_layertrace
 
 
 def test_every_traced_name_resolves():
-    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
-    layertrace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layertrace)
     missing = []
-    for layer, names in layertrace.TRACED.items():
+    for layer, names in load_layertrace().TRACED.items():
         for name in names:
             owner = importlib.import_module("mayacrystal." + layer)
             cls, _, attr = name.rpartition(".")

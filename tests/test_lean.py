@@ -2,27 +2,25 @@
 
 Every command form runs in this process under a profile hook.  Each
 module-level function of ``mayacrystal`` must then have been called, or be
-named in ``bench/layertrace.py``'s ``TRACED`` (loaded as in
-``test_layertrace.py``), or be one of the helpers of traced names in
+named in ``bench/layertrace.py``'s ``TRACED`` (loaded by
+``reference.load_layertrace``), or be one of the helpers of traced names in
 ``HELPERS``.  Code that only the tests use belongs in ``tests/reference.py``.
 Functions are matched by file and ``co_name``, which Python 3.10 has.
 """
 
 import importlib
-import importlib.util
 import inspect
 import json
 import pkgutil
 import sys
-from pathlib import Path
 
 import mayacrystal
 from mayacrystal.cli import EXIT_OK, main
+from reference import load_layertrace
 
-LAYERTRACE = Path(__file__).resolve().parent.parent / "bench" / "layertrace.py"
 #: Module-level functions that only traced names call.
 HELPERS = {
-    ("fock", "_accumulate"),  # x_act
+    ("laurent", "_accumulate"),  # x_act and the polynomial sums and products
     ("laurent", "_merge_monomials"),  # MultiPoly.__mul__
     ("maya", "term_key"),  # CrystalDatum.theta
     ("oracle", "_act"),  # d_gamma
@@ -67,10 +65,8 @@ def module_functions():
 
 
 def traced_names():
-    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
-    layertrace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layertrace)
-    return {(layer, name) for layer, names in layertrace.TRACED.items() for name in names}
+    traced = load_layertrace().TRACED
+    return {(layer, name) for layer, names in traced.items() for name in names}
 
 
 def test_every_function_is_run_or_traced(tmp_path, capsys):

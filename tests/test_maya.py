@@ -157,6 +157,23 @@ class TestMayaDiagram:
         assert MayaDiagram.from_json(m.to_json()) == m
         assert MayaDiagram.from_json(m.invert().to_json()) == m.invert()
 
+    @pytest.mark.parametrize("data", [
+        {"kind": LEFT_BLACK, "deviations": [[0.5, BLACK]]},
+        {"kind": LEFT_BLACK, "deviations": [["3", BLACK]]},
+        {"kind": LEFT_BLACK, "deviations": [["3", WHITE]]},
+        {"kind": LEFT_BLACK, "deviations": [[True, BLACK]]},
+        {"kind": LEFT_BLACK, "deviations": [[True, WHITE]]},
+        {"kind": LEFT_BLACK, "deviations": 5},
+        {"kind": LEFT_BLACK, "deviations": [[0, BLACK, 3]]},
+        {"kind": LEFT_BLACK},
+    ])
+    def test_from_json_rejects_a_malformed_deviation_list(self, data):
+        # a label is an int, never truncated from a float or parsed from a
+        # string: read as 3 and 1, ["3", "white"] and [true, "white"] would
+        # be valid deviations.  The list must hold [label, color] pairs
+        with pytest.raises(ValueError):
+            MayaDiagram.from_json(data)
+
 
 class TestRecords:
     @pytest.mark.parametrize("record, same, other, text", [
