@@ -36,14 +36,19 @@ Two paths compute values.  Over the window canonical_diagrams(n, max_boxes)
 (charges 0..n-1, at most max_boxes boxes), ``table`` fills a datum's whole
 value table letter by letter along its word from the root's all-zero
 table, each letter in one pass over a single-box removal index built once
-per window.  Removing a residue-i box never creates or blocks another
+per window.  The window lists the same partitions at every charge, and a
+charge only shifts slot labels, so the index finds each partition's
+corners once, at charge 0, and files them per charge by residue.
+Removing a residue-i box never creates or blocks another
 residue-i box, so the min over subsets is a chain of single removals, each
 read from an entry already filled; the window is closed under box removal,
 so every term is a window entry.  A datum caches no
 table: given its parent's fingerprint, ``fingerprint`` fills the table from
 the bytes inside it, which keep each value as a native signed 16-bit
 number, so graph exploration, which keeps each node's fingerprint, holds
-each table once at two bytes an entry.  ``oracle.compare`` checks the
+each table once at two bytes an entry.  Exploration builds no table for a
+child of its last level whose statistics no other child there shares
+(see ``graph.explore``).  ``oracle.compare`` checks the
 table against the Fock rows over the same window, so ``oracle-check``
 tests the values ``verify`` dedups on.  ``value_at`` and ``theta`` run the
 recursion diagram by diagram, one Python frame per letter, listing each
@@ -54,6 +59,7 @@ diagram's subsets with ``maya.removal_options`` or
 
 from __future__ import annotations
 
+import struct
 from array import array
 from functools import lru_cache
 
@@ -93,28 +99,47 @@ def _removal_index(n, max_boxes):
 
     Entry i lists, for residue i, one pair (k, j) per removable i-box of
     window diagram k, where j is the window diagram left by deleting that
-    box.  It is built in one pass over each diagram's corners, for all
-    residues at once, each filed under its slot label mod n.  Removing a box
-    keeps the charge and lowers the box count, so the window is closed under
-    removal, j < k always, and the pairs are listed in increasing k;
-    ``_fill`` relies on that order.
+    box.  The window repeats one list of partitions at each charge, and a
+    box's slot label drops by one as the charge rises, so each partition's
+    corners are found once, as (label at charge 0, position of the partition
+    left), and filed for each charge c under residue (label - c) mod n.
+    Every pair of charge c takes its two numbers from one list of that
+    charge's window positions, so the index holds one int object per window
+    diagram however many pairs share it.  Removing a box keeps the charge
+    and lowers the box count, so the window is closed under removal, j < k
+    always, and the pairs are listed in increasing k; ``_fill`` relies on
+    that order.
     A run uses one window, so the cache holds only the last two.
     """
     window = canonical_diagrams(n, max_boxes)
-    position = {key: k for k, key in enumerate(window)}
+    size = len(window) // n
+    position = {parts: q for q, (parts, _) in enumerate(window[:size])}
+    corners = [
+        [(label, position[sub]) for label, sub in corner_removals(parts, 0)]
+        for parts, _ in window[:size]
+    ]
     index = tuple([] for _ in range(n))
-    for k, (parts, charge) in enumerate(window):
-        for label, sub in corner_removals(parts, charge):
-            index[label % n].append((k, position[sub, charge]))
+    for charge in range(n):
+        ids = list(range(charge * size, (charge + 1) * size))
+        for k, pairs in zip(ids, corners):
+            for label, q in pairs:
+                index[(label - charge) % n].append((k, ids[q]))
     return tuple(tuple(pairs) for pairs in index)
+
+
+@lru_cache(maxsize=2)
+def _packer(count):
+    """The packer of ``count`` native signed 16-bit numbers.  A run packs
+    tables of one window, so the cache holds only the last two sizes."""
+    return struct.Struct("%dh" % count)
 
 
 def _encode(values):
     """Values as native signed 16-bit bytes.  A value outside [-32768,
-    32767] raises."""
+    32767] raises OverflowError."""
     try:
-        return array("h", values).tobytes()
-    except OverflowError:
+        return _packer(len(values)).pack(*values)
+    except struct.error:
         raise OverflowError(
             "value table entry outside the 16-bit fingerprint range [-32768, 32767]"
         ) from None

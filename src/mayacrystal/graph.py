@@ -4,10 +4,15 @@ The graph is grown breadth-first from the zero datum; elements are
 deduplicated by their value-table fingerprint over diagrams with at most
 ``max_boxes`` boxes (default n*(depth+1), a heuristic that only the
 census and axiom iv check: too small a window merges distinct elements).
-Each child is fingerprinted once, its table filled from the one inside its
-parent's fingerprint, where it is kept as signed 16-bit bytes.
 A fingerprint begins with the (weight, eps, phi) that the node's row
-stores.  Fingerprints only detect duplicates; nodes are numbered in
+stores.  Each child above the last level is fingerprinted once, its table
+filled from the one inside its parent's fingerprint, where it is kept as
+signed 16-bit bytes.  The last level grows no children, so its tables only
+separate its own children: a child there whose statistics no other child
+of the level shares gets the fingerprint (statistics, None), with no
+table, and the others are fingerprinted as above.  Equal fingerprints
+need equal statistics, so the merges are those of fingerprinting every
+child.  Fingerprints only detect duplicates; nodes are numbered in
 discovery order (see ``explore``), so the root is node 0 and a window that
 merges the same elements numbers them the same.  Duplicates are looked up
 only within a BFS level: a node k steps from the root has height k, so equal
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 
 from .datum import CartanData, CrystalDatum
 from .maya import _Record
@@ -84,10 +90,19 @@ def explore(cartan, depth, max_boxes=None):
     nodes, edges = [], {}
     # (edge that reaches the datum or None, datum, its parent's fingerprint)
     candidates = [(None, CrystalDatum(cartan), None)]
-    for _ in range(depth + 1):
+    for height in range(depth + 1):
+        last = height == depth
+        if last:
+            # the last level grows no children, so a table only has to tell
+            # apart the children whose statistics another child shares
+            candidates = list(candidates)
+            children = Counter(datum.statistics() for _, datum, _ in candidates)
         level = {}  # fingerprint -> (number, datum) of the level's elements
         for edge, datum, parent_fingerprint in candidates:
-            fp = datum.fingerprint(max_boxes, parent_fingerprint)
+            if last and children[stats := datum.statistics()] == 1:
+                fp = stats, None
+            else:
+                fp = datum.fingerprint(max_boxes, parent_fingerprint)
             target, _ = level.setdefault(fp, (len(nodes), datum))
             if target == len(nodes):
                 nodes.append(Node(target, datum.word, *fp[0]))  # fp[0] is (weight, eps, phi)

@@ -33,8 +33,6 @@ the tests (``tests/reference.py``).
 
 from __future__ import annotations
 
-import json
-
 from .datum import canonical_diagrams
 from .fock import MINUS, FockVector, minus_rows, vec_val, x_act
 from .laurent import INF, LaurentPoly
@@ -99,5 +97,45 @@ def compare(datum, max_boxes):
     return {"word": list(datum.word), "results": results, "pass": ok and bool(results)}
 
 
+_ROW = """    {
+      "diagram": {
+        "charge": %d,
+        "parts": %s
+      },
+      "match": %s,
+      "oracle": %s,
+      "recursive": %d
+    }"""
+
+
 def report_to_json(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(report, sort_keys=True, indent=2) + "\n"``, written out
+    for the report's fixed schema: ``indent`` makes ``json`` run its
+    pure-Python encoder, which took about a quarter of ``compare``'s time."""
+    rows = ",\n".join(
+        _ROW % (
+            row["diagram"]["charge"],
+            _int_list(row["diagram"]["parts"], 8),
+            _bool(row["match"]),
+            '"inf"' if row["oracle"] == "inf" else row["oracle"],
+            row["recursive"],
+        )
+        for row in report["results"]
+    )
+    return '{\n  "pass": %s,\n  "results": %s,\n  "word": %s\n}\n' % (
+        _bool(report["pass"]),
+        "[\n%s\n  ]" % rows if rows else "[]",
+        _int_list(report["word"], 2),
+    )
+
+
+def _bool(flag):
+    return "true" if flag else "false"
+
+
+def _int_list(values, indent):
+    """A list of ints as the indented encoder writes it ``indent`` spaces in."""
+    if not values:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[%s%s\n%s]" % (pad, ("," + pad).join(map(str, values)), " " * indent)

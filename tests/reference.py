@@ -2,23 +2,26 @@
 
 No command runs any of this.  It holds the per-box side of the Fock space
 (the Chevalley operators, the pairing, vector sums and scalings), the
-plus-side columns g |tau>, the brute-force Kostant count and the box-label
-readings of a charged partition, each checked against the ``src/`` code it
-shadows.  Fock vectors are keyed by ``(parts, charge)`` only, so Maya
-diagrams are converted here with ``term_key``.  It also loads the bench's
+plus-side columns g |tau>, the brute-force Kostant count, the box-label
+readings of a charged partition, the removal index built diagram by
+diagram and an exploration that fingerprints every child, each checked
+against the ``src/`` code it shadows.  Fock vectors are keyed by
+``(parts, charge)`` only, so Maya diagrams are converted here with
+``term_key``.  It also loads the bench's
 per-layer tracer, ``bench/layertrace.py``, which is not a package module.
 """
 
 import importlib.util
 from pathlib import Path
 
-from mayacrystal.datum import canonical_diagrams
+from mayacrystal.datum import CrystalDatum, canonical_diagrams
 from mayacrystal.fock import MINUS, PLUS, FockVector, _keyed, vec_val
-from mayacrystal.graph import positive_roots
+from mayacrystal.graph import CrystalGraph, Node, default_max_boxes, positive_roots
 from mayacrystal.laurent import LaurentPoly, _accumulate
 from mayacrystal.maya import (
     ChargedPartition,
     addition_options,
+    corner_removals,
     from_partition,
     partitions_of,
     removal_options,
@@ -64,6 +67,43 @@ def box_label_multiset(p):
         for row, length in enumerate(p.parts, 1)
         for col in range(1, length + 1)
     )
+
+
+# -- value tables and exploration ---------------------------------------------
+
+
+def removal_index(n, max_boxes):
+    """``datum._removal_index`` built diagram by diagram: each window
+    diagram's corners at its own charge, filed under their slot labels mod n."""
+    window = canonical_diagrams(n, max_boxes)
+    position = {key: k for k, key in enumerate(window)}
+    index = tuple([] for _ in range(n))
+    for k, (parts, charge) in enumerate(window):
+        for label, sub in corner_removals(parts, charge):
+            index[label % n].append((k, position[sub, charge]))
+    return tuple(tuple(pairs) for pairs in index)
+
+
+def explore_every_child(cartan, depth, max_boxes=None):
+    """``graph.explore`` with every child fingerprinted, on every level."""
+    n = cartan.n
+    if max_boxes is None:
+        max_boxes = default_max_boxes(n, depth)
+    nodes, edges = [], {}
+    candidates = [(None, CrystalDatum(cartan), None)]
+    for _ in range(depth + 1):
+        level = {}
+        for edge, datum, parent_fingerprint in candidates:
+            fp = datum.fingerprint(max_boxes, parent_fingerprint)
+            target, _ = level.setdefault(fp, (len(nodes), datum))
+            if target == len(nodes):
+                nodes.append(Node(target, datum.word, *fp[0]))
+            if edge is not None:
+                edges[edge] = target
+        candidates = [
+            ((k, i), datum.apply(i), fp) for fp, (k, datum) in level.items() for i in range(n)
+        ]
+    return CrystalGraph(n, depth, max_boxes, nodes, edges)
 
 
 # -- Fock space ----------------------------------------------------------------

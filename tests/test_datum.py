@@ -12,6 +12,8 @@ import mayacrystal
 from mayacrystal.datum import (
     CartanData,
     CrystalDatum,
+    _decode,
+    _encode,
     _removal_index,
     canonical_diagrams,
     datum_from_word,
@@ -31,7 +33,7 @@ from mayacrystal.maya import (
     to_partition,
 )
 from mayacrystal.oracle import compare
-from reference import diagram, oracle_theta, partitions_up_to
+from reference import diagram, oracle_theta, partitions_up_to, removal_index
 
 
 def table_values(table_bytes):
@@ -411,6 +413,13 @@ class TestFingerprint:
         with pytest.raises(OverflowError, match="16-bit"):
             d.fingerprint(4, forged)
 
+    def test_encode_boundaries(self):
+        assert _decode(_encode([-32768, 32767, 0])) == [-32768, 32767, 0]
+        for value in (-32769, 32768):
+            with pytest.raises(OverflowError, match=r"16-bit fingerprint range \[-32768, 32767\]"):
+                _encode([0, value])
+        assert _encode([]) == b""
+
     def test_value_table_rows(self):
         d = datum_from_word(CartanData(2), (0,))
         rows = d.value_table(2)
@@ -510,6 +519,17 @@ class TestRemovalIndex:
                     expected = {(position[sub, charge], count) for sub, count in options}
                     assert len(expected) == len(options)
                     assert reached == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_the_build_per_diagram(self, n):
+        # the corners are found once per partition and filed per charge;
+        # every pair takes its ints from one list per charge, so the index
+        # holds no more int objects than the window has diagrams
+        for max_boxes in range(9):
+            index = _removal_index(n, max_boxes)
+            assert index == removal_index(n, max_boxes)
+            ints = {id(x) for pairs in index for pair in pairs for x in pair}
+            assert len(ints) <= len(canonical_diagrams(n, max_boxes))
 
 
 class SingleColorView:

@@ -1,6 +1,6 @@
 import pytest
 
-from mayacrystal.datum import CartanData
+from mayacrystal.datum import CartanData, CrystalDatum
 from mayacrystal.graph import (
     CrystalGraph,
     Node,
@@ -15,7 +15,7 @@ from mayacrystal.graph import (
     positive_roots,
     weight_census,
 )
-from reference import kostant_brute
+from reference import explore_every_child, kostant_brute
 
 
 class TestExplore:
@@ -47,6 +47,30 @@ class TestExplore:
             other = explore(cartan, depth, window)
             assert other.nodes == g.nodes
             assert other.edges == g.edges
+
+    @pytest.mark.parametrize("n, depth, window", [
+        # the census cells, at the default window and two boxes wider
+        (2, 6, None), (2, 6, 16), (3, 5, None), (3, 5, 20), (4, 4, None), (4, 4, 22),
+        # windows that merge distinct elements, and one box wider
+        (2, 8, 8), (2, 8, 9), (3, 7, 5), (3, 7, 6),
+    ])
+    def test_equals_fingerprinting_every_child(self, n, depth, window, monkeypatch):
+        # the last level skips the table of a child whose statistics no
+        # other child shares; equal fingerprints need equal statistics, so
+        # the merges and the numbering are those of fingerprinting them all
+        cartan = CartanData(n)
+        expected = explore_every_child(cartan, depth, window)
+        calls = []
+        fingerprint = CrystalDatum.fingerprint
+
+        def counting(self, *args):
+            calls.append(self.word)
+            return fingerprint(self, *args)
+
+        monkeypatch.setattr(CrystalDatum, "fingerprint", counting)
+        assert explore(cartan, depth, window) == expected
+        last = [word for word in calls if len(word) == depth]
+        assert len(last) < n * sum(len(node.word) == depth - 1 for node in expected.nodes)
 
     def test_negative_depth(self):
         with pytest.raises(ValueError):

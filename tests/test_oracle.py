@@ -1,4 +1,5 @@
 import itertools
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,6 +184,22 @@ class TestCompare:
         text = report_to_json(report)
         assert text.endswith("\n")
         assert "Infinity" not in text
+
+    def test_report_text_is_the_indented_dump(self):
+        # the report is written by hand in json.dumps's indented layout
+        def row(parts, charge, recursive, oracle):
+            return {"diagram": {"parts": parts, "charge": charge},
+                    "recursive": recursive, "oracle": oracle, "match": recursive == oracle}
+
+        reports = [
+            {"word": [], "results": [], "pass": False},
+            {"word": [], "results": [row([], 0, 0, 0)], "pass": True},
+            {"word": [0, 1, 1], "pass": False, "results": [
+                row([], 1, -3, -3), row([3, 1, 1], 0, -12, "inf"), row([2], 2, 5, -1)]},
+            compare(datum_from_word(CartanData(3), (0, 2, 1)), 3),
+        ]
+        for report in reports:
+            assert report_to_json(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
     def test_n3_words(self):
         cartan = CartanData(3)
