@@ -35,20 +35,31 @@ mod n).
 Two paths compute values.  Over the window canonical_diagrams(n, max_boxes)
 (charges 0..n-1, at most max_boxes boxes), ``table`` fills a datum's whole
 value table letter by letter along its word from the root's all-zero
-table, each letter in one pass over a single-box removal index built once
-per window.  The window lists the same partitions at every charge, and a
-charge only shifts slot labels, so the index finds each partition's
-corners once, at charge 0, and files them per charge by residue.
+table.  The window lists one list of partitions at each charge, its n
+charge blocks, and removing a box keeps the charge, so the blocks fill
+independently.  A charge only shifts slot labels: a box's label drops by
+one as the charge rises, so the residue-i boxes at charge c are those
+whose label at charge 0 is i + c mod n.  One single-box removal index of a
+block, built once per window from each partition's corners at charge 0,
+therefore serves every charge: block c of f_i reads entry (i + c) mod n.
 Removing a residue-i box never creates or blocks another
 residue-i box, so the min over subsets is a chain of single removals, each
-read from an entry already filled; the window is closed under box removal,
-so every term is a window entry.  A datum caches no
-table: given its parent's fingerprint, ``fingerprint`` fills the table from
-the bytes inside it, which keep each value as a native signed 16-bit
-number, so graph exploration, which keeps each node's fingerprint, holds
-each table once at two bytes an entry.  Exploration builds no table for a
-child of its last level whose statistics no other child there shares
-(see ``graph.explore``).  ``oracle.compare`` checks the
+read from an entry already filled; a block is closed under box removal,
+so every term is an entry of it.  A datum caches no
+table: given its parent's fingerprint, ``fingerprint`` fills the table
+block by block from the bytes blocks inside it, which keep each value as a
+native signed 16-bit number, so graph exploration, which keeps each node's
+fingerprint, holds each table once at two bytes an entry.  A block's fill
+reads only the parent's block, the index entry and the child's
+coefficient, so it is a pure function of that key: a memo of filled
+blocks keyed by it, shared by one exploration level, returns exactly what
+the fill would, and equal blocks share one bytes object.  The Dynkin
+rotation i -> i + 1 maps a level onto itself and a word's block c + 1 to
+its rotated word's block c, so a level's keys come at least n at a
+time, and a fingerprinted child costs at most one block fill on average,
+not n.  Exploration builds
+no table for a child of its last level whose statistics no other child
+there shares (see ``graph.explore``).  ``oracle.compare`` checks the
 table against the Fock rows over the same window, so ``oracle-check``
 tests the values ``verify`` dedups on.  ``value_at`` and ``theta`` run the
 recursion diagram by diagram, one Python frame per letter, listing each
@@ -95,36 +106,49 @@ class CartanData:
 
 @lru_cache(maxsize=2)
 def _removal_index(n, max_boxes):
-    """Single-box removal index of the window canonical_diagrams(n, max_boxes).
+    """Single-box removal index of one charge block of the window
+    canonical_diagrams(n, max_boxes).
 
-    Entry i lists, for residue i, one pair (k, j) per removable i-box of
-    window diagram k, where j is the window diagram left by deleting that
-    box.  The window repeats one list of partitions at each charge, and a
-    box's slot label drops by one as the charge rises, so each partition's
-    corners are found once, as (label at charge 0, position of the partition
-    left), and filed for each charge c under residue (label - c) mod n.
-    Every pair of charge c takes its two numbers from one list of that
-    charge's window positions, so the index holds one int object per window
-    diagram however many pairs share it.  Removing a box keeps the charge
-    and lowers the box count, so the window is closed under removal, j < k
+    The window repeats one list of partitions at each charge; a block is
+    that list, and a position in it is a block position.  Entry r lists one
+    pair (k, j) per removable box of block partition k whose slot label at
+    charge 0 is r mod n, where j is the block partition left by deleting
+    that box.  A box's label drops by one as the charge rises, so at charge
+    c the residue-i boxes are entry (i + c) mod n.  Every pair takes its two
+    numbers from one list of block positions, so the index holds one int
+    object per block entry however many pairs share it.  Removing a box
+    lowers the box count, so the block is closed under removal, j < k
     always, and the pairs are listed in increasing k; ``_fill`` relies on
     that order.
     A run uses one window, so the cache holds only the last two.
     """
     window = canonical_diagrams(n, max_boxes)
-    size = len(window) // n
-    position = {parts: q for q, (parts, _) in enumerate(window[:size])}
-    corners = [
-        [(label, position[sub]) for label, sub in corner_removals(parts, 0)]
-        for parts, _ in window[:size]
-    ]
+    ids = list(range(len(window) // n))
+    position = {parts: q for q, (parts, _) in zip(ids, window)}
     index = tuple([] for _ in range(n))
-    for charge in range(n):
-        ids = list(range(charge * size, (charge + 1) * size))
-        for k, pairs in zip(ids, corners):
-            for label, q in pairs:
-                index[(label - charge) % n].append((k, ids[q]))
+    for k, (parts, _) in zip(ids, window):
+        for label, sub in corner_removals(parts, 0):
+            index[label % n].append((k, position[sub]))
     return tuple(tuple(pairs) for pairs in index)
+
+
+def _fill(block, pairs, coeff):
+    """Turn one charge block of the parent's table (a list) into the
+    child's, in place, and return it.
+
+    Removing a residue-i box never creates or blocks another one, so the
+    removable i-boxes of k minus a box b are those of k but b, and the min
+    over subsets S of src[k - S] + |S| * c, with src the parent's block, is
+    the chain recurrence H(k) = min(src[k], c + min over b of H(k - b)),
+    with c the child's ``coeff`` and b running over k's removable i-boxes,
+    which ``pairs``, an entry of the block removal index, lists.  It lists
+    j = k - b before k, so one pass in index order reads each H(j) final.
+    """
+    for k, j in pairs:
+        v = block[j] + coeff
+        if v < block[k]:
+            block[k] = v
+    return block
 
 
 @lru_cache(maxsize=2)
@@ -216,42 +240,28 @@ class CrystalDatum:
     def table(self, max_boxes):
         """Values over canonical_diagrams(n, max_boxes), as a tuple of ints:
         the root's all-zero table, filled in place by each datum along the
-        word in turn (see ``_fill``).  Equals value_at at every entry,
-        without a memo entry per diagram, and loops rather than recurses,
-        so no word is too long for it."""
+        word in turn, one charge block at a time (see ``_fill``).  Equals
+        value_at at every entry, without a memo entry per diagram, and
+        loops rather than recurses, so no word is too long for it."""
+        n = self.cartan.n
+        window = canonical_diagrams(n, max_boxes)
         if self.parent is None:
             # verify fingerprints the root from this table; building it
             # through a list as well raises that run's peak RSS by 0.2 MB
-            return (0,) * len(canonical_diagrams(self.cartan.n, max_boxes))
+            return (0,) * len(window)
         chain = []
         node = self
         while node.parent is not None:
             chain.append(node)
             node = node.parent
-        values = [0] * len(canonical_diagrams(self.cartan.n, max_boxes))
-        for node in reversed(chain):
-            node._fill(max_boxes, values)
+        index = _removal_index(n, max_boxes)
+        values = []
+        for charge in range(n):
+            block = [0] * (len(window) // n)
+            for node in reversed(chain):
+                _fill(block, index[(node.letter + charge) % n], node.coeff)
+            values += block
         return tuple(values)
-
-    def _fill(self, max_boxes, values):
-        """Turn the parent's table ``values`` (a list) into this datum's, in
-        place, and return it.
-
-        Removing a residue-i box never creates or blocks another one, so
-        the removable i-boxes of k minus a box b are those of k but b, and
-        the min over subsets S of src[k - S] + |S| * c, with src the
-        parent's table, is the chain
-        recurrence H(k) = min(src[k], c + min over b of H(k - b)), with c
-        this datum's ``coeff`` and b running over k's removable boxes of its
-        letter.  The single-box removal index lists j = k - b before k, so
-        one pass in index order reads each H(j) final.
-        """
-        coeff = self.coeff
-        for k, j in _removal_index(self.cartan.n, max_boxes)[self.letter]:
-            v = values[j] + coeff
-            if v < values[k]:
-                values[k] = v
-        return values
 
     # -- extension to right-black diagrams ---------------------------------
 
@@ -301,8 +311,8 @@ class CrystalDatum:
 
     # -- equality surrogate ---------------------------------------------------
 
-    def fingerprint(self, max_boxes, parent_fingerprint=None):
-        """The pair (``statistics()``, table bytes) over sigma-canonical
+    def fingerprint(self, max_boxes, parent_fingerprint=None, memo=None):
+        """The pair (``statistics()``, table blocks) over sigma-canonical
         diagrams with at most max_boxes boxes.
 
         Fingerprints serve only to detect duplicates: two are equal exactly
@@ -310,17 +320,35 @@ class CrystalDatum:
         eps, phi) are included because value tables over a bounded window
         can coincide for elements that differ only on larger diagrams.  The
         enumeration order is fixed (charge 0..n-1, then box count, then
-        lexicographic parts).  The table bytes hold each value as a native
-        signed 16-bit number; a value outside [-32768, 32767] raises
-        OverflowError and is never clipped.  Given the parent's fingerprint
-        over the same window, the table is filled from the one inside it
-        (see ``_fill``); otherwise it is ``table``'s.
+        lexicographic parts), and the table is kept as a tuple of n bytes
+        blocks, one per charge in that order, each value a native signed
+        16-bit number; a value outside [-32768, 32767] raises OverflowError
+        and is never clipped.  Given the parent's fingerprint over the same
+        window, each block is filled from the parent's block of its charge
+        (see ``_fill``); otherwise the table is ``table``'s.  A fill is a
+        function of (parent block, index entry, coeff) alone, so ``memo``,
+        a dict shared by the fingerprints of one level, keeps each block
+        filled under that key and hands it to every later fill of the same
+        key; a fill that raises stores nothing.
         """
+        n = self.cartan.n
         if self.parent is None or parent_fingerprint is None:
             values = self.table(max_boxes)
+            size = len(values) // n
+            blocks = [_encode(values[c * size:(c + 1) * size]) for c in range(n)]
         else:
-            values = self._fill(max_boxes, _decode(parent_fingerprint[1]))
-        return self.statistics(), _encode(values)
+            index = _removal_index(n, max_boxes)
+            memo = {} if memo is None else memo
+            blocks = []
+            for charge, parent_block in enumerate(parent_fingerprint[1]):
+                residue = (self.letter + charge) % n
+                key = parent_block, residue, self.coeff
+                block = memo.get(key)
+                if block is None:
+                    block = _encode(_fill(_decode(parent_block), index[residue], self.coeff))
+                    memo[key] = block
+                blocks.append(block)
+        return self.statistics(), tuple(blocks)
 
     def value_table(self, max_boxes):
         """JSON-friendly list of {"diagram": ..., "value": k} rows."""

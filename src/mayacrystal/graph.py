@@ -7,7 +7,12 @@ census and axiom iv check: too small a window merges distinct elements).
 A fingerprint begins with the (weight, eps, phi) that the node's row
 stores.  Each child above the last level is fingerprinted once, its table
 filled from the one inside its parent's fingerprint, where it is kept as
-signed 16-bit bytes.  The last level grows no children, so its tables only
+n blocks of signed 16-bit bytes, one per charge.  Each level shares one
+memo of filled blocks among its fingerprints, keyed by (parent block,
+index entry, coefficient), on which a block's fill depends alone; the
+Dynkin rotation makes each key recur, so a level fills about one block
+per child instead of n (see the ``datum`` module docstring).  The memo is
+freed with its level.  The last level grows no children, so its tables only
 separate its own children: a child there whose statistics no other child
 of the level shares gets the fingerprint (statistics, None), with no
 table, and the others are fingerprinted as above.  Equal fingerprints
@@ -98,11 +103,12 @@ def explore(cartan, depth, max_boxes=None):
             candidates = list(candidates)
             children = Counter(datum.statistics() for _, datum, _ in candidates)
         level = {}  # fingerprint -> (number, datum) of the level's elements
+        memo = {}  # (parent block, index entry, coeff) -> the block it fills
         for edge, datum, parent_fingerprint in candidates:
             if last and children[stats := datum.statistics()] == 1:
                 fp = stats, None
             else:
-                fp = datum.fingerprint(max_boxes, parent_fingerprint)
+                fp = datum.fingerprint(max_boxes, parent_fingerprint, memo)
             target, _ = level.setdefault(fp, (len(nodes), datum))
             if target == len(nodes):
                 nodes.append(Node(target, datum.word, *fp[0]))  # fp[0] is (weight, eps, phi)

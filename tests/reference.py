@@ -73,8 +73,10 @@ def box_label_multiset(p):
 
 
 def removal_index(n, max_boxes):
-    """``datum._removal_index`` built diagram by diagram: each window
-    diagram's corners at its own charge, filed under their slot labels mod n."""
+    """The whole window's single-box removal index, built diagram by
+    diagram: each window diagram's corners at its own charge, filed under
+    their slot labels mod n.  ``datum._removal_index`` is one charge block
+    of it."""
     window = canonical_diagrams(n, max_boxes)
     position = {key: k for k, key in enumerate(window)}
     index = tuple([] for _ in range(n))
@@ -85,7 +87,8 @@ def removal_index(n, max_boxes):
 
 
 def explore_every_child(cartan, depth, max_boxes=None):
-    """``graph.explore`` with every child fingerprinted, on every level."""
+    """``graph.explore`` with every child fingerprinted, on every level,
+    and no level memo: each fill runs on its own."""
     n = cartan.n
     if max_boxes is None:
         max_boxes = default_max_boxes(n, depth)

@@ -36,9 +36,16 @@ from mayacrystal.oracle import compare
 from reference import diagram, oracle_theta, partitions_up_to, removal_index
 
 
-def table_values(table_bytes):
-    """A fingerprint's table bytes decoded: native signed 16-bit numbers."""
-    return memoryview(table_bytes).cast("h").tolist()
+def table_values(blocks):
+    """A fingerprint's table blocks decoded, charge 0 first: native signed
+    16-bit numbers."""
+    return memoryview(b"".join(blocks)).cast("h").tolist()
+
+
+def charge_blocks(table, n):
+    """A window's table cut into its n charge blocks, charge 0 first."""
+    size = len(table) // n
+    return [table[c * size:(c + 1) * size] for c in range(n)]
 
 
 def all_words(n, max_len):
@@ -363,11 +370,11 @@ class TestFingerprint:
             (parts, charge): d.value_at(parts, charge)
             for parts, charge in canonical_diagrams(2, 6)
         }
-        stats, table_bytes = d.fingerprint(6)
+        stats, blocks = d.fingerprint(6)
         # the node's (weight, eps, phi) come first
         eps = tuple(d.eps_hat(i) for i in range(2))
         assert stats == (d.weight(), eps, tuple(d.phi_hat(i) for i in range(2)))
-        assert table_values(table_bytes) == [table[key] for key in canonical_diagrams(2, 6)]
+        assert table_values(blocks) == [table[key] for key in canonical_diagrams(2, 6)]
 
     @given(
         st.sampled_from((2, 3, 4)).flatmap(
@@ -402,16 +409,29 @@ class TestFingerprint:
         assert (fp_a[1] == fp_b[1]) == (table_a == table_b)
 
     def test_out_of_range_value_raises(self):
-        # a forged parent table at the bottom of the 16-bit range (every
-        # entry -32768) and c = -1 for f_0 on the vacuum: the fill reaches
-        # -32769, which must raise rather than wrap or clip
+        # a forged parent table at the bottom of the 16-bit range (n blocks,
+        # every entry -32768) and c = -1 for f_0 on the vacuum: the fill
+        # reaches -32769, which must raise rather than wrap or clip
         cartan = CartanData(2)
-        d = CrystalDatum(cartan).apply(0)
+        root = CrystalDatum(cartan)
+        d = root.apply(0)
         assert d.parent.c_coeff(0) == -1
-        size = len(canonical_diagrams(2, 4))
-        forged = (d.parent.fingerprint(4)[0], array("h", [-32768] * size).tobytes())
+        size = len(canonical_diagrams(2, 4)) // 2
+        block = array("h", [-32768] * size).tobytes()
+        forged = (root.fingerprint(4)[0], (block,) * 2)
         with pytest.raises(OverflowError, match="16-bit"):
             d.fingerprint(4, forged)
+        # a sibling's blocks in a shared level memo change nothing, and
+        # the failed fill is never cached, so it raises again
+        memo = {}
+        sibling = root.apply(1).fingerprint(4, root.fingerprint(4), memo)
+        filled = dict(memo)
+        for _ in range(2):
+            with pytest.raises(OverflowError, match="16-bit"):
+                d.fingerprint(4, forged, memo)
+            assert memo == filled
+            assert (block, 0, -1) not in memo
+        assert root.apply(1).fingerprint(4, root.fingerprint(4)) == sibling
 
     def test_encode_boundaries(self):
         assert _decode(_encode([-32768, 32767, 0])) == [-32768, 32767, 0]
@@ -470,7 +490,11 @@ class TestTable:
         # charge, then box count, then lexicographic parts
         assert list(window) == sorted(window, key=lambda e: (e[1], sum(e[0]), e[0]))
         d = datum_from_word(CartanData(n), (0, 1, 0))
-        assert table_values(d.fingerprint(6)[1]) == list(d.table(6))
+        blocks = d.fingerprint(6)[1]
+        # one native 16-bit bytes block per charge, in charge order
+        assert len(blocks) == n
+        assert all(len(block) == 2 * len(window) // n for block in blocks)
+        assert table_values(blocks) == list(d.table(6))
 
     @given(
         st.sampled_from((2, 3, 4)).flatmap(
@@ -490,25 +514,77 @@ class TestTable:
         parent_fp = d.parent.fingerprint(max_boxes)
         assert d.fingerprint(max_boxes, parent_fp) == d.fingerprint(max_boxes)
 
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(0, n - 1), max_size=6),
+                st.integers(1, n - 1),
+                st.integers(0, {2: 6, 3: 5, 4: 4, 5: 3}[n]),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rotation_rotates_blocks_and_statistics(self, case):
+        # the Dynkin rotation i -> i + k maps a word's table block of charge
+        # c + k to the rotated word's block of charge c, and moves weight,
+        # eps and phi from residue i to i + k; the level memo's hits rest
+        # on this
+        n, word, k, max_boxes = case
+        cartan = CartanData(n)
+        d = datum_from_word(cartan, word)
+        rotated = datum_from_word(cartan, [(i + k) % n for i in word])
+        blocks = charge_blocks(d.table(max_boxes), n)
+        assert charge_blocks(rotated.table(max_boxes), n) == blocks[k:] + blocks[:k]
+        for moved, stat in zip(rotated.statistics(), d.statistics()):
+            assert moved == stat[-k:] + stat[:-k]
+
+    @pytest.mark.parametrize("n, depth", [(2, 4), (3, 3), (4, 2), (5, 2)])
+    def test_level_memo_changes_no_fingerprint(self, n, depth):
+        # every child of a level, fingerprinted with one memo shared by the
+        # level, equals its fingerprint with none; each of its blocks is the
+        # memo's entry for its key, and rotation makes keys repeat
+        cartan = CartanData(n)
+        max_boxes = n + 2
+        root = CrystalDatum(cartan)
+        level = [(root, root.fingerprint(max_boxes))]
+        for _ in range(depth):
+            memo = {}
+            children = []
+            for parent, parent_fp in level:
+                for i in range(n):
+                    child = parent.apply(i)
+                    fp = child.fingerprint(max_boxes, parent_fp, memo)
+                    assert fp == child.fingerprint(max_boxes, parent_fp)
+                    for c, (parent_block, block) in enumerate(zip(parent_fp[1], fp[1])):
+                        assert memo[parent_block, (i + c) % n, child.coeff] is block
+                    children.append((child, fp))
+            assert len(memo) < n * len(children)
+            level = children
+
 
 class TestRemovalIndex:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_single_box_closure_is_removal_options(self, n):
-        # each pair removes one box and points back in the window (j < k,
-        # the order the chain fill needs); chains of pairs reach exactly the
-        # subsets removal_options lists, with the chain length as the count
+        # the index covers one charge block, and charge c reads letter i's
+        # boxes at entry (i + c) mod n; each pair removes one box and points
+        # back in the block (j < k, the order the chain fill needs); chains
+        # of pairs reach exactly the subsets removal_options lists, with the
+        # chain length as the count
         for max_boxes in range(9):
             window = canonical_diagrams(n, max_boxes)
-            position = {key: k for k, key in enumerate(window)}
+            block = [parts for parts, _ in window[:len(window) // n]]
+            position = {parts: k for k, parts in enumerate(block)}
             index = _removal_index(n, max_boxes)
             assert len(index) == n
-            for i, pairs in enumerate(index):
+            for pairs in index:
                 assert all(j < k for k, j in pairs)
                 assert [k for k, _ in pairs] == sorted(k for k, _ in pairs)
+            for charge, i in itertools.product(range(n), repeat=2):
                 steps = {}
-                for k, j in pairs:
+                for k, j in index[(i + charge) % n]:
                     steps.setdefault(k, []).append(j)
-                for k, (parts, charge) in enumerate(window):
+                for k, parts in enumerate(block):
                     reached, layer = {(k, 0)}, {k}
                     for count in itertools.count(1):
                         layer = {j for m in layer for j in steps.get(m, ())}
@@ -516,20 +592,31 @@ class TestRemovalIndex:
                             break
                         reached |= {(j, count) for j in layer}
                     options = removal_options(parts, charge, i, n)
-                    expected = {(position[sub, charge], count) for sub, count in options}
+                    expected = {(position[sub], count) for sub, count in options}
                     assert len(expected) == len(options)
                     assert reached == expected
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_equals_the_build_per_diagram(self, n):
-        # the corners are found once per partition and filed per charge;
-        # every pair takes its ints from one list per charge, so the index
-        # holds no more int objects than the window has diagrams
+        # the whole window's index, built diagram by diagram, files charge
+        # c's pairs under residue r as the block index's entry (r + c) mod n
+        # shifted by c blocks: the equivariance the level memo relies on.
+        # Every pair takes its ints from one list, so the index holds no
+        # more int objects than a block has entries
         for max_boxes in range(9):
             index = _removal_index(n, max_boxes)
-            assert index == removal_index(n, max_boxes)
+            size = len(canonical_diagrams(n, max_boxes)) // n
+            shifted = tuple(
+                tuple(
+                    (k + charge * size, j + charge * size)
+                    for charge in range(n)
+                    for k, j in index[(r + charge) % n]
+                )
+                for r in range(n)
+            )
+            assert shifted == removal_index(n, max_boxes)
             ints = {id(x) for pairs in index for pair in pairs for x in pair}
-            assert len(ints) <= len(canonical_diagrams(n, max_boxes))
+            assert len(ints) <= size
 
 
 class SingleColorView:

@@ -1,5 +1,6 @@
 import pytest
 
+from mayacrystal import datum
 from mayacrystal.datum import CartanData, CrystalDatum
 from mayacrystal.graph import (
     CrystalGraph,
@@ -71,6 +72,25 @@ class TestExplore:
         assert explore(cartan, depth, window) == expected
         last = [word for word in calls if len(word) == depth]
         assert len(last) < n * sum(len(node.word) == depth - 1 for node in expected.nodes)
+
+    @pytest.mark.parametrize("n, depth, window, fills", [
+        (2, 6, 14, 92), (3, 5, 18, 228), (4, 4, 20, 200),
+    ])
+    def test_one_block_fill_per_fingerprinted_child(self, n, depth, window, fills, monkeypatch):
+        # the census cells at their default windows: the Dynkin rotation
+        # maps each level onto itself, so a level memo fills each (parent
+        # block, index entry, coeff) once, one block per fingerprinted child
+        # where n blocks each were filled without it
+        calls = []
+        fill = datum._fill
+
+        def counting(block, pairs, coeff):
+            calls.append(coeff)
+            return fill(block, pairs, coeff)
+
+        monkeypatch.setattr(datum, "_fill", counting)
+        explore(CartanData(n), depth, window)
+        assert len(calls) == fills
 
     def test_negative_depth(self):
         with pytest.raises(ValueError):
