@@ -64,8 +64,32 @@ table against the Fock rows over the same window, so ``oracle-check``
 tests the values ``verify`` dedups on.  ``value_at`` and ``theta`` run the
 recursion diagram by diagram, one Python frame per letter, listing each
 diagram's subsets with ``maya.removal_options`` or
-``maya.addition_options`` and memoising values per datum only.
+``maya.addition_options`` and memoising values per representative
+datum only (see below).
 ``value_at`` serves ``eval``; ``theta`` serves the crystal statistics.
+
+The recursion has two shortcuts.  First, below the root it is closed:
+O is 0 everywhere, so c_i(O) = 0 - 0 - 1 = -1 and (f_i O)(g) is the min
+over subsets S of the movable residue-i boxes of -|S|, that is -m for m
+the number of such boxes (removable ones for ``value_at``, addable ones
+for ``theta``).  A depth-1 datum counts them with ``maya.removable_rows``
+or ``maya.addable_rows``, the corner rules that the subset enumerators
+list from, and keeps no memo, so the root is never called.  Second, one
+datum serves each Dynkin rotation orbit of words.  Rotating every letter
+by k shifts every residue-i box set to the residue-(i + k) one at the
+same charge, and a residue-(i + k) box at charge c is a residue-i box at
+charge c + k, since a box's label drops by one as the charge rises; so
+V_{w+k}(parts, c) = V_w(parts, (c + k) mod n) for every word w, and the
+same holds for theta.  Every nonempty word's orbit has n words, exactly
+one of which starts with 0.  ``apply`` builds only those
+representatives, and hands out any other word as its representative's
+view under the shift k, whose ``word``, ``letter`` and ``parent`` are
+the rotated ones, whose ``coeff`` is the representative's, and whose
+recursion reads the representative's memo at charge c + k.  The n words
+of an orbit thus share one memo, and since a representative's word
+starts with 0 its parent is a representative too, so the recursion
+below it never shifts again.  ``table``, ``fingerprint`` and
+``oracle.generic_element`` walk the view's own chain of letters.
 """
 
 from __future__ import annotations
@@ -77,9 +101,11 @@ from functools import lru_cache
 from .maya import (
     LEFT_BLACK,
     RIGHT_BLACK,
+    addable_rows,
     addition_options,
     corner_removals,
     partitions_of,
+    removable_rows,
     removal_options,
     term_key,
     to_partition,
@@ -177,19 +203,29 @@ def _decode(data):
 class CrystalDatum:
     """A crystal element: the zero datum O or f_i applied to a parent datum.
 
-    Instances keep one memo of values, keyed by the subset enumerator (the
-    minus or the plus side) and (parts, charge mod n), which the recursions
-    of their descendants share; the 2n fundamental thetas that weight,
-    eps_hat and c_coeff read are entries of it.  ``coeff``, the parent's
-    c_coeff at this datum's letter, is fixed at construction.  No value
-    table is kept: exploration holds each one inside a node's fingerprint.
-    :meth:`apply` returns a new datum each time.
+    A datum that holds its own memo is a representative.  The memo keeps
+    values keyed by the subset enumerator (the minus or the plus side) and
+    (parts, charge mod n), which the recursions of its descendants share;
+    the 2n fundamental thetas that weight, eps_hat and c_coeff read are
+    entries of it.  :meth:`apply` keeps one representative per Dynkin
+    rotation orbit of words: the root or a datum whose word starts with 0.
+    Any other datum it returns is that representative rotated by a shift k,
+    a view with no memo whose ``word``, ``letter`` and ``parent`` are the
+    rotated ones and whose recursion reads the representative's at the
+    charge shifted by k (see the module docstring).  ``coeff``, the
+    parent's c_coeff at this datum's letter, is fixed at construction and
+    is the same along an orbit.  No value table is kept: exploration holds
+    each one inside a node's fingerprint.  The constructor builds a
+    representative of any word, sharing nothing with other words.
     """
 
     def __init__(self, cartan, parent=None, letter=None):
         self.cartan = cartan
         self.parent = parent
+        self._rep = None  # a view's representative
+        self._shift = 0  # a view's rotation of its representative
         self._memo = {}
+        self._children = {}  # letter -> child representative, see apply
         if parent is None:
             self.letter = None
             self.word = ()
@@ -199,10 +235,45 @@ class CrystalDatum:
             self.word = parent.word + (self.letter,)
             self.coeff = parent.c_coeff(self.letter)
 
+    def _rotated(self, parent, shift):
+        """This representative rotated by ``shift``, as a child of
+        ``parent``, which is this datum's parent rotated by ``shift``."""
+        view = object.__new__(CrystalDatum)
+        view.cartan = self.cartan
+        view.parent = parent
+        view._rep = self
+        view._shift = shift
+        view._memo = view._children = None
+        view.letter = (self.letter + shift) % self.cartan.n
+        view.word = parent.word + (view.letter,)
+        view.coeff = self.coeff
+        return view
+
     def apply(self, i):
-        """The datum for one more lowering operator f_i: its word gains i,
-        and its ``coeff`` is this datum's c_coeff(i), computed once here."""
-        return CrystalDatum(self.cartan, self, i)
+        """The datum for one more lowering operator f_i: its word gains i.
+
+        For this datum's representative rep and shift k, it is rep's child
+        at letter i - k, rotated by k; f_i O is f_0 O rotated by i.  A
+        representative keeps its children, so the n members of an orbit
+        share theirs, until :meth:`forget_children`.  A new child's
+        ``coeff`` is its parent's c_coeff at its letter, computed once."""
+        n = self.cartan.n
+        rep = self._rep or self
+        if rep.parent is None:
+            shift, letter = i % n, 0
+        else:
+            shift, letter = self._shift, (i - self._shift) % n
+        child = rep._children.get(letter)
+        if child is None:
+            child = rep._children[letter] = CrystalDatum(self.cartan, rep, letter)
+        return child._rotated(self, shift) if shift else child
+
+    def forget_children(self):
+        """Drop the children that :meth:`apply` keeps on this datum's
+        representative.  A child holds its parent, so until then the two
+        hold each other; ``graph.explore`` calls this once a level's
+        children are fingerprinted, so a child that dedups away is freed."""
+        (self._rep or self)._children.clear()
 
     # -- evaluation on left-black diagrams ---------------------------------
 
@@ -220,18 +291,28 @@ class CrystalDatum:
     def _recurse(self, options, parts, charge):
         """The min-recursion over the subsets ``options`` lists: the
         minus side's removals for ``value_at``, the plus side's additions
-        for ``theta``.  ``charge`` is already reduced mod n."""
-        if self.parent is None:
+        for ``theta``.  ``charge`` is already reduced mod n.  A view reads
+        its representative at the shifted charge.  Below the root, where
+        every value is 0 and c_i(O) = -1, the min is minus the number of
+        boxes the side can move, counted without listing the subsets."""
+        rep = self._rep
+        if rep is not None:
+            return rep._recurse(options, parts, (charge + self._shift) % self.cartan.n)
+        parent = self.parent
+        if parent is None:
             return 0
+        if parent.parent is None:
+            corners = removable_rows if options is removal_options else addable_rows
+            return -len(corners(parts, charge, self.letter, self.cartan.n))
         key = (options, parts, charge)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
         coeff = self.coeff
         moves = options(parts, charge, self.letter, self.cartan.n)
-        best = self.parent._recurse(options, parts, charge)  # moves[0], the empty subset
+        best = parent._recurse(options, parts, charge)  # moves[0], the empty subset
         for moved, count in moves[1:]:
-            v = self.parent._recurse(options, moved, charge) + count * coeff
+            v = parent._recurse(options, moved, charge) + count * coeff
             if v < best:
                 best = v
         self._memo[key] = best
@@ -311,7 +392,7 @@ class CrystalDatum:
 
     # -- equality surrogate ---------------------------------------------------
 
-    def fingerprint(self, max_boxes, parent_fingerprint=None, memo=None):
+    def fingerprint(self, max_boxes, parent_fingerprint=None, memo=None, stats=None):
         """The pair (``statistics()``, table blocks) over sigma-canonical
         diagrams with at most max_boxes boxes.
 
@@ -329,7 +410,8 @@ class CrystalDatum:
         function of (parent block, index entry, coeff) alone, so ``memo``,
         a dict shared by the fingerprints of one level, keeps each block
         filled under that key and hands it to every later fill of the same
-        key; a fill that raises stores nothing.
+        key; a fill that raises stores nothing.  ``stats``, when given, is
+        this datum's ``statistics()``, which the caller has at hand.
         """
         n = self.cartan.n
         if self.parent is None or parent_fingerprint is None:
@@ -348,7 +430,7 @@ class CrystalDatum:
                     block = _encode(_fill(_decode(parent_block), index[residue], self.coeff))
                     memo[key] = block
                 blocks.append(block)
-        return self.statistics(), tuple(blocks)
+        return (self.statistics() if stats is None else stats), tuple(blocks)
 
     def value_table(self, max_boxes):
         """JSON-friendly list of {"diagram": ..., "value": k} rows."""

@@ -23,8 +23,12 @@ merges the same elements numbers them the same.  Duplicates are looked up
 only within a BFS level: a node k steps from the root has height k, so equal
 fingerprints, which lead with equal weights, lie on the same level.  A datum
 and its fingerprint live only in their level's dedup dict, which grows the
-next level and is freed once that level is fingerprinted; a child that
-dedups away is freed with its memos.  A graph and its nodes are plain
+next level and is freed once that level is fingerprinted.  A datum and
+its rotation-orbit siblings share one representative, which keeps the
+children ``apply`` built from it; explore drops them once a level's
+children are fingerprinted, so a child that dedups away is freed with its
+memos.  Each child's statistics are computed once and serve both the last
+level's count and its fingerprint.  A graph and its nodes are plain
 records, the fields and rows of its JSON export, so an explored graph
 equals what ``load_json`` rebuilds from that export.  They are
 ``__slots__`` classes, not dataclasses: importing ``dataclasses`` would add
@@ -95,25 +99,32 @@ def explore(cartan, depth, max_boxes=None):
     nodes, edges = [], {}
     # (edge that reaches the datum or None, datum, its parent's fingerprint)
     candidates = [(None, CrystalDatum(cartan), None)]
+    parents = ()
     for height in range(depth + 1):
+        # each child's (weight, eps, phi), computed once for its node row,
+        # the last level's count and its fingerprint
+        candidates = ((edge, datum, datum.statistics(), fp) for edge, datum, fp in candidates)
         last = height == depth
         if last:
             # the last level grows no children, so a table only has to tell
             # apart the children whose statistics another child shares
             candidates = list(candidates)
-            children = Counter(datum.statistics() for _, datum, _ in candidates)
+            shared = Counter(stats for _, _, stats, _ in candidates)
         level = {}  # fingerprint -> (number, datum) of the level's elements
         memo = {}  # (parent block, index entry, coeff) -> the block it fills
-        for edge, datum, parent_fingerprint in candidates:
-            if last and children[stats := datum.statistics()] == 1:
+        for edge, datum, stats, parent_fingerprint in candidates:
+            if last and shared[stats] == 1:
                 fp = stats, None
             else:
-                fp = datum.fingerprint(max_boxes, parent_fingerprint, memo)
+                fp = datum.fingerprint(max_boxes, parent_fingerprint, memo, stats)
             target, _ = level.setdefault(fp, (len(nodes), datum))
             if target == len(nodes):
-                nodes.append(Node(target, datum.word, *fp[0]))  # fp[0] is (weight, eps, phi)
+                nodes.append(Node(target, datum.word, *stats))
             if edge is not None:
                 edges[edge] = target
+        for datum in parents:  # free the children that deduped away
+            datum.forget_children()
+        parents = [datum for _, datum in level.values()]
         candidates = (
             ((k, i), datum.apply(i), fp) for fp, (k, datum) in level.items() for i in range(n)
         )
@@ -127,7 +138,9 @@ def check_words(graph):
     end at it.  And one per edge (a, i) -> b whose target b stores other
     statistics than f_i of a's word, when a's word gives a's own.  Each
     word's datum extends its longest prefix's.  An explored graph takes all
-    of these from its words, so this only bites on graph files."""
+    of these from its words, so this only bites on graph files.  Words
+    of one rotation orbit share their representative (see
+    ``CrystalDatum.apply``)."""
     datums = {(): CrystalDatum(CartanData(graph.n))}
 
     def datum(word):
@@ -256,26 +269,33 @@ def positive_roots(n, max_height):
     return sorted(roots)
 
 
-def kostant(cartan, beta):
-    """Number of decompositions of beta into positive roots (dynamic program).
+def kostant(cartan, points):
+    """The Kostant partition function on a list of points: a dict from
+    each point to its number of decompositions into positive roots.
 
-    Lexicographic order lists every v' <= v before v, so each root's pass
-    may use that root again."""
+    ``points`` must be down-closed and list each point after every point
+    below it, as ``lattice_points`` and ``box`` do.  One dynamic program
+    fills them all: each root's pass runs in list order, so it may use
+    that root again, and a point minus a root is either in the list or has
+    a negative coordinate."""
+    ways = dict.fromkeys(points, 0)
+    ways[(0,) * cartan.n] = 1
+    for root in positive_roots(cartan.n, max(map(sum, ways))):
+        for v in points:
+            prev = ways.get(tuple(a - b for a, b in zip(v, root)))
+            if prev:
+                ways[v] += prev
+    return ways
+
+
+def box(cartan, beta):
+    """The points of the box [0, beta] in lexicographic order, which lists
+    each after every point below it.  ValueError unless beta is a
+    nonnegative vector of length n."""
     beta = tuple(beta)
     if len(beta) != cartan.n or any(b < 0 for b in beta):
         raise ValueError("beta must be a nonnegative vector of length n")
-    height = sum(beta)
-    if height == 0:
-        return 1
-    vectors = list(itertools.product(*(range(b + 1) for b in beta)))
-    ways = dict.fromkeys(vectors, 0)
-    ways[(0,) * cartan.n] = 1
-    for root in positive_roots(cartan.n, height):
-        for v in vectors:
-            prev = tuple(a - b for a, b in zip(v, root))
-            if all(x >= 0 for x in prev):
-                ways[v] += ways[prev]
-    return ways[beta]
+    return list(itertools.product(*(range(b + 1) for b in beta)))
 
 
 def lattice_points(n, max_height):

@@ -4,8 +4,9 @@ No command runs any of this.  It holds the per-box side of the Fock space
 (the Chevalley operators, the pairing, vector sums and scalings), the
 plus-side columns g |tau>, the brute-force Kostant count, the box-label
 readings of a charged partition, the removal index built diagram by
-diagram and an exploration that fingerprints every child, each checked
-against the ``src/`` code it shadows.  Fock vectors are keyed by
+diagram, datums that share no rotation orbit and an exploration that
+fingerprints every child, each checked against the ``src/`` code it
+shadows.  Fock vectors are keyed by
 ``(parts, charge)`` only, so Maya diagrams are converted here with
 ``term_key``.  It also loads the bench's
 per-layer tracer, ``bench/layertrace.py``, which is not a package module.
@@ -86,9 +87,21 @@ def removal_index(n, max_boxes):
     return tuple(tuple(pairs) for pairs in index)
 
 
+def unshared_from_word(cartan, word):
+    """The datum of a word built letter by letter through the constructor,
+    so that it shares no representative or memo with any other word, where
+    ``datum_from_word`` applies the letters and shares rotation orbits."""
+    datum = CrystalDatum(cartan)
+    for i in word:
+        datum = CrystalDatum(cartan, datum, i)
+    return datum
+
+
 def explore_every_child(cartan, depth, max_boxes=None):
     """``graph.explore`` with every child fingerprinted, on every level,
-    and no level memo: each fill runs on its own."""
+    and no level memo: each fill runs on its own.  Each child is built
+    through the constructor, so every word keeps its own datum and no
+    rotation orbit is shared."""
     n = cartan.n
     if max_boxes is None:
         max_boxes = default_max_boxes(n, depth)
@@ -104,7 +117,9 @@ def explore_every_child(cartan, depth, max_boxes=None):
             if edge is not None:
                 edges[edge] = target
         candidates = [
-            ((k, i), datum.apply(i), fp) for fp, (k, datum) in level.items() for i in range(n)
+            ((k, i), CrystalDatum(cartan, datum, i), fp)
+            for fp, (k, datum) in level.items()
+            for i in range(n)
         ]
     return CrystalGraph(n, depth, max_boxes, nodes, edges)
 

@@ -56,8 +56,10 @@ def test_acceptance_2_graded_census():
     for n in (2, 3):
         cartan = CartanData(n)
         census = weight_census(graph_for(n))
-        for beta in lattice_points(n, 6):
-            expected = kostant(cartan, beta)
+        points = lattice_points(n, 6)
+        counts = kostant(cartan, points)
+        for beta in points:
+            expected = counts[beta]
             if census.get(beta, 0) != expected:
                 ok = False
             if sum(beta) <= 5 and kostant_brute(cartan, beta) != expected:

@@ -18,11 +18,15 @@ from mayacrystal.datum import (
     canonical_diagrams,
     datum_from_word,
 )
+from mayacrystal import datum as datum_module
+from mayacrystal.graph import explore
 from mayacrystal.maya import (
     RIGHT_BLACK,
     ChargedPartition,
     Interval,
     MayaDiagram,
+    addable_boxes,
+    addition_options,
     invert_outside,
     lambda_diagram,
     removable_boxes,
@@ -32,8 +36,14 @@ from mayacrystal.maya import (
     term_key,
     to_partition,
 )
-from mayacrystal.oracle import compare
-from reference import diagram, oracle_theta, partitions_up_to, removal_index
+from mayacrystal.oracle import compare, generic_element
+from reference import (
+    diagram,
+    oracle_theta,
+    partitions_up_to,
+    removal_index,
+    unshared_from_word,
+)
 
 
 def table_values(blocks):
@@ -561,6 +571,91 @@ class TestTable:
                     children.append((child, fp))
             assert len(memo) < n * len(children)
             level = children
+
+
+class TestOrbits:
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(1, n - 1),
+                st.lists(st.integers(0, n - 1), max_size=5),
+                st.integers(0, {2: 5, 3: 4, 4: 3, 5: 2}[n]),
+            )
+        ),
+        st.sets(st.integers(-4, 4), max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rotated_datum_equals_unshared_twin(self, case, diffs):
+        # a word whose first letter k is not 0 is its representative, the
+        # word rotated by -k, read through the shift k; every prefix
+        # matches the datum that the constructor builds for the same word,
+        # which shares nothing
+        n, k, rest, max_boxes = case
+        cartan = CartanData(n)
+        word = [k] + rest
+        d, twin = datum_from_word(cartan, word), unshared_from_word(cartan, word)
+        assert d._rep is not None and d._rep.word[0] == 0
+        window = canonical_diagrams(n, max_boxes)
+        taus = [lambda_diagram(i) for i in range(n)] + [s_lambda_diagram(i) for i in range(n)]
+        taus.append(MayaDiagram(RIGHT_BLACK, diffs))
+        while twin is not None:
+            assert (d.word, d.letter, d.coeff) == (twin.word, twin.letter, twin.coeff)
+            assert d.statistics() == twin.statistics()
+            assert d.table(max_boxes) == twin.table(max_boxes)
+            assert generic_element(d) == generic_element(twin)
+            assert [d.value_at(*key) for key in window] == [twin.value_at(*key) for key in window]
+            assert [d.theta(tau) for tau in taus] == [twin.theta(tau) for tau in taus]
+            d, twin = d.parent, twin.parent
+        assert d is None
+
+
+def depth_one_keys(n, depth, monkeypatch):
+    """Every (side, parts, charge, letter) at which a depth-1 datum closes
+    the recursion while a ball of the given depth is explored (the plus
+    side, for the statistics) and every node of it is evaluated on a
+    window (the minus side)."""
+    keys = set()
+    for side in ("removable_rows", "addable_rows"):
+        rows = getattr(datum_module, side)
+
+        def recording(parts, charge, i, n, side=side, rows=rows):
+            keys.add((side, parts, charge, i))
+            return rows(parts, charge, i, n)
+
+        monkeypatch.setattr(datum_module, side, recording)
+    cartan = CartanData(n)
+    for node in explore(cartan, depth).nodes:
+        d = datum_from_word(cartan, node.word)
+        for parts, charge in canonical_diagrams(n, n + 3):
+            d.value_at(parts, charge)
+    return keys
+
+
+class TestDepthOne:
+    @pytest.mark.parametrize("n, depth", [(2, 5), (3, 4), (4, 3), (5, 3)])
+    def test_closed_form_is_the_subset_recursion(self, n, depth, monkeypatch):
+        # below the root every value is 0 and c_i(O) = -1, so the min over
+        # subsets S of 0 + |S| c_i(O) is minus the number of boxes the
+        # side can move; checked at every key a small ball reaches, on
+        # both sides, against the subsets listed and the boxes of the
+        # independent BoxRef enumerators
+        keys = depth_one_keys(n, depth, monkeypatch)
+        sides = {side for side, *_ in keys}
+        assert sides == {"removable_rows", "addable_rows"}
+        root = CrystalDatum(CartanData(n))
+        for side, parts, charge, i in sorted(keys):
+            d = CrystalDatum(root.cartan, root, i)
+            assert d.coeff == -1
+            if side == "removable_rows":
+                options, value = removal_options, d.value_at(parts, charge)
+                boxes = removable_boxes(ChargedPartition(parts, charge), i, n)
+            else:
+                options, value = addition_options, d._recurse(addition_options, parts, charge)
+                boxes = addable_boxes(ChargedPartition(parts, charge), i, n)
+            subsets = options(parts, charge, i, n)
+            assert value == min(count * d.coeff for _, count in subsets) == -len(boxes)
+            assert d._memo == {}
 
 
 class TestRemovalIndex:

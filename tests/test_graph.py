@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from mayacrystal import datum
@@ -5,6 +8,7 @@ from mayacrystal.datum import CartanData, CrystalDatum
 from mayacrystal.graph import (
     CrystalGraph,
     Node,
+    box,
     check_axioms,
     check_words,
     default_max_boxes,
@@ -91,6 +95,79 @@ class TestExplore:
         monkeypatch.setattr(datum, "_fill", counting)
         explore(CartanData(n), depth, window)
         assert len(calls) == fills
+
+    @staticmethod
+    def record_children(monkeypatch):
+        """Every child ``explore`` builds, in order: it reads each one's
+        statistics once, so a wrapper around ``statistics`` sees them all."""
+        seen = []
+        statistics = CrystalDatum.statistics
+
+        def recording(self):
+            seen.append(self)
+            return statistics(self)
+
+        monkeypatch.setattr(CrystalDatum, "statistics", recording)
+        return seen
+
+    @pytest.mark.parametrize("n, depth", [(2, 6), (3, 5), (4, 4)])
+    def test_one_representative_per_orbit(self, n, depth, monkeypatch):
+        # rotating a word's letters by k gives an orbit of n words; apply
+        # keeps one representative per orbit, the member whose word starts
+        # with 0, and builds it once: the constructor runs once for the
+        # root and once per orbit of each level's words
+        seen = self.record_children(monkeypatch)
+        built = []
+        init = CrystalDatum.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(CrystalDatum, "__init__", counting)
+        explore(CartanData(n), depth)
+        orbits = 0
+        for height in range(1, depth + 1):
+            level = [d for d in seen if len(d.word) == height]
+            reps = {}
+            for d in level:
+                rep = d._rep or d
+                lead = tuple((i - d.word[0]) % n for i in d.word)
+                assert rep.word == lead and rep._rep is None
+                assert reps.setdefault(lead, rep) is rep
+                assert d._shift == d.word[0] and d.letter == (rep.letter + d._shift) % n
+            assert len(reps) < len(level)
+            orbits += len(reps)
+        assert len(built) == 1 + orbits
+
+    @pytest.mark.parametrize("n, depth", [(2, 6), (3, 5), (4, 4)])
+    def test_statistics_once_per_child(self, n, depth, monkeypatch):
+        # the last level's count of shared statistics and the fingerprints
+        # reuse one statistics() call per child
+        seen = self.record_children(monkeypatch)
+        g = explore(CartanData(n), depth)
+        assert len(seen) == len({id(d) for d in seen}) == 1 + len(g.edges)
+
+    def test_deduped_children_are_freed(self, monkeypatch):
+        # a child holds its parent and a representative its children until
+        # the level is done, so after explore nothing of it is left alive,
+        # even with the cycle collector off: every datum is freed when its
+        # last reference goes, a child that dedups away among them
+        refs = []
+        statistics = CrystalDatum.statistics
+
+        def referencing(self):
+            refs.extend((weakref.ref(self), weakref.ref(self._rep or self)))
+            return statistics(self)
+
+        monkeypatch.setattr(CrystalDatum, "statistics", referencing)
+        gc.disable()
+        try:
+            g = explore(CartanData(3), 4)
+            assert len(g.nodes) < len(refs) // 2 == 1 + len(g.edges)
+            assert [ref for ref in refs if ref() is not None] == []
+        finally:
+            gc.enable()
 
     def test_negative_depth(self):
         with pytest.raises(ValueError):
@@ -184,36 +261,58 @@ class TestAxioms:
         assert check_axioms(broken)
 
 
+def kostant_at(cartan, beta):
+    """The Kostant count of beta, from one dynamic program over [0, beta]."""
+    return kostant(cartan, box(cartan, beta))[tuple(beta)]
+
+
 class TestKostant:
     def test_height_zero(self):
-        assert kostant(CartanData(2), (0, 0)) == 1
+        assert kostant_at(CartanData(2), (0, 0)) == 1
 
     def test_simple_roots(self):
         c = CartanData(3)
         for beta in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            assert kostant(c, beta) == 1
+            assert kostant_at(c, beta) == 1
 
     def test_delta_n2(self):
         # alpha_0 + alpha_1 decomposes as the sum of the two real roots or
         # as one imaginary copy of delta (multiplicity n - 1 = 1): 2 ways
-        assert kostant(CartanData(2), (1, 1)) == 2
+        assert kostant_at(CartanData(2), (1, 1)) == 2
 
     def test_delta_n3(self):
         # {a0,a1,a2}, {a0,a1+a2}, {a1,a0+a2}, {a2,a0+a1}, plus two
         # distinguishable imaginary copies of delta: 6 ways
-        assert kostant(CartanData(3), (1, 1, 1)) == 6
+        assert kostant_at(CartanData(3), (1, 1, 1)) == 6
 
     def test_invalid_beta(self):
         with pytest.raises(ValueError):
-            kostant(CartanData(2), (1, -1))
+            box(CartanData(2), (1, -1))
         with pytest.raises(ValueError):
-            kostant(CartanData(2), (1, 1, 1))
+            box(CartanData(2), (1, 1, 1))
 
     def test_dp_matches_brute_force(self):
         for n in (2, 3):
             c = CartanData(n)
             for beta in lattice_points(n, 5):
-                assert kostant(c, beta) == kostant_brute(c, beta)
+                assert kostant_at(c, beta) == kostant_brute(c, beta)
+
+    @pytest.mark.parametrize("n, depth", [(2, 6), (3, 5), (4, 4), (5, 3)])
+    def test_one_pass_over_lattice_points(self, n, depth):
+        # verify's one dynamic program over every point it prints, which
+        # lattice_points lists by height, gives each point's own box count
+        c = CartanData(n)
+        points = lattice_points(n, depth)
+        counts = kostant(c, points)
+        assert list(counts) == points
+        assert all(counts[beta] == kostant_at(c, beta) for beta in points)
+
+    def test_box_lists_each_point_after_those_below(self):
+        points = box(CartanData(3), (2, 0, 1))
+        assert len(points) == len(set(points)) == 6
+        for k, v in enumerate(points):
+            assert all(points.index(u) < k for u in points if u != v and
+                       all(a <= b for a, b in zip(u, v)))
 
     def test_positive_roots_n2(self):
         roots = positive_roots(2, 4)
@@ -243,26 +342,27 @@ class TestKostant:
 
 
 class TestCensus:
+    @staticmethod
+    def census_matches_kostant(cartan, graph):
+        census = weight_census(graph)
+        points = lattice_points(cartan.n, graph.depth)
+        counts = kostant(cartan, points)
+        return all(census.get(beta, 0) == counts[beta] for beta in points)
+
     def test_matches_kostant_n2(self):
-        g = explore(CartanData(2), 4)
-        census = weight_census(g)
-        for beta in lattice_points(2, 4):
-            assert census.get(beta, 0) == kostant(CartanData(2), beta)
+        cartan = CartanData(2)
+        assert self.census_matches_kostant(cartan, explore(cartan, 4))
 
     def test_matches_kostant_n3(self):
-        g = explore(CartanData(3), 3)
-        census = weight_census(g)
-        for beta in lattice_points(3, 3):
-            assert census.get(beta, 0) == kostant(CartanData(3), beta)
+        cartan = CartanData(3)
+        assert self.census_matches_kostant(cartan, explore(cartan, 3))
 
     def test_matches_kostant_n4_depth5(self):
         cartan = CartanData(4)
         g = explore(cartan, 5)
         assert len(g.nodes) == 411
         assert check_axioms(g) == []
-        census = weight_census(g)
-        for beta in lattice_points(4, 5):
-            assert census.get(beta, 0) == kostant(cartan, beta)
+        assert self.census_matches_kostant(cartan, g)
 
 
 class TestExport:
