@@ -45,10 +45,10 @@ therefore serves every charge: block c of f_i reads entry (i + c) mod n.
 Removing a residue-i box never creates or blocks another
 residue-i box, so the min over subsets is a chain of single removals, each
 read from an entry already filled; a block is closed under box removal,
-so every term is an entry of it.  A datum caches no
-table: given its parent's fingerprint, ``fingerprint`` fills the table
-block by block from the bytes blocks inside it, which keep each value as a
-native signed 16-bit number, so graph exploration, which keeps each node's
+so every term is an entry of it.  A datum caches no table: ``fingerprint``
+fills it block by block from the bytes blocks of its parent's
+fingerprint (the root's are zero), which keep each value as a native
+signed 16-bit number, so graph exploration, which keeps each node's
 fingerprint, holds each table once at two bytes an entry.  A block's fill
 reads only the parent's block, the index entry and the child's
 coefficient, so it is a pure function of that key: a memo of filled
@@ -57,16 +57,15 @@ the fill would, and equal blocks share one bytes object.  The Dynkin
 rotation i -> i + 1 maps a level onto itself and a word's block c + 1 to
 its rotated word's block c, so a level's keys come at least n at a
 time, and a fingerprinted child costs at most one block fill on average,
-not n.  Exploration builds
-no table for a child of its last level whose statistics no other child
-there shares (see ``graph.explore``).  ``oracle.compare`` checks the
-table against the Fock rows over the same window, so ``oracle-check``
-tests the values ``verify`` dedups on.  ``value_at`` and ``theta`` run the
-recursion diagram by diagram, one Python frame per letter, listing each
-diagram's subsets with ``maya.removal_options`` or
-``maya.addition_options`` and memoising values per representative
-datum only (see below).
-``value_at`` serves ``eval``; ``theta`` serves the crystal statistics.
+not n.  Exploration builds no table for a child of its last level whose
+statistics no other child there shares (see ``graph.explore``).
+``oracle.compare`` checks the table against the Fock rows over the same
+window, so ``oracle-check`` tests the values ``verify`` dedups on.
+``value_at`` and ``theta`` run the recursion diagram by diagram, one
+Python frame per letter, listing each diagram's subsets with
+``maya.removal_options`` or ``maya.addition_options`` and memoising
+values per representative datum only (see below).  ``value_at`` serves
+``eval``; ``theta`` serves the crystal statistics.
 
 The recursion has two shortcuts.  First, below the root it is closed:
 O is 0 everywhere, so c_i(O) = 0 - 0 - 1 = -1 and (f_i O)(g) is the min
@@ -82,14 +81,17 @@ charge c + k, since a box's label drops by one as the charge rises; so
 V_{w+k}(parts, c) = V_w(parts, (c + k) mod n) for every word w, and the
 same holds for theta.  Every nonempty word's orbit has n words, exactly
 one of which starts with 0.  ``apply`` builds only those
-representatives, and hands out any other word as its representative's
-view under the shift k, whose ``word``, ``letter`` and ``parent`` are
-the rotated ones, whose ``coeff`` is the representative's, and whose
-recursion reads the representative's memo at charge c + k.  The n words
-of an orbit thus share one memo, and since a representative's word
-starts with 0 its parent is a representative too, so the recursion
-below it never shifts again.  ``table``, ``fingerprint`` and
-``oracle.generic_element`` walk the view's own chain of letters.
+representatives, keeps them in a level memo that its caller passes,
+keyed by (parent representative, letter), and hands out any other word
+as its representative's view under the shift k, whose ``word``,
+``letter`` and ``parent`` are the rotated ones, whose ``coeff`` is the
+representative's, and whose recursion reads the representative's memo
+at charge c + k.  The n words of an orbit thus share one memo, and since
+a representative's word starts with 0 its parent is a representative
+too, so the recursion below it never shifts again.  No datum holds a
+child, so none is part of a reference cycle: each is freed with its last
+reference.  ``table`` and ``oracle.generic_element`` walk the view's own
+chain of letters.
 """
 
 from __future__ import annotations
@@ -208,15 +210,16 @@ class CrystalDatum:
     (parts, charge mod n), which the recursions of its descendants share;
     the 2n fundamental thetas that weight, eps_hat and c_coeff read are
     entries of it.  :meth:`apply` keeps one representative per Dynkin
-    rotation orbit of words: the root or a datum whose word starts with 0.
-    Any other datum it returns is that representative rotated by a shift k,
-    a view with no memo whose ``word``, ``letter`` and ``parent`` are the
-    rotated ones and whose recursion reads the representative's at the
-    charge shifted by k (see the module docstring).  ``coeff``, the
-    parent's c_coeff at this datum's letter, is fixed at construction and
-    is the same along an orbit.  No value table is kept: exploration holds
-    each one inside a node's fingerprint.  The constructor builds a
-    representative of any word, sharing nothing with other words.
+    rotation orbit of words, in the memo its caller passes: the root or a
+    datum whose word starts with 0.  Any other datum it returns is that
+    representative rotated by a shift k, a view with no memo whose
+    ``word``, ``letter`` and ``parent`` are the rotated ones and whose
+    recursion reads the representative's at the charge shifted by k (see
+    the module docstring).  ``coeff``, the parent's c_coeff at this datum's
+    letter, is fixed at construction and is the same along an orbit.  A
+    datum keeps no child and no value table: exploration holds each table
+    inside a node's fingerprint.  The constructor builds a representative
+    of any word, sharing nothing with other words.
     """
 
     def __init__(self, cartan, parent=None, letter=None):
@@ -225,7 +228,6 @@ class CrystalDatum:
         self._rep = None  # a view's representative
         self._shift = 0  # a view's rotation of its representative
         self._memo = {}
-        self._children = {}  # letter -> child representative, see apply
         if parent is None:
             self.letter = None
             self.word = ()
@@ -243,37 +245,30 @@ class CrystalDatum:
         view.parent = parent
         view._rep = self
         view._shift = shift
-        view._memo = view._children = None
+        view._memo = None
         view.letter = (self.letter + shift) % self.cartan.n
         view.word = parent.word + (view.letter,)
         view.coeff = self.coeff
         return view
 
-    def apply(self, i):
+    def apply(self, i, memo):
         """The datum for one more lowering operator f_i: its word gains i.
 
         For this datum's representative rep and shift k, it is rep's child
-        at letter i - k, rotated by k; f_i O is f_0 O rotated by i.  A
-        representative keeps its children, so the n members of an orbit
-        share theirs, until :meth:`forget_children`.  A new child's
-        ``coeff`` is its parent's c_coeff at its letter, computed once."""
+        at letter i - k, rotated by k; f_i O is f_0 O rotated by i.  ``memo``
+        keeps each child representative under (rep, letter), so the calls
+        that share it share orbits.  A new child's ``coeff`` is its parent's
+        c_coeff at its letter, computed once."""
         n = self.cartan.n
         rep = self._rep or self
         if rep.parent is None:
             shift, letter = i % n, 0
         else:
             shift, letter = self._shift, (i - self._shift) % n
-        child = rep._children.get(letter)
+        child = memo.get((rep, letter))
         if child is None:
-            child = rep._children[letter] = CrystalDatum(self.cartan, rep, letter)
+            child = memo[rep, letter] = CrystalDatum(self.cartan, rep, letter)
         return child._rotated(self, shift) if shift else child
-
-    def forget_children(self):
-        """Drop the children that :meth:`apply` keeps on this datum's
-        representative.  A child holds its parent, so until then the two
-        hold each other; ``graph.explore`` calls this once a level's
-        children are fingerprinted, so a child that dedups away is freed."""
-        (self._rep or self)._children.clear()
 
     # -- evaluation on left-black diagrams ---------------------------------
 
@@ -319,17 +314,13 @@ class CrystalDatum:
         return best
 
     def table(self, max_boxes):
-        """Values over canonical_diagrams(n, max_boxes), as a tuple of ints:
-        the root's all-zero table, filled in place by each datum along the
-        word in turn, one charge block at a time (see ``_fill``).  Equals
-        value_at at every entry, without a memo entry per diagram, and
-        loops rather than recurses, so no word is too long for it."""
+        """Values over canonical_diagrams(n, max_boxes), as the unbounded
+        ints that ``oracle.compare`` reads: the root's all-zero table, filled
+        in place by each datum along the word in turn, one charge block at a
+        time (see ``_fill``).  Equals value_at at every entry, without a memo
+        entry per diagram, and loops, so no word is too long for it."""
         n = self.cartan.n
         window = canonical_diagrams(n, max_boxes)
-        if self.parent is None:
-            # verify fingerprints the root from this table; building it
-            # through a list as well raises that run's peak RSS by 0.2 MB
-            return (0,) * len(window)
         chain = []
         node = self
         while node.parent is not None:
@@ -392,9 +383,10 @@ class CrystalDatum:
 
     # -- equality surrogate ---------------------------------------------------
 
-    def fingerprint(self, max_boxes, parent_fingerprint=None, memo=None, stats=None):
-        """The pair (``statistics()``, table blocks) over sigma-canonical
-        diagrams with at most max_boxes boxes.
+    def fingerprint(self, max_boxes, parent_fingerprint, memo, stats):
+        """The pair (``stats``, table blocks) over sigma-canonical diagrams
+        with at most max_boxes boxes; ``stats`` is this datum's
+        ``statistics()``, which the caller has at hand.
 
         Fingerprints serve only to detect duplicates: two are equal exactly
         when the statistics and table values are.  The statistics (weight,
@@ -404,23 +396,20 @@ class CrystalDatum:
         lexicographic parts), and the table is kept as a tuple of n bytes
         blocks, one per charge in that order, each value a native signed
         16-bit number; a value outside [-32768, 32767] raises OverflowError
-        and is never clipped.  Given the parent's fingerprint over the same
-        window, each block is filled from the parent's block of its charge
-        (see ``_fill``); otherwise the table is ``table``'s.  A fill is a
-        function of (parent block, index entry, coeff) alone, so ``memo``,
-        a dict shared by the fingerprints of one level, keeps each block
-        filled under that key and hands it to every later fill of the same
-        key; a fill that raises stores nothing.  ``stats``, when given, is
-        this datum's ``statistics()``, which the caller has at hand.
+        and is never clipped.  The root's blocks are all zero and it
+        ignores ``parent_fingerprint``; any other datum fills each block
+        from the block of its charge in ``parent_fingerprint``, its
+        parent's fingerprint over the same window (see ``_fill``).  A fill
+        is a function of (parent block, index entry, coeff) alone, so
+        ``memo``, a dict shared by the fingerprints of one level, keeps
+        each block filled under that key and hands it to every later fill
+        of the same key; a fill that raises stores nothing.
         """
         n = self.cartan.n
-        if self.parent is None or parent_fingerprint is None:
-            values = self.table(max_boxes)
-            size = len(values) // n
-            blocks = [_encode(values[c * size:(c + 1) * size]) for c in range(n)]
+        if self.parent is None:
+            blocks = (bytes(2 * (len(canonical_diagrams(n, max_boxes)) // n)),) * n
         else:
             index = _removal_index(n, max_boxes)
-            memo = {} if memo is None else memo
             blocks = []
             for charge, parent_block in enumerate(parent_fingerprint[1]):
                 residue = (self.letter + charge) % n
@@ -430,7 +419,7 @@ class CrystalDatum:
                     block = _encode(_fill(_decode(parent_block), index[residue], self.coeff))
                     memo[key] = block
                 blocks.append(block)
-        return (self.statistics() if stats is None else stats), tuple(blocks)
+        return stats, tuple(blocks)
 
     def value_table(self, max_boxes):
         """JSON-friendly list of {"diagram": ..., "value": k} rows."""
@@ -451,9 +440,10 @@ class CrystalDatum:
 
 
 def datum_from_word(cartan, word):
-    datum = CrystalDatum(cartan)
+    """The datum of ``word``; a single chain shares nothing, so its memo is private."""
+    datum, memo = CrystalDatum(cartan), {}
     for i in word:
-        datum = datum.apply(i)
+        datum = datum.apply(i, memo)
     return datum
 
 

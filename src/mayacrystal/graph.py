@@ -11,25 +11,24 @@ n blocks of signed 16-bit bytes, one per charge.  Each level shares one
 memo of filled blocks among its fingerprints, keyed by (parent block,
 index entry, coefficient), on which a block's fill depends alone; the
 Dynkin rotation makes each key recur, so a level fills about one block
-per child instead of n (see the ``datum`` module docstring).  The memo is
-freed with its level.  The last level grows no children, so its tables only
-separate its own children: a child there whose statistics no other child
-of the level shares gets the fingerprint (statistics, None), with no
-table, and the others are fingerprinted as above.  Equal fingerprints
-need equal statistics, so the merges are those of fingerprinting every
-child.  Fingerprints only detect duplicates; nodes are numbered in
+per child instead of n (see the ``datum`` module docstring).  The memo
+also keeps the level's representatives, one per rotation orbit, keyed by
+(parent representative, letter), and is freed with its level, so a child
+that dedups away is freed with its value memo.  The last level grows no
+children, so its tables only separate its own children: a child there
+whose statistics no other child of the level shares gets the fingerprint
+(statistics, None), with no table, and the others are fingerprinted as
+above.  Equal fingerprints need equal statistics, so the merges are those
+of fingerprinting every child.  Fingerprints only detect duplicates; nodes are numbered in
 discovery order (see ``explore``), so the root is node 0 and a window that
 merges the same elements numbers them the same.  Duplicates are looked up
 only within a BFS level: a node k steps from the root has height k, so equal
 fingerprints, which lead with equal weights, lie on the same level.  A datum
 and its fingerprint live only in their level's dedup dict, which grows the
-next level and is freed once that level is fingerprinted.  A datum and
-its rotation-orbit siblings share one representative, which keeps the
-children ``apply`` built from it; explore drops them once a level's
-children are fingerprinted, so a child that dedups away is freed with its
-memos.  Each child's statistics are computed once and serve both the last
-level's count and its fingerprint.  A graph and its nodes are plain
-records, the fields and rows of its JSON export, so an explored graph
+next level and is freed once that level is fingerprinted.  Each child's
+statistics are computed once and serve both the last level's count and
+its fingerprint.  A graph and its nodes are plain records, the fields
+and rows of its JSON export, so an explored graph
 equals what ``load_json`` rebuilds from that export.  They are
 ``__slots__`` classes, not dataclasses: importing ``dataclasses`` would add
 ``inspect`` and ``ast`` to every command's start-up.  ``maya._Record``,
@@ -99,7 +98,7 @@ def explore(cartan, depth, max_boxes=None):
     nodes, edges = [], {}
     # (edge that reaches the datum or None, datum, its parent's fingerprint)
     candidates = [(None, CrystalDatum(cartan), None)]
-    parents = ()
+    memo = {}  # the level's child representatives and filled blocks
     for height in range(depth + 1):
         # each child's (weight, eps, phi), computed once for its node row,
         # the last level's count and its fingerprint
@@ -111,7 +110,6 @@ def explore(cartan, depth, max_boxes=None):
             candidates = list(candidates)
             shared = Counter(stats for _, _, stats, _ in candidates)
         level = {}  # fingerprint -> (number, datum) of the level's elements
-        memo = {}  # (parent block, index entry, coeff) -> the block it fills
         for edge, datum, stats, parent_fingerprint in candidates:
             if last and shared[stats] == 1:
                 fp = stats, None
@@ -122,13 +120,16 @@ def explore(cartan, depth, max_boxes=None):
                 nodes.append(Node(target, datum.word, *stats))
             if edge is not None:
                 edges[edge] = target
-        for datum in parents:  # free the children that deduped away
-            datum.forget_children()
-        parents = [datum for _, datum in level.values()]
-        candidates = (
-            ((k, i), datum.apply(i), fp) for fp, (k, datum) in level.items() for i in range(n)
-        )
+        memo = {}
+        candidates = _next_level(level, n, memo)
     return CrystalGraph(n, depth, max_boxes, nodes, edges)
+
+
+def _next_level(level, n, memo):
+    """``explore``'s candidates for the children of ``level``, built through ``memo``."""
+    for fp, (k, datum) in level.items():
+        for i in range(n):
+            yield (k, i), datum.apply(i, memo), fp
 
 
 def check_words(graph):
@@ -136,20 +137,18 @@ def check_words(graph):
     weight, eps and phi are not its word's, or else its word, read as f_i
     steps along the stored edges from the unique weight-zero node, does not
     end at it.  And one per edge (a, i) -> b whose target b stores other
-    statistics than f_i of a's word, when a's word gives a's own.  Each
-    word's datum extends its longest prefix's.  An explored graph takes all
-    of these from its words, so this only bites on graph files.  Words
-    of one rotation orbit share their representative (see
-    ``CrystalDatum.apply``)."""
-    datums = {(): CrystalDatum(CartanData(graph.n))}
+    statistics than f_i of a's word, when a's word gives a's own.  An
+    explored graph takes all of these from its words, so this only bites
+    on graph files.  Every word is applied from one root through one memo,
+    so words of one rotation orbit, prefixes included, share their
+    representative (see ``CrystalDatum.apply``)."""
+    root, memo = CrystalDatum(CartanData(graph.n)), {}
 
     def datum(word):
-        k = len(word)
-        while word[:k] not in datums:
-            k -= 1
-        for j in range(k, len(word)):
-            datums[word[:j + 1]] = datums[word[:j]].apply(word[j])
-        return datums[word]
+        d = root
+        for i in word:
+            d = d.apply(i, memo)
+        return d
 
     sources = [node.id for node in graph.nodes if not any(node.weight)]
     violations = []

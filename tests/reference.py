@@ -4,10 +4,10 @@ No command runs any of this.  It holds the per-box side of the Fock space
 (the Chevalley operators, the pairing, vector sums and scalings), the
 plus-side columns g |tau>, the brute-force Kostant count, the box-label
 readings of a charged partition, the removal index built diagram by
-diagram, datums that share no rotation orbit and an exploration that
-fingerprints every child, each checked against the ``src/`` code it
-shadows.  Fock vectors are keyed by
-``(parts, charge)`` only, so Maya diagrams are converted here with
+diagram, datums that share no rotation orbit, a datum's fingerprint
+filled along its chain and an exploration that fingerprints every child,
+each checked against the ``src/`` code it shadows.  Fock vectors are
+keyed by ``(parts, charge)`` only, so Maya diagrams are converted here with
 ``term_key``.  It also loads the bench's
 per-layer tracer, ``bench/layertrace.py``, which is not a package module.
 """
@@ -97,6 +97,20 @@ def unshared_from_word(cartan, word):
     return datum
 
 
+def fingerprint_from_root(datum, max_boxes):
+    """``datum``'s fingerprint, as ``graph.explore`` makes it: each datum
+    of its chain, from the root's zero blocks on, filled from its parent's
+    with one fresh memo and its own ``statistics()``."""
+    chain = []
+    while datum is not None:
+        chain.append(datum)
+        datum = datum.parent
+    fp, memo = None, {}
+    for datum in reversed(chain):
+        fp = datum.fingerprint(max_boxes, fp, memo, datum.statistics())
+    return fp
+
+
 def explore_every_child(cartan, depth, max_boxes=None):
     """``graph.explore`` with every child fingerprinted, on every level,
     and no level memo: each fill runs on its own.  Each child is built
@@ -110,7 +124,7 @@ def explore_every_child(cartan, depth, max_boxes=None):
     for _ in range(depth + 1):
         level = {}
         for edge, datum, parent_fingerprint in candidates:
-            fp = datum.fingerprint(max_boxes, parent_fingerprint)
+            fp = datum.fingerprint(max_boxes, parent_fingerprint, {}, datum.statistics())
             target, _ = level.setdefault(fp, (len(nodes), datum))
             if target == len(nodes):
                 nodes.append(Node(target, datum.word, *fp[0]))

@@ -1,7 +1,9 @@
+import gc
 import importlib
 import itertools
 import pkgutil
 import tracemalloc
+import weakref
 from array import array
 
 import pytest
@@ -39,6 +41,7 @@ from mayacrystal.maya import (
 from mayacrystal.oracle import compare, generic_element
 from reference import (
     diagram,
+    fingerprint_from_root,
     oracle_theta,
     partitions_up_to,
     removal_index,
@@ -140,7 +143,7 @@ class TestEvaluation:
         d = datum_from_word(CartanData(3), (0, 2, 1))
         assert d.word == (0, 2, 1)
         assert d.parent.word == (0, 2)
-        assert d.apply(5).letter == 2  # residues reduce mod n
+        assert d.apply(5, {}).letter == 2  # residues reduce mod n
 
     def test_json_round_trip(self):
         d = datum_from_word(CartanData(3), (0, 2, 1))
@@ -183,7 +186,7 @@ class TestClosedFormKeys:
         n, word = case
         d = CrystalDatum(CartanData(n))
         for letter in word:
-            child = d.apply(letter)
+            child = d.apply(letter, {})
             assert child.coeff == d.c_coeff(letter) == d.phi_hat(letter) - 1
             d = child
 
@@ -222,7 +225,7 @@ class TestStatistics:
         for word in all_words(2, 3):
             d = datum_from_word(cartan, word)
             for i in range(2):
-                child = d.apply(i)
+                child = d.apply(i, {})
                 expected = tuple(
                     w - (1 if j == i else 0) for j, w in enumerate(d.weight())
                 )
@@ -368,7 +371,7 @@ class TestTheta:
 class TestFingerprint:
     def test_zero_vs_child(self):
         z = CrystalDatum(CartanData(2))
-        assert z.fingerprint(6) != z.apply(0).fingerprint(6)
+        assert fingerprint_from_root(z, 6) != fingerprint_from_root(z.apply(0, {}), 6)
 
     def test_same_element_same_fingerprint(self):
         # f_0 f_1 and f_1 f_0 act differently, but repeated letters on the
@@ -380,7 +383,7 @@ class TestFingerprint:
             (parts, charge): d.value_at(parts, charge)
             for parts, charge in canonical_diagrams(2, 6)
         }
-        stats, blocks = d.fingerprint(6)
+        stats, blocks = fingerprint_from_root(d, 6)
         # the node's (weight, eps, phi) come first
         eps = tuple(d.eps_hat(i) for i in range(2))
         assert stats == (d.weight(), eps, tuple(d.phi_hat(i) for i in range(2)))
@@ -413,7 +416,7 @@ class TestFingerprint:
         def stats(d):
             return d.weight() + tuple(d.eps_hat(i) for i in range(n))
 
-        fp_a, fp_b = a.fingerprint(max_boxes), b.fingerprint(max_boxes)
+        fp_a, fp_b = fingerprint_from_root(a, max_boxes), fingerprint_from_root(b, max_boxes)
         table_a, table_b = a.table(max_boxes), b.table(max_boxes)
         assert (fp_a == fp_b) == (stats(a) + table_a == stats(b) + table_b)
         assert (fp_a[1] == fp_b[1]) == (table_a == table_b)
@@ -424,24 +427,26 @@ class TestFingerprint:
         # reaches -32769, which must raise rather than wrap or clip
         cartan = CartanData(2)
         root = CrystalDatum(cartan)
-        d = root.apply(0)
+        d = root.apply(0, {})
         assert d.parent.c_coeff(0) == -1
         size = len(canonical_diagrams(2, 4)) // 2
         block = array("h", [-32768] * size).tobytes()
-        forged = (root.fingerprint(4)[0], (block,) * 2)
+        root_fp = fingerprint_from_root(root, 4)
+        forged = (root_fp[0], (block,) * 2)
         with pytest.raises(OverflowError, match="16-bit"):
-            d.fingerprint(4, forged)
+            d.fingerprint(4, forged, {}, d.statistics())
         # a sibling's blocks in a shared level memo change nothing, and
         # the failed fill is never cached, so it raises again
         memo = {}
-        sibling = root.apply(1).fingerprint(4, root.fingerprint(4), memo)
+        sibling = root.apply(1, {})
+        sibling_fp = sibling.fingerprint(4, root_fp, memo, sibling.statistics())
         filled = dict(memo)
         for _ in range(2):
             with pytest.raises(OverflowError, match="16-bit"):
-                d.fingerprint(4, forged, memo)
+                d.fingerprint(4, forged, memo, d.statistics())
             assert memo == filled
             assert (block, 0, -1) not in memo
-        assert root.apply(1).fingerprint(4, root.fingerprint(4)) == sibling
+        assert fingerprint_from_root(sibling, 4) == sibling_fp
 
     def test_encode_boundaries(self):
         assert _decode(_encode([-32768, 32767, 0])) == [-32768, 32767, 0]
@@ -500,7 +505,7 @@ class TestTable:
         # charge, then box count, then lexicographic parts
         assert list(window) == sorted(window, key=lambda e: (e[1], sum(e[0]), e[0]))
         d = datum_from_word(CartanData(n), (0, 1, 0))
-        blocks = d.fingerprint(6)[1]
+        blocks = fingerprint_from_root(d, 6)[1]
         # one native 16-bit bytes block per charge, in charge order
         assert len(blocks) == n
         assert all(len(block) == 2 * len(window) // n for block in blocks)
@@ -517,12 +522,14 @@ class TestTable:
     )
     @settings(max_examples=40, deadline=None)
     def test_fill_from_parent_fingerprint(self, case):
-        # exploration fills a child's table from the one inside its parent's
-        # fingerprint; that must equal the fill from the root
+        # exploration fills a child's 16-bit blocks from the ones inside its
+        # parent's fingerprint; they must hold ``table``'s values, the
+        # unbounded ints that the oracle checks, filled from the root
         n, word, max_boxes = case
         d = datum_from_word(CartanData(n), word)
-        parent_fp = d.parent.fingerprint(max_boxes)
-        assert d.fingerprint(max_boxes, parent_fp) == d.fingerprint(max_boxes)
+        parent_fp = fingerprint_from_root(d.parent, max_boxes)
+        blocks = d.fingerprint(max_boxes, parent_fp, {}, d.statistics())[1]
+        assert table_values(blocks) == list(d.table(max_boxes))
 
     @given(
         st.integers(2, 5).flatmap(
@@ -551,21 +558,24 @@ class TestTable:
 
     @pytest.mark.parametrize("n, depth", [(2, 4), (3, 3), (4, 2), (5, 2)])
     def test_level_memo_changes_no_fingerprint(self, n, depth):
-        # every child of a level, fingerprinted with one memo shared by the
-        # level, equals its fingerprint with none; each of its blocks is the
-        # memo's entry for its key, and rotation makes keys repeat
+        # every child of a level, fingerprinted with one memo of blocks
+        # shared by the level, equals its fingerprint with a fresh memo;
+        # each of its blocks is the memo's entry for its key, and rotation
+        # makes keys repeat.  apply keeps its representatives in a dict of
+        # its own, so the memo holds blocks only
         cartan = CartanData(n)
         max_boxes = n + 2
         root = CrystalDatum(cartan)
-        level = [(root, root.fingerprint(max_boxes))]
+        level = [(root, fingerprint_from_root(root, max_boxes))]
         for _ in range(depth):
-            memo = {}
+            memo, reps = {}, {}
             children = []
             for parent, parent_fp in level:
                 for i in range(n):
-                    child = parent.apply(i)
-                    fp = child.fingerprint(max_boxes, parent_fp, memo)
-                    assert fp == child.fingerprint(max_boxes, parent_fp)
+                    child = parent.apply(i, reps)
+                    stats = child.statistics()
+                    fp = child.fingerprint(max_boxes, parent_fp, memo, stats)
+                    assert fp == child.fingerprint(max_boxes, parent_fp, {}, stats)
                     for c, (parent_block, block) in enumerate(zip(parent_fp[1], fp[1])):
                         assert memo[parent_block, (i + c) % n, child.coeff] is block
                     children.append((child, fp))
@@ -608,6 +618,25 @@ class TestOrbits:
             assert [d.theta(tau) for tau in taus] == [twin.theta(tau) for tau in taus]
             d, twin = d.parent, twin.parent
         assert d is None
+
+    def test_chain_is_freed_with_its_last_reference(self):
+        # a datum holds its parent and its representative but no child, so
+        # a chain is no reference cycle: with the cycle collector off, its
+        # root dies as soon as the last reference to the datum goes
+        gc.disable()
+        try:
+            d = datum_from_word(CartanData(3), (0, 1, 2, 0))
+            d.statistics()
+            root = d
+            while root.parent is not None:
+                root = root.parent
+            ref = weakref.ref(root)
+            del root
+            assert ref() is not None
+            del d
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def depth_one_keys(n, depth, monkeypatch):

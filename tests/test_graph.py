@@ -149,10 +149,11 @@ class TestExplore:
         assert len(seen) == len({id(d) for d in seen}) == 1 + len(g.edges)
 
     def test_deduped_children_are_freed(self, monkeypatch):
-        # a child holds its parent and a representative its children until
-        # the level is done, so after explore nothing of it is left alive,
-        # even with the cycle collector off: every datum is freed when its
-        # last reference goes, a child that dedups away among them
+        # a child holds its parent and the level memo the level's
+        # representatives until the level is done, so after explore nothing
+        # of it is left alive, even with the cycle collector off: every
+        # datum is freed when its last reference goes, a child that dedups
+        # away among them
         refs = []
         statistics = CrystalDatum.statistics
 
@@ -168,6 +169,40 @@ class TestExplore:
             assert [ref for ref in refs if ref() is not None] == []
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("n, depth", [(2, 8), (3, 6), (4, 5)])
+    def test_level_memo_is_freed_with_its_level(self, n, depth, monkeypatch):
+        # a level's memo holds every representative built for that level,
+        # so it must be freed before the level after next is grown: when
+        # the first child of level h + 2 is built, a representative of
+        # level h may be alive only if a stored node of level h needs it,
+        # the node's word rotated to start with 0
+        built = []  # (word, weakref) of every representative, in order
+        alive = {}  # h -> words of level h's representatives alive then
+        init = CrystalDatum.__init__
+
+        def checking(self, cartan, parent=None, letter=None):
+            height = 0 if parent is None else len(parent.word) + 1
+            if height >= 2 and height - 2 not in alive:
+                alive[height - 2] = {
+                    word for word, ref in built if len(word) == height - 2 and ref() is not None
+                }
+            init(self, cartan, parent, letter)
+            built.append((self.word, weakref.ref(self)))
+
+        monkeypatch.setattr(CrystalDatum, "__init__", checking)
+        gc.disable()
+        try:
+            g = explore(CartanData(n), depth)
+        finally:
+            gc.enable()
+        needed = {tuple((i - node.word[0]) % n for i in node.word) for node in g.nodes[1:]}
+        needed.add(())
+        assert sorted(alive) == list(range(depth - 1))
+        assert all(alive[h] <= needed for h in alive)
+        # some level h has representatives that no stored node needs, so a
+        # memo that outlives its level shows
+        assert any({word for word, _ in built if len(word) == h} - needed for h in alive)
 
     def test_negative_depth(self):
         with pytest.raises(ValueError):
@@ -392,6 +427,54 @@ class TestExport:
         violations = check_words(g)
         assert len(violations) == 1
         assert violations[0].startswith("word: node 1: ")
+
+    @pytest.mark.parametrize("n, depth", [(2, 6), (3, 5), (4, 4)])
+    def test_check_words_shares_orbits(self, n, depth, monkeypatch):
+        # check_words applies each word's letters from one root through one
+        # memo, so it builds each orbit representative once: the root and
+        # the 0-led rotation of every prefix of a stored word or of an
+        # edge's source word and residue
+        g = load_json(export(explore(CartanData(n), depth), "json"))
+        words = [node.word for node in g.nodes]
+        words += [g.nodes[src].word + (i,) for src, i in g.edges]
+        leads = {tuple((i - w[0]) % n for i in w[:k]) for w in words for k in range(1, len(w) + 1)}
+        built = []
+        init = CrystalDatum.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(CrystalDatum, "__init__", counting)
+        assert check_words(g) == []
+        assert sorted(d.word for d in built) == sorted(leads | {()})
+
+    def test_check_words_leaves_no_datum_alive(self, monkeypatch):
+        # no datum holds a child, so with the cycle collector off every
+        # representative and view that check_words builds is freed once it
+        # returns
+        g = load_json(export(explore(CartanData(3), 4), "json"))
+        refs = []
+        init, rotated = CrystalDatum.__init__, CrystalDatum._rotated
+
+        def referencing_init(self, *args):
+            refs.append(weakref.ref(self))
+            init(self, *args)
+
+        def referencing_rotated(self, *args):
+            view = rotated(self, *args)
+            refs.append(weakref.ref(view))
+            return view
+
+        monkeypatch.setattr(CrystalDatum, "__init__", referencing_init)
+        monkeypatch.setattr(CrystalDatum, "_rotated", referencing_rotated)
+        gc.disable()
+        try:
+            assert check_words(g) == []
+            assert len(refs) > len(g.nodes)
+            assert [ref for ref in refs if ref() is not None] == []
+        finally:
+            gc.enable()
 
     def test_json_deterministic(self):
         a = export(explore(CartanData(2), 2), "json")
