@@ -19,14 +19,14 @@ the sum, each with coefficient 1, of the diagrams obtained by moving a
 k-subset of its residue-i boxes, and the one-parameter action
 exp(p * E_i) = sum_k p^k E_i^k / k! is the finite sum over all subsets.
 ``x_act`` applies it to one vector; ``minus_rows`` applies a whole word to
-the row vectors of a window of diagrams at once, one pass per letter, each
-row built from rows of the previous prefix.
+the row vectors of a window of diagrams at once, in place, one pass per
+letter and box row.
 """
 
 from __future__ import annotations
 
 from .laurent import INF, LaurentPoly, _accumulate, _laurent
-from .maya import addition_options, removal_options
+from .maya import addition_options, removable_rows, removal_options
 
 MINUS = "minus"
 PLUS = "plus"
@@ -104,55 +104,48 @@ def minus_rows(n, factors, window):
     ``factors`` lists the pairs (i_j, e_j) with p_j = t^e_j, oldest first;
     ``window`` lists ``(parts, charge)`` pairs closed under box removal, as
     ``canonical_diagrams(n, max_boxes)`` does, and they key the returned
-    dict of minus-side vectors in window order.  The rows fill one factor
-    at a time from the basis rows.  The newest factor acts first on a row
-    vector, so with g_j the product of the first j factors,
-
-        <gamma| g_j = sum over S in removal_options(gamma, i_j) of
-                      p_j^|S| <gamma minus S| g_{j-1},
-
-    and every gamma minus S lies in the window, whose rows at g_{j-1} are
-    already filled.  p_j^|S| shifts exponents by |S| e_j.  Every
-    coefficient is a positive path count, so sums never cancel.  While
-    filling, a row is a plain {key: {exponent: count}} dict.  A gamma with
-    no removable i_j-box keeps its row object, and each prefix's rows are
-    dropped once the next prefix's are filled.
+    dict of minus-side vectors in window order.  The newest factor acts
+    first on a row vector, so <gamma| g_j is the sum over subsets S of
+    gamma's removable i_j-boxes of p_j^|S| <gamma minus S| g_{j-1}.  The
+    boxes are independent, so that is the product over them of
+    (1 + p_j E_b), applied one box row at a time (:func:`_passes`): add
+    p_j times the row of gamma minus b into the row of each gamma whose
+    i_j-box b ends the row.  It is safe in place: gamma minus b ends that
+    row in residue i_j - 1, never i_j as n >= 2, so no row a pass reads is
+    one it writes.  p_j shifts exponents by e_j; every coefficient is a
+    positive path count, so sums never cancel.  While filling, a row is a
+    {position: {exponent: count}} dict keyed by window position.
     """
-    rows = {key: {key: {0: 1}} for key in window}
+    passes = {i: _passes(n, window, i) for i in {i for i, _ in factors}}
+    rows = [{q: {0: 1}} for q in range(len(window))]
     for residue, exponent in factors:
-        rows = _next_rows(n, window, rows, residue, exponent)
-    for key, row in rows.items():
-        rows[key] = _keyed(n, MINUS, {k: _laurent(coeffs) for k, coeffs in row.items()})
-    return rows
+        for pairs in passes[residue].values():
+            for k, j in pairs:
+                row = rows[k]
+                for q, coeffs in rows[j].items():
+                    old = row.get(q)
+                    if old is None:
+                        row[q] = {e + exponent: c for e, c in coeffs.items()}
+                        continue
+                    for e, c in coeffs.items():
+                        e += exponent
+                        old[e] = old.get(e, 0) + c
+    return {
+        key: _keyed(n, MINUS, {window[q]: _laurent(coeffs) for q, coeffs in row.items()})
+        for key, row in zip(window, rows)
+    }
 
 
-def _next_rows(n, window, previous, residue, exponent):
-    """The rows at g_j from those at g_{j-1} (``previous``), as
-    {key: {exponent: count}} dicts; see :func:`minus_rows`."""
-    rows = {}
-    for key in window:
-        parts, charge = key
-        options = removal_options(parts, charge, residue, n)
-        row = previous[key]
-        if len(options) == 1:
-            rows[key] = row
-            continue
-        # shares row's coefficient dicts: copy one before adding to it
-        terms = dict(row)
-        for sub, count in options[1:]:
-            shift = count * exponent
-            for k, coeffs in previous[sub, charge].items():
-                old = terms.get(k)
-                if old is None:
-                    terms[k] = {e + shift: c for e, c in coeffs.items()}
-                    continue
-                if old is row.get(k):
-                    old = terms[k] = dict(old)
-                for e, c in coeffs.items():
-                    e += shift
-                    old[e] = old.get(e, 0) + c
-        rows[key] = terms
-    return rows
+def _passes(n, window, residue):
+    """By box row r, the pairs (k, j) of window positions with diagram j
+    the diagram k less its ``residue`` box ending row r."""
+    position = {key: q for q, key in enumerate(window)}
+    passes = {}
+    for k, (parts, charge) in enumerate(window):
+        for r in removable_rows(parts, charge, residue, n):
+            sub = parts[:r] + (parts[r] - 1,) + parts[r + 1:] if parts[r] > 1 else parts[:r]
+            passes.setdefault(r, []).append((k, position[sub, charge]))
+    return passes
 
 
 def vec_val(v):

@@ -19,9 +19,10 @@ its value at a = 1 is, so the valuations are those at a = 1.
 
 ``compare``, behind ``oracle-check``, sets the value table that ``verify``
 fingerprints (``CrystalDatum.table``) against ``vec_val`` of the rows that
-``fock.minus_rows`` fills over the same window.  The t-exponents are the
-datum's own coefficients, and by positivity val(<gamma| g_j) is the min
-over S of |S| e_j + val(<gamma minus S| g_{j-1}): the min-recursion again.
+``fock.minus_rows`` fills in place over the same window, one pass per
+letter and box row.  The t-exponents are the datum's own coefficients, and
+by positivity val(<gamma| g_j) is the min over S of |S| e_j +
+val(<gamma minus S| g_{j-1}): the min-recursion again.
 So this cross-checks the recursion's implementation, not the theorem that
 the crystal is B(infinity); ``verify``'s axioms and census bear on that.
 

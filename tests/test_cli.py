@@ -495,24 +495,32 @@ class TestOracleCheck:
         }
         assert coefficients == {int}
 
-    def test_rows_fill_once_per_prefix(self, capsys, monkeypatch):
-        # one removal_options call per (word prefix, window diagram), all
-        # from the shared row fill: the table's fill reads the removal index
-        calls = []
-        removal_options = maya.removal_options
+    def test_rows_fill_once_per_residue(self, capsys, monkeypatch):
+        # the row fill lists each window diagram's removable boxes once per
+        # distinct residue of the word and enumerates no subsets; the
+        # table's fill reads the removal index, and datum's own
+        # removable_rows calls (its depth-1 recursion) are not counted
+        calls = {"removal_options": 0, "removable_rows": 0}
 
-        def counting(*args):
-            calls.append(args)
-            return removal_options(*args)
+        def counting(name):
+            original = getattr(maya, name)
 
+            def wrapped(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapped
+
+        removal_options, removable_rows = counting("removal_options"), counting("removable_rows")
         for module in (maya, datum, fock):
-            monkeypatch.setattr(module, "removal_options", counting)
+            monkeypatch.setattr(module, "removal_options", removal_options)
+        for module in (maya, fock):
+            monkeypatch.setattr(module, "removable_rows", removable_rows)
         code, out, _ = run(
             capsys, "oracle-check", "--rank", "2", "--word", "0,1,0,1,1,0", "--max-boxes", "10"
         )
         assert code == EXIT_OK
         assert len(json.loads(out)["results"]) == 278
-        assert 0 < len(calls) <= 6 * 278
+        assert calls == {"removal_options": 0, "removable_rows": 2 * 278}
 
     def test_threads_flag(self, capsys):
         # oracle-check has one path, through oracle.compare; --threads is gone

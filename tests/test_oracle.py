@@ -124,14 +124,33 @@ class TestSharedRows:
     def test_rows_equal_d_gamma(self, word, max_boxes):
         n, factors = word
         window = canonical_diagrams(n, max_boxes)
-        rows = minus_rows(n, factors, window)
-        assert rows.keys() == set(window)
-        for parts, charge in window:
-            expected = d_gamma(n, factors, (parts, charge))
-            row = rows[parts, charge]
-            # FockVector equality: the same keys, and equal LaurentPoly
-            # coefficients at each
-            assert row == expected
+        # the reversed window is closed under removal too, in another order
+        for order in (window, window[::-1]):
+            rows = minus_rows(n, factors, order)
+            assert list(rows) == list(order)
+            for parts, charge in order:
+                expected = d_gamma(n, factors, (parts, charge))
+                # FockVector equality: the same keys, and equal LaurentPoly
+                # coefficients at each
+                assert rows[parts, charge] == expected
+
+    def test_passes_are_safe_in_place(self):
+        # within a box row's pass no diagram read is one written, and the
+        # passes pair each diagram with exactly its removable boxes
+        for n in range(2, 5):
+            window = canonical_diagrams(n, 6)
+            for residue in range(n):
+                passes = fock._passes(n, window, residue)
+                for pairs in passes.values():
+                    assert not {k for k, _ in pairs} & {j for _, j in pairs}
+                for k, (parts, charge) in enumerate(window):
+                    paired = sorted(
+                        (r, j) for r, pairs in passes.items() for kk, j in pairs if kk == k
+                    )
+                    assert [r for r, _ in paired] == maya.removable_rows(parts, charge, residue, n)
+                    for r, j in paired:
+                        sub = parts[:r] + (parts[r] - 1,) + parts[r + 1:]
+                        assert window[j] == (tuple(x for x in sub if x), charge)
 
     def test_rows_reach_beyond_the_valuation(self):
         # rows carry whole Laurent polynomials, with several exponents and
