@@ -124,7 +124,7 @@ def cmd_verify(args):
     failures = list(violations)
     for beta in points:
         expected = counts[beta]
-        got = census.get(beta, 0)
+        got = census[beta]
         mark = "ok" if got == expected else "MISMATCH"
         print("  %r: %d %d %s" % (beta, got, expected, mark))
         if got != expected:
@@ -195,7 +195,7 @@ def main(argv=None):
         parser.error("--depth and --max-boxes do not apply to --graph-file")
     try:
         return args.run(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:  # value_at and theta recurse once per word letter

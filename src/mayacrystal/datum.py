@@ -90,8 +90,10 @@ at charge c + k.  The n words of an orbit thus share one memo, and since
 a representative's word starts with 0 its parent is a representative
 too, so the recursion below it never shifts again.  No datum holds a
 child, so none is part of a reference cycle: each is freed with its last
-reference.  ``table`` and ``oracle.generic_element`` walk the view's own
-chain of letters.
+reference.  ``apply_word`` applies a whole word through one memo, for
+``datum_from_word`` and ``graph.check_words``.  ``factors`` walks the
+view's own chain of letters, oldest first, for ``table`` and
+``oracle.generic_element``.
 """
 
 from __future__ import annotations
@@ -127,9 +129,6 @@ class CartanData:
         weight_{i+1}, indices mod n (at n = 2 both neighbours are one)."""
         n = self.n
         return 2 * weight[i % n] - weight[(i - 1) % n] - weight[(i + 1) % n]
-
-    def __repr__(self):
-        return "CartanData(n=%d)" % self.n
 
 
 @lru_cache(maxsize=2)
@@ -270,6 +269,25 @@ class CrystalDatum:
             child = memo[rep, letter] = CrystalDatum(self.cartan, rep, letter)
         return child._rotated(self, shift) if shift else child
 
+    def apply_word(self, word, memo):
+        """The datum of this one's word followed by ``word``: one
+        :meth:`apply` per letter, all through ``memo``."""
+        datum = self
+        for i in word:
+            datum = datum.apply(i, memo)
+        return datum
+
+    def factors(self):
+        """The (letter, coeff) pair of each datum along the word, oldest
+        (first letter) first, read up the ``parent`` chain: a view's are
+        the rotated letters and its representative's coefficients."""
+        chain = []
+        node = self
+        while node.parent is not None:
+            chain.append((node.letter, node.coeff))
+            node = node.parent
+        return tuple(reversed(chain))
+
     # -- evaluation on left-black diagrams ---------------------------------
 
     def eval(self, gamma):
@@ -316,22 +334,18 @@ class CrystalDatum:
     def table(self, max_boxes):
         """Values over canonical_diagrams(n, max_boxes), as the unbounded
         ints that ``oracle.compare`` reads: the root's all-zero table, filled
-        in place by each datum along the word in turn, one charge block at a
+        in place by each of :meth:`factors` in turn, one charge block at a
         time (see ``_fill``).  Equals value_at at every entry, without a memo
         entry per diagram, and loops, so no word is too long for it."""
         n = self.cartan.n
-        window = canonical_diagrams(n, max_boxes)
-        chain = []
-        node = self
-        while node.parent is not None:
-            chain.append(node)
-            node = node.parent
+        size = len(canonical_diagrams(n, max_boxes)) // n
+        factors = self.factors()
         index = _removal_index(n, max_boxes)
         values = []
         for charge in range(n):
-            block = [0] * (len(window) // n)
-            for node in reversed(chain):
-                _fill(block, index[(node.letter + charge) % n], node.coeff)
+            block = [0] * size
+            for letter, coeff in factors:
+                _fill(block, index[(letter + charge) % n], coeff)
             values += block
         return tuple(values)
 
@@ -435,16 +449,10 @@ class CrystalDatum:
     def to_json(self):
         return {"n": self.cartan.n, "word": list(self.word)}
 
-    def __repr__(self):
-        return "CrystalDatum(n=%d, word=%r)" % (self.cartan.n, list(self.word))
-
 
 def datum_from_word(cartan, word):
     """The datum of ``word``; a single chain shares nothing, so its memo is private."""
-    datum, memo = CrystalDatum(cartan), {}
-    for i in word:
-        datum = datum.apply(i, memo)
-    return datum
+    return CrystalDatum(cartan).apply_word(word, {})
 
 
 @lru_cache(maxsize=2)

@@ -26,7 +26,7 @@ letter and box row.
 from __future__ import annotations
 
 from .laurent import INF, LaurentPoly, _accumulate, _laurent
-from .maya import addition_options, removable_rows, removal_options
+from .maya import addition_options, removable_rows, removal_options, without_corner
 
 MINUS = "minus"
 PLUS = "plus"
@@ -138,13 +138,13 @@ def minus_rows(n, factors, window):
 
 def _passes(n, window, residue):
     """By box row r, the pairs (k, j) of window positions with diagram j
-    the diagram k less its ``residue`` box ending row r."""
+    the diagram k less its ``residue`` box ending row r: the rows of
+    ``maya.removable_rows``, each cut by ``maya.without_corner``."""
     position = {key: q for q, key in enumerate(window)}
     passes = {}
     for k, (parts, charge) in enumerate(window):
         for r in removable_rows(parts, charge, residue, n):
-            sub = parts[:r] + (parts[r] - 1,) + parts[r + 1:] if parts[r] > 1 else parts[:r]
-            passes.setdefault(r, []).append((k, position[sub, charge]))
+            passes.setdefault(r, []).append((k, position[without_corner(parts, r), charge]))
     return passes
 
 

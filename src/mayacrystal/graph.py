@@ -139,22 +139,17 @@ def check_words(graph):
     end at it.  And one per edge (a, i) -> b whose target b stores other
     statistics than f_i of a's word, when a's word gives a's own.  An
     explored graph takes all of these from its words, so this only bites
-    on graph files.  Every word is applied from one root through one memo,
-    so words of one rotation orbit, prefixes included, share their
-    representative (see ``CrystalDatum.apply``)."""
+    on graph files.  Every word is applied from one root through one memo
+    by ``CrystalDatum.apply_word``, so words of one rotation orbit,
+    prefixes included, share their representative (see
+    ``CrystalDatum.apply``)."""
     root, memo = CrystalDatum(CartanData(graph.n)), {}
-
-    def datum(word):
-        d = root
-        for i in word:
-            d = d.apply(i, memo)
-        return d
-
     sources = [node.id for node in graph.nodes if not any(node.weight)]
     violations = []
     wrong = set()  # nodes whose words give other statistics
     for node in graph.nodes:
-        stored, derived = (node.weight, node.eps, node.phi), datum(node.word).statistics()
+        stored = node.weight, node.eps, node.phi
+        derived = root.apply_word(node.word, memo).statistics()
         if derived != stored:
             violations.append("word: node %d: stored (weight, eps, phi) %r, its word gives %r"
                               % (node.id, stored, derived))
@@ -171,7 +166,7 @@ def check_words(graph):
             continue
         b = graph.nodes[dst]
         stored = b.weight, b.eps, b.phi
-        derived = datum(graph.nodes[src].word + (i,)).statistics()
+        derived = root.apply_word(graph.nodes[src].word + (i,), memo).statistics()
         if derived != stored:
             violations.append("edge target: %d -%d-> %d: node %d stores (weight, eps, phi) %r, "
                               "f_%d of node %d's word gives %r"
@@ -245,12 +240,9 @@ def check_axioms(graph):
 
 
 def weight_census(graph):
-    """Count nodes per positive root-lattice element beta (weight = -beta)."""
-    census = {}
-    for node in graph.nodes:
-        beta = tuple(-w for w in node.weight)
-        census[beta] = census.get(beta, 0) + 1
-    return census
+    """Count nodes per positive root-lattice element beta (weight = -beta),
+    as a ``Counter``: a beta that no node reaches counts 0."""
+    return Counter(tuple(-w for w in node.weight) for node in graph.nodes)
 
 
 def positive_roots(n, max_height):

@@ -17,13 +17,14 @@ carrying the slot label
 pinned so that the standard 12-box example diagram produces the label
 multiset {2,1,0,0,-1,-1,-1,-2,-2,-3,-4,-5}.
 
-``Interval``, ``ChargedPartition`` and ``BoxRef`` are plain ``__slots__``
-classes, not dataclasses: importing ``dataclasses`` loads ``inspect`` and
-``ast``, and each decorator compiles its methods, a start-up cost that
-every command would pay.  One base, ``_Record``, defines equality, hashing
-and repr for these and for ``graph``'s records from the field names each
-class declares: a record equals only a record of its own class with equal
-fields, and shows its fields in its repr as a dataclass would.  Its
+``Interval``, ``MayaDiagram``, ``ChargedPartition`` and ``BoxRef`` are
+plain ``__slots__`` classes, not dataclasses: importing ``dataclasses``
+loads ``inspect`` and ``ast``, and each decorator compiles its methods, a
+start-up cost that every command would pay.  One base, ``_Record``,
+defines equality, hashing and repr for these and for ``graph``'s records
+from the field names each class declares: a record equals only a record
+of its own class with equal fields, and shows its fields in its repr as a
+dataclass would (``MayaDiagram`` keeps a shorter repr of its own).  Its
 subclass ``_Frozen`` makes a record immutable and hashable over its fields.
 """
 
@@ -98,22 +99,13 @@ class MayaDiagram(_Frozen):
     kind's charge-zero vacuum.  Immutable and hashable.
     """
 
-    __slots__ = ("kind", "diffs", "_hash")
+    __slots__ = _names = ("kind", "diffs")
 
     def __init__(self, kind, diffs=frozenset()):
         if kind not in (LEFT_BLACK, RIGHT_BLACK):
             raise ValueError("unknown kind: %r" % (kind,))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "diffs", frozenset(diffs))
-        object.__setattr__(self, "_hash", hash((kind, self.diffs)))
-
-    def __eq__(self, other):
-        if not isinstance(other, MayaDiagram):
-            return NotImplemented
-        return self.kind == other.kind and self.diffs == other.diffs
-
-    def __hash__(self):
-        return self._hash
 
     def vacuum_color(self, label):
         if self.kind == LEFT_BLACK:
@@ -380,12 +372,7 @@ def removal_options(parts, charge, i, n):
     """
     options = [(parts, 0)]
     for r in removable_rows(parts, charge, i, n):
-        # only the last row can shrink to zero: every other corner row is
-        # longer than the row below it
-        options += [
-            (sub[:r] + (sub[r] - 1,) + sub[r + 1:] if sub[r] > 1 else sub[:r], count + 1)
-            for sub, count in options
-        ]
+        options += [(without_corner(sub, r), count + 1) for sub, count in options]
     return options
 
 
@@ -397,9 +384,17 @@ def corner_removals(parts, charge):
     last = len(parts) - 1
     for r, length in enumerate(parts):
         if r == last or length > parts[r + 1]:
-            # only the last row can shrink to zero
-            sub = parts[:r] + (length - 1,) + parts[r + 1:] if length > 1 else parts[:r]
-            yield offset + length - r - 1, sub
+            yield offset + length - r - 1, without_corner(parts, r)
+
+
+def without_corner(parts, r):
+    """The raw parts without the box that ends row r, counted from 0 top
+    first, which must be a corner.  Only the last row can shrink to zero:
+    every other corner row is longer than the row below it.  The one rule
+    of single-box removal, which :func:`removal_options`,
+    :func:`corner_removals` and ``fock``'s row passes share."""
+    length = parts[r]
+    return parts[:r] + (length - 1,) + parts[r + 1:] if length > 1 else parts[:r]
 
 
 def addition_options(parts, charge, i, n):

@@ -44,13 +44,9 @@ def generic_element(datum):
     x_i(p), p = t^exponent at a = 1, as the (residue, exponent) pairs that
     ``minus_rows`` takes, oldest (first letter) first.  The j-th factor's
     t-exponent phi_j - 1 is the recursion's own coefficient ``coeff`` of
-    the length-j prefix, its parent's c_coeff at letter j."""
-    factors = []
-    node = datum
-    while node.parent is not None:
-        factors.append((node.letter, node.coeff))
-        node = node.parent
-    return tuple(reversed(factors))
+    the length-j prefix, its parent's c_coeff at letter j: the datum's
+    ``factors``, which ``CrystalDatum.table`` fills along too."""
+    return datum.factors()
 
 
 def _act(factors, v):

@@ -221,6 +221,19 @@ class TestVerify:
                 "violation: axiom iv: node 617 has multiple f_2-predecessors [310, 362]",
                 "verify: FAIL (9 problems)",
             ]),
+            # the largest measured n = 3 minimum: 8 boxes at depth 8
+            (3, 8, 7, [
+                "  (2, 3, 3): 71 72 MISMATCH",
+                "  (3, 2, 3): 71 72 MISMATCH",
+                "  (3, 3, 2): 71 72 MISMATCH",
+                "violation: axiom iv: node 916 has multiple f_1-predecessors [465, 488]",
+                "violation: axiom iv: node 916 has multiple f_2-predecessors [469, 490]",
+                "violation: axiom iv: node 1100 has multiple f_0-predecessors [564, 610]",
+                "violation: axiom iv: node 1100 has multiple f_2-predecessors [566, 615]",
+                "violation: axiom iv: node 1289 has multiple f_0-predecessors [673, 708]",
+                "violation: axiom iv: node 1289 has multiple f_1-predecessors [668, 723]",
+                "verify: FAIL (9 problems)",
+            ]),
         ],
     )
     def test_too_small_window_fails(self, capsys, n, depth, max_boxes, failing):
@@ -234,7 +247,8 @@ class TestVerify:
         assert [line for line in lines[1:] if not line.endswith(" ok")] == failing
         code, out, _ = run(capsys, *argv, "--max-boxes", str(max_boxes + 1))
         assert code == EXIT_OK
-        assert out.endswith("verify: PASS (%d nodes)\n" % {2: 257, 3: 754}[n])
+        nodes = {(2, 8): 257, (3, 7): 754, (3, 8): 1447}[n, depth]
+        assert out.endswith("verify: PASS (%d nodes)\n" % nodes)
 
     def test_corrupted_graph_file(self, capsys, tmp_path):
         path = tmp_path / "graph.json"
@@ -604,6 +618,17 @@ class TestUsage:
             main(list(argv))
         assert exc.value.code == EXIT_USAGE
         assert flag in capsys.readouterr().err
+
+    def test_program_fault_is_not_bad_input(self, capsys, monkeypatch):
+        # exit 2 is for usage and input errors: a KeyError inside a command,
+        # here a removal index entry whose diagram is not in the window,
+        # is the program's fault and propagates, not "error:" and exit 2
+        monkeypatch.setattr(datum, "corner_removals", lambda parts, charge: [(0, parts + (1,))])
+        datum._removal_index.cache_clear()
+        with pytest.raises(KeyError):
+            main(["verify", "--rank", "2", "--depth", "2"])
+        datum._removal_index.cache_clear()
+        assert capsys.readouterr().err == ""
 
     def test_no_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

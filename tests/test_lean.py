@@ -1,11 +1,13 @@
 """``src/`` keeps only what a command runs or the bench tracer names.
 
 Every command form runs in this process under a profile hook.  Each
-module-level function of ``mayacrystal`` must then have been called, or be
-named in ``bench/layertrace.py``'s ``TRACED`` (loaded by
-``reference.load_layertrace``), or be one of the helpers of traced names in
-``HELPERS``.  Code that only the tests use belongs in ``tests/reference.py``.
-Functions are matched by file and ``co_name``, which Python 3.10 has.
+module-level function and each method of ``mayacrystal`` must then have
+been called, or be named in ``bench/layertrace.py``'s ``TRACED`` (loaded by
+``reference.load_layertrace``), or be a helper of traced names in
+``HELPERS``, or a method that the tests' reference needs in
+``REFERENCE_METHODS``.  Code that only the tests use belongs in
+``tests/reference.py``.  Definitions are matched by file and first line
+number: Python 3.10 has no ``co_qualname`` to tell methods apart by name.
 """
 
 import importlib
@@ -24,6 +26,38 @@ HELPERS = {
     ("laurent", "_merge_monomials"),  # MultiPoly.__mul__
     ("maya", "term_key"),  # CrystalDatum.theta
     ("oracle", "_act"),  # d_gamma
+}
+
+#: Methods that no command runs and no traced name is, which the tests and
+#: their reference need: what moves to ``tests/reference.py`` with them.
+REFERENCE_METHODS = {
+    # "an explored graph equals its reloaded export", and record reprs
+    ("maya", "_Record._fields"), ("maya", "_Record.__eq__"), ("maya", "_Record.__repr__"),
+    # the frozen records' hashing and immutability
+    ("maya", "_Frozen.__hash__"), ("maya", "_Frozen.__setattr__"),
+    ("maya", "_Frozen.__delattr__"),
+    # invert_outside's interval; removable_boxes' and addable_boxes' boxes
+    ("maya", "Interval.__init__"), ("maya", "Interval.__contains__"), ("maya", "BoxRef.__init__"),
+    # from_partition and to_json build and read colors; the tests read charges
+    ("maya", "MayaDiagram.from_colors"), ("maya", "MayaDiagram.color"),
+    ("maya", "MayaDiagram.charge"),
+    # the Fock vectors of d_gamma and of the tests' plus side and operators
+    ("fock", "FockVector.__init__"), ("fock", "FockVector.basis"), ("fock", "FockVector.__bool__"),
+    ("fock", "FockVector.__eq__"),
+    # x_act's coefficients in the tests: Laurent polynomials over the
+    # integers and over MultiPoly, the generic-point reference ring
+    ("laurent", "LaurentPoly.__init__"), ("laurent", "LaurentPoly.zero"),
+    ("laurent", "LaurentPoly.term"), ("laurent", "LaurentPoly.one"),
+    ("laurent", "LaurentPoly.__bool__"), ("laurent", "LaurentPoly.__eq__"),
+    ("laurent", "LaurentPoly.__neg__"), ("laurent", "LaurentPoly.__sub__"),
+    ("laurent", "MultiPoly.__init__"), ("laurent", "MultiPoly.const"),
+    ("laurent", "MultiPoly.variable"), ("laurent", "MultiPoly._coerce"),
+    ("laurent", "MultiPoly.__bool__"), ("laurent", "MultiPoly.__eq__"),
+    ("laurent", "MultiPoly.__add__"), ("laurent", "MultiPoly.__neg__"),
+    ("laurent", "MultiPoly.__sub__"),
+    # pytest prints these when an equality assertion on such values fails
+    ("maya", "MayaDiagram.__repr__"), ("fock", "FockVector.__repr__"),
+    ("laurent", "LaurentPoly.__repr__"), ("laurent", "MultiPoly.__repr__"),
 }
 
 
@@ -48,20 +82,30 @@ def command_forms(tmp_path):
     ]
 
 
-def module_functions():
-    """(file, co_name) -> (module, name) for every module-level function,
-    an ``lru_cache``'s emptied so that its function runs again."""
-    functions = {}
+def definitions():
+    """(file, first line) -> (module, name) for every function of
+    ``mayacrystal``: each module-level one by its name, and each method of a
+    class defined there as ``Class.method``, a property by its getter and a
+    class method by its function; an alias such as ``__radd__ = __add__``
+    keeps its first name.  An ``lru_cache``'s is emptied so that its
+    function runs again."""
+    found = {}
     for info in pkgutil.iter_modules(mayacrystal.__path__):
         module = importlib.import_module("mayacrystal." + info.name)
         for name, value in vars(module).items():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-            function = inspect.unwrap(value) if callable(value) else value
-            if inspect.isfunction(function) and function.__module__ == module.__name__:
-                code = function.__code__
-                functions[code.co_filename, code.co_name] = (info.name, name)
-    return functions
+            members = [(name, value)]
+            if inspect.isclass(value) and value.__module__ == module.__name__:
+                members = [("%s.%s" % (name, attr), member) for attr, member in vars(value).items()]
+            for qualified, member in members:
+                member = getattr(member, "fget", None) or getattr(member, "__func__", member)
+                function = inspect.unwrap(member) if callable(member) else member
+                if inspect.isfunction(function) and function.__module__ == module.__name__:
+                    code = function.__code__
+                    found.setdefault((code.co_filename, code.co_firstlineno),
+                                     (info.name, qualified))
+    return found
 
 
 def traced_names():
@@ -70,12 +114,12 @@ def traced_names():
 
 
 def test_every_function_is_run_or_traced(tmp_path, capsys):
-    functions = module_functions()
+    found = definitions()
     called = set()
 
     def profile(frame, event, arg):
         if event == "call":
-            called.add((frame.f_code.co_filename, frame.f_code.co_name))
+            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -85,10 +129,10 @@ def test_every_function_is_run_or_traced(tmp_path, capsys):
         sys.setprofile(previous)
     capsys.readouterr()
     assert codes == [EXIT_OK] * len(codes)
-    assert HELPERS <= set(functions.values())
-    allowed = traced_names() | HELPERS
+    assert HELPERS | REFERENCE_METHODS <= set(found.values())
+    allowed = traced_names() | HELPERS | REFERENCE_METHODS
     idle = sorted(
-        "%s.%s" % key for where, key in functions.items()
+        "%s.%s" % key for where, key in found.items()
         if where not in called and key not in allowed
     )
     assert idle == []
