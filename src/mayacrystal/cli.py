@@ -119,7 +119,7 @@ def cmd_verify(args):
     violations += graphmod.check_axioms(graph)
     census = graphmod.weight_census(graph)
     points = graphmod.lattice_points(n, graph.depth)
-    counts = graphmod.kostant(CartanData(n), points)
+    counts = graphmod.kostant(n, points)
     print("weight census (beta: nodes expected):")
     failures = list(violations)
     for beta in points:
@@ -146,8 +146,8 @@ def cmd_oracle_check(args):
 
 
 def cmd_kostant(args):
-    cartan, beta = CartanData(args.rank), _parse_word(args.beta)
-    print(graphmod.kostant(cartan, graphmod.box(cartan, beta))[beta])
+    beta = _parse_word(args.beta)
+    print(graphmod.kostant(args.rank, graphmod.box(args.rank, beta))[beta])
     return EXIT_OK
 
 

@@ -8,14 +8,10 @@ through the min-recursion
     (f_i M)(g) = min over mu in removal_options(g, i) of
                  M(mu) + |g \\ mu| * c_i(M),      c_i(M) = M(L_i) - M(sL_i) - 1
 
-where L_i / sL_i are the fundamental right-black diagrams.  A datum fixes
-its coefficient c_i(parent) once, when it is built.  Every crystal
-statistic is read from the 2n values theta(L_i), theta(sL_i), i mod n: the
-weight is (theta(L_i))_i, eps_i = -theta(L_i) - theta(sL_i) + theta(L_{i-1})
-+ theta(L_{i+1}), and phi_i = c_i + 1.  The color inversion of L_i is the
-empty partition at charge 1 - i and that of sL_i is one box at the same
-charge, so these values are theta's memo entries at those closed-form keys
-and no statistic builds a Maya diagram.
+where L_i / sL_i are the fundamental right-black diagrams.  Every crystal
+statistic is read from the 2n values theta(L_i), theta(sL_i), i mod n (see
+``CrystalDatum.statistics``).  All values are n-periodic: evaluation
+happens on sigma-orbit canonical representatives (charge reduced mod n).
 
 theta, the extension to a right-black tau, is the same recursion on the
 plus side: it runs on the partition of tau's color inversion (its Fock key,
@@ -28,72 +24,14 @@ outside it both are the left-black vacuum, so a removable residue-i box of
 the wide diagram's partition is an addable residue-i box of the small one
 at the same slot label.  Each letter moves each end of a color run by at
 most one slot, so an l-letter recursion never reaches the interval's ends,
-and the two recursion trees are isomorphic.  All values are n-periodic:
-evaluation happens on sigma-orbit canonical representatives (charge reduced
-mod n).
+and the two recursion trees are isomorphic.
 
-Two paths compute values.  Over the window canonical_diagrams(n, max_boxes)
-(charges 0..n-1, at most max_boxes boxes), ``table`` fills a datum's whole
-value table letter by letter along its word from the root's all-zero
-table.  The window lists one list of partitions at each charge, its n
-charge blocks, and removing a box keeps the charge, so the blocks fill
-independently.  A charge only shifts slot labels: a box's label drops by
-one as the charge rises, so the residue-i boxes at charge c are those
-whose label at charge 0 is i + c mod n.  One single-box removal index of a
-block, built once per window from each partition's corners at charge 0,
-therefore serves every charge: block c of f_i reads entry (i + c) mod n.
-Removing a residue-i box never creates or blocks another
-residue-i box, so the min over subsets is a chain of single removals, each
-read from an entry already filled; a block is closed under box removal,
-so every term is an entry of it.  A datum caches no table: ``fingerprint``
-fills it block by block from the bytes blocks of its parent's
-fingerprint (the root's are zero), which keep each value as a native
-signed 16-bit number, so graph exploration, which keeps each node's
-fingerprint, holds each table once at two bytes an entry.  A block's fill
-reads only the parent's block, the index entry and the child's
-coefficient, so it is a pure function of that key: a memo of filled
-blocks keyed by it, shared by one exploration level, returns exactly what
-the fill would, and equal blocks share one bytes object.  The Dynkin
-rotation i -> i + 1 maps a level onto itself and a word's block c + 1 to
-its rotated word's block c, so a level's keys come at least n at a
-time, and a fingerprinted child costs at most one block fill on average,
-not n.  Exploration builds no table for a child of its last level whose
-statistics no other child there shares (see ``graph.explore``).
-``oracle.compare`` checks the table against the Fock rows over the same
-window, so ``oracle-check`` tests the values ``verify`` dedups on.
-``value_at`` and ``theta`` run the recursion diagram by diagram, one
-Python frame per letter, listing each diagram's subsets with
-``maya.removal_options`` or ``maya.addition_options`` and memoising
-values per representative datum only (see below).  ``value_at`` serves
-``eval``; ``theta`` serves the crystal statistics.
-
-The recursion has two shortcuts.  First, below the root it is closed:
-O is 0 everywhere, so c_i(O) = 0 - 0 - 1 = -1 and (f_i O)(g) is the min
-over subsets S of the movable residue-i boxes of -|S|, that is -m for m
-the number of such boxes (removable ones for ``value_at``, addable ones
-for ``theta``).  A depth-1 datum counts them with ``maya.removable_rows``
-or ``maya.addable_rows``, the corner rules that the subset enumerators
-list from, and keeps no memo, so the root is never called.  Second, one
-datum serves each Dynkin rotation orbit of words.  Rotating every letter
-by k shifts every residue-i box set to the residue-(i + k) one at the
-same charge, and a residue-(i + k) box at charge c is a residue-i box at
-charge c + k, since a box's label drops by one as the charge rises; so
-V_{w+k}(parts, c) = V_w(parts, (c + k) mod n) for every word w, and the
-same holds for theta.  Every nonempty word's orbit has n words, exactly
-one of which starts with 0.  ``apply`` builds only those
-representatives, keeps them in a level memo that its caller passes,
-keyed by (parent representative, letter), and hands out any other word
-as its representative's view under the shift k, whose ``word``,
-``letter`` and ``parent`` are the rotated ones, whose ``coeff`` is the
-representative's, and whose recursion reads the representative's memo
-at charge c + k.  The n words of an orbit thus share one memo, and since
-a representative's word starts with 0 its parent is a representative
-too, so the recursion below it never shifts again.  No datum holds a
-child, so none is part of a reference cycle: each is freed with its last
-reference.  ``apply_word`` applies a whole word through one memo, for
-``datum_from_word`` and ``graph.check_words``.  ``factors`` walks the
-view's own chain of letters, oldest first, for ``table`` and
-``oracle.generic_element``.
+Two paths compute values.  ``value_at`` and ``theta`` run the recursion
+diagram by diagram (``CrystalDatum._recurse``); ``value_at`` serves
+``eval``, and the plus side the crystal statistics.  ``table`` and
+``fingerprint`` fill a datum's values over a whole window,
+canonical_diagrams(n, max_boxes), one charge block at a time along its
+word (``_removal_index`` and ``_fill``).
 """
 
 from __future__ import annotations
@@ -137,7 +75,8 @@ def _removal_index(n, max_boxes):
     canonical_diagrams(n, max_boxes).
 
     The window repeats one list of partitions at each charge; a block is
-    that list, and a position in it is a block position.  Entry r lists one
+    that list, and a position in it is a block position.  Removing a box
+    keeps the charge, so the blocks fill independently.  Entry r lists one
     pair (k, j) per removable box of block partition k whose slot label at
     charge 0 is r mod n, where j is the block partition left by deleting
     that box.  A box's label drops by one as the charge rises, so at charge
@@ -208,17 +147,27 @@ class CrystalDatum:
     values keyed by the subset enumerator (the minus or the plus side) and
     (parts, charge mod n), which the recursions of its descendants share;
     the 2n fundamental thetas that weight, eps_hat and c_coeff read are
-    entries of it.  :meth:`apply` keeps one representative per Dynkin
-    rotation orbit of words, in the memo its caller passes: the root or a
-    datum whose word starts with 0.  Any other datum it returns is that
-    representative rotated by a shift k, a view with no memo whose
+    entries of it.
+
+    One datum serves each Dynkin rotation orbit of words.  Rotating every
+    letter by k shifts every residue-i box set to the residue-(i + k) one
+    at the same charge, and a residue-(i + k) box at charge c is a
+    residue-i box at charge c + k, since a box's label drops by one as the
+    charge rises; so V_{w+k}(parts, c) = V_w(parts, (c + k) mod n) for
+    every word w, and the same holds for theta.  Every nonempty word's
+    orbit has n words, exactly one of which starts with 0.  :meth:`apply`
+    keeps one representative per orbit, in the memo its caller passes: the
+    root or a datum whose word starts with 0.  Any other datum it returns
+    is that representative rotated by a shift k, a view with no memo whose
     ``word``, ``letter`` and ``parent`` are the rotated ones and whose
-    recursion reads the representative's at the charge shifted by k (see
-    the module docstring).  ``coeff``, the parent's c_coeff at this datum's
-    letter, is fixed at construction and is the same along an orbit.  A
-    datum keeps no child and no value table: exploration holds each table
-    inside a node's fingerprint.  The constructor builds a representative
-    of any word, sharing nothing with other words.
+    recursion reads the representative's at the charge shifted by k.  A
+    representative's parent is a representative too, so the recursion
+    below it never shifts again.  ``coeff``, the parent's c_coeff at this
+    datum's letter, is fixed at construction and is the same along an
+    orbit.  A datum keeps no child, so none is part of a reference cycle,
+    and no value table: exploration holds each table in its level's dedup
+    keys.  The constructor builds a representative of any word, sharing
+    nothing with other words.
     """
 
     def __init__(self, cartan, parent=None, letter=None):
@@ -307,7 +256,10 @@ class CrystalDatum:
         for ``theta``.  ``charge`` is already reduced mod n.  A view reads
         its representative at the shifted charge.  Below the root, where
         every value is 0 and c_i(O) = -1, the min is minus the number of
-        boxes the side can move, counted without listing the subsets."""
+        boxes the side can move, counted by ``maya.removable_rows`` or
+        ``maya.addable_rows``, the corner rules that the subset
+        enumerators list from; a depth-1 datum keeps no memo, and the root
+        is never called."""
         rep = self._rep
         if rep is not None:
             return rep._recurse(options, parts, (charge + self._shift) % self.cartan.n)
@@ -354,7 +306,7 @@ class CrystalDatum:
     def theta(self, tau):
         """Value at a right-black diagram: the min-recursion on the partition
         of tau's color inversion, adding boxes where ``value_at`` removes
-        them (see the module docstring)."""
+        them (the module docstring gives why this is exact)."""
         if tau.kind != RIGHT_BLACK:
             raise ValueError("theta expects a right-black diagram")
         parts, charge = term_key(tau)
@@ -397,43 +349,45 @@ class CrystalDatum:
 
     # -- equality surrogate ---------------------------------------------------
 
-    def fingerprint(self, max_boxes, parent_fingerprint, memo, stats):
-        """The pair (``stats``, table blocks) over sigma-canonical diagrams
-        with at most max_boxes boxes; ``stats`` is this datum's
-        ``statistics()``, which the caller has at hand.
+    def fingerprint(self, max_boxes, parent_table, memo):
+        """This datum's value table over canonical_diagrams(n, max_boxes),
+        as n bytes blocks, one per charge in the window's order (charge,
+        then box count, then lexicographic parts), each value a native
+        signed 16-bit number; a value outside [-32768, 32767] raises
+        OverflowError and is never clipped.  ``graph.explore`` holds each
+        table once, inside its dedup keys, at two bytes an entry.
 
-        Fingerprints serve only to detect duplicates: two are equal exactly
-        when the statistics and table values are.  The statistics (weight,
-        eps, phi) are included because value tables over a bounded window
-        can coincide for elements that differ only on larger diagrams.  The
-        enumeration order is fixed (charge 0..n-1, then box count, then
-        lexicographic parts), and the table is kept as a tuple of n bytes
-        blocks, one per charge in that order, each value a native signed
-        16-bit number; a value outside [-32768, 32767] raises OverflowError
-        and is never clipped.  The root's blocks are all zero and it
-        ignores ``parent_fingerprint``; any other datum fills each block
-        from the block of its charge in ``parent_fingerprint``, its
-        parent's fingerprint over the same window (see ``_fill``).  A fill
-        is a function of (parent block, index entry, coeff) alone, so
-        ``memo``, a dict shared by the fingerprints of one level, keeps
-        each block filled under that key and hands it to every later fill
-        of the same key; a fill that raises stores nothing.
+        The root's blocks are all zero and it ignores ``parent_table``; any
+        other datum fills each block from the block of its charge in
+        ``parent_table``, its parent's table over the same window (see
+        ``_fill``).  A fill is a function of (parent block, index entry,
+        coeff) alone, so ``memo``, a dict shared by one exploration level,
+        keeps each block filled under that key, hands it to every later
+        fill of the same key, and makes equal blocks one bytes object; a
+        fill that raises stores nothing.  The Dynkin rotation maps a level
+        onto itself and a word's block c + 1 to its rotated word's block
+        c, so a level's keys come at least n at a time, and a child costs
+        at most one block fill on average, not n.
+
+        ``oracle-check`` checks :meth:`table`, which shares ``_fill`` and
+        ``_removal_index`` with this method but not the 16-bit encoding or
+        the level memo; ``tests/test_datum.py``'s
+        ``TestTable::test_fill_from_parent_fingerprint`` and
+        ``TestTable::test_level_memo_changes_no_fingerprint`` cover those.
         """
         n = self.cartan.n
         if self.parent is None:
-            blocks = (bytes(2 * (len(canonical_diagrams(n, max_boxes)) // n)),) * n
-        else:
-            index = _removal_index(n, max_boxes)
-            blocks = []
-            for charge, parent_block in enumerate(parent_fingerprint[1]):
-                residue = (self.letter + charge) % n
-                key = parent_block, residue, self.coeff
-                block = memo.get(key)
-                if block is None:
-                    block = _encode(_fill(_decode(parent_block), index[residue], self.coeff))
-                    memo[key] = block
-                blocks.append(block)
-        return stats, tuple(blocks)
+            return (bytes(2 * (len(canonical_diagrams(n, max_boxes)) // n)),) * n
+        index = _removal_index(n, max_boxes)
+        blocks = []
+        for charge, parent_block in enumerate(parent_table):
+            residue = (self.letter + charge) % n
+            key = parent_block, residue, self.coeff
+            block = memo.get(key)
+            if block is None:
+                block = memo[key] = _encode(_fill(_decode(parent_block), index[residue], self.coeff))
+            blocks.append(block)
+        return tuple(blocks)
 
     def value_table(self, max_boxes):
         """JSON-friendly list of {"diagram": ..., "value": k} rows."""

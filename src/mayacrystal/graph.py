@@ -1,43 +1,19 @@
 """Crystal graph exploration, axiom checking, and the Kostant census oracle.
 
-The graph is grown breadth-first from the zero datum; elements are
-deduplicated by their value-table fingerprint over diagrams with at most
-``max_boxes`` boxes (default n*(depth+1), a heuristic that only the
-census and axiom iv check: too small a window merges distinct elements).
-A fingerprint begins with the (weight, eps, phi) that the node's row
-stores.  Each child above the last level is fingerprinted once, its table
-filled from the one inside its parent's fingerprint, where it is kept as
-n blocks of signed 16-bit bytes, one per charge.  Each level shares one
-memo of filled blocks among its fingerprints, keyed by (parent block,
-index entry, coefficient), on which a block's fill depends alone; the
-Dynkin rotation makes each key recur, so a level fills about one block
-per child instead of n (see the ``datum`` module docstring).  The memo
-also keeps the level's representatives, one per rotation orbit, keyed by
-(parent representative, letter), and is freed with its level, so a child
-that dedups away is freed with its value memo.  The last level grows no
-children, so its tables only separate its own children: a child there
-whose statistics no other child of the level shares gets the fingerprint
-(statistics, None), with no table, and the others are fingerprinted as
-above.  Equal fingerprints need equal statistics, so the merges are those
-of fingerprinting every child.  Fingerprints only detect duplicates; nodes are numbered in
-discovery order (see ``explore``), so the root is node 0 and a window that
-merges the same elements numbers them the same.  Duplicates are looked up
-only within a BFS level: a node k steps from the root has height k, so equal
-fingerprints, which lead with equal weights, lie on the same level.  A datum
-and its fingerprint live only in their level's dedup dict, which grows the
-next level and is freed once that level is fingerprinted.  Each child's
-statistics are computed once and serve both the last level's count and
-its fingerprint.  A graph and its nodes are plain records, the fields
-and rows of its JSON export, so an explored graph
-equals what ``load_json`` rebuilds from that export.  They are
-``__slots__`` classes, not dataclasses: importing ``dataclasses`` would add
-``inspect`` and ``ast`` to every command's start-up.  ``maya._Record``,
-the one base of every record, gives them equality, repr and no hash from
-the fields each declares.  Raising operators exist only as edge
-inversions, which ``check_axioms`` reads off the edges.
-The independent oracle counts multiset decompositions of a positive
-root-lattice element into positive roots of untwisted affine type A, with
-imaginary roots m*delta carrying multiplicity n - 1.
+The graph is grown breadth-first from the zero datum, merging children whose
+statistics and value tables over diagrams with at most ``max_boxes`` boxes
+agree (see ``explore``).  The window defaults to n*(depth+1), a heuristic
+that only the census and axiom iv check: too small a window merges distinct
+elements.  A graph and its nodes are plain records, the fields and rows of
+its JSON export, so an explored graph equals what ``load_json`` rebuilds
+from that export.  They are ``__slots__`` classes, not dataclasses:
+importing ``dataclasses`` would add ``inspect`` and ``ast`` to every
+command's start-up.  ``maya._Record``, the one base of every record, gives
+them equality, repr and no hash from the fields each declares.  Raising
+operators exist only as edge inversions, which ``check_axioms`` reads off
+the edges.  The independent oracle counts multiset decompositions of a
+positive root-lattice element into positive roots of untwisted affine type
+A, with imaginary roots m*delta carrying multiplicity n - 1.
 """
 
 from __future__ import annotations
@@ -84,38 +60,54 @@ def default_max_boxes(n, depth):
 
 
 def explore(cartan, depth, max_boxes=None):
-    """All crystal elements reachable by at most ``depth`` lowering steps,
-    numbered in discovery order: level by level, each level's parents in
-    order and their children by residue, so the root is node 0 and the
-    stored words, each the first to reach its node, ascend in shortlex
-    order.  Each f_i lowers the weight by a simple root, so a fingerprint is
-    looked up only among its own level's."""
+    """All crystal elements reachable by at most ``depth`` lowering steps.
+
+    Two children are one element when their dedup keys (stats, table) are
+    equal: stats is the (weight, eps, phi) that the node's row stores,
+    computed once per child, and table is the child's value table over the
+    window (``CrystalDatum.fingerprint``), filled from its parent's.  The
+    statistics are in the key because tables over a bounded window can
+    coincide for elements that differ only on larger diagrams.  Each f_i
+    lowers the weight by a simple root, so a node k steps from the root
+    has height k, and a key, which leads with the weight, is looked up only
+    among its own level's.  A level's keys and data are freed once the next
+    level is keyed, with the level's memo of filled blocks and child
+    representatives (see ``CrystalDatum.fingerprint`` and ``apply``), so a
+    child that dedups away is freed with its value memo.
+
+    The last level grows no children, so its tables only have to tell
+    apart its own children: a child there whose statistics no other child
+    of the level shares is keyed (stats, None), with no table.  Equal keys
+    need equal statistics, so the merges are those of keying every child
+    by its table.
+
+    Nodes are numbered in discovery order: level by level, each level's
+    parents in order and their children by residue, so the root is node 0,
+    the stored words, each the first to reach its node, ascend in shortlex
+    order, and a window that merges the same elements numbers them the
+    same."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     n = cartan.n
     if max_boxes is None:
         max_boxes = default_max_boxes(n, depth)
     nodes, edges = [], {}
-    # (edge that reaches the datum or None, datum, its parent's fingerprint)
+    # (edge that reaches the datum or None, datum, its parent's table)
     candidates = [(None, CrystalDatum(cartan), None)]
     memo = {}  # the level's child representatives and filled blocks
     for height in range(depth + 1):
-        # each child's (weight, eps, phi), computed once for its node row,
-        # the last level's count and its fingerprint
-        candidates = ((edge, datum, datum.statistics(), fp) for edge, datum, fp in candidates)
+        candidates = ((edge, datum, datum.statistics(), table) for edge, datum, table in candidates)
         last = height == depth
         if last:
-            # the last level grows no children, so a table only has to tell
-            # apart the children whose statistics another child shares
             candidates = list(candidates)
             shared = Counter(stats for _, _, stats, _ in candidates)
-        level = {}  # fingerprint -> (number, datum) of the level's elements
-        for edge, datum, stats, parent_fingerprint in candidates:
+        level = {}  # (stats, table) -> (number, datum) of the level's elements
+        for edge, datum, stats, parent_table in candidates:
             if last and shared[stats] == 1:
-                fp = stats, None
+                table = None
             else:
-                fp = datum.fingerprint(max_boxes, parent_fingerprint, memo, stats)
-            target, _ = level.setdefault(fp, (len(nodes), datum))
+                table = datum.fingerprint(max_boxes, parent_table, memo)
+            target, _ = level.setdefault((stats, table), (len(nodes), datum))
             if target == len(nodes):
                 nodes.append(Node(target, datum.word, *stats))
             if edge is not None:
@@ -127,9 +119,9 @@ def explore(cartan, depth, max_boxes=None):
 
 def _next_level(level, n, memo):
     """``explore``'s candidates for the children of ``level``, built through ``memo``."""
-    for fp, (k, datum) in level.items():
+    for (_, table), (k, datum) in level.items():
         for i in range(n):
-            yield (k, i), datum.apply(i, memo), fp
+            yield (k, i), datum.apply(i, memo), table
 
 
 def check_words(graph):
@@ -260,7 +252,7 @@ def positive_roots(n, max_height):
     return sorted(roots)
 
 
-def kostant(cartan, points):
+def kostant(n, points):
     """The Kostant partition function on a list of points: a dict from
     each point to its number of decompositions into positive roots.
 
@@ -270,8 +262,8 @@ def kostant(cartan, points):
     that root again, and a point minus a root is either in the list or has
     a negative coordinate."""
     ways = dict.fromkeys(points, 0)
-    ways[(0,) * cartan.n] = 1
-    for root in positive_roots(cartan.n, max(map(sum, ways))):
+    ways[(0,) * n] = 1
+    for root in positive_roots(n, max(map(sum, ways))):
         for v in points:
             prev = ways.get(tuple(a - b for a, b in zip(v, root)))
             if prev:
@@ -279,12 +271,12 @@ def kostant(cartan, points):
     return ways
 
 
-def box(cartan, beta):
+def box(n, beta):
     """The points of the box [0, beta] in lexicographic order, which lists
     each after every point below it.  ValueError unless beta is a
     nonnegative vector of length n."""
     beta = tuple(beta)
-    if len(beta) != cartan.n or any(b < 0 for b in beta):
+    if len(beta) != n or any(b < 0 for b in beta):
         raise ValueError("beta must be a nonnegative vector of length n")
     return list(itertools.product(*(range(b + 1) for b in beta)))
 
@@ -327,16 +319,15 @@ def export(graph, fmt):
     raise ValueError("unsupported format: %r" % (fmt,))
 
 
-def load_json(data):
-    """Rebuild a graph from its JSON export, as bytes or parsed (statistics as
-    stored; see ``check_words``).
+def load_json(payload):
+    """Rebuild a graph from its parsed JSON export (statistics as stored; see
+    ``check_words``).
     ValueError unless n, depth, node ids and words, the n-entry statistics and
     the edges' from, i and to are all integers; max_boxes is a nonnegative
     integer; the node ids are 0..N-1, each once; every word letter is in
     0..n-1; every edge joins two nodes, has a residue in 0..n-1 and is the only edge of its (from, i); and depth
     is the longest word's length, as in every export, since f_0^k of the
     source lies on level k."""
-    payload = json.loads(data) if isinstance(data, bytes) else data
     shaped = isinstance(payload, dict) and all(
         isinstance(payload.get(key), list) and all(isinstance(row, dict) for row in payload[key])
         for key in ("nodes", "edges")

@@ -17,8 +17,9 @@ adds, so over indeterminates a_j every coefficient lies in N[a][t, t^-1].
 Such a polynomial, and each of its t-coefficients, is nonzero exactly when
 its value at a = 1 is, so the valuations are those at a = 1.
 
-``compare``, behind ``oracle-check``, sets the value table that ``verify``
-fingerprints (``CrystalDatum.table``) against ``vec_val`` of the rows that
+``compare``, behind ``oracle-check``, sets the value table
+(``CrystalDatum.table``; see ``CrystalDatum.fingerprint`` for what it shares
+with ``verify``'s) against ``vec_val`` of the rows that
 ``fock.minus_rows`` fills in place over the same window, one pass per
 letter and box row.  The t-exponents are the datum's own coefficients, and
 by positivity val(<gamma| g_j) is the min over S of |S| e_j +

@@ -4,8 +4,9 @@ No command runs any of this.  It holds the per-box side of the Fock space
 (the Chevalley operators, the pairing, vector sums and scalings), the
 plus-side columns g |tau>, the brute-force Kostant count, the box-label
 readings of a charged partition, the removal index built diagram by
-diagram, datums that share no rotation orbit, a datum's fingerprint
-filled along its chain and an exploration that fingerprints every child,
+diagram, datums that share no rotation orbit, a datum's table blocks
+filled along its chain and an exploration that keys every child by its
+table,
 each checked against the ``src/`` code it shadows.  Fock vectors are
 keyed by ``(parts, charge)`` only, so Maya diagrams are converted here with
 ``term_key``.  It also loads the bench's
@@ -98,22 +99,22 @@ def unshared_from_word(cartan, word):
 
 
 def fingerprint_from_root(datum, max_boxes):
-    """``datum``'s fingerprint, as ``graph.explore`` makes it: each datum
+    """``datum``'s table blocks, as ``graph.explore`` makes them: each datum
     of its chain, from the root's zero blocks on, filled from its parent's
-    with one fresh memo and its own ``statistics()``."""
+    with one fresh memo."""
     chain = []
     while datum is not None:
         chain.append(datum)
         datum = datum.parent
-    fp, memo = None, {}
+    table, memo = None, {}
     for datum in reversed(chain):
-        fp = datum.fingerprint(max_boxes, fp, memo, datum.statistics())
-    return fp
+        table = datum.fingerprint(max_boxes, table, memo)
+    return table
 
 
 def explore_every_child(cartan, depth, max_boxes=None):
-    """``graph.explore`` with every child fingerprinted, on every level,
-    and no level memo: each fill runs on its own.  Each child is built
+    """``graph.explore`` with every child keyed by (statistics, table), on
+    every level, and no level memo: each fill runs on its own.  Each child is built
     through the constructor, so every word keeps its own datum and no
     rotation orbit is shared."""
     n = cartan.n
@@ -123,16 +124,17 @@ def explore_every_child(cartan, depth, max_boxes=None):
     candidates = [(None, CrystalDatum(cartan), None)]
     for _ in range(depth + 1):
         level = {}
-        for edge, datum, parent_fingerprint in candidates:
-            fp = datum.fingerprint(max_boxes, parent_fingerprint, {}, datum.statistics())
-            target, _ = level.setdefault(fp, (len(nodes), datum))
+        for edge, datum, parent_table in candidates:
+            stats = datum.statistics()
+            table = datum.fingerprint(max_boxes, parent_table, {})
+            target, _ = level.setdefault((stats, table), (len(nodes), datum))
             if target == len(nodes):
-                nodes.append(Node(target, datum.word, *fp[0]))
+                nodes.append(Node(target, datum.word, *stats))
             if edge is not None:
                 edges[edge] = target
         candidates = [
-            ((k, i), CrystalDatum(cartan, datum, i), fp)
-            for fp, (k, datum) in level.items()
+            ((k, i), CrystalDatum(cartan, datum, i), table)
+            for (_, table), (k, datum) in level.items()
             for i in range(n)
         ]
     return CrystalGraph(n, depth, max_boxes, nodes, edges)
@@ -227,13 +229,13 @@ def oracle_theta(datum, tau):
 # -- Kostant partition function ------------------------------------------------
 
 
-def kostant_brute(cartan, beta):
+def kostant_brute(n, beta):
     """Direct enumeration of root multisets summing to beta."""
     beta = tuple(beta)
     height = sum(beta)
     if height == 0:
         return 1
-    roots = positive_roots(cartan.n, height)
+    roots = positive_roots(n, height)
 
     def count(idx, remaining):
         if not any(remaining):

@@ -21,6 +21,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def identity_fill(block, pairs, coeff):
+    """A wrong ``datum._fill``: every child keeps its parent's values."""
+    return block
+
+
+def unchained_fill(block, pairs, coeff):
+    """A wrong ``datum._fill``: each entry reads only the parent's values,
+    so no single removal chains onto another."""
+    parent = list(block)
+    for k, j in pairs:
+        block[k] = min(block[k], parent[j] + coeff)
+    return block
+
+
 class TestStartup:
     def test_import_loads_no_dataclasses_or_fractions(self):
         # every command pays for what importing the CLI loads; dataclasses
@@ -250,6 +264,21 @@ class TestVerify:
         nodes = {(2, 8): 257, (3, 7): 754, (3, 8): 1447}[n, depth]
         assert out.endswith("verify: PASS (%d nodes)\n" % nodes)
 
+    def test_wrong_coefficient_fails(self, capsys, monkeypatch):
+        # a negative control: c_coeff off by one on datums of two letters
+        # or more gives wrong children and statistics, which verify catches
+        argv = ("verify", "--rank", "2", "--depth", "5")
+        assert run(capsys, *argv)[0] == EXIT_OK
+        c_coeff = datum.CrystalDatum.c_coeff
+
+        def off_by_one(self, i):
+            return c_coeff(self, i) + (len(self.word) >= 2)
+
+        monkeypatch.setattr(datum.CrystalDatum, "c_coeff", off_by_one)
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_FAIL
+        assert out.endswith("verify: FAIL (126 problems)\n")
+
     def test_corrupted_graph_file(self, capsys, tmp_path):
         path = tmp_path / "graph.json"
         path.write_text('{"nodes": "oops"')
@@ -434,8 +463,8 @@ class TestOracleCheck:
         assert "0..1" in err
 
     def test_compares_the_table(self, capsysbinary, monkeypatch):
-        # the recursive column is the value table verify fingerprints, not
-        # value_at's per-diagram recursion
+        # the recursive column is the value table, whose values verify
+        # dedups on, not value_at's per-diagram recursion
         def refuse(*args):
             raise AssertionError("oracle-check called value_at")
 
@@ -443,6 +472,19 @@ class TestOracleCheck:
         code = main(["oracle-check", "--rank", "2", "--word", "0,1,0", "--max-boxes", "6"])
         assert code == EXIT_OK
         assert capsysbinary.readouterr().out == (GOLDEN / "oracle-n2-w010-b6.json").read_bytes()
+
+    @pytest.mark.parametrize("fill, mismatched", [(identity_fill, 40), (unchained_fill, 4)])
+    def test_wrong_fill_fails(self, capsys, monkeypatch, fill, mismatched):
+        # a negative control: a wrongly filled table must fail the oracle
+        monkeypatch.setattr(datum, "_fill", fill)
+        code, out, _ = run(
+            capsys, "oracle-check", "--rank", "2", "--word", "0,1,0", "--max-boxes", "6"
+        )
+        assert code == EXIT_FAIL
+        report = json.loads(out)
+        assert report["pass"] is False
+        assert len(report["results"]) == 60
+        assert sum(not row["match"] for row in report["results"]) == mismatched
 
     def test_word_longer_than_the_recursion_limit(self, capsys):
         # the table fills along the word in a loop, so no word is too long

@@ -50,8 +50,8 @@ from reference import (
 
 
 def table_values(blocks):
-    """A fingerprint's table blocks decoded, charge 0 first: native signed
-    16-bit numbers."""
+    """A fingerprint's blocks decoded, charge 0 first: native signed 16-bit
+    numbers."""
     return memoryview(b"".join(blocks)).cast("h").tolist()
 
 
@@ -383,10 +383,10 @@ class TestFingerprint:
             (parts, charge): d.value_at(parts, charge)
             for parts, charge in canonical_diagrams(2, 6)
         }
-        stats, blocks = fingerprint_from_root(d, 6)
-        # the node's (weight, eps, phi) come first
+        blocks = fingerprint_from_root(d, 6)
+        # the statistics that lead the dedup key are the node's (weight, eps, phi)
         eps = tuple(d.eps_hat(i) for i in range(2))
-        assert stats == (d.weight(), eps, tuple(d.phi_hat(i) for i in range(2)))
+        assert d.statistics() == (d.weight(), eps, tuple(d.phi_hat(i) for i in range(2)))
         assert table_values(blocks) == [table[key] for key in canonical_diagrams(2, 6)]
 
     @given(
@@ -402,24 +402,16 @@ class TestFingerprint:
     )
     @settings(max_examples=60, deadline=None)
     def test_bytes_equal_as_value_tuples(self, case, permute):
-        # fingerprints only detect duplicates: two are equal exactly when
-        # the statistics followed by the table's ints are; a reversed word
-        # often gives the same element, which exercises equality.  Equal
-        # statistics with different tables are rare, so the table bytes
-        # are also compared on their own against the table's ints.
+        # two fingerprints are equal exactly when the tables' ints are; a
+        # reversed word often gives the same element, which exercises
+        # equality
         n, max_boxes, word_a, word_b = case
         if permute:
             word_b = list(reversed(word_a))
         cartan = CartanData(n)
         a, b = datum_from_word(cartan, word_a), datum_from_word(cartan, word_b)
-
-        def stats(d):
-            return d.weight() + tuple(d.eps_hat(i) for i in range(n))
-
         fp_a, fp_b = fingerprint_from_root(a, max_boxes), fingerprint_from_root(b, max_boxes)
-        table_a, table_b = a.table(max_boxes), b.table(max_boxes)
-        assert (fp_a == fp_b) == (stats(a) + table_a == stats(b) + table_b)
-        assert (fp_a[1] == fp_b[1]) == (table_a == table_b)
+        assert (fp_a == fp_b) == (a.table(max_boxes) == b.table(max_boxes))
 
     def test_out_of_range_value_raises(self):
         # a forged parent table at the bottom of the 16-bit range (n blocks,
@@ -432,18 +424,18 @@ class TestFingerprint:
         size = len(canonical_diagrams(2, 4)) // 2
         block = array("h", [-32768] * size).tobytes()
         root_fp = fingerprint_from_root(root, 4)
-        forged = (root_fp[0], (block,) * 2)
+        forged = (block,) * 2
         with pytest.raises(OverflowError, match="16-bit"):
-            d.fingerprint(4, forged, {}, d.statistics())
+            d.fingerprint(4, forged, {})
         # a sibling's blocks in a shared level memo change nothing, and
         # the failed fill is never cached, so it raises again
         memo = {}
         sibling = root.apply(1, {})
-        sibling_fp = sibling.fingerprint(4, root_fp, memo, sibling.statistics())
+        sibling_fp = sibling.fingerprint(4, root_fp, memo)
         filled = dict(memo)
         for _ in range(2):
             with pytest.raises(OverflowError, match="16-bit"):
-                d.fingerprint(4, forged, memo, d.statistics())
+                d.fingerprint(4, forged, memo)
             assert memo == filled
             assert (block, 0, -1) not in memo
         assert fingerprint_from_root(sibling, 4) == sibling_fp
@@ -505,7 +497,7 @@ class TestTable:
         # charge, then box count, then lexicographic parts
         assert list(window) == sorted(window, key=lambda e: (e[1], sum(e[0]), e[0]))
         d = datum_from_word(CartanData(n), (0, 1, 0))
-        blocks = fingerprint_from_root(d, 6)[1]
+        blocks = fingerprint_from_root(d, 6)
         # one native 16-bit bytes block per charge, in charge order
         assert len(blocks) == n
         assert all(len(block) == 2 * len(window) // n for block in blocks)
@@ -522,13 +514,13 @@ class TestTable:
     )
     @settings(max_examples=40, deadline=None)
     def test_fill_from_parent_fingerprint(self, case):
-        # exploration fills a child's 16-bit blocks from the ones inside its
-        # parent's fingerprint; they must hold ``table``'s values, the
+        # exploration fills a child's 16-bit blocks from its parent's
+        # fingerprint; they must hold ``table``'s values, the
         # unbounded ints that the oracle checks, filled from the root
         n, word, max_boxes = case
         d = datum_from_word(CartanData(n), word)
         parent_fp = fingerprint_from_root(d.parent, max_boxes)
-        blocks = d.fingerprint(max_boxes, parent_fp, {}, d.statistics())[1]
+        blocks = d.fingerprint(max_boxes, parent_fp, {})
         assert table_values(blocks) == list(d.table(max_boxes))
 
     @given(
@@ -573,10 +565,9 @@ class TestTable:
             for parent, parent_fp in level:
                 for i in range(n):
                     child = parent.apply(i, reps)
-                    stats = child.statistics()
-                    fp = child.fingerprint(max_boxes, parent_fp, memo, stats)
-                    assert fp == child.fingerprint(max_boxes, parent_fp, {}, stats)
-                    for c, (parent_block, block) in enumerate(zip(parent_fp[1], fp[1])):
+                    fp = child.fingerprint(max_boxes, parent_fp, memo)
+                    assert fp == child.fingerprint(max_boxes, parent_fp, {})
+                    for c, (parent_block, block) in enumerate(zip(parent_fp, fp)):
                         assert memo[parent_block, (i + c) % n, child.coeff] is block
                     children.append((child, fp))
             assert len(memo) < n * len(children)

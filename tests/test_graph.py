@@ -1,4 +1,5 @@
 import gc
+import json
 import weakref
 
 import pytest
@@ -58,11 +59,15 @@ class TestExplore:
         (2, 6, None), (2, 6, 16), (3, 5, None), (3, 5, 20), (4, 4, None), (4, 4, 22),
         # windows that merge distinct elements, and one box wider
         (2, 8, 8), (2, 8, 9), (3, 7, 5), (3, 7, 6),
+        # the smallest passing windows, where the statistics do most of
+        # the separating
+        (3, 6, 2), (4, 5, 2),
     ])
     def test_equals_fingerprinting_every_child(self, n, depth, window, monkeypatch):
-        # the last level skips the table of a child whose statistics no
-        # other child shares; equal fingerprints need equal statistics, so
-        # the merges and the numbering are those of fingerprinting them all
+        # the last level keys a child whose statistics no other child
+        # shares without a table; equal keys need equal statistics, so the
+        # merges and the numbering are those of keying every child by its
+        # table
         cartan = CartanData(n)
         expected = explore_every_child(cartan, depth, window)
         calls = []
@@ -142,7 +147,7 @@ class TestExplore:
 
     @pytest.mark.parametrize("n, depth", [(2, 6), (3, 5), (4, 4)])
     def test_statistics_once_per_child(self, n, depth, monkeypatch):
-        # the last level's count of shared statistics and the fingerprints
+        # the last level's count of shared statistics and the dedup keys
         # reuse one statistics() call per child
         seen = self.record_children(monkeypatch)
         g = explore(CartanData(n), depth)
@@ -296,54 +301,51 @@ class TestAxioms:
         assert check_axioms(broken)
 
 
-def kostant_at(cartan, beta):
+def kostant_at(n, beta):
     """The Kostant count of beta, from one dynamic program over [0, beta]."""
-    return kostant(cartan, box(cartan, beta))[tuple(beta)]
+    return kostant(n, box(n, beta))[tuple(beta)]
 
 
 class TestKostant:
     def test_height_zero(self):
-        assert kostant_at(CartanData(2), (0, 0)) == 1
+        assert kostant_at(2, (0, 0)) == 1
 
     def test_simple_roots(self):
-        c = CartanData(3)
         for beta in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            assert kostant_at(c, beta) == 1
+            assert kostant_at(3, beta) == 1
 
     def test_delta_n2(self):
         # alpha_0 + alpha_1 decomposes as the sum of the two real roots or
         # as one imaginary copy of delta (multiplicity n - 1 = 1): 2 ways
-        assert kostant_at(CartanData(2), (1, 1)) == 2
+        assert kostant_at(2, (1, 1)) == 2
 
     def test_delta_n3(self):
         # {a0,a1,a2}, {a0,a1+a2}, {a1,a0+a2}, {a2,a0+a1}, plus two
         # distinguishable imaginary copies of delta: 6 ways
-        assert kostant_at(CartanData(3), (1, 1, 1)) == 6
+        assert kostant_at(3, (1, 1, 1)) == 6
 
     def test_invalid_beta(self):
         with pytest.raises(ValueError):
-            box(CartanData(2), (1, -1))
+            box(2, (1, -1))
         with pytest.raises(ValueError):
-            box(CartanData(2), (1, 1, 1))
+            box(2, (1, 1, 1))
 
     def test_dp_matches_brute_force(self):
         for n in (2, 3):
-            c = CartanData(n)
             for beta in lattice_points(n, 5):
-                assert kostant_at(c, beta) == kostant_brute(c, beta)
+                assert kostant_at(n, beta) == kostant_brute(n, beta)
 
     @pytest.mark.parametrize("n, depth", [(2, 6), (3, 5), (4, 4), (5, 3)])
     def test_one_pass_over_lattice_points(self, n, depth):
         # verify's one dynamic program over every point it prints, which
         # lattice_points lists by height, gives each point's own box count
-        c = CartanData(n)
         points = lattice_points(n, depth)
-        counts = kostant(c, points)
+        counts = kostant(n, points)
         assert list(counts) == points
-        assert all(counts[beta] == kostant_at(c, beta) for beta in points)
+        assert all(counts[beta] == kostant_at(n, beta) for beta in points)
 
     def test_box_lists_each_point_after_those_below(self):
-        points = box(CartanData(3), (2, 0, 1))
+        points = box(3, (2, 0, 1))
         assert len(points) == len(set(points)) == 6
         for k, v in enumerate(points):
             assert all(points.index(u) < k for u in points if u != v and
@@ -381,7 +383,7 @@ class TestCensus:
     def census_matches_kostant(cartan, graph):
         census = weight_census(graph)
         points = lattice_points(cartan.n, graph.depth)
-        counts = kostant(cartan, points)
+        counts = kostant(cartan.n, points)
         return all(census.get(beta, 0) == counts[beta] for beta in points)
 
     def test_matches_kostant_n2(self):
@@ -404,21 +406,27 @@ class TestExport:
     def test_json_round_trip_bytes(self):
         g = explore(CartanData(2), 3)
         blob = export(g, "json")
-        g2 = load_json(blob)
+        g2 = load_json(json.loads(blob))
         assert export(g2, "json") == blob
+
+    def test_bytes_are_not_a_parsed_export(self):
+        # the CLI parses the file first; unparsed bytes are refused
+        blob = export(explore(CartanData(2), 3), "json")
+        with pytest.raises(ValueError, match="shape of a JSON export"):
+            load_json(blob)
 
     @pytest.mark.parametrize("n, depth", [(2, 5), (3, 4), (4, 3)])
     def test_load_json_rebuilds_explored_graph(self, n, depth):
         # an explored graph holds exactly the records its export stores
         g = explore(CartanData(n), depth)
-        g2 = load_json(export(g, "json"))
+        g2 = load_json(json.loads(export(g, "json")))
         assert g2.nodes == g.nodes
         assert g2.edges == g.edges
         assert (g2.n, g2.depth, g2.max_boxes) == (g.n, g.depth, g.max_boxes)
 
     @pytest.mark.parametrize("n, depth", [(2, 5), (3, 4), (4, 3)])
     def test_stored_words_give_stored_statistics(self, n, depth):
-        g = load_json(export(explore(CartanData(n), depth), "json"))
+        g = load_json(json.loads(export(explore(CartanData(n), depth), "json")))
         assert check_words(g) == []
         # a node given another node's word keeps its own statistics
         # while the word gives the other node's
@@ -434,7 +442,7 @@ class TestExport:
         # memo, so it builds each orbit representative once: the root and
         # the 0-led rotation of every prefix of a stored word or of an
         # edge's source word and residue
-        g = load_json(export(explore(CartanData(n), depth), "json"))
+        g = load_json(json.loads(export(explore(CartanData(n), depth), "json")))
         words = [node.word for node in g.nodes]
         words += [g.nodes[src].word + (i,) for src, i in g.edges]
         leads = {tuple((i - w[0]) % n for i in w[:k]) for w in words for k in range(1, len(w) + 1)}
@@ -453,7 +461,7 @@ class TestExport:
         # no datum holds a child, so with the cycle collector off every
         # representative and view that check_words builds is freed once it
         # returns
-        g = load_json(export(explore(CartanData(3), 4), "json"))
+        g = load_json(json.loads(export(explore(CartanData(3), 4), "json")))
         refs = []
         init, rotated = CrystalDatum.__init__, CrystalDatum._rotated
 
