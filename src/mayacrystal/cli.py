@@ -3,16 +3,33 @@
 Subcommands: explore, eval, verify, oracle-check, kostant.  Exit codes:
 0 success / verification passed, 1 verification failure, 2 usage or I/O
 error.  argparse checks every flag (rank at least 2, depth and max-boxes at
-least 0, the format's choices) and dispatches to the subcommand's ``cmd_*``
-function, so a bad flag exits 2 with argparse's usage message naming it;
-bad input content exits 2 with a one-line ``error:``.  Output is UTF-8,
-integers are decimal, and an infinite valuation prints as "inf".  Runs are
-deterministic: identical flags give byte-identical output.
+least 0, the format's choices, word and beta comma-separated integers) and
+dispatches to the subcommand's ``cmd_*`` function, so a bad flag exits 2
+with argparse's usage message naming it; bad input content exits 2 with a
+one-line ``error:``.  Output is UTF-8, integers are decimal, and an
+infinite valuation prints as "inf".  Runs are deterministic: identical
+flags give byte-identical output.
+
+Each command is one process, which pays for the interpreter's exit as well
+as its start-up: after the last output line, Python's shutdown runs cyclic
+garbage collections, each walking every object the collector tracks (about
+12,000 once this module is imported).  Importing this module registers
+``gc.freeze`` as an exit handler; exit handlers run before those
+collections, and the freeze moves every tracked object into the permanent
+generation, which they do not scan.  Nothing is lost: reference counting
+still frees every object, output is flushed and ``--output`` files are
+closed before the process exits, Python does not promise to finalize cyclic
+garbage at shutdown, and a caller of ``main`` in its own process sees no
+change until that process exits.  A trivial ``oracle-check --rank 2 --word
+0 --max-boxes 1`` took a median 18.8 ms from import to exit without the
+freeze and 8.3 ms with it (shared 2-core VM, Python 3.11.7).
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 
@@ -25,6 +42,8 @@ from .maya import from_partition  # noqa: F401  bench/test_bench.py's by-name im
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+atexit.register(gc.freeze)  # the shutdown collections then scan nothing: see the docstring
 
 
 def _at_least(low):
@@ -40,16 +59,19 @@ def _at_least(low):
 
 
 def _parse_word(text):
+    """An argparse type: comma-separated integers as a tuple, () if blank."""
     text = text.strip()
     if not text:
         return ()
     return tuple(int(piece) for piece in text.split(","))
 
 
-def _parse_letters(n, text):
+_parse_word.__name__ = "comma-separated int"  # argparse: "invalid ... value"
+
+
+def _check_letters(n, word):
     """A --word's residues, each in 0..n-1; ValueError otherwise, where
     ``datum_from_word`` would silently reduce it mod n."""
-    word = _parse_word(text)
     if any(not 0 <= i < n for i in word):
         raise ValueError("--word letters must be in 0..%d" % (n - 1))
     return word
@@ -101,7 +123,7 @@ def cmd_explore(args):
 
 
 def cmd_eval(args):
-    datum = datum_from_word(CartanData(args.rank), _parse_letters(args.rank, args.word))
+    datum = datum_from_word(CartanData(args.rank), _check_letters(args.rank, args.word))
     print(datum.value_at(*_load_diagram(args.diagram_file)))
     return EXIT_OK
 
@@ -139,15 +161,14 @@ def cmd_verify(args):
 
 
 def cmd_oracle_check(args):
-    datum = datum_from_word(CartanData(args.rank), _parse_letters(args.rank, args.word))
+    datum = datum_from_word(CartanData(args.rank), _check_letters(args.rank, args.word))
     report = oraclemod.compare(datum, args.max_boxes)
     _write(args, oraclemod.report_to_json(report).encode())
     return EXIT_OK if report["pass"] else EXIT_FAIL
 
 
 def cmd_kostant(args):
-    beta = _parse_word(args.beta)
-    print(graphmod.kostant(args.rank, graphmod.box(args.rank, beta))[beta])
+    print(graphmod.kostant(args.rank, graphmod.box(args.rank, args.beta))[args.beta])
     return EXIT_OK
 
 
@@ -164,7 +185,7 @@ def build_parser():
         return p
 
     count = _at_least(0)
-    word = dict(default="", help="comma-separated residues, e.g. 0,1,0")
+    word = dict(type=_parse_word, default="", help="comma-separated residues, e.g. 0,1,0")
     p = command("explore", cmd_explore, "explore and export the crystal graph")
     p.add_argument("--depth", type=count, default=0)
     p.add_argument("--max-boxes", type=count)
@@ -183,7 +204,7 @@ def build_parser():
     p.add_argument("--max-boxes", type=count, default=6)
     p.add_argument("--output")
     p = command("kostant", cmd_kostant, "Kostant partition count of beta")
-    p.add_argument("--beta", required=True, help="comma-separated coordinates")
+    p.add_argument("--beta", type=_parse_word, required=True, help="comma-separated coordinates")
     return parser
 
 
@@ -200,7 +221,7 @@ def main(argv=None):
         return EXIT_USAGE
     except RecursionError:  # value_at and theta recurse once per word letter
         word = getattr(args, "word", None)
-        word = "a %d-letter word" % len(_parse_word(word)) if word is not None else "a word"
+        word = "a %d-letter word" % len(word) if word is not None else "a word"
         print("error: %s is too long for the recursive evaluation" % word, file=sys.stderr)
         return EXIT_USAGE
 

@@ -35,22 +35,38 @@ def unchained_fill(block, pairs, coeff):
     return block
 
 
+def run_python(script):
+    """``script``'s stdout, run by a fresh interpreter importing ``src/``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True, timeout=30).stdout
+
+
 class TestStartup:
     def test_import_loads_no_dataclasses_or_fractions(self):
         # every command pays for what importing the CLI loads; dataclasses
         # pulls in inspect, ast, dis and tokenize, fractions pulls in decimal
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
         script = "import sys\n%s\nprint('\\n'.join(sys.modules))"
         plain, loaded = (
-            set(subprocess.run([sys.executable, "-c", script % head], env=env, check=True,
-                               capture_output=True, text=True, timeout=30).stdout.split())
-            for head in ("", "import mayacrystal.cli")
+            set(run_python(script % head).split()) for head in ("", "import mayacrystal.cli")
         )
         added = loaded - plain
         assert "mayacrystal.cli" in added
         heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal"}
         assert not added & heavy, sorted(added & heavy)
+
+    def test_heap_is_frozen_at_exit(self):
+        # exit handlers run last in, first out, so the CLI's freeze runs
+        # before this one; every object alive before the import must then be
+        # frozen (some interpreters freeze a few hundred objects of their own)
+        script = (
+            "import atexit, gc\n"
+            "floor = len(gc.get_objects())\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() >= floor))\n"
+            "import mayacrystal.cli\n"
+        )
+        assert run_python(script) == "True\n"
 
 
 class TestExplore:
@@ -608,6 +624,7 @@ BAD_FLAGS = (
     + [(command, "--depth", "-1") for command in ("explore", "verify")]
     + [(command, "--max-boxes", "-1") for command in ("explore", "verify", "oracle-check")]
     + [("explore", "--format", "svg")]
+    + [("eval", "--word", "a"), ("oracle-check", "--word", "0,,1"), ("kostant", "--beta", "1,x")]
 )
 
 

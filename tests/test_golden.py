@@ -6,12 +6,19 @@ the same command, e.g.
 
     PYTHONPATH=src python -m mayacrystal.cli verify --rank 3 --depth 5 \\
         > tests/golden/verify-n3-d5.txt
+
+Each case is checked in process, through ``main``, and as a whole process,
+which also runs the CLI's exit path.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mayacrystal
 from mayacrystal.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -58,3 +65,25 @@ def test_wider_window_matches_golden(capsysbinary, name):
     code = main([*CASES[name], "--max-boxes", WIDER[name]])
     assert code == EXIT_OK
     assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
+
+
+def run_process(cwd, *argv):
+    """The stdout bytes of ``python -m mayacrystal.cli argv``, importing the
+    same ``mayacrystal`` as this test (the installed one, when it is)."""
+    package_root = Path(mayacrystal.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    done = subprocess.run([sys.executable, "-m", "mayacrystal.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_process_output_matches_golden(tmp_path, name):
+    assert run_process(tmp_path, *CASES[name]) == (GOLDEN / name).read_bytes()
+
+
+def test_process_output_file_matches_golden(tmp_path):
+    name = "explore-n2-d6.json"
+    assert run_process(tmp_path, *CASES[name], "--output", "out.json") == b""
+    assert (tmp_path / "out.json").read_bytes() == (GOLDEN / name).read_bytes()
