@@ -1,14 +1,15 @@
-"""Command-line front end.
+"""Command-line front end.  Subcommands: explore, eval, verify,
+oracle-check, kostant.  Exit codes: 0 success / verification passed,
+1 verification failure, 2 usage or I/O error: a bad flag (rank below 2,
+a negative depth or max-boxes, a format outside its choices, a word or beta
+that is not comma-separated integers) exits 2 with a usage message naming
+it, and bad input content exits 2 with a one-line error message.  Output
+is UTF-8, integers are decimal, and an infinite valuation prints as "inf".
+Runs are deterministic: identical flags give byte-identical output.
 
-Subcommands: explore, eval, verify, oracle-check, kostant.  Exit codes:
-0 success / verification passed, 1 verification failure, 2 usage or I/O
-error.  argparse checks every flag (rank at least 2, depth and max-boxes at
-least 0, the format's choices, word and beta comma-separated integers) and
-dispatches to the subcommand's ``cmd_*`` function, so a bad flag exits 2
-with argparse's usage message naming it; bad input content exits 2 with a
-one-line ``error:``.  Output is UTF-8, integers are decimal, and an
-infinite valuation prints as "inf".  Runs are deterministic: identical
-flags give byte-identical output.
+That first paragraph is ``--help``'s description; the rest is for readers
+of the code.  argparse checks every flag and dispatches to the
+subcommand's ``cmd_*`` function.
 
 Each command is one process, which pays for the interpreter's exit as well
 as its start-up: after the last output line, Python's shutdown runs cyclic
@@ -175,7 +176,7 @@ def cmd_kostant(args):
 def build_parser():
     """One subparser per command, each taking only the flags it reads and
     naming its ``cmd_*`` function as ``run``."""
-    parser = argparse.ArgumentParser(prog="mayacrystal", description=__doc__)
+    parser = argparse.ArgumentParser(prog="mayacrystal", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, help_text):

@@ -20,12 +20,17 @@ k-subset of its residue-i boxes, and the one-parameter action
 exp(p * E_i) = sum_k p^k E_i^k / k! is the finite sum over all subsets.
 ``x_act`` applies it to one vector; ``minus_rows`` applies a whole word to
 the row vectors of a window of diagrams at once, in place, one pass per
-letter and box row.
+letter and box row.  It packs each row into one Laurent polynomial with an
+int coefficient per t-exponent, the row's path counts as base-2^w digits
+(so a pass adds ints instead of merging per-diagram coefficients), and
+``vec_val`` reads a packed row's valuation.  No command builds a
+``FockVector``: vectors are what ``x_act`` acts on, for ``oracle.d_gamma``
+and the tests, which unpack a packed row into one to compare the two.
 """
 
 from __future__ import annotations
 
-from .laurent import INF, LaurentPoly, _accumulate, _laurent
+from .laurent import LaurentPoly, _accumulate, _laurent
 from .maya import addition_options, removable_rows, removal_options, without_corner
 
 MINUS = "minus"
@@ -99,41 +104,61 @@ def x_act(v, i, p):
 
 def minus_rows(n, factors, window):
     """Row vectors <gamma| x_{i_m}(p_m) ... x_{i_1}(p_1) at every a_j = 1,
-    for every gamma of ``window``.
+    for every gamma of ``window``, each packed into one Laurent polynomial.
 
     ``factors`` lists the pairs (i_j, e_j) with p_j = t^e_j, oldest first;
     ``window`` lists ``(parts, charge)`` pairs closed under box removal, as
     ``canonical_diagrams(n, max_boxes)`` does, and they key the returned
-    dict of minus-side vectors in window order.  The newest factor acts
-    first on a row vector, so <gamma| g_j is the sum over subsets S of
-    gamma's removable i_j-boxes of p_j^|S| <gamma minus S| g_{j-1}.  The
-    boxes are independent, so that is the product over them of
-    (1 + p_j E_b), applied one box row at a time (:func:`_passes`): add
-    p_j times the row of gamma minus b into the row of each gamma whose
-    i_j-box b ends the row.  It is safe in place: gamma minus b ends that
-    row in residue i_j - 1, never i_j as n >= 2, so no row a pass reads is
-    one it writes.  p_j shifts exponents by e_j; every coefficient is a
-    positive path count, so sums never cancel.  While filling, a row is a
-    {position: {exponent: count}} dict keyed by window position.
+    dict of rows in window order.  The newest factor acts first on a row
+    vector, so <gamma| g_j is the sum over subsets S of gamma's removable
+    i_j-boxes of p_j^|S| <gamma minus S| g_{j-1}.  The boxes are
+    independent, so that is the product over them of (1 + p_j E_b),
+    applied one box row at a time (:func:`_passes`): add p_j times the row
+    of gamma minus b into the row of each gamma whose i_j-box b ends the
+    row.  It is safe in place: gamma minus b ends that row in residue
+    i_j - 1, never i_j as n >= 2, so no row a pass reads is one it writes.
+
+    A row is stored t-major and Kronecker-packed: its coefficient at t^e is
+    the int X_e = sum over q of c(gamma, q, e) * 2^(w * d(q)), where
+    c(gamma, q, e) is the path count of the Fock coefficient of q at t^e
+    and d(q) is q's position among the window's diagrams of gamma's charge
+    (box removal keeps the charge, so no other diagram enters the row).
+    That is <gamma| g |Xi> for Xi = sum over q of z^d(q) |q> at z = 2^w,
+    so a pass adds one int per exponent of the row it reads, shifted by
+    e_j.  Every count is a positive integer, so no sum cancels, and each is
+    at most its row's total at t = 1, which one int pass over the same pass
+    lists gives; w is the bit length of the largest total
+    (:func:`_digit_width`), so every count is below 2^w and the base-2^w
+    digits of X_e are exactly the counts.
+    Returns the rows, as ``LaurentPoly`` objects over the integers, and w.
     """
     passes = {i: _passes(n, window, i) for i in {i for i, _ in factors}}
-    rows = [{q: {0: 1}} for q in range(len(window))]
+    width = _digit_width(factors, passes, len(window))
+    seen = {}
+    rows = []
+    for _, charge in window:
+        d = seen.get(charge, 0)
+        seen[charge] = d + 1
+        rows.append({0: 1 << width * d})
     for residue, exponent in factors:
         for pairs in passes[residue].values():
             for k, j in pairs:
                 row = rows[k]
-                for q, coeffs in rows[j].items():
-                    old = row.get(q)
-                    if old is None:
-                        row[q] = {e + exponent: c for e, c in coeffs.items()}
-                        continue
-                    for e, c in coeffs.items():
-                        e += exponent
-                        old[e] = old.get(e, 0) + c
-    return {
-        key: _keyed(n, MINUS, {window[q]: _laurent(coeffs) for q, coeffs in row.items()})
-        for key, row in zip(window, rows)
-    }
+                for e, x in rows[j].items():
+                    e += exponent
+                    row[e] = row.get(e, 0) + x
+    return {key: _laurent(row) for key, row in zip(window, rows)}, width
+
+
+def _digit_width(factors, passes, size):
+    """The bit length of the largest row total at t = 1: the rows' fill
+    with every coefficient replaced by its sum, one int per row."""
+    totals = [1] * size
+    for residue, _ in factors:
+        for pairs in passes[residue].values():
+            for k, j in pairs:
+                totals[k] += totals[j]
+    return max(totals, default=0).bit_length()
 
 
 def _passes(n, window, residue):
@@ -148,8 +173,11 @@ def _passes(n, window, residue):
     return passes
 
 
-def vec_val(v):
-    """Minimum coefficient valuation over the support; INF for zero."""
-    if not v.terms:
-        return INF
-    return min(c.val() for c in v.terms.values())
+def vec_val(row):
+    """The t-valuation of one packed row of :func:`minus_rows`, INF for the
+    zero row: the least valuation over the row's Fock coefficients.  The
+    row's coefficient at t^e is a sum of path counts, each nonnegative,
+    times positive powers of 2, so it is nonzero exactly when some
+    diagram's coefficient has a t^e term; that the base-2^w digits never
+    carry matters only for reading the counts back."""
+    return row.val()

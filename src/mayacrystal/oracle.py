@@ -17,9 +17,20 @@ adds, so over indeterminates a_j every coefficient lies in N[a][t, t^-1].
 Such a polynomial, and each of its t-coefficients, is nonzero exactly when
 its value at a = 1 is, so the valuations are those at a = 1.
 
+The rows are packed the same way, in a second variable z: ``minus_rows``
+keeps, for each t-exponent e, the single int X_e = <gamma| g |Xi> with
+Xi = sum over q of z^d(q) |q> at z = 2^w, for d(q) the position of the
+diagram q among the window's diagrams of gamma's charge.  At a = 1 every
+t-coefficient of <gamma| g |q> is a path count, so it lies in N, and X_e,
+like a polynomial in N[z] at z = 1, is nonzero exactly when some q has a
+t^e term: the valuation of the row is the least e with X_e nonzero.
+The packing is also invertible: each count is at most the row's total at
+t = 1, which is below 2^w, so the base-2^w digits of X_e are the counts
+and no two diagrams' counts collide.
+
 ``compare``, behind ``oracle-check``, sets the value table
 (``CrystalDatum.table``; see ``CrystalDatum.fingerprint`` for what it shares
-with ``verify``'s) against ``vec_val`` of the rows that
+with ``verify``'s) against ``vec_val`` of the packed rows that
 ``fock.minus_rows`` fills in place over the same window, one pass per
 letter and box row.  The t-exponents are the datum's own coefficients, and
 by positivity val(<gamma| g_j) is the min over S of |S| e_j +
@@ -27,10 +38,11 @@ val(<gamma minus S| g_{j-1}): the min-recursion again.
 So this cross-checks the recursion's implementation, not the theorem that
 the crystal is B(infinity); ``verify``'s axioms and census bear on that.
 
-``d_gamma`` computes one row on its own, one ``x_act`` per letter, and is
-the tests' reference for ``minus_rows``.  The plus side's columns, which
-share no prefix, and the valuations of single rows and columns live with
-the tests (``tests/reference.py``).
+``d_gamma`` computes one row on its own, one ``x_act`` per letter, as a
+``FockVector``, and is the tests' reference for ``minus_rows``, whose
+rows the tests unpack.  The plus side's columns, which share no prefix,
+the valuations of single rows and columns, and the unpacking live with the
+tests (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -68,20 +80,20 @@ def compare(datum, max_boxes):
 
     Over the window ``canonical_diagrams(n, max_boxes)``, each report row's
     recursive value is the entry of ``datum.table(max_boxes)`` and its
-    oracle value is ``vec_val`` of the row <gamma| g that ``minus_rows``
-    fills.  A pass shows that two implementations of the min-recursion
-    agree (see the module docstring).  Returns a JSON-ready report with one
-    row per window diagram, in window order, and an overall pass flag, which
-    an empty window (``max_boxes < 0``) never sets.  INF valuations are
-    serialized as the string "inf".
+    oracle value is ``vec_val`` of the packed row <gamma| g that
+    ``minus_rows`` fills.  A pass shows that two implementations of the
+    min-recursion agree (see the module docstring).  Returns a JSON-ready
+    report with one row per window diagram, in window order, and an overall
+    pass flag, which an empty window (``max_boxes < 0``) never sets.  INF
+    valuations are serialized as the string "inf".
     """
     n = datum.cartan.n
     window = canonical_diagrams(n, max_boxes)
-    rows = minus_rows(n, generic_element(datum), window)
+    rows, _ = minus_rows(n, generic_element(datum), window)
     results = []
     ok = True
-    for (parts, charge), recursive in zip(window, datum.table(max_boxes)):
-        valuation = vec_val(rows[parts, charge])
+    for (parts, charge), recursive, row in zip(window, datum.table(max_boxes), rows.values()):
+        valuation = vec_val(row)
         match = recursive == valuation
         ok = ok and match
         results.append(

@@ -2,24 +2,24 @@
 
 No command runs any of this.  It holds the per-box side of the Fock space
 (the Chevalley operators, the pairing, vector sums and scalings), the
-plus-side columns g |tau>, the brute-force Kostant count, the box-label
-readings of a charged partition, the removal index built diagram by
-diagram, datums that share no rotation orbit, a datum's table blocks
-filled along its chain and an exploration that keys every child by its
-table,
-each checked against the ``src/`` code it shadows.  Fock vectors are
-keyed by ``(parts, charge)`` only, so Maya diagrams are converted here with
-``term_key``.  It also loads the bench's
-per-layer tracer, ``bench/layertrace.py``, which is not a package module.
+valuation of a vector, the unpacking of ``fock.minus_rows``' packed rows
+into vectors, the plus-side columns g |tau>, the brute-force Kostant
+count, the box-label readings of a charged partition, the removal index
+built diagram by diagram, datums that share no rotation orbit, a datum's
+table blocks filled along its chain and an exploration that keys every
+child by its table, each checked against the ``src/`` code it shadows.
+Fock vectors are keyed by ``(parts, charge)`` only, so Maya diagrams are
+converted here with ``term_key``.  It also loads the bench's per-layer
+tracer, ``bench/layertrace.py``, which is not a package module.
 """
 
 import importlib.util
 from pathlib import Path
 
 from mayacrystal.datum import CrystalDatum, canonical_diagrams
-from mayacrystal.fock import MINUS, PLUS, FockVector, _keyed, vec_val
+from mayacrystal.fock import MINUS, PLUS, FockVector, _keyed
 from mayacrystal.graph import CrystalGraph, Node, default_max_boxes, positive_roots
-from mayacrystal.laurent import LaurentPoly, _accumulate
+from mayacrystal.laurent import INF, LaurentPoly, _accumulate
 from mayacrystal.maya import (
     ChargedPartition,
     addition_options,
@@ -199,6 +199,34 @@ def pairing(v_minus, w_plus):
     return total
 
 
+def vector_val(v):
+    """Minimum coefficient valuation over the support; INF for zero."""
+    if not v.terms:
+        return INF
+    return min(c.val() for c in v.terms.values())
+
+
+def unpack_row(n, window, charge, row, width):
+    """A packed row of ``fock.minus_rows``, for a diagram of ``charge``, as
+    the minus-side vector it packs: the base-2^width digits of its
+    coefficient at t^e, lowest first, are the coefficients at t^e of the
+    window's diagrams of that charge, in window order.  Bits past the last
+    diagram's digit, which a wide enough digit never leaves, are kept under
+    the key None, so that such a vector equals no row."""
+    keys = [key for key in window if key[1] == charge]
+    mask = (1 << width) - 1
+    terms = {}
+    for e, packed in row.coeffs.items():
+        for key in keys:
+            digit = packed & mask
+            if digit:
+                terms.setdefault(key, {})[e] = digit
+            packed >>= width
+        if packed:
+            terms.setdefault(None, {})[e] = packed
+    return _keyed(n, MINUS, {key: LaurentPoly(coeffs) for key, coeffs in terms.items()})
+
+
 def _expect(v, side):
     if v.side != side:
         raise ValueError("expected a %s-side vector, got %s" % (side, v.side))
@@ -217,13 +245,13 @@ def d_tau(n, factors, key):
 def oracle_eval(datum, gamma):
     """Valuation of <gamma| g for the datum's generic group element, at a
     left-black diagram gamma."""
-    return vec_val(d_gamma(datum.cartan.n, generic_element(datum), term_key(gamma)))
+    return vector_val(d_gamma(datum.cartan.n, generic_element(datum), term_key(gamma)))
 
 
 def oracle_theta(datum, tau):
     """Valuation of g |tau> for the datum's generic group element, at a
     right-black diagram tau."""
-    return vec_val(d_tau(datum.cartan.n, generic_element(datum), term_key(tau)))
+    return vector_val(d_tau(datum.cartan.n, generic_element(datum), term_key(tau)))
 
 
 # -- Kostant partition function ------------------------------------------------

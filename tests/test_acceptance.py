@@ -3,7 +3,7 @@
 import itertools
 
 from mayacrystal.datum import CartanData, datum_from_word
-from mayacrystal.fock import FockVector, MINUS, vec_val, x_act
+from mayacrystal.fock import FockVector, MINUS, x_act
 from mayacrystal.graph import check_axioms, explore, kostant, lattice_points, weight_census
 from mayacrystal.laurent import LaurentPoly, MultiPoly
 from mayacrystal.maya import (
@@ -26,6 +26,7 @@ from reference import (
     oracle_theta,
     partitions_up_to,
     sigma_canonical_diagrams,
+    vector_val,
 )
 
 GRAPHS = {}
@@ -92,7 +93,7 @@ def test_acceptance_4_valuation_lemma():
                     v = FockVector.basis(n, MINUS, (parts, charge))
                     k = len(removable_boxes(cp, i, n))
                     expected = min(ell * j for j in range(k + 1))
-                    if vec_val(x_act(v, i, p)) != expected:
+                    if vector_val(x_act(v, i, p)) != expected:
                         ok = False
     verdict(4, "single-factor valuation formula", ok)
 

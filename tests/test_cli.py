@@ -9,6 +9,7 @@ import pytest
 from mayacrystal import datum, fock, maya, oracle
 from mayacrystal.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from mayacrystal.laurent import MultiPoly
+from reference import unpack_row
 
 GOLDEN = Path(__file__).parent / "golden"
 #: 1,500 letters: deeper than the interpreter's default recursion limit
@@ -555,7 +556,9 @@ class TestOracleCheck:
             capsys, "oracle-check", "--rank", "2", "--word", "0,1,0,1,1,0", "--max-boxes", "6"
         )
         assert code == EXIT_OK
-        (rows,) = fills
+        ((packed, width),) = fills
+        window = datum.canonical_diagrams(2, 6)
+        rows = {key: unpack_row(2, window, key[1], row, width) for key, row in packed.items()}
         results = json.loads(out)["results"]
         assert len(rows) == len(results) > 0
         assert calls == []
@@ -688,6 +691,17 @@ class TestUsage:
             main(["verify", "--rank", "2", "--depth", "2"])
         datum._removal_index.cache_clear()
         assert capsys.readouterr().err == ""
+
+    def test_help_is_for_users(self, capsys):
+        # --help describes the subcommands, exit codes and output, and none
+        # of the module docstring's notes on the code
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert exc.value.code == EXIT_OK
+        for code in ("0 success", "1 verification failure", "2 usage or I/O error"):
+            assert code in out
+        assert "gc.freeze" not in out and "cmd_" not in out
 
     def test_no_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -23,6 +23,7 @@ from reference import (
     partitions_up_to,
     scale,
     small_diagrams,
+    vector_val,
 )
 
 
@@ -82,10 +83,10 @@ class TestFockVector:
     def test_scale_by_laurent_and_scalar(self):
         v = basis_minus(2, (1,), 0)
         p = LaurentPoly.term(Fraction(2), -3)
-        assert vec_val(scale(v, p)) == -3
-        assert vec_val(scale(v, Fraction(5))) == 0
-        assert vec_val(v) == 0
-        assert vec_val(scale(v, Fraction(0))) == INF
+        assert vector_val(scale(v, p)) == -3
+        assert vector_val(scale(v, Fraction(5))) == 0
+        assert vector_val(v) == 0
+        assert vector_val(scale(v, Fraction(0))) == INF
 
 
 class TestChevalleyActions:
@@ -142,7 +143,7 @@ class TestOneParameterAction:
         vac = from_partition(ChargedPartition((), 0))
         assert len(moved.terms) == 2
         assert moved.terms[term_key(vac)] == p
-        assert vec_val(moved) == -1
+        assert vector_val(moved) == -1
 
     def test_two_commuting_removals(self):
         # (2, 1) at charge 0 has two removable residue-0 corners... check n=3
@@ -171,7 +172,7 @@ class TestOneParameterAction:
         v = basis_minus(2, (2, 1), 0)
         p = LaurentPoly.term(MultiPoly.variable("a"), -1)
         moved = x_act(v, 0, p)
-        assert vec_val(moved) <= 0
+        assert vector_val(moved) <= 0
 
     def test_plus_side_terminates_without_cap_when_finite(self):
         # residue-i additions to a fixed diagram run out after finitely many
@@ -182,7 +183,7 @@ class TestOneParameterAction:
         w = FockVector.basis(2, PLUS, term_key(lambda_diagram(0)))
         moved = x_act(w, 0, LaurentPoly.term(Fraction(1), -1))
         assert len(moved.terms) == 2
-        assert vec_val(moved) == -1
+        assert vector_val(moved) == -1
 
     @given(st.integers(0, 1), st.integers(-2, 1))
     @settings(max_examples=20, deadline=None)
@@ -196,7 +197,7 @@ class TestOneParameterAction:
                 v = basis_minus(2, parts, charge)
                 k = len(removable_boxes(cp, i, 2))
                 expected = min(ell * j for j in range(k + 1))
-                assert vec_val(x_act(v, i, p)) == expected
+                assert vector_val(x_act(v, i, p)) == expected
 
 
 class TestDividedPowers:
@@ -238,7 +239,7 @@ class TestDividedPowers:
 
 class TestValuation:
     def test_vec_val_zero(self):
-        assert vec_val(FockVector(2, MINUS)) == INF
+        assert vector_val(FockVector(2, MINUS)) == INF
 
     def test_vec_val_min_over_terms(self):
         v = FockVector(
@@ -249,4 +250,9 @@ class TestValuation:
                 ((), 0): LaurentPoly.term(Fraction(1), -2),
             },
         )
-        assert vec_val(v) == -2
+        assert vector_val(v) == -2
+
+    def test_packed_row_valuation(self):
+        # fock.vec_val reads one packed row: its least exponent, INF when zero
+        assert vec_val(LaurentPoly.zero()) == INF
+        assert vec_val(LaurentPoly({3: 1 << 40, -2: 5, 0: 1})) == -2

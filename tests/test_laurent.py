@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mayacrystal.datum import CartanData, canonical_diagrams, datum_from_word
-from mayacrystal.fock import MINUS, PLUS, FockVector, vec_val, x_act
+from mayacrystal.fock import MINUS, PLUS, FockVector, x_act
 from mayacrystal.laurent import INF, LaurentPoly, MultiPoly, _merge_monomials
 from mayacrystal.oracle import d_gamma, generic_element
-from reference import d_tau
+from reference import d_tau, vector_val
 
 coeffs = st.fractions(
     max_denominator=20,
@@ -318,4 +318,4 @@ class TestGenericPoint:
                     for number in numbers(c)
                 )
                 assert at_one(generic) == coefficients(integer)
-                assert vec_val(generic) == vec_val(integer)
+                assert vector_val(generic) == vector_val(integer)

@@ -22,6 +22,7 @@ from reference import load_layertrace
 
 #: Module-level functions that only traced names call.
 HELPERS = {
+    ("fock", "_keyed"),  # x_act
     ("laurent", "_accumulate"),  # x_act and the polynomial sums and products
     ("laurent", "_merge_monomials"),  # MultiPoly.__mul__
     ("maya", "term_key"),  # CrystalDatum.theta

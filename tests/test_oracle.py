@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from mayacrystal import datum, fock, maya, oracle
 from mayacrystal.datum import CartanData, canonical_diagrams, datum_from_word
-from mayacrystal.fock import minus_rows, vec_val
+from mayacrystal.fock import minus_rows
 from mayacrystal.laurent import INF
 from mayacrystal.maya import (
     MayaDiagram,
@@ -17,7 +17,15 @@ from mayacrystal.maya import (
     to_partition,
 )
 from mayacrystal.oracle import compare, d_gamma, generic_element, report_to_json
-from reference import d_tau, diagram, oracle_eval, oracle_theta, small_diagrams
+from reference import (
+    d_tau,
+    diagram,
+    oracle_eval,
+    oracle_theta,
+    small_diagrams,
+    unpack_row,
+    vector_val,
+)
 
 
 class TestGenericElement:
@@ -44,7 +52,7 @@ class TestDGamma:
         g = diagram((2, 1), 1)
         v = d_gamma(2, factors, term_key(g))
         assert list(v.terms) == [term_key(g)]
-        assert vec_val(v) == 0
+        assert vector_val(v) == 0
 
     def test_accepts_the_charged_partition(self):
         # the row of gamma's (parts, charge) holds gamma itself, every
@@ -100,8 +108,8 @@ class TestDTau:
             factors = generic_element(d)
             for tau in self.taus():
                 th = d.theta(tau)
-                assert vec_val(d_tau(2, factors, term_key(tau))) == th
-                if vec_val(d_tau(2, factors[::-1], term_key(tau))) != th:
+                assert vector_val(d_tau(2, factors, term_key(tau))) == th
+                if vector_val(d_tau(2, factors[::-1], term_key(tau))) != th:
                     disagreements += 1
         assert disagreements > 0
 
@@ -115,6 +123,13 @@ def group_words(draw):
     return n, tuple(factors)
 
 
+def unpacked_rows(n, factors, window):
+    """``minus_rows`` of the window, each packed row unpacked into the
+    minus-side vector it packs, keyed as the rows are."""
+    rows, width = minus_rows(n, factors, window)
+    return {key: unpack_row(n, window, key[1], row, width) for key, row in rows.items()}
+
+
 class TestSharedRows:
     """fock.minus_rows fills every window row once per word prefix; the
     per-row d_gamma, one x_act per letter, is its reference."""
@@ -124,15 +139,26 @@ class TestSharedRows:
     def test_rows_equal_d_gamma(self, word, max_boxes):
         n, factors = word
         window = canonical_diagrams(n, max_boxes)
-        # the reversed window is closed under removal too, in another order
+        # the reversed window is closed under removal too, in another order,
+        # which packs each row's diagrams in another digit order
         for order in (window, window[::-1]):
-            rows = minus_rows(n, factors, order)
+            rows = unpacked_rows(n, factors, order)
             assert list(rows) == list(order)
             for parts, charge in order:
                 expected = d_gamma(n, factors, (parts, charge))
                 # FockVector equality: the same keys, and equal LaurentPoly
                 # coefficients at each
                 assert rows[parts, charge] == expected
+
+    def test_narrow_digits_break_the_rows(self, monkeypatch):
+        # the equality above sees the packing: with 1-bit digits the counts
+        # above 1 of this word's rows carry into their neighbours' digits
+        factors = generic_element(datum_from_word(CartanData(2), (0, 1, 0, 1, 1, 0)))
+        window = canonical_diagrams(2, 5)
+        expected = {key: d_gamma(2, factors, key) for key in window}
+        assert unpacked_rows(2, factors, window) == expected
+        monkeypatch.setattr(fock, "_digit_width", lambda *args: 1)
+        assert unpacked_rows(2, factors, window) != expected
 
     def test_passes_are_safe_in_place(self):
         # within a box row's pass no diagram read is one written, and the
@@ -157,7 +183,7 @@ class TestSharedRows:
         # path counts above 1, so the equality above tests more than a
         # valuation
         factors = generic_element(datum_from_word(CartanData(2), (0, 1, 0, 1, 1, 0)))
-        rows = minus_rows(2, factors, canonical_diagrams(2, 5))
+        rows = unpacked_rows(2, factors, canonical_diagrams(2, 5))
         polys = [poly for row in rows.values() for poly in row.terms.values()]
         assert max(len(poly.coeffs) for poly in polys) > 1
         assert max(c for poly in polys for c in poly.coeffs.values()) > 1
