@@ -81,7 +81,7 @@ def _check_letters(n, word):
 def _read_json(path):
     """A file's parsed JSON.  ``json`` recurses once per nesting level, so a
     file nested too deeply is a ValueError naming it, and main's
-    RecursionError branch only ever means the evaluation's recursion."""
+    RecursionError branch only ever means theta's recursion."""
     with open(path, "rb") as handle:
         try:
             return json.load(handle)
@@ -220,7 +220,7 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except RecursionError:  # value_at and theta recurse once per word letter
+    except RecursionError:  # theta recurses once per word letter
         word = getattr(args, "word", None)
         word = "a %d-letter word" % len(word) if word is not None else "a word"
         print("error: %s is too long for the recursive evaluation" % word, file=sys.stderr)

@@ -5,8 +5,8 @@ represented by the sequence of lowering operators that produced it from the
 zero datum O (which assigns 0 to every diagram).  Values are demand-computed
 through the min-recursion
 
-    (f_i M)(g) = min over mu in removal_options(g, i) of
-                 M(mu) + |g \\ mu| * c_i(M),      c_i(M) = M(L_i) - M(sL_i) - 1
+    (f_i M)(g) = min over the subsets S of g's removable residue-i boxes of
+                 M(g - S) + |S| * c_i(M),      c_i(M) = M(L_i) - M(sL_i) - 1
 
 where L_i / sL_i are the fundamental right-black diagrams.  Every crystal
 statistic is read from the 2n values theta(L_i), theta(sL_i), i mod n (see
@@ -15,23 +15,25 @@ happens on sigma-orbit canonical representatives (charge reduced mod n).
 
 theta, the extension to a right-black tau, is the same recursion on the
 plus side: it runs on the partition of tau's color inversion (its Fock key,
-``maya.term_key``) with ``addition_options`` in place of
-``removal_options``.  This equals the value at the left-black diagram that
-takes tau's colors inside [-B, B] and the inverted ones outside, for any
-B >= span + 2l (span = max |d| + 1 over tau's deviations d, l the word
-length).  Inside the interval the two diagrams have opposite colors, and
-outside it both are the left-black vacuum, so a removable residue-i box of
-the wide diagram's partition is an addable residue-i box of the small one
-at the same slot label.  Each letter moves each end of a color run by at
-most one slot, so an l-letter recursion never reaches the interval's ends,
-and the two recursion trees are isomorphic.
+``maya.term_key``), over the subsets of its addable residue-i boxes that
+``addition_options`` lists.  This equals the value at the left-black
+diagram that takes tau's colors inside [-B, B] and the inverted ones
+outside, for any B >= span + 2l (span = max |d| + 1 over tau's deviations
+d, l the word length).  Inside the interval the two diagrams have opposite
+colors, and outside it both are the left-black vacuum, so a removable
+residue-i box of the wide diagram's partition is an addable residue-i box
+of the small one at the same slot label.  Each letter moves each end of a
+color run by at most one slot, so an l-letter recursion never reaches the
+interval's ends, and the two recursion trees are isomorphic.
 
-Two paths compute values.  ``value_at`` and ``theta`` run the recursion
-diagram by diagram (``CrystalDatum._recurse``); ``value_at`` serves
-``eval``, and the plus side the crystal statistics.  ``table`` and
-``fingerprint`` fill a datum's values over a whole window,
-canonical_diagrams(n, max_boxes), one charge block at a time along its
-word (``_removal_index`` and ``_fill``).
+One path computes minus-side values: ``_fill`` runs a datum's word, letter
+by letter, over a list of partitions in increasing box count that
+``_index`` indexes.  ``table`` and ``fingerprint`` fill the window
+canonical_diagrams(n, max_boxes) one charge block at a time
+(``_removal_index``); ``value_at``, which serves ``eval``, fills the
+closure of its one diagram under the word's removals
+(``_removal_closure``).  Only theta, which the crystal statistics read,
+runs diagram by diagram (``CrystalDatum._recurse``).
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ from .maya import (
     corner_removals,
     partitions_of,
     removable_rows,
-    removal_options,
     term_key,
     to_partition,
+    without_corner,
 )
 
 
@@ -69,33 +71,65 @@ class CartanData:
         return 2 * weight[i % n] - weight[(i - 1) % n] - weight[(i + 1) % n]
 
 
+def _index(block, n, closed):
+    """(position, index) of ``block``, partitions in increasing box count:
+    position maps each to its place in it, and index entry r lists one pair
+    (k, j) per removable box of block[k] whose slot label at charge 0 is r
+    mod n, block[j] being block[k] without it.  A box's label drops by one
+    as the charge rises, so at charge c residue i is entry (i + c) mod n.
+    The pairs come in increasing k, with j < k, the order ``_fill`` needs,
+    and take their ints from one list: one int object per block entry.  In
+    a ``closed`` block a removal that leaves it raises KeyError; in any
+    other it is left out (``CrystalDatum.value_at`` gives why no value read
+    needs it)."""
+    ids = list(range(len(block)))
+    position = dict(zip(block, ids))
+    lookup = position.__getitem__ if closed else position.get
+    index = tuple([] for _ in range(n))
+    for k, parts in zip(ids, block):
+        for label, sub in corner_removals(parts, 0):
+            j = lookup(sub)
+            if j is not None:
+                index[label % n].append((k, j))
+    return position, index
+
+
 @lru_cache(maxsize=2)
 def _removal_index(n, max_boxes):
-    """Single-box removal index of one charge block of the window
-    canonical_diagrams(n, max_boxes).
-
-    The window repeats one list of partitions at each charge; a block is
-    that list, and a position in it is a block position.  Removing a box
-    keeps the charge, so the blocks fill independently.  Entry r lists one
-    pair (k, j) per removable box of block partition k whose slot label at
-    charge 0 is r mod n, where j is the block partition left by deleting
-    that box.  A box's label drops by one as the charge rises, so at charge
-    c the residue-i boxes are entry (i + c) mod n.  Every pair takes its two
-    numbers from one list of block positions, so the index holds one int
-    object per block entry however many pairs share it.  Removing a box
-    lowers the box count, so the block is closed under removal, j < k
-    always, and the pairs are listed in increasing k; ``_fill`` relies on
-    that order.
-    A run uses one window, so the cache holds only the last two.
-    """
+    """``_index`` of one charge block of canonical_diagrams(n, max_boxes).
+    The window repeats one list of partitions at each charge and a removal
+    keeps the charge, so each block is closed under removal and fills on
+    its own.  A run uses one window, so the cache holds only the last two."""
     window = canonical_diagrams(n, max_boxes)
-    ids = list(range(len(window) // n))
-    position = {parts: q for q, (parts, _) in zip(ids, window)}
-    index = tuple([] for _ in range(n))
-    for k, (parts, _) in zip(ids, window):
-        for label, sub in corner_removals(parts, 0):
-            index[label % n].append((k, position[sub]))
+    _, index = _index([parts for parts, _ in window[:len(window) // n]], n, True)
     return tuple(tuple(pairs) for pairs in index)
+
+
+def _removal_closure(parts, charge, letters, n):
+    """What the word ``letters`` reaches from ``parts`` at ``charge`` by
+    removals, in increasing box count: from {parts}, each letter i, last
+    first, closes the set under removing residue-i corners."""
+    closure = {parts}
+    for letter in reversed(letters):
+        stack = list(closure)
+        while stack:
+            top = stack.pop()
+            for r in removable_rows(top, charge, letter, n):
+                sub = without_corner(top, r)
+                if sub not in closure:
+                    closure.add(sub)
+                    stack.append(sub)
+    return sorted(closure, key=sum)
+
+
+def _fill_word(size, index, factors, charge):
+    """The values over ``size`` indexed partitions at ``charge`` of the datum
+    whose :meth:`~CrystalDatum.factors` are ``factors``: all zeros, filled
+    by each (letter, coeff) in turn."""
+    block = [0] * size
+    for letter, coeff in factors:
+        _fill(block, index[(letter + charge) % len(index)], coeff)
+    return block
 
 
 def _fill(block, pairs, coeff):
@@ -107,7 +141,7 @@ def _fill(block, pairs, coeff):
     over subsets S of src[k - S] + |S| * c, with src the parent's block, is
     the chain recurrence H(k) = min(src[k], c + min over b of H(k - b)),
     with c the child's ``coeff`` and b running over k's removable i-boxes,
-    which ``pairs``, an entry of the block removal index, lists.  It lists
+    which ``pairs``, an entry of an ``_index``, lists.  It lists
     j = k - b before k, so one pass in index order reads each H(j) final.
     """
     for k, j in pairs:
@@ -144,10 +178,9 @@ class CrystalDatum:
     """A crystal element: the zero datum O or f_i applied to a parent datum.
 
     A datum that holds its own memo is a representative.  The memo keeps
-    values keyed by the subset enumerator (the minus or the plus side) and
-    (parts, charge mod n), which the recursions of its descendants share;
-    the 2n fundamental thetas that weight, eps_hat and c_coeff read are
-    entries of it.
+    theta's recursion values keyed by (parts, charge mod n), which the
+    recursions of its descendants share; the 2n fundamental thetas that
+    weight, eps_hat and c_coeff read are entries of it.
 
     One datum serves each Dynkin rotation orbit of words.  Rotating every
     letter by k shifts every residue-i box set to the residue-(i + k) one
@@ -247,37 +280,51 @@ class CrystalDatum:
         return self.value_at(p.parts, p.charge % self.cartan.n)
 
     def value_at(self, parts, charge):
-        """Value at the diagram of (parts, charge); charge is reduced mod n."""
-        return self._recurse(removal_options, parts, charge % self.cartan.n)
+        """Value at the diagram of (parts, charge); charge is reduced mod n.
 
-    def _recurse(self, options, parts, charge):
-        """The min-recursion over the subsets ``options`` lists: the
-        minus side's removals for ``value_at``, the plus side's additions
-        for ``theta``.  ``charge`` is already reduced mod n.  A view reads
-        its representative at the shifted charge.  Below the root, where
-        every value is 0 and c_i(O) = -1, the min is minus the number of
-        boxes the side can move, counted by ``maya.removable_rows`` or
-        ``maya.addable_rows``, the corner rules that the subset
-        enumerators list from; a depth-1 datum keeps no memo, and the root
-        is never called."""
+        :meth:`table`'s fill over the closure of {parts} under the word's
+        removals (``_removal_closure``).  For an l-letter word let D_l =
+        {parts} and D_{k-1} be D_k closed under removing residue-i_k
+        corners.  Letter k's fill is exact on D_{k-1}: the set is closed
+        under the removals that fill reads, and the values it reads there
+        are exact because D_{k-1} lies in D_{k-2}.  The index leaves out
+        removals that leave the closure, so a fill value outside D_{k-1}
+        may be wrong, but none inside reads it.  The closure is not the
+        whole down-set of parts, which for (30,) * 30 holds about 10^17
+        partitions.  The fill loops, so no word is too long for it."""
+        n = self.cartan.n
+        charge %= n
+        factors = self.factors()
+        block = _removal_closure(parts, charge, [letter for letter, _ in factors], n)
+        position, index = _index(block, n, False)
+        return _fill_word(len(block), index, factors, charge)[position[parts]]
+
+    def _recurse(self, parts, charge):
+        """theta's min-recursion at the partition of a color inversion, over
+        the subsets of its addable boxes that ``maya.addition_options``
+        lists; ``charge`` is already reduced mod n.  A view reads its
+        representative at the shifted charge.  Below the root, where every
+        value is 0 and c_i(O) = -1, the min is minus the number of addable
+        boxes, counted by ``maya.addable_rows``, the corner rule that
+        ``addition_options`` lists from; a depth-1 datum keeps no memo, and
+        the root is never called."""
         rep = self._rep
         if rep is not None:
-            return rep._recurse(options, parts, (charge + self._shift) % self.cartan.n)
+            return rep._recurse(parts, (charge + self._shift) % self.cartan.n)
         parent = self.parent
         if parent is None:
             return 0
         if parent.parent is None:
-            corners = removable_rows if options is removal_options else addable_rows
-            return -len(corners(parts, charge, self.letter, self.cartan.n))
-        key = (options, parts, charge)
+            return -len(addable_rows(parts, charge, self.letter, self.cartan.n))
+        key = (parts, charge)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
         coeff = self.coeff
-        moves = options(parts, charge, self.letter, self.cartan.n)
-        best = parent._recurse(options, parts, charge)  # moves[0], the empty subset
+        moves = addition_options(parts, charge, self.letter, self.cartan.n)
+        best = parent._recurse(parts, charge)  # moves[0], the empty subset
         for moved, count in moves[1:]:
-            v = parent._recurse(options, moved, charge) + count * coeff
+            v = parent._recurse(moved, charge) + count * coeff
             if v < best:
                 best = v
         self._memo[key] = best
@@ -285,20 +332,16 @@ class CrystalDatum:
 
     def table(self, max_boxes):
         """Values over canonical_diagrams(n, max_boxes), as the unbounded
-        ints that ``oracle.compare`` reads: the root's all-zero table, filled
-        in place by each of :meth:`factors` in turn, one charge block at a
-        time (see ``_fill``).  Equals value_at at every entry, without a memo
-        entry per diagram, and loops, so no word is too long for it."""
+        ints that ``oracle.compare`` reads, filled one charge block at a
+        time along the word (``_fill_word``).  It loops, so no word is too
+        long for it."""
         n = self.cartan.n
         size = len(canonical_diagrams(n, max_boxes)) // n
         factors = self.factors()
         index = _removal_index(n, max_boxes)
         values = []
         for charge in range(n):
-            block = [0] * size
-            for letter, coeff in factors:
-                _fill(block, index[(letter + charge) % n], coeff)
-            values += block
+            values += _fill_word(size, index, factors, charge)
         return tuple(values)
 
     # -- extension to right-black diagrams ---------------------------------
@@ -310,7 +353,7 @@ class CrystalDatum:
         if tau.kind != RIGHT_BLACK:
             raise ValueError("theta expects a right-black diagram")
         parts, charge = term_key(tau)
-        return self._recurse(addition_options, parts, charge % self.cartan.n)
+        return self._recurse(parts, charge % self.cartan.n)
 
     # -- crystal statistics -------------------------------------------------
 
@@ -321,7 +364,7 @@ class CrystalDatum:
         and that of sL_i is one box at the same charge, so these are
         ``theta``'s memo entries at those ``term_key``s; no diagram is built.
         """
-        return self._recurse(addition_options, parts, (1 - i) % self.cartan.n)
+        return self._recurse(parts, (1 - i) % self.cartan.n)
 
     def c_coeff(self, i):
         """Coefficient used in the min-recursion: theta(L_i) - theta(sL_i) - 1."""

@@ -5,15 +5,17 @@ No command runs any of this.  It holds the per-box side of the Fock space
 valuation of a vector, the unpacking of ``fock.minus_rows``' packed rows
 into vectors, the plus-side columns g |tau>, the brute-force Kostant
 count, the box-label readings of a charged partition, the removal index
-built diagram by diagram, datums that share no rotation orbit, a datum's
-table blocks filled along its chain and an exploration that keys every
-child by its table, each checked against the ``src/`` code it shadows.
+built diagram by diagram, the minus-side min-recursion over removal
+subsets, datums that share no rotation orbit, a datum's table blocks
+filled along its chain and an exploration that keys every child by its
+table, each checked against the ``src/`` code it shadows.
 Fock vectors are keyed by ``(parts, charge)`` only, so Maya diagrams are
 converted here with ``term_key``.  It also loads the bench's per-layer
 tracer, ``bench/layertrace.py``, which is not a package module.
 """
 
 import importlib.util
+from functools import lru_cache
 from pathlib import Path
 
 from mayacrystal.datum import CrystalDatum, canonical_diagrams
@@ -86,6 +88,28 @@ def removal_index(n, max_boxes):
         for label, sub in corner_removals(parts, charge):
             index[label % n].append((k, position[sub, charge]))
     return tuple(tuple(pairs) for pairs in index)
+
+
+def subset_values(datum):
+    """``datum``'s value at (parts, charge), by the min-recursion over every
+    subset of removable residue-i boxes that ``removal_options`` lists,
+    memoised by depth, parts and charge: the minus side diagram by diagram,
+    independent of ``datum._fill`` and of the indexes it reads.  It
+    recurses once per letter."""
+    n = datum.cartan.n
+    factors = datum.factors()
+
+    @lru_cache(maxsize=None)
+    def value(depth, parts, charge):
+        if depth == 0:
+            return 0
+        letter, coeff = factors[depth - 1]
+        return min(
+            value(depth - 1, sub, charge) + count * coeff
+            for sub, count in removal_options(parts, charge, letter, n)
+        )
+
+    return lambda parts, charge: value(len(factors), parts, charge % n)
 
 
 def unshared_from_word(cartan, word):

@@ -175,16 +175,16 @@ class TestEval:
         assert out == ""
         assert "0..1" in err
 
-    def test_long_word_is_bad_input(self, capsys, tmp_path):
-        # value_at recurses once per letter; a word past the recursion limit
-        # exits 2 with one line naming its length, not 1 with a traceback
+    def test_word_longer_than_the_recursion_limit(self, capsys, tmp_path):
+        # value_at fills its closure along the word in a loop, so no word is
+        # too long: each 0 lowers the value at (2, 1) by its two corners
         path = self.write_diagram(tmp_path, {"parts": [2, 1], "charge": 0})
         code, out, err = run(
             capsys, "eval", "--rank", "2", "--word", LONG_WORD, "--diagram-file", path
         )
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err.count("\n") == 1 and "1500-letter word" in err
+        assert code == EXIT_OK
+        assert out == "-3000\n"
+        assert err == ""
 
     def test_parts_form_builds_no_maya_diagram(self, capsys, tmp_path, monkeypatch):
         # the parts form goes to value_at as a (parts, charge) key, so a
@@ -514,6 +514,31 @@ class TestOracleCheck:
         assert len(report["word"]) == 1500
         assert len(report["results"]) == 2 * 4  # (), (1), (2), (1, 1) at each charge
 
+    def test_theta_past_the_recursion_limit_is_bad_input(self, capsys):
+        # theta recurses once per letter: with the limit lowered in process,
+        # a word of 60 distinct letters exits 2 with one line naming its
+        # length, not 1 with a traceback, while one letter still passes
+        def depth():
+            frame, count = sys._getframe(), 0
+            while frame is not None:
+                frame, count = frame.f_back, count + 1
+            return count
+
+        word = ",".join(str(i) for i in range(60))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth() + 50)
+        try:
+            short = run(capsys, "oracle-check", "--rank", "60", "--word", "0", "--max-boxes", "1")
+            code, out, err = run(
+                capsys, "oracle-check", "--rank", "60", "--word", word, "--max-boxes", "1"
+            )
+        finally:
+            sys.setrecursionlimit(limit)
+        assert short[0] == EXIT_OK
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: a 60-letter word is too long for the recursive evaluation\n"
+
     def test_no_diagrams_fails(self):
         # an empty window compares nothing, so it must not pass; the CLI's
         # --max-boxes is at least 0, so only a library caller reaches it
@@ -574,7 +599,7 @@ class TestOracleCheck:
         # the row fill lists each window diagram's removable boxes once per
         # distinct residue of the word and enumerates no subsets; the
         # table's fill reads the removal index, and datum's own
-        # removable_rows calls (its depth-1 recursion) are not counted
+        # removable_rows, value_at's closure walk, is not patched
         calls = {"removal_options": 0, "removable_rows": 0}
 
         def counting(name):
@@ -586,7 +611,7 @@ class TestOracleCheck:
             return wrapped
 
         removal_options, removable_rows = counting("removal_options"), counting("removable_rows")
-        for module in (maya, datum, fock):
+        for module in (maya, fock):
             monkeypatch.setattr(module, "removal_options", removal_options)
         for module in (maya, fock):
             monkeypatch.setattr(module, "removable_rows", removable_rows)
@@ -687,9 +712,12 @@ class TestUsage:
         # is the program's fault and propagates, not "error:" and exit 2
         monkeypatch.setattr(datum, "corner_removals", lambda parts, charge: [(0, parts + (1,))])
         datum._removal_index.cache_clear()
-        with pytest.raises(KeyError):
-            main(["verify", "--rank", "2", "--depth", "2"])
-        datum._removal_index.cache_clear()
+        try:
+            with pytest.raises(KeyError):
+                main(["verify", "--rank", "2", "--depth", "2"])
+        finally:
+            # an index built from the wrong corners must not outlive the test
+            datum._removal_index.cache_clear()
         assert capsys.readouterr().err == ""
 
     def test_help_is_for_users(self, capsys):

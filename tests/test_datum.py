@@ -31,6 +31,7 @@ from mayacrystal.maya import (
     addition_options,
     invert_outside,
     lambda_diagram,
+    partitions_of,
     removable_boxes,
     removal_options,
     remove_box,
@@ -45,6 +46,7 @@ from reference import (
     oracle_theta,
     partitions_up_to,
     removal_index,
+    subset_values,
     unshared_from_word,
 )
 
@@ -335,7 +337,7 @@ class TestTheta:
         n, word, parts, charge, longer = case
         assert sum(longer) > sum(parts)
         d = datum_from_word(CartanData(n), word)
-        assert d.value_at(longer, charge) == d.value_at(parts, charge)
+        assert d.value_at(longer, charge) == subset_values(d)(parts, charge)
 
     @given(st.sampled_from((3, 4)).flatmap(theta_cases))
     @settings(max_examples=140, deadline=None)
@@ -379,10 +381,8 @@ class TestFingerprint:
         # be equal for equal functions, checked here through value tables
         cartan = CartanData(2)
         d = datum_from_word(cartan, (0, 1))
-        table = {
-            (parts, charge): d.value_at(parts, charge)
-            for parts, charge in canonical_diagrams(2, 6)
-        }
+        value = subset_values(d)
+        table = {(parts, charge): value(parts, charge) for parts, charge in canonical_diagrams(2, 6)}
         blocks = fingerprint_from_root(d, 6)
         # the statistics that lead the dedup key are the node's (weight, eps, phi)
         eps = tuple(d.eps_hat(i) for i in range(2))
@@ -455,6 +455,58 @@ class TestFingerprint:
         assert min(values) == -1
 
 
+@st.composite
+def value_at_cases(draw):
+    """(n, word, parts, charge): n <= 5, at most 7 letters, a partition of
+    at most 9 boxes and a nonzero charge, which value_at reduces mod n."""
+    n = draw(st.integers(2, 5))
+    word = draw(st.lists(st.integers(0, n - 1), max_size=7))
+    parts = draw(st.integers(0, 9).flatmap(lambda total: st.sampled_from(partitions_of(total))))
+    charge = draw(st.integers(-2 * n, 2 * n).filter(bool))
+    return n, word, parts, charge
+
+
+@given(value_at_cases())
+@settings(max_examples=200, deadline=None)
+def value_at_is_the_subset_recursion(case):
+    """The fill over the word's removal closure against the min over every
+    removal subset, letter by letter."""
+    n, word, parts, charge = case
+    d = datum_from_word(CartanData(n), word)
+    assert d.value_at(parts, charge) == subset_values(d)(parts, charge)
+
+
+class TestValueAt:
+    def test_matches_subset_recursion(self):
+        value_at_is_the_subset_recursion()
+
+    def test_closure_without_a_letter_fails_it(self, monkeypatch):
+        # a closure walk that skips the first letter's removals leaves out
+        # diagrams that letter's fill reads, and the property above fails
+        closure = datum_module._removal_closure
+
+        def skipping(parts, charge, letters, n):
+            return closure(parts, charge, letters[1:], n)
+
+        monkeypatch.setattr(datum_module, "_removal_closure", skipping)
+        with pytest.raises(AssertionError):
+            value_at_is_the_subset_recursion()
+
+    def test_closure_is_the_word_removal_closure(self):
+        # (3, 2, 1) at charge 0 under the word 0, 1 of affine sl_2: its
+        # three corners all have residue 1, so letter 1 reaches the 8
+        # diagrams left by removing any of them; letter 0 then removes the
+        # residue-0 corners of those, reaching (3,), (2,), (1, 1), (1, 1, 1)
+        # and (1,), but not the empty partition
+        closure = datum_module._removal_closure((3, 2, 1), 0, (0, 1), 2)
+        assert [sum(parts) for parts in closure] == sorted(sum(parts) for parts in closure)
+        assert set(closure) == {
+            (3, 2, 1), (2, 2, 1), (3, 1, 1), (3, 2), (2, 1, 1), (2, 2), (3, 1), (2, 1),
+            (3,), (2,), (1, 1), (1, 1, 1), (1,),
+        }
+        assert len(closure) == 13
+
+
 class TestTable:
     @given(
         st.sampled_from((2, 3, 4)).flatmap(
@@ -469,9 +521,9 @@ class TestTable:
     def test_matches_recursion(self, case):
         n, word, max_boxes = case
         d = datum_from_word(CartanData(n), word)
-        table = d.table(max_boxes)
-        assert table == tuple(
-            d.value_at(parts, charge) for parts, charge in canonical_diagrams(n, max_boxes)
+        value = subset_values(d)
+        assert d.table(max_boxes) == tuple(
+            value(parts, charge) for parts, charge in canonical_diagrams(n, max_boxes)
         )
 
     @given(
@@ -605,7 +657,8 @@ class TestOrbits:
             assert d.statistics() == twin.statistics()
             assert d.table(max_boxes) == twin.table(max_boxes)
             assert generic_element(d) == generic_element(twin)
-            assert [d.value_at(*key) for key in window] == [twin.value_at(*key) for key in window]
+            value = subset_values(twin)
+            assert [d.value_at(*key) for key in window] == [value(*key) for key in window]
             assert [d.theta(tau) for tau in taus] == [twin.theta(tau) for tau in taus]
             d, twin = d.parent, twin.parent
         assert d is None
@@ -631,24 +684,18 @@ class TestOrbits:
 
 
 def depth_one_keys(n, depth, monkeypatch):
-    """Every (side, parts, charge, letter) at which a depth-1 datum closes
-    the recursion while a ball of the given depth is explored (the plus
-    side, for the statistics) and every node of it is evaluated on a
-    window (the minus side)."""
+    """Every (parts, charge, letter) at which a depth-1 datum closes theta's
+    recursion, the plus side, while a ball of the given depth is explored
+    and its statistics are read."""
     keys = set()
-    for side in ("removable_rows", "addable_rows"):
-        rows = getattr(datum_module, side)
+    rows = datum_module.addable_rows
 
-        def recording(parts, charge, i, n, side=side, rows=rows):
-            keys.add((side, parts, charge, i))
-            return rows(parts, charge, i, n)
+    def recording(parts, charge, i, n):
+        keys.add((parts, charge, i))
+        return rows(parts, charge, i, n)
 
-        monkeypatch.setattr(datum_module, side, recording)
-    cartan = CartanData(n)
-    for node in explore(cartan, depth).nodes:
-        d = datum_from_word(cartan, node.word)
-        for parts, charge in canonical_diagrams(n, n + 3):
-            d.value_at(parts, charge)
+    monkeypatch.setattr(datum_module, "addable_rows", recording)
+    explore(CartanData(n), depth)
     return keys
 
 
@@ -657,25 +704,33 @@ class TestDepthOne:
     def test_closed_form_is_the_subset_recursion(self, n, depth, monkeypatch):
         # below the root every value is 0 and c_i(O) = -1, so the min over
         # subsets S of 0 + |S| c_i(O) is minus the number of boxes the
-        # side can move; checked at every key a small ball reaches, on
-        # both sides, against the subsets listed and the boxes of the
-        # independent BoxRef enumerators
+        # plus side can add; checked at every key a small ball reaches,
+        # against the subsets listed and the boxes of the independent
+        # BoxRef enumerator
         keys = depth_one_keys(n, depth, monkeypatch)
-        sides = {side for side, *_ in keys}
-        assert sides == {"removable_rows", "addable_rows"}
+        assert keys
         root = CrystalDatum(CartanData(n))
-        for side, parts, charge, i in sorted(keys):
+        for parts, charge, i in sorted(keys):
             d = CrystalDatum(root.cartan, root, i)
             assert d.coeff == -1
-            if side == "removable_rows":
-                options, value = removal_options, d.value_at(parts, charge)
-                boxes = removable_boxes(ChargedPartition(parts, charge), i, n)
-            else:
-                options, value = addition_options, d._recurse(addition_options, parts, charge)
-                boxes = addable_boxes(ChargedPartition(parts, charge), i, n)
-            subsets = options(parts, charge, i, n)
+            subsets = addition_options(parts, charge, i, n)
+            boxes = addable_boxes(ChargedPartition(parts, charge), i, n)
+            value = d._recurse(parts, charge)
             assert value == min(count * d.coeff for _, count in subsets) == -len(boxes)
             assert d._memo == {}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_minus_side_is_minus_the_removable_boxes(self, n):
+        # the same closed form on the minus side, which value_at fills:
+        # the reference's min over removal subsets, and minus the boxes of
+        # the independent BoxRef enumerator, on a window
+        root = CrystalDatum(CartanData(n))
+        for i in range(n):
+            d = CrystalDatum(root.cartan, root, i)
+            value = subset_values(d)
+            for parts, charge in canonical_diagrams(n, n + 3):
+                boxes = removable_boxes(ChargedPartition(parts, charge), i, n)
+                assert d.value_at(parts, charge) == value(parts, charge) == -len(boxes)
 
 
 class TestRemovalIndex:

@@ -25,6 +25,7 @@ HELPERS = {
     ("fock", "_keyed"),  # x_act
     ("laurent", "_accumulate"),  # x_act and the polynomial sums and products
     ("laurent", "_merge_monomials"),  # MultiPoly.__mul__
+    ("maya", "removal_options"),  # x_act
     ("maya", "term_key"),  # CrystalDatum.theta
     ("oracle", "_act"),  # d_gamma
 }
