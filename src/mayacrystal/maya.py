@@ -326,10 +326,11 @@ def removable_rows(parts, charge, i, n):
     the given charge.  A row ends in a corner when it is longer than the row
     below it (the last row always is), and the box at the end of row r has
     label (1 - charge) + parts[r] - (r + 1).  The minus side's one corner
-    rule: :func:`removal_options` lists the subsets of these boxes, and the
-    depth-1 recursion of ``datum`` counts them.  Both corner rules are
-    plain loops: the depth-1 recursion calls them millions of times, and
-    comprehensions over zipped rows took up to twice as long."""
+    rule: :func:`removal_options` lists the subsets of these boxes, and
+    ``datum``'s removal closure and ``fock``'s row passes cut them.  Both
+    corner rules are plain loops: theta's depth-1 recursion and the removal
+    closure call them up to millions of times a run, and comprehensions
+    over zipped rows took up to twice as long."""
     rows = []
     shift = charge + i
     last = len(parts) - 1
@@ -392,7 +393,8 @@ def without_corner(parts, r):
     first, which must be a corner.  Only the last row can shrink to zero:
     every other corner row is longer than the row below it.  The one rule
     of single-box removal, which :func:`removal_options`,
-    :func:`corner_removals` and ``fock``'s row passes share."""
+    :func:`corner_removals`, ``datum``'s removal closure and ``fock``'s row
+    passes share."""
     length = parts[r]
     return parts[:r] + (length - 1,) + parts[r + 1:] if length > 1 else parts[:r]
 
