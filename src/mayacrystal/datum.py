@@ -33,7 +33,11 @@ canonical_diagrams(n, max_boxes) one charge block at a time
 (``_removal_index``); ``value_at``, which serves ``eval``, fills the
 closure of its one diagram under the word's removals
 (``_removal_closure``).  Only theta, which the crystal statistics read,
-runs diagram by diagram (``CrystalDatum._recurse``).
+runs diagram by diagram (``CrystalDatum._recurse``).  Its recursion is
+closed at the first two letters: a datum of a one-letter word counts
+addable corners (``maya.addable_rows``), and one of a two-letter word
+minimises over its addition subsets in one pass over the rows
+(``maya.addition_min``), so only longer words list subsets.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .maya import (
     LEFT_BLACK,
     RIGHT_BLACK,
     addable_rows,
+    addition_min,
     addition_options,
     corner_removals,
     partitions_of,
@@ -307,7 +312,11 @@ class CrystalDatum:
         value is 0 and c_i(O) = -1, the min is minus the number of addable
         boxes, counted by ``maya.addable_rows``, the corner rule that
         ``addition_options`` lists from; a depth-1 datum keeps no memo, and
-        the root is never called."""
+        the root is never called.  So a depth-2 datum's min over subsets S
+        is |S| c minus the addable boxes of parts + S of its parent's
+        letter, which ``maya.addition_min`` takes in one pass over the rows
+        with no subset listed; its memo keeps each value, as every deeper
+        datum's does."""
         rep = self._rep
         if rep is not None:
             return rep._recurse(parts, (charge + self._shift) % self.cartan.n)
@@ -320,13 +329,17 @@ class CrystalDatum:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
+        n = self.cartan.n
         coeff = self.coeff
-        moves = addition_options(parts, charge, self.letter, self.cartan.n)
-        best = parent._recurse(parts, charge)  # moves[0], the empty subset
-        for moved, count in moves[1:]:
-            v = parent._recurse(moved, charge) + count * coeff
-            if v < best:
-                best = v
+        if parent.parent.parent is None:
+            best = addition_min(parts, charge, self.letter, parent.letter, coeff, n)
+        else:
+            moves = addition_options(parts, charge, self.letter, n)
+            best = parent._recurse(parts, charge)  # moves[0], the empty subset
+            for moved, count in moves[1:]:
+                v = parent._recurse(moved, charge) + count * coeff
+                if v < best:
+                    best = v
         self._memo[key] = best
         return best
 

@@ -112,6 +112,45 @@ def subset_values(datum):
     return lambda parts, charge: value(len(factors), parts, charge % n)
 
 
+def plus_side_theta(n, word):
+    """(coeffs, statistics) of ``word``'s datum by theta's plus-side
+    min-recursion over every subset of addable residue-i boxes that
+    ``addition_options`` lists, memoised by depth, parts and charge, with
+    no closed form at any depth and no shared rotation orbit.  coeffs[k] is
+    the coefficient of the (k + 1)-th letter, c_i = theta(L_i) -
+    theta(sL_i) - 1 for its letter i, read from the recursion's own values
+    at depth k; statistics is (weight, eps, phi) of the whole word, read
+    from its values at the fundamental keys ((), 1 - i) and ((1,), 1 - i).
+    It recurses once per letter."""
+    coeffs = []
+
+    @lru_cache(maxsize=None)
+    def value(depth, parts, charge):
+        if depth == 0:
+            return 0
+        letter, coeff = word[depth - 1], coeffs[depth - 1]
+        return min(
+            value(depth - 1, sup, charge) + count * coeff
+            for sup, count in addition_options(parts, charge, letter, n)
+        )
+
+    def lam(depth, i):
+        return value(depth, (), (1 - i) % n)
+
+    def s_lam(depth, i):
+        return value(depth, (1,), (1 - i) % n)
+
+    for depth, letter in enumerate(word):
+        coeffs.append(lam(depth, letter) - s_lam(depth, letter) - 1)
+    depth = len(word)
+    weight = tuple(lam(depth, i) for i in range(n))
+    eps = tuple(
+        -lam(depth, i) - s_lam(depth, i) + lam(depth, i - 1) + lam(depth, i + 1) for i in range(n)
+    )
+    phi = tuple(lam(depth, i) - s_lam(depth, i) for i in range(n))
+    return coeffs, (weight, eps, phi)
+
+
 def unshared_from_word(cartan, word):
     """The datum of a word built letter by letter through the constructor,
     so that it shares no representative or memo with any other word, where

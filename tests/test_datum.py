@@ -28,6 +28,8 @@ from mayacrystal.maya import (
     Interval,
     MayaDiagram,
     addable_boxes,
+    addable_rows,
+    addition_min,
     addition_options,
     invert_outside,
     lambda_diagram,
@@ -45,6 +47,7 @@ from reference import (
     fingerprint_from_root,
     oracle_theta,
     partitions_up_to,
+    plus_side_theta,
     removal_index,
     subset_values,
     unshared_from_word,
@@ -317,6 +320,12 @@ def long_edge_cases(draw):
     return n, word, parts_of(edges), charge, parts_of(longer)
 
 
+#: The longest cyclic word, per rank, that ``plus_side_theta`` checks in
+#: ``TestTheta::test_weight_of_long_cyclic_words``: at these lengths it
+#: takes about 3 s over all the cases, against 14 s more for the rest.
+REFERENCE_REACH = {2: 10, 3: 12, 4: 14}
+
+
 class TestTheta:
     @given(st.sampled_from((2, 3, 4)).flatmap(theta_cases))
     @settings(max_examples=120, deadline=None)
@@ -353,7 +362,7 @@ class TestTheta:
         [
             (3, 10, 0), (3, 10, -1), (3, 11, 0), (3, 11, 1), (3, 12, 0), (3, 12, -1),
             (4, 12, 0), (4, 12, 1), (4, 13, 0), (4, 13, -1), (4, 14, 0), (4, 14, 1),
-            (2, 8, 0), (2, 8, 1), (2, 10, 0), (2, 10, 1),
+            (2, 8, 0), (2, 8, 1), (2, 9, 0), (2, 9, 1), (2, 10, 0), (2, 10, 1),
             (3, 15, 0), (4, 18, 0), (2, 11, 0),
         ],
     )
@@ -363,11 +372,18 @@ class TestTheta:
         # affine sl_2: its weight is minus the letter count of each residue.
         # An oracle-check verdict cannot see a wrong theta (both sides take
         # the same theta values), so this pins theta's plus-side recursion
-        # on words of up to 18 letters.
+        # on words of up to 18 letters; up to the bench's lengths and 10
+        # letters at n = 2, also every prefix's coefficient and the
+        # statistics, against the plus-side recursion over listed subsets,
+        # which has no closed form and no shared orbit
         word = [k % n for k in range(length)]
         word[-1] = (word[-1] + change) % n
         d = datum_from_word(CartanData(n), word)
         assert d.weight() == tuple(-word.count(i) for i in range(n))
+        if length <= REFERENCE_REACH[n]:
+            coeffs, statistics = plus_side_theta(n, word)
+            assert [coeff for _, coeff in d.factors()] == coeffs
+            assert d.statistics() == statistics
 
 
 class TestFingerprint:
@@ -683,20 +699,29 @@ class TestOrbits:
             gc.enable()
 
 
-def depth_one_keys(n, depth, monkeypatch):
-    """Every (parts, charge, letter) at which a depth-1 datum closes theta's
-    recursion, the plus side, while a ball of the given depth is explored
-    and its statistics are read."""
-    keys = set()
-    rows = datum_module.addable_rows
+def closed_form_keys(n, depth, monkeypatch):
+    """Where theta's recursion, the plus side, takes its closed forms while
+    a ball of the given depth is explored and its statistics are read:
+    (counted, paired).  counted holds each (parts, charge, letter) at which
+    a depth-1 datum counts addable boxes (``maya.addable_rows``), which
+    only the fundamentals of depth-1 datums reach; paired holds each (parts,
+    charge, letter, parent letter, coeff) at which a depth-2 datum's row
+    pass (``maya.addition_min``) closes depth 1 inside it."""
+    counted, paired = set(), set()
+    rows, row_pass = datum_module.addable_rows, datum_module.addition_min
 
-    def recording(parts, charge, i, n):
-        keys.add((parts, charge, i))
+    def counting(parts, charge, i, n):
+        counted.add((parts, charge, i))
         return rows(parts, charge, i, n)
 
-    monkeypatch.setattr(datum_module, "addable_rows", recording)
+    def passing(parts, charge, j, i, coeff, n):
+        paired.add((parts, charge, j, i, coeff))
+        return row_pass(parts, charge, j, i, coeff, n)
+
+    monkeypatch.setattr(datum_module, "addable_rows", counting)
+    monkeypatch.setattr(datum_module, "addition_min", passing)
     explore(CartanData(n), depth)
-    return keys
+    return counted, paired
 
 
 class TestDepthOne:
@@ -706,9 +731,18 @@ class TestDepthOne:
         # subsets S of 0 + |S| c_i(O) is minus the number of boxes the
         # plus side can add; checked at every key a small ball reaches,
         # against the subsets listed and the boxes of the independent
-        # BoxRef enumerator
-        keys = depth_one_keys(n, depth, monkeypatch)
-        assert keys
+        # BoxRef enumerator.  Depth 1 is closed where a depth-1 datum
+        # counts and, inside each depth-2 row pass, at parts plus each
+        # subset the pass minimises over; both must occur in every cell,
+        # so that the check never runs on the few counted keys alone
+        counted, paired = closed_form_keys(n, depth, monkeypatch)
+        assert counted and paired
+        keys = counted | {
+            (sup, charge, i)
+            for parts, charge, j, i, _ in paired
+            for sup, _ in addition_options(parts, charge, j, n)
+        }
+        assert len(keys) > len(counted)
         root = CrystalDatum(CartanData(n))
         for parts, charge, i in sorted(keys):
             d = CrystalDatum(root.cartan, root, i)
@@ -731,6 +765,47 @@ class TestDepthOne:
             for parts, charge in canonical_diagrams(n, n + 3):
                 boxes = removable_boxes(ChargedPartition(parts, charge), i, n)
                 assert d.value_at(parts, charge) == value(parts, charge) == -len(boxes)
+
+
+def subset_minimum(parts, charge, j, i, n):
+    """coeff -> min over the subsets S of the addable residue-j boxes of
+    |S| * coeff minus the addable residue-i boxes of parts + S, by the
+    subsets that ``addition_options`` lists and the boxes of the
+    independent BoxRef enumerator."""
+    pairs = [
+        (count, len(addable_boxes(ChargedPartition(sup, charge), i, n)))
+        for sup, count in addition_options(parts, charge, j, n)
+    ]
+    return lambda coeff: min(count * coeff - boxes for count, boxes in pairs)
+
+
+class TestDepthTwo:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_row_pass_is_the_subset_minimum(self, n):
+        # a depth-2 datum's value, one pass over the rows, against the min
+        # over the subsets that addition_options lists of its depth-1
+        # parent's values plus |S| c, for every two-letter word, every
+        # charge and all partitions of at most 10 boxes; and the pass
+        # alone at other coefficients.  A box changes the i-spots of two
+        # rows at most, its own and the one below, so at c >= 3 adding
+        # one never pays and the pass counts the addable residue-i boxes
+        # of parts itself: the one plus-side corner rule
+        cartan = CartanData(n)
+        window = list(partitions_up_to(10))
+        for i, j in itertools.product(range(n), repeat=2):
+            d = unshared_from_word(cartan, (i, j))
+            for charge, parts in itertools.product(range(n), window):
+                expected = subset_minimum(parts, charge, j, i, n)
+                moves = addition_options(parts, charge, j, n)
+                assert d._recurse(parts, charge) == expected(d.coeff) == min(
+                    d.parent._recurse(sup, charge) + count * d.coeff for sup, count in moves
+                )
+                for coeff in (-2, 0, 2):
+                    assert addition_min(parts, charge, j, i, coeff, n) == expected(coeff)
+                corners = -len(addable_rows(parts, charge, i, n))
+                for coeff in (3, 4):
+                    assert addition_min(parts, charge, j, i, coeff, n) == corners == expected(coeff)
+            assert len(d._memo) == n * len(window)
 
 
 class TestRemovalIndex:
