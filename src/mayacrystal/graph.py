@@ -19,7 +19,6 @@ A, with imaginary roots m*delta carrying multiplicity n - 1.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 
 from .datum import CartanData, CrystalDatum
@@ -294,6 +293,8 @@ def lattice_points(n, max_height):
 def export(graph, fmt):
     """Deterministic DOT or JSON rendering of an explored graph."""
     if fmt == "json":
+        import json  # here, so that only a JSON export loads it
+
         payload = {
             "n": graph.n,
             "depth": graph.depth,

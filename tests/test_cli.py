@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -5,8 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mayacrystal import datum, fock, maya, oracle
+from mayacrystal import cli, datum, fock, maya, oracle
 from mayacrystal.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from mayacrystal.laurent import MultiPoly
 from reference import unpack_row
@@ -44,18 +49,41 @@ def run_python(script):
                           capture_output=True, text=True, timeout=30).stdout
 
 
+#: what no command path of the CLI may load at import
+HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal",
+         "argparse", "gettext", "json"}
+
+
 class TestStartup:
     def test_import_loads_no_dataclasses_or_fractions(self):
         # every command pays for what importing the CLI loads; dataclasses
-        # pulls in inspect, ast, dis and tokenize, fractions pulls in decimal
+        # pulls in inspect, ast, dis and tokenize, fractions pulls in decimal,
+        # and argparse pulls in gettext, which only help and usage errors need
         script = "import sys\n%s\nprint('\\n'.join(sys.modules))"
         plain, loaded = (
             set(run_python(script % head).split()) for head in ("", "import mayacrystal.cli")
         )
         added = loaded - plain
         assert "mayacrystal.cli" in added
-        heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal"}
-        assert not added & heavy, sorted(added & heavy)
+        assert not added & HEAVY, sorted(added & HEAVY)
+
+    def test_well_formed_commands_load_no_argparse(self):
+        # a canonical argv is parsed from the flag table; only a usage error
+        # builds the argparse parser
+        script = (
+            "import os, sys\n"
+            "before = set(sys.modules)\n"
+            "from mayacrystal.cli import main\n"
+            "main(['oracle-check', '--rank', '2', '--word', '0,1', '--max-boxes', '3',\n"
+            "      '--output', os.devnull])\n"
+            "main(['verify', '--rank', '2', '--depth', '2'])\n"
+            "print(sorted((set(sys.modules) - before) & %r))\n"
+            "try:\n"
+            "    main(['oracle-check', '--rank', '2', '--max-boxes', '-1'])\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, 'argparse' in sys.modules)\n"
+        ) % HEAVY
+        assert run_python(script).splitlines()[-2:] == ["[]", "2 True"]
 
     def test_heap_is_frozen_at_exit(self):
         # exit handlers run last in, first out, so the CLI's freeze runs
@@ -749,3 +777,100 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.count("\n") == 1 and str(path) in err and "word" not in err
+
+
+#: tokens that are no command's exact long flag
+FOREIGN = ("--mode", "--seed", "--max", "--rank=2", "-h", "--")
+VALUES = ("2", "1", "-1", "0,1", "", "0,,1", "x", "json", "dot")
+
+
+@st.composite
+def argvs(draw):
+    """A command, its --rank and other distinct flags of it, in any order;
+    sometimes also flags of any command or foreign tokens, and sometimes
+    one stray token.  Foreign tokens stand among the values too."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    # "2" passes every type but --format's, so that whole argvs often do
+    values = st.one_of(st.just("2"), st.sampled_from(VALUES + FOREIGN))
+    own = sorted(cli.COMMANDS[command][2].keys() - {"--rank"})
+    flags = ["--rank", *draw(st.lists(st.sampled_from(own), unique=True))]
+    if draw(st.booleans()):
+        every = {flag for _, _, flags in cli.COMMANDS.values() for flag in flags}
+        flags += draw(st.lists(st.sampled_from(sorted(every) + list(FOREIGN)),
+                               min_size=1, max_size=2))
+    pairs = draw(st.permutations([(flag, draw(values)) for flag in flags]))
+    argv = [command, *itertools.chain.from_iterable(pairs)]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(FOREIGN + VALUES)))
+    return argv
+
+
+def argparse_vars(argv):
+    """``vars`` of argparse's parse of argv, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestParse:
+    @given(argvs())
+    @settings(max_examples=400, deadline=None)
+    def test_direct_parse_agrees_with_argparse(self, argv):
+        # the direct parse either defers or returns what argparse returns;
+        # it defers wherever argparse exits
+        direct = cli._parse_canonical(argv)
+        expected = argparse_vars(argv)
+        if direct is not None:
+            assert vars(direct) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ("oracle-check", "--rank", "2", "--word", "0,1", "--max-boxes", "3"),
+        ("oracle-check", "--max-boxes", "3", "--rank", "2", "--output", "x", "--word", ""),
+        ("explore", "--rank", "3", "--format", "dot", "--depth", "2"),
+        ("eval", "--rank", "2", "--diagram-file", "d.json"),
+        ("verify", "--rank", "2", "--graph-file", "g.json"),
+        ("kostant", "--rank", "2", "--beta", "1,1"),
+    ])
+    def test_canonical_argv_is_parsed_directly(self, argv):
+        direct = cli._parse_canonical(list(argv))
+        assert direct is not None
+        assert vars(direct) == argparse_vars(list(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ("oracle-check", "--rank", "2", "--output", "--word"),
+        ("oracle-check", "--rank", "2", "--word", "-1"),
+        ("oracle-check", "--rank", "2", "--", "--word", "0"),
+        ("explore", "--rank", "2", "--format", "svg"),
+        ("eval", "--rank", "2"),
+        ("kostant", "--rank", "2", "--beta", "1", "--beta", "2"),
+        ("verify", "--rank", "2", "--depth"),
+        ("--rank", "2", "verify"),
+    ])
+    def test_other_argv_is_deferred(self, argv):
+        assert cli._parse_canonical(list(argv)) is None
+
+    @pytest.mark.parametrize("flags", [
+        ("--rank=2", "--word", "0,1", "--max-boxes", "3"),
+        ("--rank", "2", "--word", "0,1", "--max", "3"),
+        ("--rank", "2", "--word", "0,1", "--max-boxes", "5", "--max-boxes", "3"),
+    ], ids=["equals-sign", "abbreviation", "repeated-flag-last-wins"])
+    def test_fallback_forms(self, capsysbinary, flags):
+        # forms only argparse handles give what the canonical argv gives
+        argv = ["oracle-check", *flags]
+        assert cli._parse_canonical(argv) is None
+        assert main(argv) == EXIT_OK
+        fallback = capsysbinary.readouterr().out
+        assert main(["oracle-check", "--rank", "2", "--word", "0,1", "--max-boxes", "3"]) == EXIT_OK
+        assert fallback == capsysbinary.readouterr().out
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_command_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("usage: mayacrystal %s " % command)
+        for flag in cli.COMMANDS[command][2]:
+            assert flag in out

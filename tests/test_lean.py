@@ -65,7 +65,8 @@ REFERENCE_METHODS = {
 
 def command_forms(tmp_path):
     """explore as JSON and DOT, verify both ways, eval on both diagram-file
-    forms, oracle-check and kostant."""
+    forms, oracle-check and kostant, once in a form that only argparse
+    parses."""
     graph = tmp_path / "graph.json"
     parts = tmp_path / "parts.json"
     parts.write_text(json.dumps({"parts": [2, 1], "charge": 0}))
@@ -81,6 +82,7 @@ def command_forms(tmp_path):
         ["eval", "--rank", "2", "--word", "0,1", "--diagram-file", str(deviations)],
         ["oracle-check", "--rank", "2", "--word", "0,1,0", "--max-boxes", "3"],
         ["kostant", "--rank", "3", "--beta", "1,1,1"],
+        ["kostant", "--rank=3", "--beta", "1,1,1"],
     ]
 
 
