@@ -193,6 +193,8 @@ def cmd_kostant(args):
 
 _RANK = dict(type=_rank, required=True, help="rank n (at least 2)")
 _WORD = dict(type=_parse_word, default=(), help="comma-separated residues, e.g. 0,1,0")
+_AREA = ("area bound of the dedup window: the diagrams whose partition fits in an a x b "
+         "box with ab at most this; default max(n(depth + 1), (depth - 2)^2 // 4 + 1)")
 
 #: Each command's ``cmd_*`` function, help line and flags, in ``--help``
 #: order; each flag's ``add_argument`` keywords.  ``build_parser`` and
@@ -201,7 +203,7 @@ COMMANDS = {
     "explore": (cmd_explore, "explore and export the crystal graph", {
         "--rank": _RANK,
         "--depth": dict(type=_count, default=0),
-        "--max-boxes": dict(type=_count),
+        "--max-boxes": dict(type=_count, help=_AREA),
         "--output": {},
         "--format": dict(choices=["json", "dot"], default="json"),
     }),
@@ -214,13 +216,14 @@ COMMANDS = {
         "--rank": _RANK,
         # no defaults, so that main can refuse them beside --graph-file
         "--depth": dict(type=_count, help="default 0"),
-        "--max-boxes": dict(type=_count),
+        "--max-boxes": dict(type=_count, help=_AREA),
         "--graph-file": dict(help="check a stored export instead"),
     }),
     "oracle-check": (cmd_oracle_check, "cross-check a word against the oracle", {
         "--rank": _RANK,
         "--word": _WORD,
-        "--max-boxes": dict(type=_count, default=6),
+        "--max-boxes": dict(type=_count, default=6,
+                            help="window: every diagram of at most this many boxes"),
         "--output": {},
     }),
     "kostant": (cmd_kostant, "Kostant partition count of beta", {

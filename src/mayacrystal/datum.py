@@ -28,10 +28,12 @@ interval's ends, and the two recursion trees are isomorphic.
 
 One path computes minus-side values: ``_fill`` runs a datum's word, letter
 by letter, over a list of partitions in increasing box count that
-``_index`` indexes.  ``table`` and ``fingerprint`` fill the window
-canonical_diagrams(n, max_boxes) one charge block at a time
-(``_removal_index``); ``value_at``, which serves ``eval``, fills the
-closure of its one diagram under the word's removals
+``_index`` indexes.  ``table`` fills the window canonical_diagrams(n,
+max_boxes), every partition of at most max_boxes boxes, and
+``fingerprint`` the box window box_diagrams(n, max_boxes), every
+partition that fits in an a x b box with ab <= max_boxes, both one charge
+block at a time (``_removal_index``); ``value_at``, which serves ``eval``,
+fills the closure of its one diagram under the word's removals
 (``_removal_closure``).  Only theta, which the crystal statistics read,
 runs diagram by diagram (``CrystalDatum._recurse``).  Its recursion is
 closed at the first two letters: a datum of a one-letter word counts
@@ -100,13 +102,14 @@ def _index(block, n, closed):
 
 
 @lru_cache(maxsize=2)
-def _removal_index(n, max_boxes):
-    """``_index`` of one charge block of canonical_diagrams(n, max_boxes).
-    The window repeats one list of partitions at each charge and a removal
-    keeps the charge, so each block is closed under removal and fills on
-    its own.  A run uses one window, so the cache holds only the last two."""
-    window = canonical_diagrams(n, max_boxes)
-    _, index = _index([parts for parts, _ in window[:len(window) // n]], n, True)
+def _removal_index(window, n, max_boxes):
+    """``_index`` of one charge block of window(n, max_boxes), where
+    ``window`` is canonical_diagrams or box_diagrams.  Either window
+    repeats one list of partitions at each charge, closed under box
+    removal, and a removal keeps the charge, so each block fills on its
+    own.  A run uses one window, so the cache holds only the last two."""
+    diagrams = window(n, max_boxes)
+    _, index = _index([parts for parts, _ in diagrams[:len(diagrams) // n]], n, True)
     return tuple(tuple(pairs) for pairs in index)
 
 
@@ -351,7 +354,7 @@ class CrystalDatum:
         n = self.cartan.n
         size = len(canonical_diagrams(n, max_boxes)) // n
         factors = self.factors()
-        index = _removal_index(n, max_boxes)
+        index = _removal_index(canonical_diagrams, n, max_boxes)
         values = []
         for charge in range(n):
             values += _fill_word(size, index, factors, charge)
@@ -406,10 +409,11 @@ class CrystalDatum:
     # -- equality surrogate ---------------------------------------------------
 
     def fingerprint(self, max_boxes, parent_table, memo):
-        """This datum's value table over canonical_diagrams(n, max_boxes),
-        as n bytes blocks, one per charge in the window's order (charge,
-        then box count, then lexicographic parts), each value a native
-        signed 16-bit number; a value outside [-32768, 32767] raises
+        """This datum's value table over the box window box_diagrams(n,
+        max_boxes), the partitions lambda with lambda_1 * len(lambda) <=
+        max_boxes, as n bytes blocks, one per charge in the window's order
+        (charge, then box count, then lexicographic parts), each value a
+        native signed 16-bit number; a value outside [-32768, 32767] raises
         OverflowError and is never clipped.  ``graph.explore`` holds each
         table once, inside its dedup keys, at two bytes an entry.
 
@@ -425,16 +429,22 @@ class CrystalDatum:
         c, so a level's keys come at least n at a time, and a child costs
         at most one block fill on average, not n.
 
+        The box window holds every rectangle of area at most max_boxes and
+        lies inside canonical_diagrams(n, max_boxes), at a small fraction
+        of its size (3,058 against 99,133 partitions per block at 36);
+        ``tests/test_graph.py``'s ``TestExplore::test_equals_full_window``
+        checks that exploration merges the same elements on either.
+
         ``oracle-check`` checks :meth:`table`, which shares ``_fill`` and
-        ``_removal_index`` with this method but not the 16-bit encoding or
-        the level memo; ``tests/test_datum.py``'s
+        ``_removal_index`` with this method, over the full window, but not
+        the 16-bit encoding or the level memo; ``tests/test_datum.py``'s
         ``TestTable::test_fill_from_parent_fingerprint`` and
         ``TestTable::test_level_memo_changes_no_fingerprint`` cover those.
         """
         n = self.cartan.n
         if self.parent is None:
-            return (bytes(2 * (len(canonical_diagrams(n, max_boxes)) // n)),) * n
-        index = _removal_index(n, max_boxes)
+            return (bytes(2 * (len(box_diagrams(n, max_boxes)) // n)),) * n
+        index = _removal_index(box_diagrams, n, max_boxes)
         blocks = []
         for charge, parent_block in enumerate(parent_table):
             residue = (self.letter + charge) % n
@@ -474,3 +484,23 @@ def canonical_diagrams(n, max_boxes):
     """
     by_size = [partitions_of(total) for total in range(max_boxes + 1)]
     return tuple((parts, charge) for charge in range(n) for size in by_size for parts in size)
+
+
+@lru_cache(maxsize=2)
+def box_diagrams(n, max_area):
+    """The box window: the pairs of canonical_diagrams(n, max_area) whose
+    partition lambda fits in an a x b box with ab <= max_area, that is
+    lambda_1 * len(lambda) <= max_area, in its order.  It is closed under
+    box removal and holds every rectangle of area at most max_area.  Each
+    charge block is built directly, by largest part a with at most
+    max_area // a rows, not filtered from every partition of at most
+    max_area boxes, which number 1.3 million at 50.  Each box count lists
+    a in rising order, each a's partitions sorted, so the block is in
+    lexicographic order.  The cache holds the last two windows."""
+    block = [
+        (a,) + rest
+        for total in range(max_area + 1)
+        for a in range(1, total + 1)
+        for rest in partitions_of(total - a, a, max_area // a - 1)
+    ]
+    return tuple((parts, charge) for charge in range(n) for parts in [()] + block)

@@ -1,9 +1,10 @@
 """Crystal graph exploration, axiom checking, and the Kostant census oracle.
 
 The graph is grown breadth-first from the zero datum, merging children whose
-statistics and value tables over diagrams with at most ``max_boxes`` boxes
-agree (see ``explore``).  The window defaults to n*(depth+1), a heuristic
-that only the census and axiom iv check: too small a window merges distinct
+statistics and value tables agree over the box window: the diagrams whose
+partition fits in an a x b box with ab <= ``max_boxes`` (see ``explore``).
+The window's area bound defaults to ``default_max_boxes``, a heuristic that
+only the census and axiom iv check: too small a window merges distinct
 elements.  A graph and its nodes are plain records, the fields and rows of
 its JSON export, so an explored graph equals what ``load_json`` rebuilds
 from that export.  They are ``__slots__`` classes, not dataclasses:
@@ -55,7 +56,13 @@ class CrystalGraph(_Record):
 
 
 def default_max_boxes(n, depth):
-    return n * (depth + 1)
+    """The default area bound of ``explore``'s box window: n * (depth + 1),
+    or floor((depth - 2)^2 / 4) + 1 where that is larger (n = 2 from depth
+    13, n = 3 from depth 17).  At n = 2 the smallest passing area measured
+    at depths 6 to 14 is floor((depth - 2)^2 / 4), the area of the
+    rectangle floor((depth - 2) / 2) x ceil((depth - 2) / 2), and
+    n * (depth + 1) falls below it at depth 13."""
+    return max(n * (depth + 1), (depth - 2) ** 2 // 4 + 1)
 
 
 def explore(cartan, depth, max_boxes=None):
@@ -64,15 +71,16 @@ def explore(cartan, depth, max_boxes=None):
     Two children are one element when their dedup keys (stats, table) are
     equal: stats is the (weight, eps, phi) that the node's row stores,
     computed once per child, and table is the child's value table over the
-    window (``CrystalDatum.fingerprint``), filled from its parent's.  The
-    statistics are in the key because tables over a bounded window can
-    coincide for elements that differ only on larger diagrams.  Each f_i
-    lowers the weight by a simple root, so a node k steps from the root
-    has height k, and a key, which leads with the weight, is looked up only
-    among its own level's.  A level's keys and data are freed once the next
-    level is keyed, with the level's memo of filled blocks and child
-    representatives (see ``CrystalDatum.fingerprint`` and ``apply``), so a
-    child that dedups away is freed with its value memo.
+    box window of area ``max_boxes`` (``CrystalDatum.fingerprint``), filled
+    from its parent's.  The statistics are in the key because tables over
+    a bounded window can coincide for elements that differ only on larger
+    diagrams.  Each f_i lowers the weight by a simple root, so a node k
+    steps from the root has height k, and a key, which leads with the
+    weight, is looked up only among its own level's.  A level's keys and
+    data are freed once the next level is keyed, with the level's memo of
+    filled blocks and child representatives (see
+    ``CrystalDatum.fingerprint`` and ``apply``), so a child that dedups
+    away is freed with its value memo.
 
     The last level grows no children, so its tables only have to tell
     apart its own children: a child there whose statistics no other child

@@ -500,22 +500,27 @@ def invert_outside(t, interval):
     return MayaDiagram(LEFT_BLACK, frozenset(range(interval.lo, interval.hi + 1)) - t.diffs)
 
 
-def partitions_of(total):
-    """All partitions of ``total`` as weakly decreasing tuples, sorted.
+def partitions_of(total, largest=None, rows=None):
+    """All partitions of ``total`` with parts at most ``largest`` and at
+    most ``rows`` parts, where given, as weakly decreasing tuples, sorted.
+    A branch whose rows cannot hold what remains is cut at once, so every
+    branch taken ends in a partition.
 
-    Not cached: ``canonical_diagrams``, its one caller on a hot path, calls
-    it once per size and caches its own result.
+    Not cached: ``datum.canonical_diagrams`` and ``datum.box_diagrams``,
+    its callers on a hot path, cache their own results.
     """
     if total == 0:
         return ((),)
     out = []
 
-    def build(remaining, largest, prefix):
+    def build(remaining, largest, rows, prefix):
         if remaining == 0:
             out.append(tuple(prefix))
             return
         for first in range(min(remaining, largest), 0, -1):
-            build(remaining - first, first, prefix + [first])
+            if first * rows < remaining:
+                break
+            build(remaining - first, first, rows - 1, prefix + [first])
 
-    build(total, total, [])
+    build(total, total if largest is None else largest, total if rows is None else rows, [])
     return tuple(sorted(out))

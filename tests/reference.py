@@ -8,7 +8,7 @@ count, the box-label readings of a charged partition, the removal index
 built diagram by diagram, the minus-side min-recursion over removal
 subsets, datums that share no rotation orbit, a datum's table blocks
 filled along its chain and an exploration that keys every child by its
-table, each checked against the ``src/`` code it shadows.
+table over either window, each checked against the ``src/`` code it shadows.
 Fock vectors are keyed by ``(parts, charge)`` only, so Maya diagrams are
 converted here with ``term_key``.  It also loads the bench's per-layer
 tracer, ``bench/layertrace.py``, which is not a package module.
@@ -76,12 +76,12 @@ def box_label_multiset(p):
 # -- value tables and exploration ---------------------------------------------
 
 
-def removal_index(n, max_boxes):
-    """The whole window's single-box removal index, built diagram by
-    diagram: each window diagram's corners at its own charge, filed under
-    their slot labels mod n.  ``datum._removal_index`` is one charge block
-    of it."""
-    window = canonical_diagrams(n, max_boxes)
+def removal_index(window):
+    """The single-box removal index of a whole window of (parts, charge)
+    pairs at charges 0..n-1, built diagram by diagram: each window
+    diagram's corners at its own charge, filed under their slot labels mod
+    n.  ``datum._removal_index`` is one charge block of it."""
+    n = window[-1][1] + 1
     position = {key: k for k, key in enumerate(window)}
     index = tuple([] for _ in range(n))
     for k, (parts, charge) in enumerate(window):
@@ -175,11 +175,13 @@ def fingerprint_from_root(datum, max_boxes):
     return table
 
 
-def explore_every_child(cartan, depth, max_boxes=None):
+def explore_every_child(cartan, depth, max_boxes=None, full_window=False):
     """``graph.explore`` with every child keyed by (statistics, table), on
     every level, and no level memo: each fill runs on its own.  Each child is built
     through the constructor, so every word keeps its own datum and no
-    rotation orbit is shared."""
+    rotation orbit is shared.  The table is the child's fingerprint over
+    the box window or, with ``full_window``, its ``table`` over every
+    diagram of at most ``max_boxes`` boxes, filled from the root."""
     n = cartan.n
     if max_boxes is None:
         max_boxes = default_max_boxes(n, depth)
@@ -189,7 +191,10 @@ def explore_every_child(cartan, depth, max_boxes=None):
         level = {}
         for edge, datum, parent_table in candidates:
             stats = datum.statistics()
-            table = datum.fingerprint(max_boxes, parent_table, {})
+            if full_window:
+                table = datum.table(max_boxes)
+            else:
+                table = datum.fingerprint(max_boxes, parent_table, {})
             target, _ = level.setdefault((stats, table), (len(nodes), datum))
             if target == len(nodes):
                 nodes.append(Node(target, datum.word, *stats))

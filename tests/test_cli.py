@@ -737,7 +737,9 @@ class TestUsage:
     def test_program_fault_is_not_bad_input(self, capsys, monkeypatch):
         # exit 2 is for usage and input errors: a KeyError inside a command,
         # here a removal index entry whose diagram is not in the window,
-        # is the program's fault and propagates, not "error:" and exit 2
+        # is the program's fault and propagates, not "error:" and exit 2.
+        # explore's box-window index is cached in _removal_index with the
+        # full window's, so an index built before the patch must go first
         monkeypatch.setattr(datum, "corner_removals", lambda parts, charge: [(0, parts + (1,))])
         datum._removal_index.cache_clear()
         try:

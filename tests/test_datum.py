@@ -17,6 +17,7 @@ from mayacrystal.datum import (
     _decode,
     _encode,
     _removal_index,
+    box_diagrams,
     canonical_diagrams,
     datum_from_word,
 )
@@ -58,6 +59,14 @@ def table_values(blocks):
     """A fingerprint's blocks decoded, charge 0 first: native signed 16-bit
     numbers."""
     return memoryview(b"".join(blocks)).cast("h").tolist()
+
+
+def box_table(datum, max_boxes):
+    """``datum.table(max_boxes)``'s values at the box window's diagrams, in
+    the box window's order: what its fingerprint must hold."""
+    n = datum.cartan.n
+    values = dict(zip(canonical_diagrams(n, max_boxes), datum.table(max_boxes)))
+    return [values[key] for key in box_diagrams(n, max_boxes)]
 
 
 def charge_blocks(table, n):
@@ -398,12 +407,12 @@ class TestFingerprint:
         cartan = CartanData(2)
         d = datum_from_word(cartan, (0, 1))
         value = subset_values(d)
-        table = {(parts, charge): value(parts, charge) for parts, charge in canonical_diagrams(2, 6)}
+        table = {(parts, charge): value(parts, charge) for parts, charge in box_diagrams(2, 6)}
         blocks = fingerprint_from_root(d, 6)
         # the statistics that lead the dedup key are the node's (weight, eps, phi)
         eps = tuple(d.eps_hat(i) for i in range(2))
         assert d.statistics() == (d.weight(), eps, tuple(d.phi_hat(i) for i in range(2)))
-        assert table_values(blocks) == [table[key] for key in canonical_diagrams(2, 6)]
+        assert table_values(blocks) == [table[key] for key in box_diagrams(2, 6)]
 
     @given(
         st.sampled_from((2, 3, 4)).flatmap(
@@ -418,16 +427,16 @@ class TestFingerprint:
     )
     @settings(max_examples=60, deadline=None)
     def test_bytes_equal_as_value_tuples(self, case, permute):
-        # two fingerprints are equal exactly when the tables' ints are; a
-        # reversed word often gives the same element, which exercises
-        # equality
+        # two fingerprints are equal exactly when the tables' ints over
+        # the box window are; a reversed word often gives the same element,
+        # which exercises equality
         n, max_boxes, word_a, word_b = case
         if permute:
             word_b = list(reversed(word_a))
         cartan = CartanData(n)
         a, b = datum_from_word(cartan, word_a), datum_from_word(cartan, word_b)
         fp_a, fp_b = fingerprint_from_root(a, max_boxes), fingerprint_from_root(b, max_boxes)
-        assert (fp_a == fp_b) == (a.table(max_boxes) == b.table(max_boxes))
+        assert (fp_a == fp_b) == (box_table(a, max_boxes) == box_table(b, max_boxes))
 
     def test_out_of_range_value_raises(self):
         # a forged parent table at the bottom of the 16-bit range (n blocks,
@@ -437,7 +446,7 @@ class TestFingerprint:
         root = CrystalDatum(cartan)
         d = root.apply(0, {})
         assert d.parent.c_coeff(0) == -1
-        size = len(canonical_diagrams(2, 4)) // 2
+        size = len(box_diagrams(2, 4)) // 2
         block = array("h", [-32768] * size).tobytes()
         root_fp = fingerprint_from_root(root, 4)
         forged = (block,) * 2
@@ -561,15 +570,17 @@ class TestTable:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_fingerprint_canonical_order(self, n):
-        window = canonical_diagrams(n, 6)
-        # charge, then box count, then lexicographic parts
-        assert list(window) == sorted(window, key=lambda e: (e[1], sum(e[0]), e[0]))
+        # both windows: charge, then box count, then lexicographic parts
+        box = box_diagrams(n, 6)
+        for window in (canonical_diagrams(n, 6), box):
+            assert list(window) == sorted(window, key=lambda e: (e[1], sum(e[0]), e[0]))
         d = datum_from_word(CartanData(n), (0, 1, 0))
         blocks = fingerprint_from_root(d, 6)
-        # one native 16-bit bytes block per charge, in charge order
+        # one native 16-bit bytes block per charge of the box window, in
+        # charge order
         assert len(blocks) == n
-        assert all(len(block) == 2 * len(window) // n for block in blocks)
-        assert table_values(blocks) == list(d.table(6))
+        assert all(len(block) == 2 * len(box) // n for block in blocks)
+        assert table_values(blocks) == box_table(d, 6)
 
     @given(
         st.sampled_from((2, 3, 4)).flatmap(
@@ -583,13 +594,14 @@ class TestTable:
     @settings(max_examples=40, deadline=None)
     def test_fill_from_parent_fingerprint(self, case):
         # exploration fills a child's 16-bit blocks from its parent's
-        # fingerprint; they must hold ``table``'s values, the
-        # unbounded ints that the oracle checks, filled from the root
+        # fingerprint; they must hold ``table``'s values over the box
+        # window, the unbounded ints that the oracle checks, filled from
+        # the root
         n, word, max_boxes = case
         d = datum_from_word(CartanData(n), word)
         parent_fp = fingerprint_from_root(d.parent, max_boxes)
         blocks = d.fingerprint(max_boxes, parent_fp, {})
-        assert table_values(blocks) == list(d.table(max_boxes))
+        assert table_values(blocks) == box_table(d, max_boxes)
 
     @given(
         st.integers(2, 5).flatmap(
@@ -811,16 +823,16 @@ class TestDepthTwo:
 class TestRemovalIndex:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_single_box_closure_is_removal_options(self, n):
-        # the index covers one charge block, and charge c reads letter i's
-        # boxes at entry (i + c) mod n; each pair removes one box and points
-        # back in the block (j < k, the order the chain fill needs); chains
-        # of pairs reach exactly the subsets removal_options lists, with the
-        # chain length as the count
-        for max_boxes in range(9):
-            window = canonical_diagrams(n, max_boxes)
-            block = [parts for parts, _ in window[:len(window) // n]]
+        # on either window, the index covers one charge block, and charge c
+        # reads letter i's boxes at entry (i + c) mod n; each pair removes
+        # one box and points back in the block (j < k, the order the chain
+        # fill needs); chains of pairs reach exactly the subsets
+        # removal_options lists, with the chain length as the count
+        for window, max_boxes in itertools.product((canonical_diagrams, box_diagrams), range(9)):
+            diagrams = window(n, max_boxes)
+            block = [parts for parts, _ in diagrams[:len(diagrams) // n]]
             position = {parts: k for k, parts in enumerate(block)}
-            index = _removal_index(n, max_boxes)
+            index = _removal_index(window, n, max_boxes)
             assert len(index) == n
             for pairs in index:
                 assert all(j < k for k, j in pairs)
@@ -843,14 +855,15 @@ class TestRemovalIndex:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_equals_the_build_per_diagram(self, n):
-        # the whole window's index, built diagram by diagram, files charge
-        # c's pairs under residue r as the block index's entry (r + c) mod n
-        # shifted by c blocks: the equivariance the level memo relies on.
-        # Every pair takes its ints from one list, so the index holds no
-        # more int objects than a block has entries
-        for max_boxes in range(9):
-            index = _removal_index(n, max_boxes)
-            size = len(canonical_diagrams(n, max_boxes)) // n
+        # on either window, the whole window's index, built diagram by
+        # diagram, files charge c's pairs under residue r as the block
+        # index's entry (r + c) mod n shifted by c blocks: the equivariance
+        # the level memo relies on.  Every pair takes its ints from one
+        # list, so the index holds no more int objects than a block has
+        # entries
+        for window, max_boxes in itertools.product((canonical_diagrams, box_diagrams), range(9)):
+            index = _removal_index(window, n, max_boxes)
+            size = len(window(n, max_boxes)) // n
             shifted = tuple(
                 tuple(
                     (k + charge * size, j + charge * size)
@@ -859,7 +872,7 @@ class TestRemovalIndex:
                 )
                 for r in range(n)
             )
-            assert shifted == removal_index(n, max_boxes)
+            assert shifted == removal_index(window(n, max_boxes))
             ints = {id(x) for pairs in index for pair in pairs for x in pair}
             assert len(ints) <= size
 
@@ -960,5 +973,36 @@ class TestCanonicalDiagrams:
             for name, value in vars(module).items():
                 if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
                     caches[info.name + "." + name] = value.cache_parameters()["maxsize"]
-        assert "datum.canonical_diagrams" in caches
+        windows = {"datum.canonical_diagrams", "datum.box_diagrams", "datum._removal_index"}
+        assert windows <= caches.keys()
         assert None not in caches.values(), caches
+
+
+class TestBoxDiagrams:
+    @staticmethod
+    def area(parts):
+        """The area of the smallest box that holds ``parts``."""
+        return parts[0] * len(parts) if parts else 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_filtered_full_window(self, n):
+        # the full window's pairs whose partition fits in an a x b box of
+        # area at most R, in the full window's order
+        for max_area in range(17):
+            assert box_diagrams(n, max_area) == tuple(
+                key for key in canonical_diagrams(n, max_area) if self.area(key[0]) <= max_area
+            )
+
+    def test_down_closed_and_holds_every_rectangle(self):
+        # removing any corner stays in the window, which _index(closed=True)
+        # needs, and every a x b rectangle with ab <= R is in it
+        for max_area in range(17):
+            block = {parts for parts, _ in box_diagrams(2, max_area)}
+            for parts in block:
+                for r, part in enumerate(parts):
+                    if r + 1 == len(parts) or parts[r + 1] < part:
+                        cut = parts[:r] + (part - 1,) + parts[r + 1:]
+                        assert tuple(p for p in cut if p) in block
+            sides = [(a, b) for a in range(1, max_area + 1) for b in range(1, max_area // a + 1)]
+            assert {(a,) * b for a, b in sides} <= block
+            assert max(map(self.area, block)) <= max_area

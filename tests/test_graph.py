@@ -82,6 +82,18 @@ class TestExplore:
         last = [word for word in calls if len(word) == depth]
         assert len(last) < n * sum(len(node.word) == depth - 1 for node in expected.nodes)
 
+    @pytest.mark.parametrize("n, depth, window", [
+        (2, 6, None), (2, 8, 9), (3, 5, None), (3, 6, None), (4, 4, None),
+    ])
+    def test_equals_full_window(self, n, depth, window):
+        # keying children by their tables over the box window, the
+        # partitions that fit in an a x b box with ab <= window, merges
+        # the same elements, with the same numbering, as keying them by
+        # their tables over every diagram of at most window boxes
+        cartan = CartanData(n)
+        expected = explore_every_child(cartan, depth, window, full_window=True)
+        assert explore(cartan, depth, window) == expected
+
     @pytest.mark.parametrize("n, depth, window, fills", [
         (2, 6, 14, 92), (3, 5, 18, 228), (4, 4, 20, 200),
     ])
@@ -503,6 +515,12 @@ class TestExport:
 def test_default_max_boxes():
     assert default_max_boxes(2, 6) == 14
     assert default_max_boxes(3, 4) == 15
+    # n (depth + 1) until the n = 2 law's floor((depth - 2)^2 / 4) + 1
+    # overtakes it: from depth 13 at n = 2 and from depth 17 at n = 3
+    assert [default_max_boxes(2, depth) for depth in (11, 12, 13, 14, 16)] == [24, 26, 31, 37, 50]
+    assert [default_max_boxes(3, depth) for depth in (16, 17, 18)] == [51, 57, 65]
+    assert [default_max_boxes(4, depth) for depth in (0, 1, 2, 7)] == [4, 8, 12, 32]
+    assert [default_max_boxes(5, depth) for depth in (4, 5)] == [25, 30]
 
 
 def test_lattice_points_shape():

@@ -25,6 +25,7 @@ from mayacrystal.maya import (
     from_partition,
     invert_outside,
     lambda_diagram,
+    partitions_of,
     removable_boxes,
     removal_options,
     remove_box,
@@ -282,6 +283,20 @@ class TestChargedPartition:
         assert m.kind == RIGHT_BLACK
         assert to_partition(m.invert()) == p
         assert from_partition(to_partition(m.invert())).invert() == m
+
+
+class TestPartitionsOf:
+    def test_bounds_filter(self):
+        # the largest-part and row bounds leave exactly the partitions
+        # within them, in the same order; box_diagrams lists its window
+        # through them
+        for total in range(13):
+            full = partitions_of(total)
+            for largest in range(8):
+                for rows in range(8):
+                    assert partitions_of(total, largest, rows) == tuple(
+                        p for p in full if max(p, default=0) <= largest and len(p) <= rows
+                    )
 
 
 class TestBoxes:
