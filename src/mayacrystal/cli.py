@@ -97,7 +97,9 @@ def _check_letters(n, word):
 def _read_json(path):
     """A file's parsed JSON.  ``json`` recurses once per nesting level, so a
     file nested too deeply is a ValueError naming it, and main's
-    RecursionError branch only ever means theta's recursion."""
+    RecursionError branch only ever means theta's recursion, which
+    ``explore`` and ``verify`` run one frame per letter (``oracle-check``
+    and ``eval`` compute their word's coefficients in a loop)."""
     import json  # here, so that a command reading no file never loads it
 
     with open(path, "rb") as handle:
@@ -293,10 +295,8 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except RecursionError:  # theta recurses once per word letter
-        word = getattr(args, "word", None)
-        word = "a %d-letter word" % len(word) if word is not None else "a word"
-        print("error: %s is too long for the recursive evaluation" % word, file=sys.stderr)
+    except RecursionError:  # explore's and check_words' theta: see _read_json
+        print("error: a word is too long for the recursive evaluation", file=sys.stderr)
         return EXIT_USAGE
 
 

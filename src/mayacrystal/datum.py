@@ -34,12 +34,23 @@ max_boxes), every partition of at most max_boxes boxes, and
 partition that fits in an a x b box with ab <= max_boxes, both one charge
 block at a time (``_removal_index``); ``value_at``, which serves ``eval``,
 fills the closure of its one diagram under the word's removals
-(``_removal_closure``).  Only theta, which the crystal statistics read,
-runs diagram by diagram (``CrystalDatum._recurse``).  Its recursion is
-closed at the first two letters: a datum of a one-letter word counts
-addable corners (``maya.addable_rows``), and one of a two-letter word
-minimises over its addition subsets in one pass over the rows
-(``maya.addition_min``), so only longer words list subsets.
+(``_removal_closure``).
+
+Theta, which the coefficients and the crystal statistics read, runs key by
+key, on one of two paths.  ``datum_from_word``, which ``oracle-check`` and
+``eval`` build their one word's datum with, takes each letter's
+coefficient from ``maya.filling_min``, theta unrolled into a min over
+strict residue fillings and computed by a row DP from the coefficients
+before it: it loops, so no word is too long for it, and keeps no memo.
+The datums of ``graph.explore`` and ``graph.check_words``, which share
+prefixes and rotation orbits, run the min-recursion
+(``CrystalDatum._recurse``), memoised per representative: run from
+scratch for every child, the DP took 2-3 times as long on the small cells
+that the census benchmark runs (the README's Scale section has the
+numbers).  The recursion is closed at the first two letters: a datum of a one-letter
+word counts addable corners (``maya.addable_rows``), and one of a
+two-letter word minimises over its addition subsets in one pass over the
+rows (``maya.addition_min``), so only longer words list subsets.
 """
 
 from __future__ import annotations
@@ -51,10 +62,12 @@ from functools import lru_cache
 from .maya import (
     LEFT_BLACK,
     RIGHT_BLACK,
+    Labels,
     addable_rows,
     addition_min,
     addition_options,
     corner_removals,
+    filling_min,
     partitions_of,
     removable_rows,
     term_key,
@@ -205,13 +218,14 @@ class CrystalDatum:
     representative's parent is a representative too, so the recursion
     below it never shifts again.  ``coeff``, the parent's c_coeff at this
     datum's letter, is fixed at construction and is the same along an
-    orbit.  A datum keeps no child, so none is part of a reference cycle,
-    and no value table: exploration holds each table in its level's dedup
-    keys.  The constructor builds a representative of any word, sharing
-    nothing with other words.
+    orbit; a caller that has it already, as ``datum_from_word`` does, may
+    pass it.  A datum keeps no child, so none is part of a reference
+    cycle, and no value table: exploration holds each table in its level's
+    dedup keys.  The constructor builds a representative of any word,
+    sharing nothing with other words.
     """
 
-    def __init__(self, cartan, parent=None, letter=None):
+    def __init__(self, cartan, parent=None, letter=None, coeff=None):
         self.cartan = cartan
         self.parent = parent
         self._rep = None  # a view's representative
@@ -224,7 +238,7 @@ class CrystalDatum:
         else:
             self.letter = letter % cartan.n
             self.word = parent.word + (self.letter,)
-            self.coeff = parent.c_coeff(self.letter)
+            self.coeff = parent.c_coeff(self.letter) if coeff is None else coeff
 
     def _rotated(self, parent, shift):
         """This representative rotated by ``shift``, as a child of
@@ -401,10 +415,14 @@ class CrystalDatum:
         return self.cartan.pairing(self.weight(), i) + self.eps_hat(i)
 
     def statistics(self):
-        """(weight, eps, phi) as a graph node stores them, phi_i = c_coeff(i) + 1."""
+        """(weight, eps, phi) as a graph node stores them, phi_i = c_coeff(i)
+        + 1, read from the 2n fundamental thetas, each computed once: the
+        formulas of :meth:`weight`, :meth:`eps_hat` and :meth:`c_coeff`."""
         n = self.cartan.n
-        eps = tuple(self.eps_hat(i) for i in range(n))
-        return self.weight(), eps, tuple(self.c_coeff(i) + 1 for i in range(n))
+        lam = [self._fundamental((), i) for i in range(n)]
+        s_lam = [self._fundamental((1,), i) for i in range(n)]
+        eps = tuple(-lam[i] - s_lam[i] + lam[i - 1] + lam[(i + 1) % n] for i in range(n))
+        return tuple(lam), eps, tuple(lam[i] - s_lam[i] for i in range(n))
 
     # -- equality surrogate ---------------------------------------------------
 
@@ -471,8 +489,23 @@ class CrystalDatum:
 
 
 def datum_from_word(cartan, word):
-    """The datum of ``word``; a single chain shares nothing, so its memo is private."""
-    return CrystalDatum(cartan).apply_word(word, {})
+    """The datum of ``word``, built letter by letter through the constructor
+    with each coefficient given: c_{p+1} = theta_p(L_i) - theta_p(sL_i) - 1
+    for letter p + 1 = i, from ``maya.filling_min`` over the labels 1..p,
+    which one ``maya.Labels`` gains one at a time.  No theta recursion
+    runs, so no word is too long for it.  The chain shares nothing, with
+    no rotation view: each datum is its own representative, whose memo
+    stays empty unless a caller reads theta or the statistics."""
+    n = cartan.n
+    labels = Labels(n)
+    datum = CrystalDatum(cartan)
+    for letter in word:
+        letter %= n
+        charge = (1 - letter) % n
+        coeff = filling_min((), charge, labels) - filling_min((1,), charge, labels) - 1
+        labels.append(letter, coeff)
+        datum = CrystalDatum(cartan, datum, letter, coeff)
+    return datum
 
 
 @lru_cache(maxsize=2)

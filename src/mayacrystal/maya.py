@@ -410,6 +410,137 @@ def addition_min(parts, charge, j, i, coeff, n):
     return keep
 
 
+class Labels:
+    """The labels 1..l of a word's letters, each with its coefficient, as
+    :func:`filling_min` reads them: label p is letter p and costs c_p.
+
+    A cell's label must be below its bound, the least label left of it or
+    above it in the filling, and it has one residue, so of the labels below
+    the bound with that residue only those cheaper than every larger one
+    are worth trying: a larger label fits every cell that a smaller one
+    fits, to the right and below.  These are a staircase, read down the
+    ``cheaper`` links, from the largest label below the bound, each link
+    the largest smaller label of the same residue that costs less.  A cell
+    bound by the label q on its left has residue j_q + 1, and one bound by
+    the label q above it residue j_q - 1, so each label keeps its two
+    staircases, ``right`` and ``down``; the first cell of a row, when the
+    cell above it is in parts or it is in row 0, reads its residue's
+    staircase below l + 1 in ``tops``.  ``append`` adds the next letter
+    once its coefficient is known, in time linear in the staircases, so
+    ``datum.datum_from_word`` grows one object along its chain; it keeps
+    no theta value."""
+
+    __slots__ = ("n", "coeffs", "right", "down", "tops", "_latest", "_cheaper")
+
+    def __init__(self, n):
+        self.n = n
+        self.coeffs = [0]  # index 0 is no label
+        self.right = [()]
+        self.down = [()]
+        self.tops = ((),) * n
+        self._latest = (0,) * n  # the largest label so far of each residue
+        self._cheaper = [0]
+
+    def _stair(self, q):
+        """The labels q, cheaper[q], cheaper[cheaper[q]], ... down to 0."""
+        cheaper = self._cheaper
+        stair = []
+        while q:
+            stair.append(q)
+            q = cheaper[q]
+        return tuple(stair)
+
+    def append(self, letter, coeff):
+        """Give the next label ``letter`` (a residue) and cost ``coeff``."""
+        n, latest, coeffs = self.n, self._latest, self.coeffs
+        q = latest[letter]
+        while q and coeffs[q] >= coeff:
+            q = self._cheaper[q]
+        self._cheaper.append(q)
+        self.right.append(self._stair(latest[(letter + 1) % n]))
+        self.down.append(self._stair(latest[(letter - 1) % n]))
+        self._latest = latest[:letter] + (len(coeffs),) + latest[letter + 1:]
+        coeffs.append(coeff)
+        self.tops = self.tops[:letter] + (self._stair(len(coeffs) - 1),) + self.tops[letter + 1:]
+
+
+def filling_min(parts, charge, labels):
+    """theta at (parts, charge) of the datum whose word and coefficients
+    ``labels`` holds: the min of the sum of c_F(x) over the fillings F of
+    lambda / parts, for every partition lambda that contains parts, whose
+    labels strictly decrease along each row and down each column, the cell
+    in row r (from 0) and column col (from 1) taking a label p with j_p =
+    (col - r - charge) mod n.
+
+    That is the plus-side min-recursion unrolled: the last letter adds its
+    cells first, each a corner that :func:`addable_rows` lists, and two
+    cells of one letter are never adjacent.  A row-by-row DP: a state is
+    the label sequence of one row's new cells, with its least cost.  A
+    cell below a new cell needs a smaller label, and one below a cell of
+    parts does not, so a state S dominates T when it has no fewer cells,
+    labels >= T's pointwise and cost <= T's: every row that can follow T
+    can follow S.  Dominated states are dropped.  Empty rows may follow any
+    state, so the answer is the least cost of any state; once a row below
+    parts is empty, so is every later one.  Rows are listed by a stack,
+    not by recursion, so no word is too long for it; it lists no subset,
+    builds no partition and keeps nothing between calls."""
+    n = labels.n
+    coeffs, right, down, tops = labels.coeffs, labels.right, labels.down, labels.tops
+    depth = len(coeffs)  # a row holds fewer cells than this
+    best = 0
+    states = {(): 0}
+    above_cut = (parts[0] if parts else 0) + depth  # row 0 has no row above
+    rows = len(parts)
+    for r in range(rows + depth):
+        start = parts[r] if r < rows else 0
+        grown = {}
+        for above, cost in states.items():
+            end = above_cut + len(above)  # cells may not pass the row above
+            stack = [(start + 1, (), cost, 0)]
+            while stack:
+                col, row, total, last = stack.pop()
+                if col > end:
+                    stair = ()
+                elif col <= above_cut:
+                    stair = right[last] if last else tops[(col - r - charge) % n]
+                else:
+                    bound = above[col - above_cut - 1]
+                    stair = right[last] if last and last < bound else down[bound]
+                # the row is dominated by itself plus a cell of cost <= 0,
+                # and its stair's last label is its cheapest
+                if not stair or coeffs[stair[-1]] > 0:
+                    old = grown.get(row)
+                    if old is None or total < old:
+                        grown[row] = total
+                for q in stair:
+                    stack.append((col + 1, row + (q,), total + coeffs[q], q))
+        states = _undominated(grown) if len(grown) > 1 else grown
+        least = min(states.values())
+        if least < best:
+            best = least
+        if r >= rows:
+            states.pop((), None)
+            if not states:
+                break
+        above_cut = start
+    return best
+
+
+def _undominated(states):
+    """The states of a {labels: cost} dict that no other dominates (see
+    :func:`filling_min`): in order of cost, a state is kept unless a kept
+    one has no fewer cells and labels >= its own pointwise."""
+    kept = []
+    for row, cost in sorted(states.items(), key=lambda item: (item[1], -len(item[0]))):
+        size = len(row)
+        for other, _ in kept:
+            if len(other) >= size and all(a >= b for a, b in zip(other, row)):
+                break
+        else:
+            kept.append((row, cost))
+    return dict(kept)
+
+
 def removal_options(parts, charge, i, n):
     """(sub_parts, count) for every subset of the removable residue-i boxes.
 

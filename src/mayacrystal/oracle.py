@@ -57,8 +57,11 @@ def generic_element(datum):
     x_i(p), p = t^exponent at a = 1, as the (residue, exponent) pairs that
     ``minus_rows`` takes, oldest (first letter) first.  The j-th factor's
     t-exponent phi_j - 1 is the recursion's own coefficient ``coeff`` of
-    the length-j prefix, its parent's c_coeff at letter j: the datum's
-    ``factors``, which ``CrystalDatum.table`` fills along too."""
+    the length-j prefix, theta(L_i) - theta(sL_i) - 1 of its parent for
+    letter j = i: the datum's ``factors``, which ``CrystalDatum.table``
+    fills along too.  For the datum that ``oracle-check`` builds with
+    ``datum_from_word``, theta there is ``maya.filling_min``'s row DP; for
+    an explored datum it is the parent's ``c_coeff``, by the recursion."""
     return datum.factors()
 
 

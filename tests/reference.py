@@ -153,8 +153,10 @@ def plus_side_theta(n, word):
 
 def unshared_from_word(cartan, word):
     """The datum of a word built letter by letter through the constructor,
-    so that it shares no representative or memo with any other word, where
-    ``datum_from_word`` applies the letters and shares rotation orbits."""
+    each coefficient by the recursion (``c_coeff``), so that it shares no
+    representative or memo with any other word, where ``apply_word``
+    shares rotation orbits and ``datum_from_word`` takes its coefficients
+    from ``maya.filling_min``."""
     datum = CrystalDatum(cartan)
     for i in word:
         datum = CrystalDatum(cartan, datum, i)

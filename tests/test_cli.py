@@ -311,7 +311,9 @@ class TestVerify:
 
     def test_wrong_coefficient_fails(self, capsys, monkeypatch):
         # a negative control: c_coeff off by one on datums of two letters
-        # or more gives wrong children and statistics, which verify catches
+        # or more gives wrong children, whose statistics verify catches;
+        # the statistics read phi from the fundamental thetas, not through
+        # c_coeff, so the mutation reaches them only through the children
         argv = ("verify", "--rank", "2", "--depth", "5")
         assert run(capsys, *argv)[0] == EXIT_OK
         c_coeff = datum.CrystalDatum.c_coeff
@@ -322,7 +324,7 @@ class TestVerify:
         monkeypatch.setattr(datum.CrystalDatum, "c_coeff", off_by_one)
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_FAIL
-        assert out.endswith("verify: FAIL (126 problems)\n")
+        assert out.endswith("verify: FAIL (90 problems)\n")
 
     def test_corrupted_graph_file(self, capsys, tmp_path):
         path = tmp_path / "graph.json"
@@ -542,17 +544,26 @@ class TestOracleCheck:
         assert len(report["word"]) == 1500
         assert len(report["results"]) == 2 * 4  # (), (1), (2), (1, 1) at each charge
 
-    def test_theta_past_the_recursion_limit_is_bad_input(self, capsys):
-        # theta recurses once per letter: with the limit lowered in process,
-        # a word of 60 distinct letters exits 2 with one line naming its
-        # length, not 1 with a traceback, while one letter still passes
+    def test_theta_past_the_recursion_limit_is_bad_input(self, capsys, tmp_path):
+        # oracle-check takes its word's coefficients from theta's filling
+        # DP, which loops: with the limit lowered in process, a word of 60
+        # distinct letters passes, as one letter does.  check_words still
+        # runs theta's recursion, once per letter, so verify of a one-node
+        # export of that word exits 2 with one line, not 1 with a traceback
         def depth():
             frame, count = sys._getframe(), 0
             while frame is not None:
                 frame, count = frame.f_back, count + 1
             return count
 
-        word = ",".join(str(i) for i in range(60))
+        letters = list(range(60))
+        word = ",".join(map(str, letters))
+        zeros = [0] * 60
+        node = {"id": 0, "word": letters, "weight": zeros, "eps": zeros, "phi": zeros}
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(
+            {"n": 60, "depth": 60, "max_boxes": 0, "nodes": [node], "edges": []}
+        ))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth() + 50)
         try:
@@ -560,12 +571,16 @@ class TestOracleCheck:
             code, out, err = run(
                 capsys, "oracle-check", "--rank", "60", "--word", word, "--max-boxes", "1"
             )
+            graph = run(capsys, "verify", "--rank", "60", "--graph-file", str(path))
         finally:
             sys.setrecursionlimit(limit)
         assert short[0] == EXIT_OK
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err == "error: a 60-letter word is too long for the recursive evaluation\n"
+        assert (code, err) == (EXIT_OK, "")
+        report = json.loads(out)
+        assert report["pass"] is True and report["word"] == letters
+        assert graph == (
+            EXIT_USAGE, "", "error: a word is too long for the recursive evaluation\n"
+        )
 
     def test_no_diagrams_fails(self):
         # an empty window compares nothing, so it must not pass; the CLI's

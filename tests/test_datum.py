@@ -27,11 +27,13 @@ from mayacrystal.maya import (
     RIGHT_BLACK,
     ChargedPartition,
     Interval,
+    Labels,
     MayaDiagram,
     addable_boxes,
     addable_rows,
     addition_min,
     addition_options,
+    filling_min,
     invert_outside,
     lambda_diagram,
     partitions_of,
@@ -668,14 +670,15 @@ class TestOrbits:
     )
     @settings(max_examples=60, deadline=None)
     def test_rotated_datum_equals_unshared_twin(self, case, diffs):
-        # a word whose first letter k is not 0 is its representative, the
-        # word rotated by -k, read through the shift k; every prefix
-        # matches the datum that the constructor builds for the same word,
-        # which shares nothing
+        # a word whose first letter k is not 0, applied through a memo, is
+        # its representative, the word rotated by -k, read through the
+        # shift k; every prefix matches the datum that the constructor
+        # builds for the same word, which shares nothing
         n, k, rest, max_boxes = case
         cartan = CartanData(n)
         word = [k] + rest
-        d, twin = datum_from_word(cartan, word), unshared_from_word(cartan, word)
+        d = CrystalDatum(cartan).apply_word(word, {})
+        twin = unshared_from_word(cartan, word)
         assert d._rep is not None and d._rep.word[0] == 0
         window = canonical_diagrams(n, max_boxes)
         taus = [lambda_diagram(i) for i in range(n)] + [s_lambda_diagram(i) for i in range(n)]
@@ -818,6 +821,65 @@ class TestDepthTwo:
                 for coeff in (3, 4):
                     assert addition_min(parts, charge, j, i, coeff, n) == corners == expected(coeff)
             assert len(d._memo) == n * len(window)
+
+
+def labels_of(datum):
+    """The ``maya.Labels`` of a datum's word and coefficients."""
+    labels = Labels(datum.cartan.n)
+    for letter, coeff in datum.factors():
+        labels.append(letter, coeff)
+    return labels
+
+
+class TestFillingMin:
+    @given(
+        words(7),
+        st.integers(0, 7).flatmap(lambda size: st.sampled_from(partitions_of(size))),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_is_the_recursion(self, case, parts, charge):
+        # the row DP over strict residue fillings, fed the coefficients of
+        # a datum that the constructor builds, against theta's recursion
+        # at any key, not only the fundamental ones
+        n, word = case
+        twin = unshared_from_word(CartanData(n), word)
+        charge %= n
+        expected = twin._recurse(parts, charge) if word else 0
+        assert filling_min(parts, charge, labels_of(twin)) == expected
+
+    @given(words(8))
+    @settings(max_examples=80, deadline=None)
+    def test_chain_is_the_recursion_chain(self, case):
+        # datum_from_word's coefficients, from the DP, are those that the
+        # recursion gives through a memo and through the constructor
+        n, word = case
+        cartan = CartanData(n)
+        chains = [
+            [coeff for _, coeff in d.factors()]
+            for d in (
+                datum_from_word(cartan, word),
+                CrystalDatum(cartan).apply_word(word, {}),
+                unshared_from_word(cartan, word),
+            )
+        ]
+        assert chains[0] == chains[1] == chains[2]
+
+    @pytest.mark.parametrize(
+        "n, length, change",
+        [(2, 18, 0), (2, 21, 1), (2, 24, 0), (3, 20, 0), (3, 24, -1), (3, 30, 1),
+         (4, 22, 0), (4, 26, 1), (4, 30, -1)],
+    )
+    def test_weight_law_past_the_recursion(self, n, length, change):
+        # theta(L_i) is minus the number of letters i, read by the DP from
+        # the chain that datum_from_word builds, for cyclic words shaped as
+        # in the theta_deep benchmark, longer than any that the recursion
+        # runs on in TestTheta::test_weight_of_long_cyclic_words
+        word = [k % n for k in range(length)]
+        word[-1] = (word[-1] + change) % n
+        labels = labels_of(datum_from_word(CartanData(n), word))
+        weight = [filling_min((), (1 - i) % n, labels) for i in range(n)]
+        assert weight == [-word.count(i) for i in range(n)]
 
 
 class TestRemovalIndex:
