@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import atexit
 import gc
+import math
 import sys
 from types import SimpleNamespace
 
@@ -96,10 +97,8 @@ def _check_letters(n, word):
 
 def _read_json(path):
     """A file's parsed JSON.  ``json`` recurses once per nesting level, so a
-    file nested too deeply is a ValueError naming it, and main's
-    RecursionError branch only ever means theta's recursion, which
-    ``explore`` and ``verify`` run one frame per letter (``oracle-check``
-    and ``eval`` compute their word's coefficients in a loop)."""
+    file nested too deeply is a ValueError naming it: nothing else that a
+    command runs recurses."""
     import json  # here, so that a command reading no file never loads it
 
     with open(path, "rb") as handle:
@@ -160,18 +159,14 @@ def cmd_verify(args):
         graph = graphmod.explore(CartanData(n), args.depth or 0, args.max_boxes)
         violations = []
     violations += graphmod.check_axioms(graph)
-    census = graphmod.weight_census(graph)
-    points = graphmod.lattice_points(n, graph.depth)
-    counts = graphmod.kostant(n, points)
-    print("weight census (beta: nodes expected):")
-    failures = list(violations)
-    for beta in points:
-        expected = counts[beta]
-        got = census[beta]
-        mark = "ok" if got == expected else "MISMATCH"
-        print("  %r: %d %d %s" % (beta, got, expected, mark))
-        if got != expected:
-            failures.append("census mismatch at %r: %d != %d" % (beta, got, expected))
+    points = math.comb(graph.depth + n, n)  # the lattice points of height <= depth
+    if len(graph.nodes) < points:
+        # each has a Kostant count of at least 1, so no census of these nodes passes
+        violations.append("census: %d nodes cannot cover the %d root-lattice points of "
+                          "height <= %d" % (len(graph.nodes), points, graph.depth))
+        failures = violations
+    else:
+        failures = violations + _census(graph)
     for line in violations:
         print("violation: %s" % line)
     if failures:
@@ -179,6 +174,26 @@ def cmd_verify(args):
         return EXIT_FAIL
     print("verify: PASS (%d nodes)" % len(graph.nodes))
     return EXIT_OK
+
+
+def _census(graph):
+    """Print the weight census of ``graph`` against the Kostant partition
+    function at every lattice point of height <= its depth; return a line
+    for each mismatch."""
+    n = graph.n
+    census = graphmod.weight_census(graph)
+    points = graphmod.lattice_points(n, graph.depth)
+    counts = graphmod.kostant(n, points)
+    print("weight census (beta: nodes expected):")
+    mismatches = []
+    for beta in points:
+        expected = counts[beta]
+        got = census[beta]
+        mark = "ok" if got == expected else "MISMATCH"
+        print("  %r: %d %d %s" % (beta, got, expected, mark))
+        if got != expected:
+            mismatches.append("census mismatch at %r: %d != %d" % (beta, got, expected))
+    return mismatches
 
 
 def cmd_oracle_check(args):
@@ -294,9 +309,6 @@ def main(argv=None):
         return args.run(args)
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except RecursionError:  # explore's and check_words' theta: see _read_json
-        print("error: a word is too long for the recursive evaluation", file=sys.stderr)
         return EXIT_USAGE
 
 

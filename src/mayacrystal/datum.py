@@ -13,18 +13,18 @@ statistic is read from the 2n values theta(L_i), theta(sL_i), i mod n (see
 ``CrystalDatum.statistics``).  All values are n-periodic: evaluation
 happens on sigma-orbit canonical representatives (charge reduced mod n).
 
-theta, the extension to a right-black tau, is the same recursion on the
-plus side: it runs on the partition of tau's color inversion (its Fock key,
-``maya.term_key``), over the subsets of its addable residue-i boxes that
-``addition_options`` lists.  This equals the value at the left-black
-diagram that takes tau's colors inside [-B, B] and the inverted ones
-outside, for any B >= span + 2l (span = max |d| + 1 over tau's deviations
-d, l the word length).  Inside the interval the two diagrams have opposite
-colors, and outside it both are the left-black vacuum, so a removable
-residue-i box of the wide diagram's partition is an addable residue-i box
-of the small one at the same slot label.  Each letter moves each end of a
-color run by at most one slot, so an l-letter recursion never reaches the
-interval's ends, and the two recursion trees are isomorphic.
+theta, the extension to a right-black tau, is the same min-recursion on
+the plus side, adding boxes where the minus side removes them, at the
+partition of tau's color inversion (its Fock key, ``maya.term_key``).
+This equals the value at the left-black diagram that takes tau's colors
+inside [-B, B] and the inverted ones outside, for any B >= span + 2l
+(span = max |d| + 1 over tau's deviations d, l the word length).  Inside
+the interval the two diagrams have opposite colors, and outside it both
+are the left-black vacuum, so a removable residue-i box of the wide
+diagram's partition is an addable residue-i box of the small one at the
+same slot label.  Each letter moves each end of a color run by at most one
+slot, so an l-letter recursion never reaches the interval's ends, and the
+two recursion trees are isomorphic.
 
 One path computes minus-side values: ``_fill`` runs a datum's word, letter
 by letter, over a list of partitions in increasing box count that
@@ -36,21 +36,12 @@ block at a time (``_removal_index``); ``value_at``, which serves ``eval``,
 fills the closure of its one diagram under the word's removals
 (``_removal_closure``).
 
-Theta, which the coefficients and the crystal statistics read, runs key by
-key, on one of two paths.  ``datum_from_word``, which ``oracle-check`` and
-``eval`` build their one word's datum with, takes each letter's
-coefficient from ``maya.filling_min``, theta unrolled into a min over
-strict residue fillings and computed by a row DP from the coefficients
-before it: it loops, so no word is too long for it, and keeps no memo.
-The datums of ``graph.explore`` and ``graph.check_words``, which share
-prefixes and rotation orbits, run the min-recursion
-(``CrystalDatum._recurse``), memoised per representative: run from
-scratch for every child, the DP took 2-3 times as long on the small cells
-that the census benchmark runs (the README's Scale section has the
-numbers).  The recursion is closed at the first two letters: a datum of a one-letter
-word counts addable corners (``maya.addable_rows``), and one of a
-two-letter word minimises over its addition subsets in one pass over the
-rows (``maya.addition_min``), so only longer words list subsets.
+Theta, which the coefficients and the crystal statistics read, has one
+path: ``maya.filling_min``, the plus-side recursion unrolled into a min
+over strict residue fillings and computed by a row DP from the word's
+letters and coefficients, which each representative holds as a
+``maya.Labels``.  It loops, so no word is too long for it, and it keeps
+no memo: a representative keeps only its statistics, computed once.
 """
 
 from __future__ import annotations
@@ -63,9 +54,6 @@ from .maya import (
     LEFT_BLACK,
     RIGHT_BLACK,
     Labels,
-    addable_rows,
-    addition_min,
-    addition_options,
     corner_removals,
     filling_min,
     partitions_of,
@@ -198,10 +186,10 @@ def _decode(data):
 class CrystalDatum:
     """A crystal element: the zero datum O or f_i applied to a parent datum.
 
-    A datum that holds its own memo is a representative.  The memo keeps
-    theta's recursion values keyed by (parts, charge mod n), which the
-    recursions of its descendants share; the 2n fundamental thetas that
-    weight, eps_hat and c_coeff read are entries of it.
+    A datum that holds its word's ``labels`` (a ``maya.Labels``) is a
+    representative, and ``maya.filling_min`` reads theta from them at any
+    key.  A representative computes its statistics, the 2n fundamental
+    thetas that weight, eps and phi read, once, and keeps them.
 
     One datum serves each Dynkin rotation orbit of words.  Rotating every
     letter by k shifts every residue-i box set to the residue-(i + k) one
@@ -212,33 +200,34 @@ class CrystalDatum:
     orbit has n words, exactly one of which starts with 0.  :meth:`apply`
     keeps one representative per orbit, in the memo its caller passes: the
     root or a datum whose word starts with 0.  Any other datum it returns
-    is that representative rotated by a shift k, a view with no memo whose
-    ``word``, ``letter`` and ``parent`` are the rotated ones and whose
-    recursion reads the representative's at the charge shifted by k.  A
-    representative's parent is a representative too, so the recursion
-    below it never shifts again.  ``coeff``, the parent's c_coeff at this
-    datum's letter, is fixed at construction and is the same along an
-    orbit; a caller that has it already, as ``datum_from_word`` does, may
-    pass it.  A datum keeps no child, so none is part of a reference
-    cycle, and no value table: exploration holds each table in its level's
-    dedup keys.  The constructor builds a representative of any word,
-    sharing nothing with other words.
+    is that representative rotated by a shift k, a view whose ``word``,
+    ``letter`` and ``parent`` are the rotated ones and which shares its
+    representative's labels, read at the charge shifted by k, and its
+    statistics, rotated.  A representative's parent is a representative
+    too.  ``coeff``, the parent's c_coeff at this datum's letter, is fixed
+    at construction and is the same along an orbit.  A datum keeps no
+    child, so none is part of a reference cycle, and no value table:
+    exploration holds each table in its level's dedup keys.  The constructor builds a representative of any
+    word from a representative parent, sharing nothing with other words
+    but the labels' lists (see ``maya.Labels``).
     """
 
-    def __init__(self, cartan, parent=None, letter=None, coeff=None):
+    def __init__(self, cartan, parent=None, letter=None):
         self.cartan = cartan
         self.parent = parent
         self._rep = None  # a view's representative
         self._shift = 0  # a view's rotation of its representative
-        self._memo = {}
+        self._stats = None  # a representative's statistics, once computed
         if parent is None:
             self.letter = None
             self.word = ()
             self.coeff = None
+            self.labels = Labels(cartan.n)
         else:
             self.letter = letter % cartan.n
             self.word = parent.word + (self.letter,)
-            self.coeff = parent.c_coeff(self.letter) if coeff is None else coeff
+            self.coeff = parent.c_coeff(self.letter)
+            self.labels = parent.labels.extended(self.letter, self.coeff)
 
     def _rotated(self, parent, shift):
         """This representative rotated by ``shift``, as a child of
@@ -248,7 +237,7 @@ class CrystalDatum:
         view.parent = parent
         view._rep = self
         view._shift = shift
-        view._memo = None
+        view.labels = None
         view.letter = (self.letter + shift) % self.cartan.n
         view.word = parent.word + (view.letter,)
         view.coeff = self.coeff
@@ -321,45 +310,6 @@ class CrystalDatum:
         position, index = _index(block, n, False)
         return _fill_word(len(block), index, factors, charge)[position[parts]]
 
-    def _recurse(self, parts, charge):
-        """theta's min-recursion at the partition of a color inversion, over
-        the subsets of its addable boxes that ``maya.addition_options``
-        lists; ``charge`` is already reduced mod n.  A view reads its
-        representative at the shifted charge.  Below the root, where every
-        value is 0 and c_i(O) = -1, the min is minus the number of addable
-        boxes, counted by ``maya.addable_rows``, the corner rule that
-        ``addition_options`` lists from; a depth-1 datum keeps no memo, and
-        the root is never called.  So a depth-2 datum's min over subsets S
-        is |S| c minus the addable boxes of parts + S of its parent's
-        letter, which ``maya.addition_min`` takes in one pass over the rows
-        with no subset listed; its memo keeps each value, as every deeper
-        datum's does."""
-        rep = self._rep
-        if rep is not None:
-            return rep._recurse(parts, (charge + self._shift) % self.cartan.n)
-        parent = self.parent
-        if parent is None:
-            return 0
-        if parent.parent is None:
-            return -len(addable_rows(parts, charge, self.letter, self.cartan.n))
-        key = (parts, charge)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        n = self.cartan.n
-        coeff = self.coeff
-        if parent.parent.parent is None:
-            best = addition_min(parts, charge, self.letter, parent.letter, coeff, n)
-        else:
-            moves = addition_options(parts, charge, self.letter, n)
-            best = parent._recurse(parts, charge)  # moves[0], the empty subset
-            for moved, count in moves[1:]:
-                v = parent._recurse(moved, charge) + count * coeff
-                if v < best:
-                    best = v
-        self._memo[key] = best
-        return best
-
     def table(self, max_boxes):
         """Values over canonical_diagrams(n, max_boxes), as the unbounded
         ints that ``oracle.compare`` reads, filled one charge block at a
@@ -376,14 +326,21 @@ class CrystalDatum:
 
     # -- extension to right-black diagrams ---------------------------------
 
+    def _theta_at(self, parts, charge):
+        """theta at the key (parts, charge), by ``maya.filling_min`` over
+        the representative's labels; a view reads them at the charge
+        shifted by its rotation."""
+        rep = self._rep or self
+        return filling_min(parts, (charge + self._shift) % self.cartan.n, rep.labels)
+
     def theta(self, tau):
-        """Value at a right-black diagram: the min-recursion on the partition
-        of tau's color inversion, adding boxes where ``value_at`` removes
-        them (the module docstring gives why this is exact)."""
+        """Value at a right-black diagram: the plus-side min-recursion on
+        the partition of tau's color inversion, adding boxes where
+        ``value_at`` removes them (the module docstring gives why this is
+        exact)."""
         if tau.kind != RIGHT_BLACK:
             raise ValueError("theta expects a right-black diagram")
-        parts, charge = term_key(tau)
-        return self._recurse(parts, charge % self.cartan.n)
+        return self._theta_at(*term_key(tau))
 
     # -- crystal statistics -------------------------------------------------
 
@@ -392,12 +349,17 @@ class CrystalDatum:
 
         The color inversion of L_i is the empty partition at charge 1 - i
         and that of sL_i is one box at the same charge, so these are
-        ``theta``'s memo entries at those ``term_key``s; no diagram is built.
-        """
-        return self._recurse(parts, (1 - i) % self.cartan.n)
+        theta at those ``term_key``s; no diagram is built."""
+        return self._theta_at(parts, 1 - i)
 
     def c_coeff(self, i):
-        """Coefficient used in the min-recursion: theta(L_i) - theta(sL_i) - 1."""
+        """Coefficient used in the min-recursion: theta(L_i) - theta(sL_i) -
+        1, which is phi_i - 1.  Read from the statistics once they are
+        computed; otherwise only its own two thetas are, so a chain built
+        letter by letter pays two per letter, not 2n."""
+        rep = self._rep or self
+        if rep._stats is not None:
+            return rep._stats[2][(i - self._shift) % self.cartan.n] - 1
         return self._fundamental((), i) - self._fundamental((1,), i) - 1
 
     def weight(self):
@@ -416,13 +378,23 @@ class CrystalDatum:
 
     def statistics(self):
         """(weight, eps, phi) as a graph node stores them, phi_i = c_coeff(i)
-        + 1, read from the 2n fundamental thetas, each computed once: the
-        formulas of :meth:`weight`, :meth:`eps_hat` and :meth:`c_coeff`."""
-        n = self.cartan.n
-        lam = [self._fundamental((), i) for i in range(n)]
-        s_lam = [self._fundamental((1,), i) for i in range(n)]
-        eps = tuple(-lam[i] - s_lam[i] + lam[i - 1] + lam[(i + 1) % n] for i in range(n))
-        return tuple(lam), eps, tuple(lam[i] - s_lam[i] for i in range(n))
+        + 1: the formulas of :meth:`weight`, :meth:`eps_hat` and
+        :meth:`c_coeff` over the 2n fundamental thetas, each computed once
+        per representative and kept.  A view rotated by k reads its
+        representative's: its value at residue i is the representative's
+        at i - k."""
+        rep = self._rep or self
+        stats = rep._stats
+        if stats is None:
+            n, labels = self.cartan.n, rep.labels
+            lam = [filling_min((), (1 - i) % n, labels) for i in range(n)]
+            s_lam = [filling_min((1,), (1 - i) % n, labels) for i in range(n)]
+            eps = tuple(-lam[i] - s_lam[i] + lam[i - 1] + lam[(i + 1) % n] for i in range(n))
+            stats = rep._stats = tuple(lam), eps, tuple(lam[i] - s_lam[i] for i in range(n))
+        shift = self._shift
+        if shift:
+            stats = tuple(values[-shift:] + values[:-shift] for values in stats)
+        return stats
 
     # -- equality surrogate ---------------------------------------------------
 
@@ -455,9 +427,9 @@ class CrystalDatum:
 
         ``oracle-check`` checks :meth:`table`, which shares ``_fill`` and
         ``_removal_index`` with this method, over the full window, but not
-        the 16-bit encoding or the level memo; ``tests/test_datum.py``'s
-        ``TestTable::test_fill_from_parent_fingerprint`` and
-        ``TestTable::test_level_memo_changes_no_fingerprint`` cover those.
+        the 16-bit encoding or the level memo; the tests of
+        ``tests/test_datum.py``'s ``TestTable`` that fill from a parent's
+        fingerprint and share a level memo cover those.
         """
         n = self.cartan.n
         if self.parent is None:
@@ -489,23 +461,10 @@ class CrystalDatum:
 
 
 def datum_from_word(cartan, word):
-    """The datum of ``word``, built letter by letter through the constructor
-    with each coefficient given: c_{p+1} = theta_p(L_i) - theta_p(sL_i) - 1
-    for letter p + 1 = i, from ``maya.filling_min`` over the labels 1..p,
-    which one ``maya.Labels`` gains one at a time.  No theta recursion
-    runs, so no word is too long for it.  The chain shares nothing, with
-    no rotation view: each datum is its own representative, whose memo
-    stays empty unless a caller reads theta or the statistics."""
-    n = cartan.n
-    labels = Labels(n)
-    datum = CrystalDatum(cartan)
-    for letter in word:
-        letter %= n
-        charge = (1 - letter) % n
-        coeff = filling_min((), charge, labels) - filling_min((1,), charge, labels) - 1
-        labels.append(letter, coeff)
-        datum = CrystalDatum(cartan, datum, letter, coeff)
-    return datum
+    """The datum of ``word``: :meth:`CrystalDatum.apply_word` from the root
+    through a memo of its own, so each coefficient costs two
+    ``maya.filling_min`` calls and no word is too long for it."""
+    return CrystalDatum(cartan).apply_word(word, {})
 
 
 @lru_cache(maxsize=2)

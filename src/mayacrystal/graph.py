@@ -80,7 +80,7 @@ def explore(cartan, depth, max_boxes=None):
     data are freed once the next level is keyed, with the level's memo of
     filled blocks and child representatives (see
     ``CrystalDatum.fingerprint`` and ``apply``), so a child that dedups
-    away is freed with its value memo.
+    away is freed with its labels and statistics.
 
     The last level grows no children, so its tables only have to tell
     apart its own children: a child there whose statistics no other child
@@ -140,7 +140,8 @@ def check_words(graph):
     explored graph takes all of these from its words, so this only bites
     on graph files.  Every word is applied from one root through one memo
     by ``CrystalDatum.apply_word``, so words of one rotation orbit,
-    prefixes included, share their representative (see
+    prefixes included, share their representative, with its labels and
+    its statistics, each computed once by ``maya.filling_min`` (see
     ``CrystalDatum.apply``)."""
     root, memo = CrystalDatum(CartanData(graph.n)), {}
     sources = [node.id for node in graph.nodes if not any(node.weight)]

@@ -348,9 +348,9 @@ def addable_rows(parts, charge, i, n):
     box when it is shorter than the row above it (the first row always
     does), and the new box in row r has label (1 - charge) + parts[r] + 1 -
     (r + 1).  The plus side's one corner rule: :func:`addition_options`
-    lists the subsets of these boxes, a depth-1 datum's theta counts them,
-    and :func:`addition_min`, which closes theta at depth 2, reads the same
-    rule at two lengths per row."""
+    lists the subsets of these boxes for ``fock``'s plus-side ``x_act``,
+    and each cell that :func:`filling_min` fills was such a corner when its
+    letter added it."""
     rows = []
     shift = 1 - charge - i
     above = 0  # no row is empty, so the first row takes a box
@@ -363,53 +363,6 @@ def addable_rows(parts, charge, i, n):
     return rows
 
 
-def addition_min(parts, charge, j, i, coeff, n):
-    """min over the subsets S of the addable residue-j boxes of |S| * coeff
-    minus the number of addable residue-i boxes of parts + S, for the raw
-    parts of a partition with the given charge, by one pass over the rows
-    that lists no subset and builds no partition.
-
-    Row r (rows below the last are empty) has two spots: its j-box, which
-    S may take (a_r = 1) when :func:`addable_rows` lists it, and its
-    i-spot, the box after the end of row r once a_r is added.  That is the
-    rule of :func:`addable_rows` read at length parts[r] + a_r: the i-spot
-    counts when its residue is i and r = 0 or parts[r - 1] + a_{r - 1} >
-    parts[r] + a_r.  So a row's count depends on its own a_r and the row
-    above's, and the min is a two-state DP in a_{r - 1}: ``keep`` is the
-    least sum over rows 0 .. r - 1 with row r - 1 not grown, ``grew`` the
-    least with it grown (None when it cannot grow).  Rows past
-    len(parts) + 1 never count.  Two scalars and explicit transitions: a
-    loop over a state list with an infinite sentinel was as slow as the
-    subset list it replaces at n >= 3.
-    """
-    shift = 1 - charge - i
-    take = (j - i) % n  # a row takes its j-box when its i-spot has this residue
-    grown = n - 1  # the residue of an i-spot one box right of the row's end
-    keep, grew = 0, None
-    above = (parts[0] if parts else 0) + 2  # row 0 is always open, even grown
-    for r, length in enumerate(parts + (0, 0)):
-        res = (length - r + shift) % n
-        if grew is None:
-            if length == above:  # row r is closed, and its spot with it
-                continue
-            if res == take:
-                grew = keep + coeff - (res == grown and above - length > 1)
-            if res == 0:
-                keep -= 1
-        else:  # the row above may have grown, which opens row r's spot
-            stay = keep - 1 if res == 0 and length != above else keep
-            moved = grew - 1 if res == 0 else grew
-            if length != above and res == take:
-                after_keep = keep - 1 if res == grown and above - length > 1 else keep
-                after_grew = grew - 1 if res == grown else grew
-                grew = (after_keep if after_keep < after_grew else after_grew) + coeff
-            else:
-                grew = None
-            keep = stay if stay < moved else moved
-        above = length
-    return keep
-
-
 class Labels:
     """The labels 1..l of a word's letters, each with its coefficient, as
     :func:`filling_min` reads them: label p is letter p and costs c_p.
@@ -418,50 +371,53 @@ class Labels:
     above it in the filling, and it has one residue, so of the labels below
     the bound with that residue only those cheaper than every larger one
     are worth trying: a larger label fits every cell that a smaller one
-    fits, to the right and below.  These are a staircase, read down the
-    ``cheaper`` links, from the largest label below the bound, each link
-    the largest smaller label of the same residue that costs less.  A cell
-    bound by the label q on its left has residue j_q + 1, and one bound by
-    the label q above it residue j_q - 1, so each label keeps its two
-    staircases, ``right`` and ``down``; the first cell of a row, when the
-    cell above it is in parts or it is in row 0, reads its residue's
-    staircase below l + 1 in ``tops``.  ``append`` adds the next letter
-    once its coefficient is known, in time linear in the staircases, so
-    ``datum.datum_from_word`` grows one object along its chain; it keeps
-    no theta value."""
+    fits, to the right and below.  These are a staircase, largest first.
+    ``tops`` holds each residue's staircase below l + 1, which the first
+    cell of a row reads when the cell above it is in parts or it is in
+    row 0.  A cell bound by the label q on its left has residue j_q + 1,
+    and one bound by the label q above it residue j_q - 1, so label q
+    keeps the staircases below it of those residues, ``right[q]`` and
+    ``down[q]``: the tops of those residues when q was added.
 
-    __slots__ = ("n", "coeffs", "right", "down", "tops", "_latest", "_cheaper")
+    :meth:`extended` gives the labels of one more letter once its
+    coefficient is known, and leaves these as they are, so every datum of
+    ``datum`` holds its own word's labels.  The per-label lists hold
+    ``size`` = l + 1 entries that never change, and a chain shares them:
+    the first extension of a Labels appends to its lists in place, and only
+    a later one, a sibling's, copies them.  No theta value is kept."""
+
+    __slots__ = ("n", "size", "coeffs", "right", "down", "tops")
 
     def __init__(self, n):
         self.n = n
-        self.coeffs = [0]  # index 0 is no label
+        self.size = 1  # index 0 is no label
+        self.coeffs = [0]
         self.right = [()]
         self.down = [()]
         self.tops = ((),) * n
-        self._latest = (0,) * n  # the largest label so far of each residue
-        self._cheaper = [0]
 
-    def _stair(self, q):
-        """The labels q, cheaper[q], cheaper[cheaper[q]], ... down to 0."""
-        cheaper = self._cheaper
-        stair = []
-        while q:
-            stair.append(q)
-            q = cheaper[q]
-        return tuple(stair)
-
-    def append(self, letter, coeff):
-        """Give the next label ``letter`` (a residue) and cost ``coeff``."""
-        n, latest, coeffs = self.n, self._latest, self.coeffs
-        q = latest[letter]
-        while q and coeffs[q] >= coeff:
-            q = self._cheaper[q]
-        self._cheaper.append(q)
-        self.right.append(self._stair(latest[(letter + 1) % n]))
-        self.down.append(self._stair(latest[(letter - 1) % n]))
-        self._latest = latest[:letter] + (len(coeffs),) + latest[letter + 1:]
+    def extended(self, letter, coeff):
+        """These labels and the next, ``letter`` (a residue) at cost
+        ``coeff``, as a new Labels; this one is unchanged.  The new label
+        heads its residue's staircase, above the old one's labels that
+        cost less."""
+        n, size, tops = self.n, self.size, self.tops
+        lists = self.coeffs, self.right, self.down
+        if len(lists[0]) > size:  # a sibling has appended already
+            lists = tuple(entries[:size] for entries in lists)
+        coeffs, right, down = lists
+        stair = tops[letter]
+        k = 0
+        while k < len(stair) and coeffs[stair[k]] >= coeff:
+            k += 1
         coeffs.append(coeff)
-        self.tops = self.tops[:letter] + (self._stair(len(coeffs) - 1),) + self.tops[letter + 1:]
+        right.append(tops[(letter + 1) % n])
+        down.append(tops[(letter - 1) % n])
+        labels = object.__new__(Labels)
+        labels.n, labels.size = n, size + 1
+        labels.coeffs, labels.right, labels.down = lists
+        labels.tops = tops[:letter] + ((size,) + stair[k:],) + tops[letter + 1:]
+        return labels
 
 
 def filling_min(parts, charge, labels):
@@ -480,13 +436,15 @@ def filling_min(parts, charge, labels):
     parts does not, so a state S dominates T when it has no fewer cells,
     labels >= T's pointwise and cost <= T's: every row that can follow T
     can follow S.  Dominated states are dropped.  Empty rows may follow any
-    state, so the answer is the least cost of any state; once a row below
+    state, so the answer is the least cost of any row; once a row below
     parts is empty, so is every later one.  Rows are listed by a stack,
     not by recursion, so no word is too long for it; it lists no subset,
-    builds no partition and keeps nothing between calls."""
+    builds no partition and keeps nothing between calls.  It is the only
+    theta evaluator: ``datum`` reads every coefficient and statistic from
+    it."""
     n = labels.n
     coeffs, right, down, tops = labels.coeffs, labels.right, labels.down, labels.tops
-    depth = len(coeffs)  # a row holds fewer cells than this
+    depth = labels.size  # a row holds fewer cells than this
     best = 0
     states = {(): 0}
     above_cut = (parts[0] if parts else 0) + depth  # row 0 has no row above
@@ -512,12 +470,11 @@ def filling_min(parts, charge, labels):
                     old = grown.get(row)
                     if old is None or total < old:
                         grown[row] = total
+                        if total < best:
+                            best = total
                 for q in stair:
                     stack.append((col + 1, row + (q,), total + coeffs[q], q))
         states = _undominated(grown) if len(grown) > 1 else grown
-        least = min(states.values())
-        if least < best:
-            best = least
         if r >= rows:
             states.pop((), None)
             if not states:

@@ -59,9 +59,9 @@ def generic_element(datum):
     t-exponent phi_j - 1 is the recursion's own coefficient ``coeff`` of
     the length-j prefix, theta(L_i) - theta(sL_i) - 1 of its parent for
     letter j = i: the datum's ``factors``, which ``CrystalDatum.table``
-    fills along too.  For the datum that ``oracle-check`` builds with
-    ``datum_from_word``, theta there is ``maya.filling_min``'s row DP; for
-    an explored datum it is the parent's ``c_coeff``, by the recursion."""
+    fills along too.  Theta there is ``maya.filling_min``'s row DP, for an
+    explored datum as for the one that ``oracle-check`` builds with
+    ``datum_from_word``."""
     return datum.factors()
 
 

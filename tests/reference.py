@@ -113,15 +113,16 @@ def subset_values(datum):
 
 
 def plus_side_theta(n, word):
-    """(coeffs, statistics) of ``word``'s datum by theta's plus-side
+    """(coeffs, statistics, theta) of ``word``'s datum by theta's plus-side
     min-recursion over every subset of addable residue-i boxes that
     ``addition_options`` lists, memoised by depth, parts and charge, with
-    no closed form at any depth and no shared rotation orbit.  coeffs[k] is
-    the coefficient of the (k + 1)-th letter, c_i = theta(L_i) -
-    theta(sL_i) - 1 for its letter i, read from the recursion's own values
-    at depth k; statistics is (weight, eps, phi) of the whole word, read
-    from its values at the fundamental keys ((), 1 - i) and ((1,), 1 - i).
-    It recurses once per letter."""
+    no closed form at any depth and no shared rotation orbit, independent
+    of ``maya.filling_min``.  coeffs[k] is the coefficient of the (k +
+    1)-th letter, c_i = theta(L_i) - theta(sL_i) - 1 for its letter i, read
+    from the recursion's own values at depth k; statistics is (weight, eps,
+    phi) of the whole word, read from its values at the fundamental keys
+    ((), 1 - i) and ((1,), 1 - i); and theta(parts, charge) is the whole
+    word's value at any key.  It recurses once per letter."""
     coeffs = []
 
     @lru_cache(maxsize=None)
@@ -148,15 +149,14 @@ def plus_side_theta(n, word):
         -lam(depth, i) - s_lam(depth, i) + lam(depth, i - 1) + lam(depth, i + 1) for i in range(n)
     )
     phi = tuple(lam(depth, i) - s_lam(depth, i) for i in range(n))
-    return coeffs, (weight, eps, phi)
+    return coeffs, (weight, eps, phi), lambda parts, charge: value(depth, parts, charge % n)
 
 
 def unshared_from_word(cartan, word):
     """The datum of a word built letter by letter through the constructor,
-    each coefficient by the recursion (``c_coeff``), so that it shares no
-    representative or memo with any other word, where ``apply_word``
-    shares rotation orbits and ``datum_from_word`` takes its coefficients
-    from ``maya.filling_min``."""
+    each coefficient its parent's ``c_coeff``, so that every datum of the
+    chain is a representative and none is a rotation view, where
+    ``apply_word`` and ``datum_from_word`` share rotation orbits."""
     datum = CrystalDatum(cartan)
     for i in word:
         datum = CrystalDatum(cartan, datum, i)

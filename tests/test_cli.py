@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -313,7 +314,10 @@ class TestVerify:
         # a negative control: c_coeff off by one on datums of two letters
         # or more gives wrong children, whose statistics verify catches;
         # the statistics read phi from the fundamental thetas, not through
-        # c_coeff, so the mutation reaches them only through the children
+        # c_coeff, so the mutation reaches them only through the children.
+        # The wrong children merge into 19 nodes, fewer than the 21 lattice
+        # points of height <= 5, so one line replaces the census table's
+        # mismatches
         argv = ("verify", "--rank", "2", "--depth", "5")
         assert run(capsys, *argv)[0] == EXIT_OK
         c_coeff = datum.CrystalDatum.c_coeff
@@ -324,7 +328,7 @@ class TestVerify:
         monkeypatch.setattr(datum.CrystalDatum, "c_coeff", off_by_one)
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_FAIL
-        assert out.endswith("verify: FAIL (90 problems)\n")
+        assert out.endswith("verify: FAIL (73 problems)\n")
 
     def test_corrupted_graph_file(self, capsys, tmp_path):
         path = tmp_path / "graph.json"
@@ -333,6 +337,30 @@ class TestVerify:
             capsys, "verify", "--rank", "2", "--graph-file", str(path)
         )
         assert code != EXIT_OK
+
+    @pytest.mark.parametrize("n, points", [(2, 91), (12, 2704156)])
+    def test_too_few_nodes_for_the_census(self, capsys, tmp_path, n, points):
+        # every root-lattice point of height <= depth has a Kostant count of
+        # at least 1, so a file of fewer nodes than the C(depth + n, n)
+        # points cannot pass: one line says so, and no census table is
+        # built, which for this one-node depth-12 file at n = 12 would list
+        # 2,704,156 points and took over a minute
+        path = tmp_path / "graph.json"
+        word = [k % n for k in range(12)]
+        stats = datum.datum_from_word(datum.CartanData(n), word).statistics()
+        node = dict(zip(("weight", "eps", "phi"), stats), id=0, word=word)
+        path.write_text(json.dumps(
+            {"n": n, "depth": 12, "max_boxes": 0, "nodes": [node], "edges": []}
+        ))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--rank", str(n), "--graph-file", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (EXIT_FAIL, "")
+        lines = out.splitlines()
+        census = "violation: census: 1 nodes cannot cover the %d root-lattice points of " \
+            "height <= 12" % points
+        assert census in lines and "weight census" not in out
+        assert lines[-1] == "verify: FAIL (%d problems)" % (len(lines) - 1)
 
     @pytest.mark.parametrize("edit", [
         lambda payload: [],
@@ -545,11 +573,13 @@ class TestOracleCheck:
         assert len(report["results"]) == 2 * 4  # (), (1), (2), (1, 1) at each charge
 
     def test_theta_past_the_recursion_limit_is_bad_input(self, capsys, tmp_path):
-        # oracle-check takes its word's coefficients from theta's filling
-        # DP, which loops: with the limit lowered in process, a word of 60
-        # distinct letters passes, as one letter does.  check_words still
-        # runs theta's recursion, once per letter, so verify of a one-node
-        # export of that word exits 2 with one line, not 1 with a traceback
+        # theta's filling DP loops, and so does every command: with the
+        # limit lowered in process, oracle-check of a word of 60 distinct
+        # letters passes, as one letter does, and verify of a one-node
+        # n = 2 export of a 60-letter word, whose stored statistics are not
+        # its word's, exits 1 with a word violation, not with a traceback.
+        # The file's 1 node cannot cover the 1,891 lattice points of height
+        # <= 60, so verify builds no census table for it
         def depth():
             frame, count = sys._getframe(), 0
             while frame is not None:
@@ -558,11 +588,11 @@ class TestOracleCheck:
 
         letters = list(range(60))
         word = ",".join(map(str, letters))
-        zeros = [0] * 60
-        node = {"id": 0, "word": letters, "weight": zeros, "eps": zeros, "phi": zeros}
+        long_word = [k % 2 for k in range(60)]
+        node = {"id": 0, "word": long_word, "weight": [0, 0], "eps": [0, 0], "phi": [0, 0]}
         path = tmp_path / "graph.json"
         path.write_text(json.dumps(
-            {"n": 60, "depth": 60, "max_boxes": 0, "nodes": [node], "edges": []}
+            {"n": 2, "depth": 60, "max_boxes": 0, "nodes": [node], "edges": []}
         ))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth() + 50)
@@ -571,16 +601,19 @@ class TestOracleCheck:
             code, out, err = run(
                 capsys, "oracle-check", "--rank", "60", "--word", word, "--max-boxes", "1"
             )
-            graph = run(capsys, "verify", "--rank", "60", "--graph-file", str(path))
+            graph = run(capsys, "verify", "--rank", "2", "--graph-file", str(path))
         finally:
             sys.setrecursionlimit(limit)
         assert short[0] == EXIT_OK
         assert (code, err) == (EXIT_OK, "")
         report = json.loads(out)
         assert report["pass"] is True and report["word"] == letters
-        assert graph == (
-            EXIT_USAGE, "", "error: a word is too long for the recursive evaluation\n"
-        )
+        graph_code, graph_out, graph_err = graph
+        assert (graph_code, graph_err) == (EXIT_FAIL, "")
+        assert graph_out.startswith("violation: word: node 0: stored (weight, eps, phi)")
+        assert "violation: census: 1 nodes cannot cover the 1891 " in graph_out
+        assert "weight census" not in graph_out
+        assert graph_out.endswith("verify: FAIL (2 problems)\n")
 
     def test_no_diagrams_fails(self):
         # an empty window compares nothing, so it must not pass; the CLI's

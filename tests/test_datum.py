@@ -22,7 +22,6 @@ from mayacrystal.datum import (
     datum_from_word,
 )
 from mayacrystal import datum as datum_module
-from mayacrystal.graph import explore
 from mayacrystal.maya import (
     RIGHT_BLACK,
     ChargedPartition,
@@ -31,7 +30,6 @@ from mayacrystal.maya import (
     MayaDiagram,
     addable_boxes,
     addable_rows,
-    addition_min,
     addition_options,
     filling_min,
     invert_outside,
@@ -392,7 +390,7 @@ class TestTheta:
         d = datum_from_word(CartanData(n), word)
         assert d.weight() == tuple(-word.count(i) for i in range(n))
         if length <= REFERENCE_REACH[n]:
-            coeffs, statistics = plus_side_theta(n, word)
+            coeffs, statistics, _ = plus_side_theta(n, word)
             assert [coeff for _, coeff in d.factors()] == coeffs
             assert d.statistics() == statistics
 
@@ -714,59 +712,44 @@ class TestOrbits:
             gc.enable()
 
 
-def closed_form_keys(n, depth, monkeypatch):
-    """Where theta's recursion, the plus side, takes its closed forms while
-    a ball of the given depth is explored and its statistics are read:
-    (counted, paired).  counted holds each (parts, charge, letter) at which
-    a depth-1 datum counts addable boxes (``maya.addable_rows``), which
-    only the fundamentals of depth-1 datums reach; paired holds each (parts,
-    charge, letter, parent letter, coeff) at which a depth-2 datum's row
-    pass (``maya.addition_min``) closes depth 1 inside it."""
-    counted, paired = set(), set()
-    rows, row_pass = datum_module.addable_rows, datum_module.addition_min
-
-    def counting(parts, charge, i, n):
-        counted.add((parts, charge, i))
-        return rows(parts, charge, i, n)
-
-    def passing(parts, charge, j, i, coeff, n):
-        paired.add((parts, charge, j, i, coeff))
-        return row_pass(parts, charge, j, i, coeff, n)
-
-    monkeypatch.setattr(datum_module, "addable_rows", counting)
-    monkeypatch.setattr(datum_module, "addition_min", passing)
-    explore(CartanData(n), depth)
-    return counted, paired
+def plus_side_keys(n, depth):
+    """The keys at which theta's plus-side recursion over addition subsets,
+    run from the 2n fundamental keys ((), c) and ((1,), c) of a datum of
+    ``depth`` letters, reads its depth-1 prefix: the fundamental keys
+    after depth - 1 rounds of adding any subset of any residue's addable
+    boxes."""
+    keys = {(parts, charge) for parts in ((), (1,)) for charge in range(n)}
+    for _ in range(depth - 1):
+        keys |= {
+            (sup, charge)
+            for parts, charge in keys
+            for j in range(n)
+            for sup, _ in addition_options(parts, charge, j, n)
+        }
+    return keys
 
 
 class TestDepthOne:
     @pytest.mark.parametrize("n, depth", [(2, 5), (3, 4), (4, 3), (5, 3)])
-    def test_closed_form_is_the_subset_recursion(self, n, depth, monkeypatch):
+    def test_closed_form_is_the_subset_recursion(self, n, depth):
         # below the root every value is 0 and c_i(O) = -1, so the min over
         # subsets S of 0 + |S| c_i(O) is minus the number of boxes the
-        # plus side can add; checked at every key a small ball reaches,
-        # against the subsets listed and the boxes of the independent
-        # BoxRef enumerator.  Depth 1 is closed where a depth-1 datum
-        # counts and, inside each depth-2 row pass, at parts plus each
-        # subset the pass minimises over; both must occur in every cell,
-        # so that the check never runs on the few counted keys alone
-        counted, paired = closed_form_keys(n, depth, monkeypatch)
-        assert counted and paired
-        keys = counted | {
-            (sup, charge, i)
-            for parts, charge, j, i, _ in paired
-            for sup, _ in addition_options(parts, charge, j, n)
-        }
-        assert len(keys) > len(counted)
+        # plus side can add; the filling DP of a one-letter word, where a
+        # filling is a set of addable corners, checked at every key that
+        # the plus-side recursion of a ball of this depth reaches below its
+        # fundamental keys, against the subsets listed and the boxes of the
+        # independent BoxRef enumerator
+        keys = plus_side_keys(n, depth)
+        assert len(keys) > 2 * n
         root = CrystalDatum(CartanData(n))
-        for parts, charge, i in sorted(keys):
+        for i in range(n):
             d = CrystalDatum(root.cartan, root, i)
             assert d.coeff == -1
-            subsets = addition_options(parts, charge, i, n)
-            boxes = addable_boxes(ChargedPartition(parts, charge), i, n)
-            value = d._recurse(parts, charge)
-            assert value == min(count * d.coeff for _, count in subsets) == -len(boxes)
-            assert d._memo == {}
+            for parts, charge in sorted(keys):
+                subsets = addition_options(parts, charge, i, n)
+                boxes = addable_boxes(ChargedPartition(parts, charge), i, n)
+                value = filling_min(parts, charge, d.labels)
+                assert value == min(count * d.coeff for _, count in subsets) == -len(boxes)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_minus_side_is_minus_the_removable_boxes(self, n):
@@ -797,37 +780,40 @@ def subset_minimum(parts, charge, j, i, n):
 class TestDepthTwo:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_row_pass_is_the_subset_minimum(self, n):
-        # a depth-2 datum's value, one pass over the rows, against the min
-        # over the subsets that addition_options lists of its depth-1
-        # parent's values plus |S| c, for every two-letter word, every
-        # charge and all partitions of at most 10 boxes; and the pass
-        # alone at other coefficients.  A box changes the i-spots of two
-        # rows at most, its own and the one below, so at c >= 3 adding
-        # one never pays and the pass counts the addable residue-i boxes
-        # of parts itself: the one plus-side corner rule
+        # the filling DP of a two-letter word against the min over the
+        # subsets that addition_options lists of its one-letter parent's
+        # values plus |S| c, for every two-letter word, every charge and
+        # all partitions of at most 10 boxes; and the DP alone at other
+        # second coefficients.  A box changes the addable boxes of two
+        # rows at most, its own and the one below, so at c >= 3 adding one
+        # never pays and the min counts the addable residue-i boxes of
+        # parts itself: the one plus-side corner rule
         cartan = CartanData(n)
         window = list(partitions_up_to(10))
         for i, j in itertools.product(range(n), repeat=2):
             d = unshared_from_word(cartan, (i, j))
+            first = Labels(n).extended(i, -1)
             for charge, parts in itertools.product(range(n), window):
                 expected = subset_minimum(parts, charge, j, i, n)
                 moves = addition_options(parts, charge, j, n)
-                assert d._recurse(parts, charge) == expected(d.coeff) == min(
-                    d.parent._recurse(sup, charge) + count * d.coeff for sup, count in moves
+                assert filling_min(parts, charge, d.labels) == expected(d.coeff) == min(
+                    filling_min(sup, charge, d.parent.labels) + count * d.coeff
+                    for sup, count in moves
                 )
                 for coeff in (-2, 0, 2):
-                    assert addition_min(parts, charge, j, i, coeff, n) == expected(coeff)
+                    labels = first.extended(j, coeff)
+                    assert filling_min(parts, charge, labels) == expected(coeff)
                 corners = -len(addable_rows(parts, charge, i, n))
                 for coeff in (3, 4):
-                    assert addition_min(parts, charge, j, i, coeff, n) == corners == expected(coeff)
-            assert len(d._memo) == n * len(window)
+                    labels = first.extended(j, coeff)
+                    assert filling_min(parts, charge, labels) == corners == expected(coeff)
 
 
-def labels_of(datum):
-    """The ``maya.Labels`` of a datum's word and coefficients."""
-    labels = Labels(datum.cartan.n)
-    for letter, coeff in datum.factors():
-        labels.append(letter, coeff)
+def labels_of(n, word, coeffs):
+    """The ``maya.Labels`` of a word and its coefficients."""
+    labels = Labels(n)
+    for letter, coeff in zip(word, coeffs):
+        labels = labels.extended(letter, coeff)
     return labels
 
 
@@ -839,20 +825,24 @@ class TestFillingMin:
     )
     @settings(max_examples=150, deadline=None)
     def test_is_the_recursion(self, case, parts, charge):
-        # the row DP over strict residue fillings, fed the coefficients of
-        # a datum that the constructor builds, against theta's recursion
-        # at any key, not only the fundamental ones
+        # the row DP over strict residue fillings, fed a word's coefficients
+        # from the reference's plus-side recursion over addition subsets,
+        # against that recursion's value at any key, not only the
+        # fundamental ones; and the same through the datum's own labels
         n, word = case
-        twin = unshared_from_word(CartanData(n), word)
+        coeffs, _, theta = plus_side_theta(n, word)
         charge %= n
-        expected = twin._recurse(parts, charge) if word else 0
-        assert filling_min(parts, charge, labels_of(twin)) == expected
+        expected = theta(parts, charge)
+        assert filling_min(parts, charge, labels_of(n, word, coeffs)) == expected
+        twin = unshared_from_word(CartanData(n), word)
+        assert filling_min(parts, charge, twin.labels) == expected
 
     @given(words(8))
     @settings(max_examples=80, deadline=None)
     def test_chain_is_the_recursion_chain(self, case):
-        # datum_from_word's coefficients, from the DP, are those that the
-        # recursion gives through a memo and through the constructor
+        # the coefficients that the DP gives a chain, through a memo and
+        # through the constructor, are those of the plus-side recursion over
+        # addition subsets, which shares nothing with the DP
         n, word = case
         cartan = CartanData(n)
         chains = [
@@ -863,7 +853,7 @@ class TestFillingMin:
                 unshared_from_word(cartan, word),
             )
         ]
-        assert chains[0] == chains[1] == chains[2]
+        assert chains[0] == chains[1] == chains[2] == plus_side_theta(n, word)[0]
 
     @pytest.mark.parametrize(
         "n, length, change",
@@ -877,7 +867,8 @@ class TestFillingMin:
         # runs on in TestTheta::test_weight_of_long_cyclic_words
         word = [k % n for k in range(length)]
         word[-1] = (word[-1] + change) % n
-        labels = labels_of(datum_from_word(CartanData(n), word))
+        d = datum_from_word(CartanData(n), word)
+        labels = labels_of(n, word, [coeff for _, coeff in d.factors()])
         weight = [filling_min((), (1 - i) % n, labels) for i in range(n)]
         assert weight == [-word.count(i) for i in range(n)]
 

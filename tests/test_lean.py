@@ -26,6 +26,8 @@ HELPERS = {
     ("laurent", "_accumulate"),  # x_act and the polynomial sums and products
     ("laurent", "_merge_monomials"),  # MultiPoly.__mul__
     ("maya", "removal_options"),  # x_act
+    ("maya", "addition_options"),  # x_act
+    ("maya", "addable_rows"),  # addition_options
     ("maya", "term_key"),  # CrystalDatum.theta
     ("oracle", "_act"),  # d_gamma
 }
