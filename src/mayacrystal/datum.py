@@ -54,7 +54,7 @@ from .maya import (
     LEFT_BLACK,
     RIGHT_BLACK,
     Labels,
-    corner_removals,
+    corner_rows,
     filling_min,
     partitions_of,
     removable_rows,
@@ -95,8 +95,8 @@ def _index(block, n, closed):
     lookup = position.__getitem__ if closed else position.get
     index = tuple([] for _ in range(n))
     for k, parts in zip(ids, block):
-        for label, sub in corner_removals(parts, 0):
-            j = lookup(sub)
+        for r, label in corner_rows(parts):
+            j = lookup(without_corner(parts, r))
             if j is not None:
                 index[label % n].append((k, j))
     return position, index

@@ -20,9 +20,11 @@ k-subset of its residue-i boxes, and the one-parameter action
 exp(p * E_i) = sum_k p^k E_i^k / k! is the finite sum over all subsets.
 ``x_act`` applies it to one vector; ``minus_rows`` applies a whole word to
 the row vectors of a window of diagrams at once, in place, one pass per
-letter and box row.  It packs each row into one Laurent polynomial with an
-int coefficient per t-exponent, the row's path counts as base-2^w digits
-(so a pass adds ints instead of merging per-diagram coefficients), and
+letter and box row, with the passes from one corner scan per distinct
+partition of the window, which serves every charge and residue.  It packs
+each row into one Laurent polynomial with an int coefficient per
+t-exponent, the row's path counts as base-2^w digits (so a pass adds ints
+instead of merging per-diagram coefficients), and
 ``vec_val`` reads a packed row's valuation.  No command builds a
 ``FockVector``: vectors are what ``x_act`` acts on, for ``oracle.d_gamma``
 and the tests, which unpack a packed row into one to compare the two.
@@ -31,7 +33,7 @@ and the tests, which unpack a packed row into one to compare the two.
 from __future__ import annotations
 
 from .laurent import LaurentPoly, _accumulate, _laurent
-from .maya import addition_options, removable_rows, removal_options, without_corner
+from .maya import addition_options, corner_rows, removal_options, without_corner
 
 MINUS = "minus"
 PLUS = "plus"
@@ -115,8 +117,10 @@ def minus_rows(n, factors, window):
     independent, so that is the product over them of (1 + p_j E_b),
     applied one box row at a time (:func:`_passes`): add p_j times the row
     of gamma minus b into the row of each gamma whose i_j-box b ends the
-    row.  It is safe in place: gamma minus b ends that row in residue
-    i_j - 1, never i_j as n >= 2, so no row a pass reads is one it writes.
+    row.  The passes of all the word's residues come from one corner scan
+    per distinct partition of the window, whatever its charges.  It is
+    safe in place: gamma minus b ends that row in residue i_j - 1, never
+    i_j as n >= 2, so no row a pass reads is one it writes.
 
     A row is stored t-major and Kronecker-packed: its coefficient at t^e is
     the int X_e = sum over q of c(gamma, q, e) * 2^(w * d(q)), where
@@ -132,7 +136,7 @@ def minus_rows(n, factors, window):
     digits of X_e are exactly the counts.
     Returns the rows, as ``LaurentPoly`` objects over the integers, and w.
     """
-    passes = {i: _passes(n, window, i) for i in {i for i, _ in factors}}
+    passes = _passes(n, window, {i for i, _ in factors})
     width = _digit_width(factors, passes, len(window))
     seen = {}
     rows = []
@@ -161,15 +165,28 @@ def _digit_width(factors, passes, size):
     return max(totals, default=0).bit_length()
 
 
-def _passes(n, window, residue):
-    """By box row r, the pairs (k, j) of window positions with diagram j
-    the diagram k less its ``residue`` box ending row r: the rows of
-    ``maya.removable_rows``, each cut by ``maya.without_corner``."""
-    position = {key: q for q, key in enumerate(window)}
-    passes = {}
+def _passes(n, window, residues):
+    """By residue i of ``residues``, then by box row r, the pairs (k, j) of
+    window positions with diagram j the diagram k less its residue-i box
+    ending row r: the rows of ``maya.removable_rows``, each cut by
+    ``maya.without_corner``.
+
+    One scan per distinct partition serves every charge and residue: a
+    partition's corners do not depend on its charge, and the box ending
+    row r has residue (label - charge) mod n for its ``maya.corner_rows``
+    label.  Positions are looked up by partition, then charge, so the
+    window need not be charge-major, only closed under box removal."""
+    at = {}
     for k, (parts, charge) in enumerate(window):
-        for r in removable_rows(parts, charge, residue, n):
-            passes.setdefault(r, []).append((k, position[without_corner(parts, r), charge]))
+        at.setdefault(parts, {})[charge] = k
+    passes = {i: {} for i in residues}
+    for parts, positions in at.items():
+        for r, label in corner_rows(parts):
+            below = at[without_corner(parts, r)]
+            for charge, k in positions.items():
+                rows = passes.get((label - charge) % n)
+                if rows is not None:
+                    rows.setdefault(r, []).append((k, below[charge]))
     return passes
 
 

@@ -219,14 +219,10 @@ class BoxRef(_Frozen):
         object.__setattr__(self, "residue", residue)
 
 
-def _slot_offset(charge):
-    return 1 - charge
-
-
 def from_partition(p):
     """Charged partition -> its left-black Maya diagram (inverse of
     to_partition)."""
-    s = _slot_offset(p.charge)
+    s = 1 - p.charge
     k = len(p.parts)
     whites = {p.parts[j] + s - (j + 1) for j in range(k)}
     tail_max = s - k - 1  # every label <= tail_max is white
@@ -278,7 +274,7 @@ def removable_boxes(p, i, n):
     for row in range(1, len(parts) + 1):
         if row == len(parts) or parts[row - 1] > parts[row]:
             col = parts[row - 1]
-            label = _slot_offset(p.charge) + col - row
+            label = 1 - p.charge + col - row
             if label % n == i:
                 boxes.append(BoxRef(row, col, label, label % n))
     return boxes
@@ -294,7 +290,7 @@ def addable_boxes(p, i, n):
         prev = parts[row - 2] if row >= 2 else None
         if prev is not None and col > prev:
             continue
-        label = _slot_offset(p.charge) + col - row
+        label = 1 - p.charge + col - row
         if label % n == i:
             boxes.append(BoxRef(row, col, label, label % n))
     return boxes
@@ -327,11 +323,11 @@ def removable_rows(parts, charge, i, n):
     below it (the last row always is), and the box at the end of row r has
     label (1 - charge) + parts[r] - (r + 1).  The minus side's one corner
     rule: :func:`removal_options` lists the subsets of these boxes, and
-    ``datum``'s removal closure and ``fock``'s row passes cut them.  Both
-    corner rules are plain loops: the removal closure calls this one about
-    750,000 times for ``eval`` of a 10-letter affine sl_2 word at the
-    staircase (10, ..., 1), and comprehensions over zipped rows took up to
-    twice as long."""
+    ``datum``'s removal closure cuts them; :func:`corner_rows` is the same
+    rule at every residue at once.  The corner rules are plain loops: the
+    removal closure calls this one about 750,000 times for ``eval`` of a
+    10-letter affine sl_2 word at the staircase (10, ..., 1), and
+    comprehensions over zipped rows took up to twice as long."""
     rows = []
     shift = charge + i
     last = len(parts) - 1
@@ -514,24 +510,28 @@ def removal_options(parts, charge, i, n):
     return options
 
 
-def corner_removals(parts, charge):
-    """(label, sub_parts) for each removable box of a partition with the
-    given charge, any residue, top row first: label is the box's slot label
-    and sub_parts the raw parts without that box."""
-    offset = _slot_offset(charge)
+def corner_rows(parts):
+    """(r, label) for each row r, counted from 0 top first, of the raw parts
+    that ends in a removable box, any residue, top row first: label is the
+    box's slot label parts[r] - r at charge 0.  The label drops by one as
+    the charge rises, so one scan gives the box's residue (label - charge)
+    mod n at every charge and rank.  ``datum``'s removal index reads it at
+    charge 0, and ``fock``'s row passes once per window partition for all
+    charges and residues, each into lists of its own."""
+    rows = []
     last = len(parts) - 1
     for r, length in enumerate(parts):
         if r == last or length > parts[r + 1]:
-            yield offset + length - r - 1, without_corner(parts, r)
+            rows.append((r, length - r))
+    return rows
 
 
 def without_corner(parts, r):
     """The raw parts without the box that ends row r, counted from 0 top
     first, which must be a corner.  Only the last row can shrink to zero:
     every other corner row is longer than the row below it.  The one rule
-    of single-box removal, which :func:`removal_options`,
-    :func:`corner_removals`, ``datum``'s removal closure and ``fock``'s row
-    passes share."""
+    of single-box removal, which :func:`removal_options`, ``datum``'s
+    removal index and closure and ``fock``'s row passes share."""
     length = parts[r]
     return parts[:r] + (length - 1,) + parts[r + 1:] if length > 1 else parts[:r]
 

@@ -124,11 +124,22 @@ _ROW = """    {
 def report_to_json(report):
     """``json.dumps(report, sort_keys=True, indent=2) + "\n"``, written out
     for the report's fixed schema: ``indent`` makes ``json`` run its
-    pure-Python encoder, which took about a quarter of ``compare``'s time."""
+    pure-Python encoder, which took about a quarter of ``compare``'s time.
+    A window repeats each partition at every charge, so each partition's
+    parts are written once."""
+    texts = {}
+
+    def parts_text(parts):
+        key = tuple(parts)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = _int_list(parts, 8)
+        return text
+
     rows = ",\n".join(
         _ROW % (
             row["diagram"]["charge"],
-            _int_list(row["diagram"]["parts"], 8),
+            parts_text(row["diagram"]["parts"]),
             _bool(row["match"]),
             '"inf"' if row["oracle"] == "inf" else row["oracle"],
             row["recursive"],

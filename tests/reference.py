@@ -25,11 +25,12 @@ from mayacrystal.laurent import INF, LaurentPoly, _accumulate
 from mayacrystal.maya import (
     ChargedPartition,
     addition_options,
-    corner_removals,
+    corner_rows,
     from_partition,
     partitions_of,
     removal_options,
     term_key,
+    without_corner,
 )
 from mayacrystal.oracle import _act, d_gamma, generic_element
 
@@ -71,6 +72,13 @@ def box_label_multiset(p):
         for row, length in enumerate(p.parts, 1)
         for col in range(1, length + 1)
     )
+
+
+def corner_removals(parts, charge):
+    """(label, sub_parts) for each removable box of a partition with the
+    given charge, any residue, top row first: label is the box's slot label
+    and sub_parts the raw parts without that box."""
+    return [(label - charge, without_corner(parts, r)) for r, label in corner_rows(parts)]
 
 
 # -- value tables and exploration ---------------------------------------------

@@ -672,11 +672,11 @@ class TestOracleCheck:
         assert coefficients == {int}
 
     def test_rows_fill_once_per_residue(self, capsys, monkeypatch):
-        # the row fill lists each window diagram's removable boxes once per
-        # distinct residue of the word and enumerates no subsets; the
-        # table's fill reads the removal index, and datum's own
-        # removable_rows, value_at's closure walk, is not patched
-        calls = {"removal_options": 0, "removable_rows": 0}
+        # the row fill scans each distinct window partition's corners once,
+        # for every charge and residue of the word, and enumerates no
+        # subsets; the table's fill reads datum's removal index, whose
+        # corner_rows calls go through datum's own import, uncounted
+        calls = {"removal_options": 0, "corner_rows": 0}
 
         def counting(name):
             original = getattr(maya, name)
@@ -686,17 +686,16 @@ class TestOracleCheck:
                 return original(*args)
             return wrapped
 
-        removal_options, removable_rows = counting("removal_options"), counting("removable_rows")
+        removal_options = counting("removal_options")
         for module in (maya, fock):
             monkeypatch.setattr(module, "removal_options", removal_options)
-        for module in (maya, fock):
-            monkeypatch.setattr(module, "removable_rows", removable_rows)
+        monkeypatch.setattr(fock, "corner_rows", counting("corner_rows"))
         code, out, _ = run(
             capsys, "oracle-check", "--rank", "2", "--word", "0,1,0,1,1,0", "--max-boxes", "10"
         )
         assert code == EXIT_OK
         assert len(json.loads(out)["results"]) == 278
-        assert calls == {"removal_options": 0, "removable_rows": 2 * 278}
+        assert calls == {"removal_options": 0, "corner_rows": 139}
 
     def test_threads_flag(self, capsys):
         # oracle-check has one path, through oracle.compare; --threads is gone
@@ -788,7 +787,7 @@ class TestUsage:
         # is the program's fault and propagates, not "error:" and exit 2.
         # explore's box-window index is cached in _removal_index with the
         # full window's, so an index built before the patch must go first
-        monkeypatch.setattr(datum, "corner_removals", lambda parts, charge: [(0, parts + (1,))])
+        monkeypatch.setattr(datum, "without_corner", lambda parts, r: parts + (1,))
         datum._removal_index.cache_clear()
         try:
             with pytest.raises(KeyError):

@@ -21,18 +21,19 @@ from mayacrystal.maya import (
     add_box,
     addable_boxes,
     addition_options,
-    corner_removals,
+    corner_rows,
     from_partition,
     invert_outside,
     lambda_diagram,
     partitions_of,
     removable_boxes,
+    removable_rows,
     removal_options,
     remove_box,
     s_lambda_diagram,
     to_partition,
 )
-from reference import box_label_multiset, box_slot_label, partitions_up_to
+from reference import box_label_multiset, box_slot_label, corner_removals, partitions_up_to
 
 partition_parts = st.lists(st.integers(1, 7), max_size=5).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -367,6 +368,13 @@ class TestBoxes:
         expected = [(box.slot_label, remove_box(p, box).parts)
                     for box in removable_boxes(p, 0, 1)]
         assert list(corner_removals(parts, charge)) == expected
+
+    @given(partition_parts, charges, st.integers(2, 5))
+    def test_corner_rows_give_every_residue(self, parts, charge, n):
+        # one charge-0 scan gives removable_rows at any charge and residue
+        for i in range(n):
+            rows = [r for r, label in corner_rows(parts) if (label - charge - i) % n == 0]
+            assert rows == removable_rows(parts, charge, i, n)
 
     @given(partition_parts, charges, st.integers(0, 3), st.integers(2, 4))
     def test_addition_options_match_box_addition(self, parts, charge, i, n):

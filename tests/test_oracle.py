@@ -162,21 +162,28 @@ class TestSharedRows:
 
     def test_passes_are_safe_in_place(self):
         # within a box row's pass no diagram read is one written, and the
-        # passes pair each diagram with exactly its removable boxes
-        for n in range(2, 5):
-            window = canonical_diagrams(n, 6)
-            for residue in range(n):
-                passes = fock._passes(n, window, residue)
-                for pairs in passes.values():
-                    assert not {k for k, _ in pairs} & {j for _, j in pairs}
-                for k, (parts, charge) in enumerate(window):
-                    paired = sorted(
-                        (r, j) for r, pairs in passes.items() for kk, j in pairs if kk == k
-                    )
-                    assert [r for r, _ in paired] == maya.removable_rows(parts, charge, residue, n)
-                    for r, j in paired:
-                        sub = parts[:r] + (parts[r] - 1,) + parts[r + 1:]
-                        assert window[j] == (tuple(x for x in sub if x), charge)
+        # passes, from one corner scan per partition for every residue,
+        # pair each diagram with exactly its removable boxes of each
+        # residue, in a charge-major window and in one that is not
+        for n in range(2, 6):
+            for window in (canonical_diagrams(n, 6), canonical_diagrams(n, 6)[::-1]):
+                passes = fock._passes(n, window, range(n))
+                assert sorted(passes) == list(range(n))
+                for residue, by_row in passes.items():
+                    for pairs in by_row.values():
+                        assert not {k for k, _ in pairs} & {j for _, j in pairs}
+                    paired = {}
+                    for r, pairs in by_row.items():
+                        for k, j in pairs:
+                            paired.setdefault(k, []).append((r, j))
+                    for k, (parts, charge) in enumerate(window):
+                        rows = sorted(paired.get(k, []))
+                        assert [r for r, _ in rows] == maya.removable_rows(
+                            parts, charge, residue, n
+                        )
+                        for r, j in rows:
+                            sub = parts[:r] + (parts[r] - 1,) + parts[r + 1:]
+                            assert window[j] == (tuple(x for x in sub if x), charge)
 
     def test_rows_reach_beyond_the_valuation(self):
         # rows carry whole Laurent polynomials, with several exponents and
