@@ -96,9 +96,9 @@ def _check_letters(n, word):
 
 
 def _read_json(path):
-    """A file's parsed JSON.  ``json`` recurses once per nesting level, so a
-    file nested too deeply is a ValueError naming it: nothing else that a
-    command runs recurses."""
+    """A file's parsed JSON; a ValueError naming the file if it is not
+    JSON.  ``json`` recurses once per nesting level, so a file nested too
+    deeply is one too: nothing else that a command runs recurses."""
     import json  # here, so that a command reading no file never loads it
 
     with open(path, "rb") as handle:
@@ -106,6 +106,8 @@ def _read_json(path):
             return json.load(handle)
         except RecursionError:
             raise ValueError("%s: JSON nested too deeply to read" % path) from None
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None
 
 
 def _load_diagram(path):
@@ -154,14 +156,15 @@ def cmd_verify(args):
         graph = graphmod.load_json(_read_json(args.graph_file))
         if graph.n != n:
             raise ValueError("graph file has rank %d, expected %d" % (graph.n, n))
-        violations = graphmod.check_words(graph)
     else:
         graph = graphmod.explore(CartanData(n), args.depth or 0, args.max_boxes)
-        violations = []
-    violations += graphmod.check_axioms(graph)
     points = math.comb(graph.depth + n, n)  # the lattice points of height <= depth
-    if len(graph.nodes) < points:
-        # each has a Kostant count of at least 1, so no census of these nodes passes
+    # each has a Kostant count of at least 1, so fewer nodes fail the census;
+    # then the words, whose check grows with their length, are not read
+    covered = len(graph.nodes) >= points
+    violations = graphmod.check_words(graph) if covered and args.graph_file is not None else []
+    violations += graphmod.check_axioms(graph)
+    if not covered:
         violations.append("census: %d nodes cannot cover the %d root-lattice points of "
                           "height <= %d" % (len(graph.nodes), points, graph.depth))
         failures = violations

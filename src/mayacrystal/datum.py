@@ -28,13 +28,14 @@ two recursion trees are isomorphic.
 
 One path computes minus-side values: ``_fill`` runs a datum's word, letter
 by letter, over a list of partitions in increasing box count that
-``_index`` indexes.  ``table`` fills the window canonical_diagrams(n,
-max_boxes), every partition of at most max_boxes boxes, and
-``fingerprint`` the box window box_diagrams(n, max_boxes), every
-partition that fits in an a x b box with ab <= max_boxes, both one charge
-block at a time (``_removal_index``); ``value_at``, which serves ``eval``,
-fills the closure of its one diagram under the word's removals
-(``_removal_closure``).
+``_index`` indexes.  ``table`` fills the window
+canonical_diagrams(max_boxes), every partition of at most max_boxes boxes,
+and ``fingerprint`` the box window box_diagrams(max_boxes), every
+partition that fits in an a x b box with ab <= max_boxes.  A window is one
+block of partitions, which each charge fills on its own: the charge only
+shifts which index entry a letter reads (``_removal_index``).
+``value_at``, which serves ``eval``, fills the closure of its one diagram
+under the word's removals (``_removal_closure``).
 
 Theta, which the coefficients and the crystal statistics read, has one
 path: ``maya.filling_min``, the plus-side recursion unrolled into a min
@@ -104,13 +105,11 @@ def _index(block, n, closed):
 
 @lru_cache(maxsize=2)
 def _removal_index(window, n, max_boxes):
-    """``_index`` of one charge block of window(n, max_boxes), where
-    ``window`` is canonical_diagrams or box_diagrams.  Either window
-    repeats one list of partitions at each charge, closed under box
-    removal, and a removal keeps the charge, so each block fills on its
-    own.  A run uses one window, so the cache holds only the last two."""
-    diagrams = window(n, max_boxes)
-    _, index = _index([parts for parts, _ in diagrams[:len(diagrams) // n]], n, True)
+    """``_index`` of window(max_boxes), where ``window`` is
+    canonical_diagrams or box_diagrams: one block of partitions, closed
+    under box removal, that serves every charge, since a removal keeps the
+    charge.  A run uses one window, so the cache holds only the last two."""
+    _, index = _index(window(max_boxes), n, True)
     return tuple(tuple(pairs) for pairs in index)
 
 
@@ -207,9 +206,10 @@ class CrystalDatum:
     too.  ``coeff``, the parent's c_coeff at this datum's letter, is fixed
     at construction and is the same along an orbit.  A datum keeps no
     child, so none is part of a reference cycle, and no value table:
-    exploration holds each table in its level's dedup keys.  The constructor builds a representative of any
-    word from a representative parent, sharing nothing with other words
-    but the labels' lists (see ``maya.Labels``).
+    exploration holds each table in its level's dedup keys.  The
+    constructor builds a representative of any word from a representative
+    parent, sharing nothing with other words but the labels' lists (see
+    ``maya.Labels``).
     """
 
     def __init__(self, cartan, parent=None, letter=None):
@@ -311,12 +311,12 @@ class CrystalDatum:
         return _fill_word(len(block), index, factors, charge)[position[parts]]
 
     def table(self, max_boxes):
-        """Values over canonical_diagrams(n, max_boxes), as the unbounded
-        ints that ``oracle.compare`` reads, filled one charge block at a
-        time along the word (``_fill_word``).  It loops, so no word is too
-        long for it."""
+        """Values over the block canonical_diagrams(max_boxes) at charge 0,
+        then at charge 1, up to n - 1, as the unbounded ints that
+        ``oracle.compare`` reads, each charge filled along the word
+        (``_fill_word``).  It loops, so no word is too long for it."""
         n = self.cartan.n
-        size = len(canonical_diagrams(n, max_boxes)) // n
+        size = len(canonical_diagrams(max_boxes))
         factors = self.factors()
         index = _removal_index(canonical_diagrams, n, max_boxes)
         values = []
@@ -399,13 +399,13 @@ class CrystalDatum:
     # -- equality surrogate ---------------------------------------------------
 
     def fingerprint(self, max_boxes, parent_table, memo):
-        """This datum's value table over the box window box_diagrams(n,
-        max_boxes), the partitions lambda with lambda_1 * len(lambda) <=
-        max_boxes, as n bytes blocks, one per charge in the window's order
-        (charge, then box count, then lexicographic parts), each value a
-        native signed 16-bit number; a value outside [-32768, 32767] raises
-        OverflowError and is never clipped.  ``graph.explore`` holds each
-        table once, inside its dedup keys, at two bytes an entry.
+        """This datum's value table over the box window
+        box_diagrams(max_boxes), the partitions lambda with lambda_1 *
+        len(lambda) <= max_boxes, as n bytes blocks, one per charge from 0,
+        each in the window's order (box count, then lexicographic parts),
+        each value a native signed 16-bit number; a value outside [-32768,
+        32767] raises OverflowError and is never clipped.  ``graph.explore``
+        holds each table once, inside its dedup keys, at two bytes an entry.
 
         The root's blocks are all zero and it ignores ``parent_table``; any
         other datum fills each block from the block of its charge in
@@ -420,8 +420,8 @@ class CrystalDatum:
         at most one block fill on average, not n.
 
         The box window holds every rectangle of area at most max_boxes and
-        lies inside canonical_diagrams(n, max_boxes), at a small fraction
-        of its size (3,058 against 99,133 partitions per block at 36);
+        lies inside canonical_diagrams(max_boxes), at a small fraction of
+        its size (3,058 against 99,133 partitions at 36);
         ``tests/test_graph.py``'s ``TestExplore::test_equals_full_window``
         checks that exploration merges the same elements on either.
 
@@ -433,7 +433,7 @@ class CrystalDatum:
         """
         n = self.cartan.n
         if self.parent is None:
-            return (bytes(2 * (len(box_diagrams(n, max_boxes)) // n)),) * n
+            return (bytes(2 * len(box_diagrams(max_boxes))),) * n
         index = _removal_index(box_diagrams, n, max_boxes)
         blocks = []
         for charge, parent_block in enumerate(parent_table):
@@ -450,8 +450,8 @@ class CrystalDatum:
         from .maya import ChargedPartition, from_partition
 
         rows = []
-        window = canonical_diagrams(self.cartan.n, max_boxes)
-        for (parts, charge), value in zip(window, self.table(max_boxes)):
+        keys = [(p, c) for c in range(self.cartan.n) for p in canonical_diagrams(max_boxes)]
+        for (parts, charge), value in zip(keys, self.table(max_boxes)):
             diagram = from_partition(ChargedPartition(parts, charge))
             rows.append({"diagram": diagram.to_json(), "value": value})
         return rows
@@ -468,31 +468,28 @@ def datum_from_word(cartan, word):
 
 
 @lru_cache(maxsize=2)
-def canonical_diagrams(n, max_boxes):
-    """Fixed enumeration of sigma-canonical (parts, charge) pairs.
-
-    A run uses one window, so the cache holds only the last two, as for
-    the removal index.
-    """
-    by_size = [partitions_of(total) for total in range(max_boxes + 1)]
-    return tuple((parts, charge) for charge in range(n) for size in by_size for parts in size)
+def canonical_diagrams(max_boxes):
+    """The full window: every partition of at most ``max_boxes`` boxes, by
+    box count, each count's partitions sorted.  Read at charges 0..n-1, it
+    lists the sigma-canonical diagrams.  A run uses one window, so the
+    cache holds only the last two, as for the removal index."""
+    return tuple(parts for total in range(max_boxes + 1) for parts in partitions_of(total))
 
 
 @lru_cache(maxsize=2)
-def box_diagrams(n, max_area):
-    """The box window: the pairs of canonical_diagrams(n, max_area) whose
-    partition lambda fits in an a x b box with ab <= max_area, that is
-    lambda_1 * len(lambda) <= max_area, in its order.  It is closed under
-    box removal and holds every rectangle of area at most max_area.  Each
-    charge block is built directly, by largest part a with at most
-    max_area // a rows, not filtered from every partition of at most
-    max_area boxes, which number 1.3 million at 50.  Each box count lists
-    a in rising order, each a's partitions sorted, so the block is in
-    lexicographic order.  The cache holds the last two windows."""
-    block = [
+def box_diagrams(max_area):
+    """The box window: the partitions of canonical_diagrams(max_area) that
+    fit in an a x b box with ab <= max_area, that is lambda_1 *
+    len(lambda) <= max_area, in its order.  It is closed under box removal
+    and holds every rectangle of area at most max_area.  It is built
+    directly, by largest part a with at most max_area // a rows, not
+    filtered from every partition of at most max_area boxes, which number
+    1.3 million at 50.  Each box count lists a in rising order, each a's
+    partitions sorted, so the block is in lexicographic order.  The cache
+    holds the last two windows."""
+    return ((),) + tuple(
         (a,) + rest
         for total in range(max_area + 1)
         for a in range(1, total + 1)
         for rest in partitions_of(total - a, a, max_area // a - 1)
-    ]
-    return tuple((parts, charge) for charge in range(n) for parts in [()] + block)
+    )

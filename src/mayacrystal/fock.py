@@ -20,14 +20,15 @@ k-subset of its residue-i boxes, and the one-parameter action
 exp(p * E_i) = sum_k p^k E_i^k / k! is the finite sum over all subsets.
 ``x_act`` applies it to one vector; ``minus_rows`` applies a whole word to
 the row vectors of a window of diagrams at once, in place, one pass per
-letter and box row, with the passes from one corner scan per distinct
-partition of the window, which serves every charge and residue.  It packs
-each row into one Laurent polynomial with an int coefficient per
-t-exponent, the row's path counts as base-2^w digits (so a pass adds ints
-instead of merging per-diagram coefficients), and
-``vec_val`` reads a packed row's valuation.  No command builds a
-``FockVector``: vectors are what ``x_act`` acts on, for ``oracle.d_gamma``
-and the tests, which unpack a packed row into one to compare the two.
+letter and box row.  The window is one block of partitions, read at every
+charge: the passes come from one corner scan per partition, and the charge
+only shifts the residue entry each letter reads.  It packs each row into
+one Laurent polynomial with an int coefficient per t-exponent, the row's
+path counts as base-2^w digits (so a pass adds ints instead of merging
+per-diagram coefficients), and ``vec_val`` reads a packed row's valuation.
+No command builds a ``FockVector``: vectors are what ``x_act`` acts on,
+for ``oracle.d_gamma`` and the tests, which unpack a packed row into one
+to compare the two.
 """
 
 from __future__ import annotations
@@ -104,89 +105,82 @@ def x_act(v, i, p):
     return _keyed(v.n, v.side, terms)
 
 
-def minus_rows(n, factors, window):
+def minus_rows(n, factors, block):
     """Row vectors <gamma| x_{i_m}(p_m) ... x_{i_1}(p_1) at every a_j = 1,
-    for every gamma of ``window``, each packed into one Laurent polynomial.
+    each packed into one Laurent polynomial, for gamma the partitions of
+    ``block`` at charge 0, then at each charge up to n - 1.
 
     ``factors`` lists the pairs (i_j, e_j) with p_j = t^e_j, oldest first;
-    ``window`` lists ``(parts, charge)`` pairs closed under box removal, as
-    ``canonical_diagrams(n, max_boxes)`` does, and they key the returned
-    dict of rows in window order.  The newest factor acts first on a row
-    vector, so <gamma| g_j is the sum over subsets S of gamma's removable
-    i_j-boxes of p_j^|S| <gamma minus S| g_{j-1}.  The boxes are
+    ``block`` lists partitions closed under box removal, as
+    ``canonical_diagrams(max_boxes)`` does.  The newest factor acts first
+    on a row vector, so <gamma| g_j is the sum over subsets S of gamma's
+    removable i_j-boxes of p_j^|S| <gamma minus S| g_{j-1}.  The boxes are
     independent, so that is the product over them of (1 + p_j E_b),
     applied one box row at a time (:func:`_passes`): add p_j times the row
     of gamma minus b into the row of each gamma whose i_j-box b ends the
-    row.  The passes of all the word's residues come from one corner scan
-    per distinct partition of the window, whatever its charges.  It is
-    safe in place: gamma minus b ends that row in residue i_j - 1, never
-    i_j as n >= 2, so no row a pass reads is one it writes.
+    row.  A removal keeps the charge, so each charge c fills on its own,
+    reading residue i at entry (i + c) mod n of the passes.  It is safe in
+    place: gamma minus b ends that row in residue i_j - 1, never i_j as
+    n >= 2, so no row a pass reads is one it writes.
 
     A row is stored t-major and Kronecker-packed: its coefficient at t^e is
     the int X_e = sum over q of c(gamma, q, e) * 2^(w * d(q)), where
     c(gamma, q, e) is the path count of the Fock coefficient of q at t^e
-    and d(q) is q's position among the window's diagrams of gamma's charge
-    (box removal keeps the charge, so no other diagram enters the row).
-    That is <gamma| g |Xi> for Xi = sum over q of z^d(q) |q> at z = 2^w,
-    so a pass adds one int per exponent of the row it reads, shifted by
-    e_j.  Every count is a positive integer, so no sum cancels, and each is
-    at most its row's total at t = 1, which one int pass over the same pass
-    lists gives; w is the bit length of the largest total
-    (:func:`_digit_width`), so every count is below 2^w and the base-2^w
-    digits of X_e are exactly the counts.
-    Returns the rows, as ``LaurentPoly`` objects over the integers, and w.
+    and d(q) is q's place in the block, at gamma's charge (box removal
+    keeps the charge, so no other diagram enters the row).  That is
+    <gamma| g |Xi> for Xi = sum over q of z^d(q) |q> at z = 2^w, so a pass
+    adds one int per exponent of the row it reads, shifted by e_j.  Every
+    count is a positive integer, so no sum cancels, and each is at most
+    its row's total at t = 1, which one int pass over the same pass lists
+    gives; w is the bit length of the largest total (:func:`_digit_width`),
+    so every count is below 2^w and the base-2^w digits of X_e are exactly
+    the counts.  Returns the rows in that order, as ``LaurentPoly`` objects
+    over the integers, and w.
     """
-    passes = _passes(n, window, {i for i, _ in factors})
-    width = _digit_width(factors, passes, len(window))
-    seen = {}
+    passes = _passes(n, block)
+    width = _digit_width(n, factors, passes, len(block))
     rows = []
-    for _, charge in window:
-        d = seen.get(charge, 0)
-        seen[charge] = d + 1
-        rows.append({0: 1 << width * d})
-    for residue, exponent in factors:
-        for pairs in passes[residue].values():
-            for k, j in pairs:
-                row = rows[k]
-                for e, x in rows[j].items():
-                    e += exponent
-                    row[e] = row.get(e, 0) + x
-    return {key: _laurent(row) for key, row in zip(window, rows)}, width
+    for charge in range(n):
+        fill = [{0: 1 << width * d} for d in range(len(block))]
+        for residue, exponent in factors:
+            for pairs in passes[(residue + charge) % n].values():
+                for k, j in pairs:
+                    row = fill[k]
+                    for e, x in fill[j].items():
+                        e += exponent
+                        row[e] = row.get(e, 0) + x
+        rows += map(_laurent, fill)
+    return rows, width
 
 
-def _digit_width(factors, passes, size):
+def _digit_width(n, factors, passes, size):
     """The bit length of the largest row total at t = 1: the rows' fill
-    with every coefficient replaced by its sum, one int per row."""
-    totals = [1] * size
-    for residue, _ in factors:
-        for pairs in passes[residue].values():
-            for k, j in pairs:
-                totals[k] += totals[j]
-    return max(totals, default=0).bit_length()
+    at every charge with every coefficient replaced by its sum, one int per
+    row."""
+    largest = 0
+    for charge in range(n):
+        totals = [1] * size
+        for residue, _ in factors:
+            for pairs in passes[(residue + charge) % n].values():
+                for k, j in pairs:
+                    totals[k] += totals[j]
+        largest = max(largest, max(totals, default=0))
+    return largest.bit_length()
 
 
-def _passes(n, window, residues):
-    """By residue i of ``residues``, then by box row r, the pairs (k, j) of
-    window positions with diagram j the diagram k less its residue-i box
-    ending row r: the rows of ``maya.removable_rows``, each cut by
-    ``maya.without_corner``.
-
-    One scan per distinct partition serves every charge and residue: a
-    partition's corners do not depend on its charge, and the box ending
-    row r has residue (label - charge) mod n for its ``maya.corner_rows``
-    label.  Positions are looked up by partition, then charge, so the
-    window need not be charge-major, only closed under box removal."""
-    at = {}
-    for k, (parts, charge) in enumerate(window):
-        at.setdefault(parts, {})[charge] = k
-    passes = {i: {} for i in residues}
-    for parts, positions in at.items():
+def _passes(n, block):
+    """By entry r, then by box row, the pairs (k, j) of places in ``block``
+    with block[j] the partition block[k] less the box ending that row, whose
+    slot label at charge 0 (``maya.corner_rows``) is r mod n: the rows of
+    ``maya.removable_rows``, cut by ``maya.without_corner``.  At charge c
+    residue i is entry (i + c) mod n, so one scan per partition serves
+    every charge and residue.  Places are looked up by partition, so the
+    block may come in any order closed under box removal."""
+    position = {parts: k for k, parts in enumerate(block)}
+    passes = tuple({} for _ in range(n))
+    for k, parts in enumerate(block):
         for r, label in corner_rows(parts):
-            below = at[without_corner(parts, r)]
-            for charge, k in positions.items():
-                rows = passes.get((label - charge) % n)
-                if rows is not None:
-                    rows.setdefault(r, []).append((k, below[charge]))
+            passes[label % n].setdefault(r, []).append((k, position[without_corner(parts, r)]))
     return passes
 
 

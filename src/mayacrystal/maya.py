@@ -515,9 +515,9 @@ def corner_rows(parts):
     that ends in a removable box, any residue, top row first: label is the
     box's slot label parts[r] - r at charge 0.  The label drops by one as
     the charge rises, so one scan gives the box's residue (label - charge)
-    mod n at every charge and rank.  ``datum``'s removal index reads it at
-    charge 0, and ``fock``'s row passes once per window partition for all
-    charges and residues, each into lists of its own."""
+    mod n at every charge and rank.  ``datum``'s removal index and
+    ``fock``'s row passes each file a window block's corners by label mod
+    n, once for every charge, into lists of their own."""
     rows = []
     last = len(parts) - 1
     for r, length in enumerate(parts):
@@ -595,7 +595,7 @@ def partitions_of(total, largest=None, rows=None):
     branch taken ends in a partition.
 
     Not cached: ``datum.canonical_diagrams`` and ``datum.box_diagrams``,
-    its callers on a hot path, cache their own results.
+    its callers on a hot path, cache the block of partitions each lists.
     """
     if total == 0:
         return ((),)

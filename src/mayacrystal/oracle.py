@@ -19,11 +19,12 @@ its value at a = 1 is, so the valuations are those at a = 1.
 
 The rows are packed the same way, in a second variable z: ``minus_rows``
 keeps, for each t-exponent e, the single int X_e = <gamma| g |Xi> with
-Xi = sum over q of z^d(q) |q> at z = 2^w, for d(q) the position of the
-diagram q among the window's diagrams of gamma's charge.  At a = 1 every
-t-coefficient of <gamma| g |q> is a path count, so it lies in N, and X_e,
-like a polynomial in N[z] at z = 1, is nonzero exactly when some q has a
-t^e term: the valuation of the row is the least e with X_e nonzero.
+Xi = sum over q of z^d(q) |q> at z = 2^w, over the diagrams q of gamma's
+charge, for d(q) the place of q's partition in the window's block.  At
+a = 1 every t-coefficient of <gamma| g |q> is a path count, so it lies in
+N, and X_e, like a polynomial in N[z] at z = 1, is nonzero exactly when
+some q has a t^e term: the valuation of the row is the least e with X_e
+nonzero.
 The packing is also invertible: each count is at most the row's total at
 t = 1, which is below 2^w, so the base-2^w digits of X_e are the counts
 and no two diagrams' counts collide.
@@ -81,21 +82,23 @@ def d_gamma(n, factors, key):
 def compare(datum, max_boxes):
     """Cross-check the datum's value table against the Fock rows.
 
-    Over the window ``canonical_diagrams(n, max_boxes)``, each report row's
-    recursive value is the entry of ``datum.table(max_boxes)`` and its
-    oracle value is ``vec_val`` of the packed row <gamma| g that
-    ``minus_rows`` fills.  A pass shows that two implementations of the
-    min-recursion agree (see the module docstring).  Returns a JSON-ready
-    report with one row per window diagram, in window order, and an overall
-    pass flag, which an empty window (``max_boxes < 0``) never sets.  INF
-    valuations are serialized as the string "inf".
+    The window is the block ``canonical_diagrams(max_boxes)`` at each
+    charge in turn; a report row's recursive value is the entry of
+    ``datum.table(max_boxes)`` and its oracle value is ``vec_val`` of the
+    packed row <gamma| g that ``minus_rows`` fills, both in that order.  A
+    pass shows that two implementations of the min-recursion agree (see
+    the module docstring).  Returns a JSON-ready report with one row per
+    window diagram, in window order, and an overall pass flag, which an
+    empty window (``max_boxes < 0``) never sets.  INF valuations are
+    serialized as the string "inf".
     """
     n = datum.cartan.n
-    window = canonical_diagrams(n, max_boxes)
-    rows, _ = minus_rows(n, generic_element(datum), window)
+    block = canonical_diagrams(max_boxes)
+    rows, _ = minus_rows(n, generic_element(datum), block)
+    keys = [(parts, charge) for charge in range(n) for parts in block]
     results = []
     ok = True
-    for (parts, charge), recursive, row in zip(window, datum.table(max_boxes), rows.values()):
+    for (parts, charge), recursive, row in zip(keys, datum.table(max_boxes), rows):
         valuation = vec_val(row)
         match = recursive == valuation
         ok = ok and match

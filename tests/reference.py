@@ -53,9 +53,17 @@ def small_diagrams(n, max_boxes):
     return [diagram(parts, charge) for charge in range(n) for parts in partitions_up_to(max_boxes)]
 
 
+def charged(n, block):
+    """The (parts, charge) pairs of a window block read at charges 0..n-1,
+    charge 0 first, each charge in the block's order: the order of a
+    datum's table, of ``fock.minus_rows``' rows and of an oracle report."""
+    return [(parts, charge) for charge in range(n) for parts in block]
+
+
 def sigma_canonical_diagrams(n, max_boxes):
-    """The diagrams of ``canonical_diagrams(n, max_boxes)``, in its order."""
-    return [diagram(parts, charge) for parts, charge in canonical_diagrams(n, max_boxes)]
+    """The diagrams of ``canonical_diagrams(max_boxes)`` at charges
+    0..n-1, in table order."""
+    return [diagram(*key) for key in charged(n, canonical_diagrams(max_boxes))]
 
 
 def box_slot_label(p, row, col):
@@ -84,12 +92,12 @@ def corner_removals(parts, charge):
 # -- value tables and exploration ---------------------------------------------
 
 
-def removal_index(window):
-    """The single-box removal index of a whole window of (parts, charge)
-    pairs at charges 0..n-1, built diagram by diagram: each window
-    diagram's corners at its own charge, filed under their slot labels mod
-    n.  ``datum._removal_index`` is one charge block of it."""
-    n = window[-1][1] + 1
+def removal_index(n, block):
+    """The single-box removal index of a whole window, the (parts, charge)
+    pairs of ``block`` at charges 0..n-1, built diagram by diagram: each
+    window diagram's corners at its own charge, filed under their slot
+    labels mod n.  ``datum._removal_index`` is one charge block of it."""
+    window = charged(n, block)
     position = {key: k for k, key in enumerate(window)}
     index = tuple([] for _ in range(n))
     for k, (parts, charge) in enumerate(window):
@@ -284,14 +292,14 @@ def vector_val(v):
     return min(c.val() for c in v.terms.values())
 
 
-def unpack_row(n, window, charge, row, width):
-    """A packed row of ``fock.minus_rows``, for a diagram of ``charge``, as
-    the minus-side vector it packs: the base-2^width digits of its
-    coefficient at t^e, lowest first, are the coefficients at t^e of the
-    window's diagrams of that charge, in window order.  Bits past the last
-    diagram's digit, which a wide enough digit never leaves, are kept under
-    the key None, so that such a vector equals no row."""
-    keys = [key for key in window if key[1] == charge]
+def unpack_row(n, block, charge, row, width):
+    """A packed row of ``fock.minus_rows`` over ``block``, for a diagram of
+    ``charge``, as the minus-side vector it packs: the base-2^width digits
+    of its coefficient at t^e, lowest first, are the coefficients at t^e
+    of the block's partitions at that charge, in block order.  Bits past
+    the last diagram's digit, which a wide enough digit never leaves, are
+    kept under the key None, so that such a vector equals no row."""
+    keys = [(parts, charge) for parts in block]
     mask = (1 << width) - 1
     terms = {}
     for e, packed in row.coeffs.items():

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mayacrystal import cli, datum, fock, maya, oracle
+from mayacrystal import graph as graphmod
 from mayacrystal.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from mayacrystal.laurent import MultiPoly
-from reference import unpack_row
+from reference import charged, unpack_row
 
 GOLDEN = Path(__file__).parent / "golden"
 #: 1,500 letters: deeper than the interpreter's default recursion limit
@@ -162,6 +163,8 @@ class TestEval:
         )
         assert code == EXIT_USAGE
         assert err
+        # the message names the file, as the nested-too-deeply one does
+        assert err.startswith("error: %s: " % path)
 
     @pytest.mark.parametrize("data", [
         [1, 2],
@@ -336,7 +339,8 @@ class TestVerify:
         code, _, err = run(
             capsys, "verify", "--rank", "2", "--graph-file", str(path)
         )
-        assert code != EXIT_OK
+        assert code == EXIT_USAGE
+        assert err.startswith("error: %s: " % path)
 
     @pytest.mark.parametrize("n, points", [(2, 91), (12, 2704156)])
     def test_too_few_nodes_for_the_census(self, capsys, tmp_path, n, points):
@@ -360,6 +364,27 @@ class TestVerify:
         census = "violation: census: 1 nodes cannot cover the %d root-lattice points of " \
             "height <= 12" % points
         assert census in lines and "weight census" not in out
+        assert lines[-1] == "verify: FAIL (%d problems)" % (len(lines) - 1)
+
+    def test_long_words_below_the_bound_are_not_read(self, capsys, tmp_path):
+        # the node-count bound comes before the words' check, whose filling
+        # DP grows with a word's length: a 2-node file with a 400-letter
+        # word, whose stored statistics are not its word's, fails at once
+        # on the bound alone, where the words' check took over a minute
+        path = tmp_path / "graph.json"
+        zero = {"weight": [0, 0], "eps": [0, 0], "phi": [0, 0]}
+        nodes = [dict(zero, id=0, word=[]), dict(zero, id=1, word=[k % 2 for k in range(400)])]
+        path.write_text(json.dumps(
+            {"n": 2, "depth": 400, "max_boxes": 0, "nodes": nodes, "edges": []}
+        ))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--rank", "2", "--graph-file", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (EXIT_FAIL, "")
+        lines = out.splitlines()
+        assert "violation: census: 2 nodes cannot cover the 80601 root-lattice points of " \
+            "height <= 400" in lines
+        assert not any(line.startswith("violation: word:") for line in lines)
         assert lines[-1] == "verify: FAIL (%d problems)" % (len(lines) - 1)
 
     @pytest.mark.parametrize("edit", [
@@ -575,11 +600,12 @@ class TestOracleCheck:
     def test_theta_past_the_recursion_limit_is_bad_input(self, capsys, tmp_path):
         # theta's filling DP loops, and so does every command: with the
         # limit lowered in process, oracle-check of a word of 60 distinct
-        # letters passes, as one letter does, and verify of a one-node
-        # n = 2 export of a 60-letter word, whose stored statistics are not
-        # its word's, exits 1 with a word violation, not with a traceback.
-        # The file's 1 node cannot cover the 1,891 lattice points of height
-        # <= 60, so verify builds no census table for it
+        # letters passes, as one letter does, and the words' check of a
+        # one-node n = 2 export of a 60-letter word, whose stored
+        # statistics are not its word's, gives a word violation, not a
+        # traceback.  The file's 1 node cannot cover the 1,891 lattice
+        # points of height <= 60, so verify exits 1 on that alone, reading
+        # no word and building no census table
         def depth():
             frame, count = sys._getframe(), 0
             while frame is not None:
@@ -590,10 +616,9 @@ class TestOracleCheck:
         word = ",".join(map(str, letters))
         long_word = [k % 2 for k in range(60)]
         node = {"id": 0, "word": long_word, "weight": [0, 0], "eps": [0, 0], "phi": [0, 0]}
+        payload = {"n": 2, "depth": 60, "max_boxes": 0, "nodes": [node], "edges": []}
         path = tmp_path / "graph.json"
-        path.write_text(json.dumps(
-            {"n": 2, "depth": 60, "max_boxes": 0, "nodes": [node], "edges": []}
-        ))
+        path.write_text(json.dumps(payload))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth() + 50)
         try:
@@ -602,6 +627,7 @@ class TestOracleCheck:
                 capsys, "oracle-check", "--rank", "60", "--word", word, "--max-boxes", "1"
             )
             graph = run(capsys, "verify", "--rank", "2", "--graph-file", str(path))
+            violations = graphmod.check_words(graphmod.load_json(payload))
         finally:
             sys.setrecursionlimit(limit)
         assert short[0] == EXIT_OK
@@ -610,10 +636,11 @@ class TestOracleCheck:
         assert report["pass"] is True and report["word"] == letters
         graph_code, graph_out, graph_err = graph
         assert (graph_code, graph_err) == (EXIT_FAIL, "")
-        assert graph_out.startswith("violation: word: node 0: stored (weight, eps, phi)")
-        assert "violation: census: 1 nodes cannot cover the 1891 " in graph_out
+        assert len(violations) == 1
+        assert violations[0].startswith("word: node 0: stored (weight, eps, phi)")
+        assert graph_out.startswith("violation: census: 1 nodes cannot cover the 1891 ")
         assert "weight census" not in graph_out
-        assert graph_out.endswith("verify: FAIL (2 problems)\n")
+        assert graph_out.endswith("verify: FAIL (1 problems)\n")
 
     def test_no_diagrams_fails(self):
         # an empty window compares nothing, so it must not pass; the CLI's
@@ -658,8 +685,11 @@ class TestOracleCheck:
         )
         assert code == EXIT_OK
         ((packed, width),) = fills
-        window = datum.canonical_diagrams(2, 6)
-        rows = {key: unpack_row(2, window, key[1], row, width) for key, row in packed.items()}
+        block = datum.canonical_diagrams(6)
+        rows = {
+            key: unpack_row(2, block, key[1], row, width)
+            for key, row in zip(charged(2, block), packed, strict=True)
+        }
         results = json.loads(out)["results"]
         assert len(rows) == len(results) > 0
         assert calls == []

@@ -44,6 +44,7 @@ from mayacrystal.maya import (
 )
 from mayacrystal.oracle import compare, generic_element
 from reference import (
+    charged,
     diagram,
     fingerprint_from_root,
     oracle_theta,
@@ -65,8 +66,8 @@ def box_table(datum, max_boxes):
     """``datum.table(max_boxes)``'s values at the box window's diagrams, in
     the box window's order: what its fingerprint must hold."""
     n = datum.cartan.n
-    values = dict(zip(canonical_diagrams(n, max_boxes), datum.table(max_boxes)))
-    return [values[key] for key in box_diagrams(n, max_boxes)]
+    values = dict(zip(charged(n, canonical_diagrams(max_boxes)), datum.table(max_boxes)))
+    return [values[key] for key in charged(n, box_diagrams(max_boxes))]
 
 
 def charge_blocks(table, n):
@@ -407,12 +408,13 @@ class TestFingerprint:
         cartan = CartanData(2)
         d = datum_from_word(cartan, (0, 1))
         value = subset_values(d)
-        table = {(parts, charge): value(parts, charge) for parts, charge in box_diagrams(2, 6)}
+        window = charged(2, box_diagrams(6))
+        table = {(parts, charge): value(parts, charge) for parts, charge in window}
         blocks = fingerprint_from_root(d, 6)
         # the statistics that lead the dedup key are the node's (weight, eps, phi)
         eps = tuple(d.eps_hat(i) for i in range(2))
         assert d.statistics() == (d.weight(), eps, tuple(d.phi_hat(i) for i in range(2)))
-        assert table_values(blocks) == [table[key] for key in box_diagrams(2, 6)]
+        assert table_values(blocks) == [table[key] for key in window]
 
     @given(
         st.sampled_from((2, 3, 4)).flatmap(
@@ -446,7 +448,7 @@ class TestFingerprint:
         root = CrystalDatum(cartan)
         d = root.apply(0, {})
         assert d.parent.c_coeff(0) == -1
-        size = len(box_diagrams(2, 4)) // 2
+        size = len(box_diagrams(4))
         block = array("h", [-32768] * size).tobytes()
         root_fp = fingerprint_from_root(root, 4)
         forged = (block,) * 2
@@ -548,7 +550,7 @@ class TestTable:
         d = datum_from_word(CartanData(n), word)
         value = subset_values(d)
         assert d.table(max_boxes) == tuple(
-            value(parts, charge) for parts, charge in canonical_diagrams(n, max_boxes)
+            value(parts, charge) for parts, charge in charged(n, canonical_diagrams(max_boxes))
         )
 
     @given(
@@ -571,8 +573,8 @@ class TestTable:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_fingerprint_canonical_order(self, n):
         # both windows: charge, then box count, then lexicographic parts
-        box = box_diagrams(n, 6)
-        for window in (canonical_diagrams(n, 6), box):
+        box = charged(n, box_diagrams(6))
+        for window in (charged(n, canonical_diagrams(6)), box):
             assert list(window) == sorted(window, key=lambda e: (e[1], sum(e[0]), e[0]))
         d = datum_from_word(CartanData(n), (0, 1, 0))
         blocks = fingerprint_from_root(d, 6)
@@ -678,7 +680,7 @@ class TestOrbits:
         d = CrystalDatum(cartan).apply_word(word, {})
         twin = unshared_from_word(cartan, word)
         assert d._rep is not None and d._rep.word[0] == 0
-        window = canonical_diagrams(n, max_boxes)
+        window = charged(n, canonical_diagrams(max_boxes))
         taus = [lambda_diagram(i) for i in range(n)] + [s_lambda_diagram(i) for i in range(n)]
         taus.append(MayaDiagram(RIGHT_BLACK, diffs))
         while twin is not None:
@@ -760,7 +762,7 @@ class TestDepthOne:
         for i in range(n):
             d = CrystalDatum(root.cartan, root, i)
             value = subset_values(d)
-            for parts, charge in canonical_diagrams(n, n + 3):
+            for parts, charge in charged(n, canonical_diagrams(n + 3)):
                 boxes = removable_boxes(ChargedPartition(parts, charge), i, n)
                 assert d.value_at(parts, charge) == value(parts, charge) == -len(boxes)
 
@@ -882,8 +884,7 @@ class TestRemovalIndex:
         # fill needs); chains of pairs reach exactly the subsets
         # removal_options lists, with the chain length as the count
         for window, max_boxes in itertools.product((canonical_diagrams, box_diagrams), range(9)):
-            diagrams = window(n, max_boxes)
-            block = [parts for parts, _ in diagrams[:len(diagrams) // n]]
+            block = window(max_boxes)
             position = {parts: k for k, parts in enumerate(block)}
             index = _removal_index(window, n, max_boxes)
             assert len(index) == n
@@ -916,7 +917,7 @@ class TestRemovalIndex:
         # entries
         for window, max_boxes in itertools.product((canonical_diagrams, box_diagrams), range(9)):
             index = _removal_index(window, n, max_boxes)
-            size = len(window(n, max_boxes)) // n
+            size = len(window(max_boxes))
             shifted = tuple(
                 tuple(
                     (k + charge * size, j + charge * size)
@@ -925,7 +926,7 @@ class TestRemovalIndex:
                 )
                 for r in range(n)
             )
-            assert shifted == removal_index(window(n, max_boxes))
+            assert shifted == removal_index(n, window(max_boxes))
             ints = {id(x) for pairs in index for pair in pairs for x in pair}
             assert len(ints) <= size
 
@@ -1012,7 +1013,9 @@ class TestSingleColorOperators:
 
 class TestCanonicalDiagrams:
     def test_enumeration_shape(self):
-        diagrams = canonical_diagrams(2, 2)
+        # one block, the partitions of 0, 1 and 2, read at each charge
+        assert canonical_diagrams(2) == ((), (1,), (1, 1), (2,))
+        diagrams = charged(2, canonical_diagrams(2))
         assert diagrams[0] == ((), 0)
         assert len(diagrams) == 2 * 4  # charges 0,1 and partitions of 0,1,2
         assert len(set(diagrams)) == len(diagrams)
@@ -1040,17 +1043,19 @@ class TestBoxDiagrams:
     @pytest.mark.parametrize("n", [2, 3])
     def test_filtered_full_window(self, n):
         # the full window's pairs whose partition fits in an a x b box of
-        # area at most R, in the full window's order
+        # area at most R, in the full window's order, at every charge
         for max_area in range(17):
-            assert box_diagrams(n, max_area) == tuple(
-                key for key in canonical_diagrams(n, max_area) if self.area(key[0]) <= max_area
-            )
+            assert charged(n, box_diagrams(max_area)) == [
+                key
+                for key in charged(n, canonical_diagrams(max_area))
+                if self.area(key[0]) <= max_area
+            ]
 
     def test_down_closed_and_holds_every_rectangle(self):
         # removing any corner stays in the window, which _index(closed=True)
         # needs, and every a x b rectangle with ab <= R is in it
         for max_area in range(17):
-            block = {parts for parts, _ in box_diagrams(2, max_area)}
+            block = set(box_diagrams(max_area))
             for parts in block:
                 for r, part in enumerate(parts):
                     if r + 1 == len(parts) or parts[r + 1] < part:

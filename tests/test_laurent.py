@@ -7,7 +7,7 @@ from mayacrystal.datum import CartanData, canonical_diagrams, datum_from_word
 from mayacrystal.fock import MINUS, PLUS, FockVector, x_act
 from mayacrystal.laurent import INF, LaurentPoly, MultiPoly, _merge_monomials
 from mayacrystal.oracle import d_gamma, generic_element
-from reference import d_tau, vector_val
+from reference import charged, d_tau, vector_val
 
 coeffs = st.fractions(
     max_denominator=20,
@@ -276,7 +276,7 @@ class TestIntegerUnits:
 
     def test_symbolic_d_gamma_matches_fraction_units(self, monkeypatch):
         factors = generic_element(datum_from_word(CartanData(2), (0, 1, 0, 1, 1, 0)))
-        keys = canonical_diagrams(2, 6)
+        keys = charged(2, canonical_diagrams(6))
         vectors = [d_gamma(2, factors, key) for key in keys]
         numbers = [c for v in vectors for poly in v.terms.values() for c in poly.coeffs.values()]
         assert {type(number) for number in numbers} == {int}
@@ -305,7 +305,7 @@ class TestGenericPoint:
         # coefficient sums are the integer coefficients, and the valuations agree
         n, letters = case
         factors = generic_element(datum_from_word(CartanData(n), letters))
-        for key in canonical_diagrams(n, 5):
+        for key in charged(n, canonical_diagrams(5)):
             # the key of gamma, and of tau, gamma's color inversion
             for side, act in ((MINUS, d_gamma), (PLUS, d_tau)):
                 integer = act(n, factors, key)

@@ -33,7 +33,13 @@ from mayacrystal.maya import (
     s_lambda_diagram,
     to_partition,
 )
-from reference import box_label_multiset, box_slot_label, corner_removals, partitions_up_to
+from reference import (
+    box_label_multiset,
+    box_slot_label,
+    charged,
+    corner_removals,
+    partitions_up_to,
+)
 
 partition_parts = st.lists(st.integers(1, 7), max_size=5).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -354,7 +360,7 @@ class TestBoxes:
         # removing any one box of a window diagram from the same window
         for n in (2, 3, 4):
             for max_boxes in range(7):
-                window = canonical_diagrams(n, max_boxes)
+                window = charged(n, canonical_diagrams(max_boxes))
                 keys = set(window)
                 for parts, charge in window:
                     for _, sub in corner_removals(parts, charge):

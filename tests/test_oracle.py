@@ -18,6 +18,7 @@ from mayacrystal.maya import (
 )
 from mayacrystal.oracle import compare, d_gamma, generic_element, report_to_json
 from reference import (
+    charged,
     d_tau,
     diagram,
     oracle_eval,
@@ -123,11 +124,14 @@ def group_words(draw):
     return n, tuple(factors)
 
 
-def unpacked_rows(n, factors, window):
-    """``minus_rows`` of the window, each packed row unpacked into the
-    minus-side vector it packs, keyed as the rows are."""
-    rows, width = minus_rows(n, factors, window)
-    return {key: unpack_row(n, window, key[1], row, width) for key, row in rows.items()}
+def unpacked_rows(n, factors, block):
+    """``minus_rows`` of the block, each packed row unpacked into the
+    minus-side vector it packs, keyed by its (parts, charge) in row order."""
+    rows, width = minus_rows(n, factors, block)
+    return {
+        key: unpack_row(n, block, key[1], row, width)
+        for key, row in zip(charged(n, block), rows, strict=True)
+    }
 
 
 class TestSharedRows:
@@ -138,13 +142,13 @@ class TestSharedRows:
     @settings(max_examples=60, deadline=None)
     def test_rows_equal_d_gamma(self, word, max_boxes):
         n, factors = word
-        window = canonical_diagrams(n, max_boxes)
-        # the reversed window is closed under removal too, in another order,
+        block = canonical_diagrams(max_boxes)
+        # the reversed block is closed under removal too, in another order,
         # which packs each row's diagrams in another digit order
-        for order in (window, window[::-1]):
+        for order in (block, block[::-1]):
             rows = unpacked_rows(n, factors, order)
-            assert list(rows) == list(order)
-            for parts, charge in order:
+            assert list(rows) == charged(n, order)
+            for parts, charge in charged(n, order):
                 expected = d_gamma(n, factors, (parts, charge))
                 # FockVector equality: the same keys, and equal LaurentPoly
                 # coefficients at each
@@ -154,43 +158,44 @@ class TestSharedRows:
         # the equality above sees the packing: with 1-bit digits the counts
         # above 1 of this word's rows carry into their neighbours' digits
         factors = generic_element(datum_from_word(CartanData(2), (0, 1, 0, 1, 1, 0)))
-        window = canonical_diagrams(2, 5)
-        expected = {key: d_gamma(2, factors, key) for key in window}
-        assert unpacked_rows(2, factors, window) == expected
+        block = canonical_diagrams(5)
+        expected = {key: d_gamma(2, factors, key) for key in charged(2, block)}
+        assert unpacked_rows(2, factors, block) == expected
         monkeypatch.setattr(fock, "_digit_width", lambda *args: 1)
-        assert unpacked_rows(2, factors, window) != expected
+        assert unpacked_rows(2, factors, block) != expected
 
     def test_passes_are_safe_in_place(self):
         # within a box row's pass no diagram read is one written, and the
-        # passes, from one corner scan per partition for every residue,
-        # pair each diagram with exactly its removable boxes of each
-        # residue, in a charge-major window and in one that is not
+        # passes, from one charge-free corner scan per partition, pair each
+        # partition at each charge c with exactly its removable boxes of
+        # residue i at entry (i + c) mod n, in the block's order and in
+        # its reverse
         for n in range(2, 6):
-            for window in (canonical_diagrams(n, 6), canonical_diagrams(n, 6)[::-1]):
-                passes = fock._passes(n, window, range(n))
-                assert sorted(passes) == list(range(n))
-                for residue, by_row in passes.items():
+            for block in (canonical_diagrams(6), canonical_diagrams(6)[::-1]):
+                passes = fock._passes(n, block)
+                assert len(passes) == n
+                for entry, by_row in enumerate(passes):
                     for pairs in by_row.values():
                         assert not {k for k, _ in pairs} & {j for _, j in pairs}
                     paired = {}
                     for r, pairs in by_row.items():
                         for k, j in pairs:
                             paired.setdefault(k, []).append((r, j))
-                    for k, (parts, charge) in enumerate(window):
+                    for charge, (k, parts) in itertools.product(range(n), enumerate(block)):
                         rows = sorted(paired.get(k, []))
                         assert [r for r, _ in rows] == maya.removable_rows(
-                            parts, charge, residue, n
+                            parts, charge, (entry - charge) % n, n
                         )
                         for r, j in rows:
                             sub = parts[:r] + (parts[r] - 1,) + parts[r + 1:]
-                            assert window[j] == (tuple(x for x in sub if x), charge)
+                            assert block[j] == tuple(x for x in sub if x)
 
     def test_rows_reach_beyond_the_valuation(self):
         # rows carry whole Laurent polynomials, with several exponents and
         # path counts above 1, so the equality above tests more than a
         # valuation
         factors = generic_element(datum_from_word(CartanData(2), (0, 1, 0, 1, 1, 0)))
-        rows = unpacked_rows(2, factors, canonical_diagrams(2, 5))
+        rows = unpacked_rows(2, factors, canonical_diagrams(5))
         polys = [poly for row in rows.values() for poly in row.terms.values()]
         assert max(len(poly.coeffs) for poly in polys) > 1
         assert max(c for poly in polys for c in poly.coeffs.values()) > 1
@@ -205,7 +210,7 @@ class TestCompare:
         # one row per window diagram, in window order
         assert [
             (tuple(r["diagram"]["parts"]), r["diagram"]["charge"]) for r in report["results"]
-        ] == list(canonical_diagrams(2, 3))
+        ] == charged(2, canonical_diagrams(3))
         assert all(r["match"] for r in report["results"])
 
     def test_rows_need_no_conversion(self, monkeypatch):
@@ -225,7 +230,7 @@ class TestCompare:
         generic_element(d)
         report = compare(d, 3)
         assert report["pass"] is True
-        assert len(report["results"]) == len(canonical_diagrams(2, 3))
+        assert len(report["results"]) == 2 * len(canonical_diagrams(3))
         assert calls == []
 
     def test_inf_serialized_as_string(self):
